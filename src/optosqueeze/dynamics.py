@@ -1,12 +1,15 @@
 """Numerical time evolution and the validation harness.
 
-Three independent evolution routes are implemented on purpose:
+Four independent evolution routes are implemented on purpose:
 
 * `evolve_unitary`: Schroedinger-picture matrix-exponential stepping for
   pure states of a time-independent Hamiltonian (exact up to round-off).
-* `exact_quadrature_moments`: Heisenberg-picture evaluation through one
-  eigendecomposition, usable for mixed (e.g. thermal) initial states
-  without storing density matrices.
+* `exact_quadrature_moments`: Heisenberg-picture evaluation for the
+  effective Hamiltonian, usable for mixed (e.g. thermal) initial states
+  without storing propagated density matrices.  H_eff couples level n only
+  to n +- 2, so it splits into two parity blocks, each real symmetric
+  tridiagonal; each block is diagonalised once and every moment is one
+  batched product over the time grid.
 * `covariance_evolve`: the Gaussian first/second-moment equations of the
   damped quadratic model, solved exactly per time point with an augmented
   matrix exponential (Van Loan block trick), valid in the unstable regime
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal, expm
 
 from .model import (
     ModelParams,
@@ -46,6 +49,7 @@ from .operators import (
     HilbertSpace,
     Operator,
     QuantumState,
+    _x2_bands,
     annihilation,
     level_projector,
     position,
@@ -160,18 +164,24 @@ class CovarianceTrajectory:
     meta: dict
 
 
+def _tail_levels(size: int) -> tuple:
+    """The Fock levels whose joint population is a mode's truncation tail.
+
+    The top TWO levels: the quadratic coupling moves population in steps of
+    two, so the single top level is blind to even-parity states whenever the
+    truncation dimension is even.  For very small spaces (size < 4) the
+    second-highest level is ordinary occupied population, not a truncation
+    diagnostic, so only the top one counts there.
+    """
+    return (size - 2, size - 1) if size >= 4 else (size - 1,)
+
+
 def _fock_tails(probs: np.ndarray, sizes: tuple, factors: tuple) -> dict:
-    # top TWO levels per mode: the quadratic coupling moves population in
-    # steps of two, so the single top level is blind to even-parity states
-    # whenever the truncation dimension is even.  For very small spaces
-    # (size < 4) the second-highest level is ordinary occupied population,
-    # not a truncation diagnostic, so only the top one counts there.
     out = {}
     resh = probs.reshape(sizes)
     for idx, f in enumerate(factors):
         if isinstance(f, Fock):
-            top = (-2, -1) if f.size >= 4 else (-1,)
-            out[idx] = float(np.take(resh, top, axis=idx).sum())
+            out[idx] = float(np.take(resh, _tail_levels(f.size), axis=idx).sum())
     return out
 
 
@@ -249,58 +259,96 @@ def _default_mech_factor(space: HilbertSpace) -> int:
     raise ValueError("cannot infer the oscillator factor; pass factor_index")
 
 
-def exact_quadrature_moments(H: Operator, state: QuantumState, times, factor_index: int | None = None):
-    """First and second moments of a quadrature under exp(-i H t), exactly.
+_BANDED_H = (
+    "exact_quadrature_moments needs H on a single Fock factor, real, with entries only "
+    "on the main diagonal and the +-2 diagonals (as build_effective_hamiltonian returns)"
+)
 
-    One eigendecomposition of H turns the evolution into pure phase
-    rotation, so arbitrary (pure or mixed) initial states are handled
-    without ever storing a propagated density matrix.  Returns
-    (first, second, tail): <X>(t), <X^2>(t), and the joint population of
-    the factor's top two Fock levels over the grid.
 
-    This is the route used for thermal initial states, where
-    `evolve_unitary` does not apply.
+def _phase_sum(lam_l: np.ndarray, lam_r: np.ndarray, w: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_jk exp(i lam_l[j] t) w[j, k] exp(-i lam_r[k] t) at every t, as one product."""
+    el = np.exp(1j * np.outer(t, lam_l))
+    er = np.exp(1j * np.outer(t, lam_r))
+    return np.einsum("tk,tk->t", el @ w, er.conj())
+
+
+def _transform(vl: np.ndarray, r: np.ndarray, vr: np.ndarray) -> np.ndarray:
+    """vl^T r vr for real vl, vr; real arithmetic unless r has an imaginary part."""
+    out = vl.T @ r.real @ vr
+    if r.imag.any():
+        out = out + 1j * (vl.T @ r.imag @ vr)
+    return out
+
+
+def exact_quadrature_moments(H: Operator, state: QuantumState, times):
+    """First and second moments of X under exp(-i H t), exactly, by parity sector.
+
+    H must be Hermitian, act on a single Fock factor, and be real with
+    entries only on the main diagonal and the +-2 diagonals, which is what
+    `build_effective_hamiltonian` returns; any other H raises ValueError.
+    Such an H couples level n only to n +- 2, so it splits into an even- and
+    an odd-parity block, each real symmetric tridiagonal and diagonalised
+    with `scipy.linalg.eigh_tridiagonal`.  In the eigenbases the evolution
+    is pure phase rotation, and every moment is one batched product over
+    the whole time grid:
+
+    * X^2 (the truncated-space X @ X) and the projector on the tail levels
+      are parity-even, so they need only the sector-diagonal blocks of rho;
+    * X maps one parity to the other, so <X> needs only rho's even-odd
+      block, which is exactly zero for thermal and vacuum states.
+
+    Any pure or mixed state is accepted.  Returns (first, second, tail):
+    <X>(t), <X^2>(t), and the joint population of the top two Fock levels
+    (the top one below four levels) over the grid.  This is the route used
+    for thermal initial states, where `evolve_unitary` does not apply.
     """
     if not H.is_hermitian(1e-12):
         raise ValueError("exact_quadrature_moments requires a Hermitian Hamiltonian")
     if H.space != state.space:
         raise ValueError("Hamiltonian and state live on different spaces")
     space = H.space
-    idx = _default_mech_factor(space) if factor_index is None else factor_index
+    if len(space.factors) != 1 or not isinstance(space.factors[0], Fock):
+        raise ValueError(_BANDED_H)
+    m = H.matrix
+    d = m.shape[0]
+    k = np.arange(d)
+    off_band = np.abs(m)
+    off_band[k, k] = 0.0
+    off_band[k[:-2], k[2:]] = 0.0
+    off_band[k[2:], k[:-2]] = 0.0
+    if off_band.max() > 1e-12 or np.abs(m.imag).max() > 1e-12:
+        raise ValueError(_BANDED_H)
+
     t = np.asarray(times, dtype=float)
+    rho = state.density()
+    hd, h2 = np.diagonal(m).real, np.diagonal(m, 2).real
+    x2d, x2o = _x2_bands(d)
+    tail_levels = _tail_levels(d)
 
-    evals, v = np.linalg.eigh(H.matrix)
-    x = position(space, idx).matrix
-    xt = v.conj().T @ x @ v
-    x2t = xt @ xt
-    # projector on the factor's top two levels, as a diagonal weight
-    # (two, not one: even-parity dynamics skips every other level)
-    sizes = space.factor_sizes
-    topmask = np.zeros(sizes)
-    topmask[(slice(None),) * idx + (-1,)] = 1.0
-    if sizes[idx] >= 4:
-        topmask[(slice(None),) * idx + (-2,)] = 1.0
-    pt = v.conj().T @ (topmask.reshape(-1)[:, None] * v)
+    second = np.zeros(t.size)
+    tail = np.zeros(t.size)
+    sectors = []
+    for s in (0, 1):  # levels s, s + 2, s + 4, ...
+        lam, v = eigh_tridiagonal(hd[s::2], h2[s::2])
+        sectors.append((lam, v))
+        # X^2 = (b + b^dag)^2 / 4 is tridiagonal within the sector
+        dg, od = x2d[s::2, None] / 4.0, x2o[s::2, None] / 4.0
+        x2v = dg * v
+        x2v[:-1] += od * v[1:]
+        x2v[1:] += od * v[:-1]
+        top = v[[(lv - s) // 2 for lv in tail_levels if lv % 2 == s]]
+        rho_t = _transform(v, rho[s::2, s::2], v).T
+        second += _phase_sum(lam, lam, (v.T @ x2v) * rho_t, t).real
+        tail += _phase_sum(lam, lam, (top.T @ top) * rho_t, t).real
 
-    if state.is_pure:
-        c = v.conj().T @ state.vector
-        rho_t = np.outer(c, c.conj()).T  # rho~ transposed
-    else:
-        rho_t = (v.conj().T @ state.rho @ v).T
-
-    b1 = xt * rho_t
-    b2 = x2t * rho_t
-    b3 = pt * rho_t
-
-    first = np.empty(t.size)
-    second = np.empty(t.size)
-    tail = np.empty(t.size)
-    for i, ti in enumerate(t):
-        ph = np.exp(1j * evals * ti)
-        phc = ph.conj()
-        first[i] = (ph @ (b1 @ phc)).real
-        second[i] = (ph @ (b2 @ phc)).real
-        tail[i] = (ph @ (b3 @ phc)).real
+    rho_oe = rho[1::2, 0::2]
+    if not np.any(rho_oe):
+        return np.zeros(t.size), second, tail
+    # <X> = 2 Re Tr(rho_oe X_eo(t)), X_eo the even-row, odd-column block of X
+    (lam_e, v_e), (lam_o, v_o) = sectors
+    x_eo = position(space, 0).matrix.real[0::2, 1::2]
+    rho_t = _transform(v_o, rho_oe, v_e).T
+    first = 2.0 * _phase_sum(lam_e, lam_o, (v_e.T @ x_eo @ v_o) * rho_t, t).real
     return first, second, tail
 
 
@@ -513,9 +561,10 @@ def effective_variance_series(
 ) -> TimeSeries:
     """X-variance under H_eff from a vacuum or thermal state, truncation-adaptive.
 
-    Uses `evolve_unitary` for nbar = 0 and the eigendecomposition route for
-    thermal states; doubles the oscillator dimension until the top-level
-    population stays below 1e-6, and raises TruncationError at the cap.
+    Uses `evolve_unitary` for nbar = 0 and the parity-split
+    `exact_quadrature_moments` for thermal states; doubles the oscillator
+    dimension until the truncation tail stays below 1e-6, and raises
+    TruncationError at the cap.
     """
     d = d_start if d_start is not None else mech_dim_start(nbar, g_eff, omega_m)
     while True:

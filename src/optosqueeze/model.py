@@ -35,6 +35,7 @@ from .operators import (
     HilbertSpace,
     Level,
     Operator,
+    _x2_bands,
     annihilation,
     level_projector,
     tensor_embed,
@@ -120,6 +121,23 @@ def _require_structure(space: HilbertSpace, levels: int, what: str):
         raise ValueError(f"{what} needs Fock x Fock x Level({levels}), got {space.factors!r}")
 
 
+def _two_band_matrix(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Dense complex matrix with `diag` on the main and `off` on the +-2 diagonals."""
+    k = np.arange(diag.size)
+    m = np.zeros((diag.size, diag.size), dtype=complex)
+    m[k, k] = diag
+    m[k[:-2], k[2:]] = off
+    m[k[2:], k[:-2]] = off
+    return m
+
+
+def _optomechanical_term(g2: float, space: HilbertSpace) -> Operator:
+    """g2 a^dag a (b + b^dag)^2, built jointly on the two Fock factors."""
+    nmat = np.diag(np.arange(space.factors[0].size, dtype=float))
+    x2 = _two_band_matrix(*_x2_bands(space.factors[1].size))
+    return g2 * tensor_embed([(0, nmat), (1, x2)], space)
+
+
 def build_full_hamiltonian(p: ModelParams, space: HilbertSpace) -> Operator:
     """The three-level model in the static rotating frame.
 
@@ -139,14 +157,7 @@ def build_full_hamiltonian(p: ModelParams, space: HilbertSpace) -> Operator:
     drive = p.Omega * level_projector(space, 2, 2, 0) + p.g1 * (a.dag() @ level_projector(space, 2, 1, 2))
     h = h + drive + drive.dag()
 
-    # quadratic optomechanical term, built jointly on the two Fock factors
-    dc = space.factors[0].size
-    dm = space.factors[1].size
-    bl = np.diag(np.sqrt(np.arange(1, dm, dtype=float)), 1).astype(complex)
-    x2 = (bl + bl.conj().T) @ (bl + bl.conj().T)
-    nmat = np.diag(np.arange(dc, dtype=float)).astype(complex)
-    h = h + p.g2 * tensor_embed([(0, nmat), (1, x2)], space)
-
+    h = h + _optomechanical_term(p.g2, space)
     h = h + p.eps * (a + a.dag())
     return h
 
@@ -192,13 +203,7 @@ def build_two_level_hamiltonian(p: ModelParams, space: HilbertSpace, variant: st
     flip = a @ level_projector(space, 2, 0, 1)
     h = h - coupling * (flip + flip.dag())
 
-    dc = space.factors[0].size
-    dm = space.factors[1].size
-    bl = np.diag(np.sqrt(np.arange(1, dm, dtype=float)), 1).astype(complex)
-    x2 = (bl + bl.conj().T) @ (bl + bl.conj().T)
-    nmat = np.diag(np.arange(dc, dtype=float)).astype(complex)
-    h = h + p.g2 * tensor_embed([(0, nmat), (1, x2)], space)
-
+    h = h + _optomechanical_term(p.g2, space)
     h = h + p.eps * (a + a.dag())
     return h
 
@@ -271,6 +276,10 @@ def is_stable_regime(g_eff: float, omega_m: float) -> bool:
 def build_effective_hamiltonian(g_eff: float, omega_m: float, space: HilbertSpace) -> Operator:
     """H_eff = omega_m b^dag b + g_eff (b + b^dag)^2 on a single-mode space.
 
+    The matrix is real and has entries only on the main diagonal and the
+    +-2 diagonals, written there directly; `dynamics.exact_quadrature_moments`
+    relies on that shape.
+
     Negative g_eff is allowed; once 4 g_eff <= -omega_m the dynamics turns
     hyperbolic (q^2 <= 0) and an UnstableRegimeWarning is emitted instead
     of an error, since the operator itself is still perfectly well defined.
@@ -284,6 +293,6 @@ def build_effective_hamiltonian(g_eff: float, omega_m: float, space: HilbertSpac
             UnstableRegimeWarning,
             stacklevel=2,
         )
-    b = annihilation(space, 0)
-    x2 = (b + b.dag()) @ (b + b.dag())
-    return omega_m * (b.dag() @ b) + g_eff * x2
+    diag, off = _x2_bands(space.factors[0].size)
+    n = np.arange(diag.size, dtype=float)
+    return Operator(space, _two_band_matrix(omega_m * n + g_eff * diag, g_eff * off))

@@ -13,8 +13,8 @@ product.  Conventions used throughout the package:
 
 Truncation is handled by policy, not by magic: ladder operators are used
 as-is on the truncated space, and simulations record the population of the
-highest Fock level so a caller can tell whether the truncation was adequate
-(see `dynamics`).
+top two Fock levels (the top one only below four levels) so a caller can
+tell whether the truncation was adequate (see `dynamics`).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "vacuum_state",
     "thermal_state",
     "thermal_tail_mass",
-    "tail_population",
     "expectation",
     "variance",
     "commutator",
@@ -295,6 +294,19 @@ def _ladder(d: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, d, dtype=float)), 1).astype(complex)
 
 
+def _x2_bands(d: int) -> tuple:
+    """(main diagonal, +-2 diagonal) of (b + b^dag)^2 on Fock levels 0..d-1.
+
+    This is the truncated-space product (b + b^dag) @ (b + b^dag): the top
+    level has no b b^dag term, so its diagonal entry is d - 1, not 2d - 1.
+    The +-1 diagonals vanish, so the operator preserves Fock parity.
+    """
+    n = np.arange(d, dtype=float)
+    diag = 2.0 * n + 1.0
+    diag[-1] = d - 1.0
+    return diag, np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))
+
+
 def annihilation(space: HilbertSpace, factor_index: int) -> Operator:
     """The ladder operator b of the Fock factor at `factor_index`.
 
@@ -408,22 +420,6 @@ def thermal_state(space: HilbertSpace, factor_index: int, nbar: float) -> Quantu
         ground[0, 0] = 1.0
         blocks[idx] = ground
     return QuantumState.mixed(space, _embed_matrices(space, blocks))
-
-
-def tail_population(state: QuantumState, factor_index: int) -> float:
-    """Population of the highest Fock level of the given factor."""
-    space = state.space
-    space.check_factor(factor_index)
-    f = space.factors[factor_index]
-    if not isinstance(f, Fock):
-        raise TypeError(f"factor {factor_index} is not a Fock factor")
-    sizes = space.factor_sizes
-    if state.is_pure:
-        probs = np.abs(state.vector) ** 2
-    else:
-        probs = np.diag(state.rho).real
-    probs = probs.reshape(sizes)
-    return float(np.take(probs, -1, axis=factor_index).sum())
 
 
 def expectation(state: QuantumState, op: Operator) -> complex:

@@ -42,6 +42,7 @@ from optosqueeze.operators import (
     annihilation,
     basis_state,
     number,
+    position,
     thermal_state,
     vacuum_state,
 )
@@ -234,7 +235,62 @@ class TestEvolveUnitary:
             evolve_unitary(h, vacuum_state(oscillator_space(8)), [0.0, 0.1])
 
 
+def dense_moments_reference(h, state, times):
+    """<X>, <X^2> and the top-two-level tail by the former dense route.
+
+    One dense `eigh` of the whole H, X^2 as the truncated-space product
+    X @ X, and one phase sum per time point; independent of the parity
+    split that `exact_quadrature_moments` uses.
+    """
+    evals, v = np.linalg.eigh(h.matrix)
+    d = h.space.total_dim
+    xt = v.conj().T @ position(h.space, 0).matrix @ v
+    mask = np.zeros(d)
+    mask[-2:] = 1.0
+    pt = v.conj().T @ (mask[:, None] * v)
+    rho_t = (v.conj().T @ state.density() @ v).T
+    out = np.empty((3, len(times)))
+    for i, ti in enumerate(times):
+        ph = np.exp(1j * evals * ti)
+        for row, a in enumerate((xt, xt @ xt, pt)):
+            out[row, i] = (ph @ ((a * rho_t) @ ph.conj())).real
+    return out
+
+
 class TestExactQuadratureMoments:
+    def test_matches_dense_reference_for_thermal_state(self):
+        space = oscillator_space(64)
+        h = build_effective_hamiltonian(0.8, 1.0, space)
+        state = thermal_state(space, 0, 2.0)
+        times = np.linspace(0.0, 2.0 * math.pi / math.sqrt(4.2), 60)
+        got = np.array(exact_quadrature_moments(h, state, times))
+        ref = dense_moments_reference(h, state, times)
+        assert np.allclose(got, ref, rtol=0.0, atol=1e-12)
+        assert np.all(got[0] == 0.0)  # no even-odd coherence, so <X> vanishes
+
+    def test_matches_dense_reference_for_parity_mixed_pure_state(self):
+        space = oscillator_space(64)
+        h = build_effective_hamiltonian(0.8, 1.0, space)
+        v = np.zeros(64, dtype=complex)
+        v[:2] = 1.0 / math.sqrt(2.0)  # (|0> + |1>)/sqrt(2)
+        psi = QuantumState.pure(space, v)
+        times = np.linspace(0.0, 4.0, 60)
+        got = np.array(exact_quadrature_moments(h, psi, times))
+        ref = dense_moments_reference(h, psi, times)
+        assert np.max(np.abs(ref[0])) > 0.1  # the even-odd block drives <X>
+        assert np.allclose(got, ref, rtol=0.0, atol=1e-12)
+
+    def test_rejects_hamiltonians_off_the_parity_bands(self):
+        space = oscillator_space(8)
+        b = annihilation(space, 0)
+        driven = build_effective_hamiltonian(0.5, 1.0, space) + 0.3 * (b + b.dag())
+        with pytest.raises(ValueError, match=r"\+-2 diagonals"):
+            exact_quadrature_moments(driven, vacuum_state(space), [0.0, 1.0])
+        composite = HilbertSpace((Fock(4), Fock(3)))
+        h = number(composite, 0) + number(composite, 1)
+        with pytest.raises(ValueError, match="single Fock factor"):
+            exact_quadrature_moments(h, vacuum_state(composite), [0.0, 1.0])
+
     def test_agrees_with_wavefunction_route_for_pure_states(self):
         space = oscillator_space(30)
         h = build_effective_hamiltonian(0.5, 1.0, space)

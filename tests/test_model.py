@@ -21,7 +21,7 @@ from optosqueeze.model import (
     is_stable_regime,
     oscillator_space,
 )
-from optosqueeze.operators import commutator, number
+from optosqueeze.operators import annihilation, commutator, number
 
 
 class TestModelParams:
@@ -221,6 +221,39 @@ class TestEffectiveHamiltonian:
     def test_rejects_composite_space(self):
         with pytest.raises(ValueError):
             build_effective_hamiltonian(1.0, 1.0, hybrid_space(2, 2, 3))
+
+
+class TestQuadraticTermAgainstLadderProducts:
+    """Each Hamiltonian's (b + b^dag)^2 term equals the truncated ladder product.
+
+    The reference multiplies the ladder operators as matrices, the way the
+    constructors used to; the constructors now write the bands directly.
+    """
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 7, 16, 33])
+    def test_effective(self, d):
+        g, omega_m = 0.7, 1.3
+        space = oscillator_space(d)
+        b = annihilation(space, 0)
+        ref = omega_m * (b.dag() @ b) + g * ((b + b.dag()) @ (b + b.dag()))
+        h = build_effective_hamiltonian(g, omega_m, space)
+        assert np.max(np.abs(h.matrix - ref.matrix)) <= 1e-12 * max(1.0, np.max(np.abs(ref.matrix)))
+
+    @pytest.mark.parametrize("variant", ["full", "as-written", "textbook"])
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_hybrid(self, variant, d):
+        p = ModelParams(delta=5.0, Delta=80.0, g1=1.3, g2=0.37, Omega=2.1, eps=1.7)
+        p0 = ModelParams(delta=5.0, Delta=80.0, g1=1.3, g2=0.0, Omega=2.1, eps=1.7)
+        if variant == "full":
+            space = hybrid_space(3, d, 3)
+            h, h0 = build_full_hamiltonian(p, space), build_full_hamiltonian(p0, space)
+        else:
+            space = hybrid_space(3, d, 2)
+            h = build_two_level_hamiltonian(p, space, variant)
+            h0 = build_two_level_hamiltonian(p0, space, variant)
+        a, b = annihilation(space, 0), annihilation(space, 1)
+        ref = h0 + p.g2 * ((a.dag() @ a) @ (b + b.dag()) @ (b + b.dag()))
+        assert np.max(np.abs(h.matrix - ref.matrix)) <= 1e-12 * max(1.0, np.max(np.abs(ref.matrix)))
 
 
 def test_spectrum_dataclass_is_plain_record():

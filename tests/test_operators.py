@@ -27,7 +27,6 @@ from optosqueeze.operators import (
     momentum,
     number,
     position,
-    tail_population,
     tensor_embed,
     thermal_state,
     thermal_tail_mass,
@@ -300,12 +299,6 @@ class TestExpectation:
         v = rng.normal(size=d) + 1j * rng.normal(size=d)
         v /= np.linalg.norm(v)
         assert abs(expectation(QuantumState.pure(sp, v), herm).imag) < 1e-10
-
-    def test_tail_population_reads_top_level(self):
-        sp = HilbertSpace((Fock(3), Fock(4)))
-        psi = basis_state(sp, [1, 3])
-        assert tail_population(psi, 1) == pytest.approx(1.0)
-        assert tail_population(psi, 0) == pytest.approx(0.0)
 
 
 class TestOperatorArithmetic:
