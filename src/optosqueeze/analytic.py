@@ -30,14 +30,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import ModelParams
+from .model import ModelParams, _q_squared
 
 __all__ = [
     "UnstableRegimeError",
     "OverdampedError",
     "BogoliubovCoeffs",
     "SpectrumPoint",
-    "NoiseModel",
     "bogoliubov",
     "thermal_V",
     "thermal_occupation",
@@ -75,34 +74,6 @@ class SpectrumPoint:
     variance: float
     P: float
     Q: float
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """White thermal bath entering the Langevin equation.
-
-    The input noise b_I(t) couples with flat strength sqrt(gamma) and has
-    the frequency-domain correlations
-
-        <b_I(omega) b_I^dag(-omega')>   = (nbar + 1) delta(omega + omega')
-        <b_I^dag(omega) b_I(-omega')>   = nbar delta(omega + omega')
-        <b_I> = 0.
-
-    These are the only bath facts the spectra depend on.
-    """
-
-    gamma: float
-    nbar: float
-
-    def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
-        if self.nbar < 0:
-            raise ValueError("nbar must be >= 0")
-
-
-def _q_squared(g_eff: float, omega_m: float) -> float:
-    return omega_m * (omega_m + 4.0 * g_eff)
 
 
 def bogoliubov(g_eff: float, omega_m: float, t: float) -> BogoliubovCoeffs:
@@ -193,7 +164,7 @@ def spectrum_analytic(p: ModelParams, g_eff: float, omega: float) -> SpectrumPoi
         (p.nbar + 1.0) * (half**2 + (omega + p.omega_m) ** 2)
         + p.nbar * (half**2 + (omega - p.omega_m) ** 2)
     )
-    qden = (half**2 + p.omega_m * (4.0 * g_eff + p.omega_m) - omega**2) ** 2 + (omega * p.gamma) ** 2
+    qden = (half**2 + _q_squared(g_eff, p.omega_m) - omega**2) ** 2 + (omega * p.gamma) ** 2
     return SpectrumPoint(omega=omega, variance=0.25 * p.gamma * pnum / qden, P=pnum, Q=qden)
 
 
@@ -204,7 +175,7 @@ def critical_frequencies(p: ModelParams, g_eff: float) -> tuple:
     Raises OverdampedError when the argument of the root is <= 0 and the
     doublet collapses.
     """
-    arg = p.omega_m * (4.0 * g_eff + p.omega_m) - 0.25 * p.gamma**2
+    arg = _q_squared(g_eff, p.omega_m) - 0.25 * p.gamma**2
     if arg <= 0:
         raise OverdampedError(
             f"omega_m (4 g_eff + omega_m) - gamma^2/4 = {arg:g} <= 0: no spectral doublet"

@@ -77,7 +77,6 @@ _KEY_TYPES = {
     "lindblad_rtol": float,
     "include_lindblad": bool,
     "atom_state": str,
-    "seed": int,
 }
 _KEY_TYPES.update({name: float for name in _PARAM_KEYS})
 

@@ -37,6 +37,7 @@ from scipy.linalg import eigh_tridiagonal, expm
 
 from .model import (
     ModelParams,
+    _drift_diffusion,
     atomic_coupling_spectrum,
     build_effective_hamiltonian,
     build_full_hamiltonian,
@@ -76,6 +77,8 @@ __all__ = [
 ]
 
 TAIL_LIMIT = 1e-6
+TRACE_TOL = 1e-9  # largest |Tr rho - 1| a master-equation run may reach
+CHAIN_DIM_CAP = 4096  # largest dimension a leg of the elimination chain may double to
 
 
 class TruncationError(RuntimeError):
@@ -256,7 +259,7 @@ def _default_mech_factor(space: HilbertSpace) -> int:
     # fixed (cavity, oscillator, atom) order puts the oscillator at index 1
     if 1 in focks:
         return 1
-    raise ValueError("cannot infer the oscillator factor; pass factor_index")
+    raise ValueError("cannot infer the oscillator factor")
 
 
 _BANDED_H = (
@@ -359,7 +362,6 @@ def evolve_lindblad(
     times,
     rtol: float = 1e-9,
     atol: float = 1e-12,
-    trace_tol: float = 1e-9,
 ) -> LindbladTrajectory:
     """Integrate drho/dt = -i[H, rho] + sum_k rate_k D[c_k] rho.
 
@@ -368,7 +370,7 @@ def evolve_lindblad(
     rate (equivalently, collapse operator sqrt(rate) c).  The generator is
     assembled once as a sparse Liouvillian acting on the row-major
     vectorised rho, then integrated adaptively (DOP853); the trace is
-    checked at every output time and drift beyond `trace_tol` aborts.
+    checked at every output time and drift beyond `TRACE_TOL` aborts.
     """
     if not H.is_hermitian(1e-12):
         raise ValueError("evolve_lindblad requires a Hermitian Hamiltonian")
@@ -420,9 +422,9 @@ def evolve_lindblad(
     for i in range(t.size):
         tr = np.trace(rhos[i]).real
         trace_dev = max(trace_dev, abs(tr - 1.0))
-        if abs(tr - 1.0) > trace_tol:
+        if abs(tr - 1.0) > TRACE_TOL:
             raise TruncationError(
-                f"trace drifted to {tr!r} at t={t[i]:g} (tolerance {trace_tol:g}); "
+                f"trace drifted to {tr!r} at t={t[i]:g} (tolerance {TRACE_TOL:g}); "
                 "tighten rtol/atol or enlarge the space"
             )
         probs = np.diag(rhos[i]).real
@@ -444,13 +446,12 @@ def evolve_lindblad(
     return LindbladTrajectory(space=space, times=t, rhos=rhos, meta=meta)
 
 
-def variance_trajectory(traj, quadrature: str = "X", factor_index: int | None = None) -> TimeSeries:
+def variance_trajectory(traj, quadrature: str = "X") -> TimeSeries:
     """Variance of X or P along a trajectory, as a TimeSeries.
 
     Accepts the pure-state, density-matrix, and covariance trajectory
     containers.  For tensor-product spaces the oscillator factor is
-    inferred from the fixed (cavity, oscillator, atom) ordering unless
-    `factor_index` says otherwise.
+    inferred from the fixed (cavity, oscillator, atom) ordering.
     """
     if quadrature not in ("X", "P"):
         raise ValueError("quadrature must be 'X' or 'P'")
@@ -461,7 +462,7 @@ def variance_trajectory(traj, quadrature: str = "X", factor_index: int | None = 
         return TimeSeries(traj.times, vals, dict(traj.meta, quadrature=quadrature))
 
     space = traj.space
-    idx = _default_mech_factor(space) if factor_index is None else factor_index
+    idx = _default_mech_factor(space)
     if quadrature == "X":
         q = position(space, idx).matrix
     else:
@@ -480,12 +481,6 @@ def variance_trajectory(traj, quadrature: str = "X", factor_index: int | None = 
     else:
         raise TypeError(f"unsupported trajectory type {type(traj).__name__}")
     return TimeSeries(traj.times, m2 - m1**2, dict(traj.meta, quadrature=quadrature))
-
-
-def _drift_diffusion(g_eff: float, omega_m: float, gamma: float, nbar: float):
-    a = np.array([[-gamma / 2.0, omega_m], [-(omega_m + 4.0 * g_eff), -gamma / 2.0]])
-    d = gamma * (2.0 * nbar + 1.0) / 4.0 * np.eye(2)
-    return a, d
 
 
 def covariance_evolve(
@@ -677,7 +672,6 @@ def validate_adiabatic_chain(
     n_times: int = 400,
     d_cav: int = 8,
     d_mech: int | None = None,
-    dim_cap: int = 4096,
     include_lindblad: bool = False,
     lindblad_dims: tuple | None = None,
     lindblad_n_times: int = 160,
@@ -703,7 +697,7 @@ def validate_adiabatic_chain(
     `lindblad_dims`, and the tails are still checked.
 
     Truncation is adaptive: any leg whose top-level population exceeds
-    1e-6 doubles the offending dimension, up to `dim_cap`.
+    1e-6 doubles the offending dimension, up to `CHAIN_DIM_CAP`.
     """
     spec, atom3, atom2, weights = _resolve_atom_init(p, atom_init)
     alpha = spec.alpha
@@ -730,8 +724,8 @@ def validate_adiabatic_chain(
                 dc *= 2
             if tails.get(1, 0.0) > TAIL_LIMIT:
                 dm *= 2
-            if dc > dim_cap or dm > dim_cap:
-                raise TruncationError(f"dimension cap {dim_cap} hit at (d_cav={dc}, d_mech={dm})")
+            if dc > CHAIN_DIM_CAP or dm > CHAIN_DIM_CAP:
+                raise TruncationError(f"dimension cap {CHAIN_DIM_CAP} hit at (d_cav={dc}, d_mech={dm})")
 
     var_full, tails_full = run_unitary_leg(lambda s: build_full_hamiltonian(p, s), 3, atom3)
     var_aw, tails_aw = run_unitary_leg(

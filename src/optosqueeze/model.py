@@ -51,7 +51,6 @@ __all__ = [
     "build_two_level_hamiltonian",
     "atomic_coupling_spectrum",
     "build_effective_hamiltonian",
-    "is_stable_regime",
 ]
 
 STARK_VARIANTS = ("as-written", "textbook")
@@ -268,9 +267,16 @@ def atomic_coupling_spectrum(p: ModelParams) -> AtomCouplingSpectrum:
     )
 
 
-def is_stable_regime(g_eff: float, omega_m: float) -> bool:
-    """True when q^2 = omega_m (omega_m + 4 g_eff) > 0 (oscillatory dynamics)."""
-    return omega_m * (omega_m + 4.0 * g_eff) > 0.0
+def _q_squared(g_eff: float, omega_m: float) -> float:
+    """q^2 = omega_m (omega_m + 4 g_eff): the dynamics oscillates when q^2 > 0."""
+    return omega_m * (omega_m + 4.0 * g_eff)
+
+
+def _drift_diffusion(g_eff: float, omega_m: float, gamma: float, nbar: float):
+    """Drift A and diffusion D of the damped (X, P) moments: d cov/dt = A cov + cov A^T + D."""
+    a = np.array([[-gamma / 2.0, omega_m], [-(omega_m + 4.0 * g_eff), -gamma / 2.0]])
+    d = gamma * (2.0 * nbar + 1.0) / 4.0 * np.eye(2)
+    return a, d
 
 
 def build_effective_hamiltonian(g_eff: float, omega_m: float, space: HilbertSpace) -> Operator:
@@ -286,9 +292,10 @@ def build_effective_hamiltonian(g_eff: float, omega_m: float, space: HilbertSpac
     """
     if len(space.factors) != 1 or not isinstance(space.factors[0], Fock):
         raise ValueError(f"effective Hamiltonian needs a single Fock factor, got {space.factors!r}")
-    if not is_stable_regime(g_eff, omega_m):
+    q2 = _q_squared(g_eff, omega_m)
+    if q2 <= 0:
         warnings.warn(
-            f"omega_m (omega_m + 4 g_eff) = {omega_m * (omega_m + 4 * g_eff):g} <= 0: "
+            f"omega_m (omega_m + 4 g_eff) = {q2:g} <= 0: "
             "hyperbolic (anti-squeezing) regime",
             UnstableRegimeWarning,
             stacklevel=2,

@@ -19,6 +19,7 @@ tell whether the truncation was adequate (see `dynamics`).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -220,8 +221,7 @@ class QuantumState:
             tr = np.trace(r).real
             if abs(tr - 1.0) > self._NORM_TOL:
                 raise ValueError(f"density matrix trace {tr!r} deviates from 1 beyond {self._NORM_TOL}")
-            offdiag = r - np.diag(np.diag(r))
-            if np.count_nonzero(offdiag) == 0:
+            if np.count_nonzero(r) == np.count_nonzero(np.diagonal(r)):
                 eigmin = float(np.min(np.diag(r).real))
             else:
                 eigmin = float(np.min(np.linalg.eigvalsh(r)))
@@ -260,13 +260,9 @@ def identity(space: HilbertSpace) -> Operator:
 
 
 def _embed_matrices(space: HilbertSpace, mats: dict) -> np.ndarray:
-    out = np.array([[1.0 + 0.0j]])
-    for idx, f in enumerate(space.factors):
-        block = mats.get(idx)
-        if block is None:
-            block = np.eye(f.size, dtype=complex)
-        out = np.kron(out, block)
-    return out
+    blocks = (mats[idx] if idx in mats else np.eye(f.size, dtype=complex)
+              for idx, f in enumerate(space.factors))
+    return functools.reduce(np.kron, blocks)
 
 
 def tensor_embed(ops: Iterable, space: HilbertSpace) -> Operator:
@@ -412,7 +408,7 @@ def thermal_state(space: HilbertSpace, factor_index: int, nbar: float) -> Quantu
         logr = np.log(nbar) - np.log(nbar + 1.0)
         w = np.exp(np.arange(d) * logr)
         w /= w.sum()
-    blocks = {factor_index: np.diag(w).astype(complex)}
+    blocks = {factor_index: np.diag(w.astype(complex))}
     for idx, g in enumerate(space.factors):
         if idx == factor_index:
             continue

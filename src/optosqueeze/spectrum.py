@@ -17,6 +17,10 @@ stationary autocorrelation <X(t + tau) X(t)>.  Agreement between the two
 (they share no algebra beyond the model itself) is the backbone of the
 spectrum tests.
 
+Both routes, and `trend_vs_geff` over a coupling grid, run on whole grids:
+the 2x2 systems of every grid point are stacked and solved or inverted in
+one call, with no per-point Python loop.
+
 The spectrum exists only when the damped drift is actually stable; in the
 hyperbolic regime this requires gamma/2 to beat the growth rate, and both
 routes refuse to evaluate otherwise.
@@ -31,7 +35,7 @@ import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
 
 from .analytic import UnstableRegimeError
-from .model import ModelParams
+from .model import ModelParams, _drift_diffusion, _q_squared
 
 __all__ = [
     "SpectrumSeries",
@@ -77,61 +81,82 @@ def default_omega_grid(omega_m: float = 1.0, n: int = 801) -> np.ndarray:
 def _require_stationary(p: ModelParams, g_eff: float):
     if p.gamma <= 0:
         raise ValueError("the stationary spectrum needs gamma > 0")
-    q2 = p.omega_m * (p.omega_m + 4.0 * g_eff)
+    q2 = _q_squared(g_eff, p.omega_m)
     if q2 <= 0 and math.sqrt(-q2) >= p.gamma / 2.0:
         raise UnstableRegimeError(
             f"no stationary state: growth rate {math.sqrt(-q2):g} >= gamma/2 = {p.gamma / 2.0:g}"
         )
 
 
-def _quadrature_coeffs(omega: float, g_eff: float, omega_m: float, gamma: float):
-    """Coefficients of b_in(omega), b_in_dag(omega) in X(omega) (without sqrt(gamma))."""
-    k = 2.0 * g_eff + omega_m
-    m = np.array(
-        [
-            [gamma / 2.0 + 1j * (k - omega), 2j * g_eff],
-            [-2j * g_eff, gamma / 2.0 - 1j * (k + omega)],
-        ]
-    )
-    minv = np.linalg.inv(m)
-    # X = (b + b_dag)/2: sum the rows, keep the 1/2 for the caller
-    return minv[0, 0] + minv[1, 0], minv[0, 1] + minv[1, 1]
+def _finite_grid(values, name: str) -> np.ndarray:
+    x = np.asarray(values, dtype=float)
+    if x.ndim != 1 or x.size < 1 or not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must be a finite 1d grid")
+    return x
+
+
+def _meta(p: ModelParams, method: str, index: str, **extra) -> dict:
+    return {"method": method, "index": index, **extra,
+            "omega_m": p.omega_m, "gamma": p.gamma, "nbar": p.nbar}
+
+
+def _with_peaks(x: np.ndarray, vals: np.ndarray, meta: dict) -> SpectrumSeries:
+    series = SpectrumSeries(x, vals, meta)
+    if x.size >= 3:
+        series.peaks = find_peaks(series)
+    return series
+
+
+def _checked_real(s: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """s.real, after checking that no point has a significant imaginary part."""
+    bad = np.abs(s.imag) > 1e-10 * (1.0 + np.abs(s.real))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise RuntimeError(f"spectrum came out complex at omega={omegas[i]:g}: {s[i]!r}")
+    return s.real
+
+
+def _langevin_variances(p: ModelParams, g_eff, omegas) -> np.ndarray:
+    """Langevin-inversion spectrum at every (g_eff, omega) pair, broadcast together.
+
+    The 2x2 response matrix of (b(omega), b_dag(omega)) is stacked over
+    every pair and the stack is inverted in one call, once at omega and
+    once at -omega (one stack for both would double the largest
+    temporary).  The coefficients of b_in(omega), b_in_dag(omega) in
+    X(omega) (without sqrt(gamma)) are the column sums of the inverse; the
+    bath correlations <b_in(omega) b_in_dag(-omega')> = (nbar + 1)
+    delta(omega + omega') and <b_in_dag(omega) b_in(-omega')> = nbar
+    delta(omega + omega') pair them with those at -omega.
+    """
+    g, w = np.broadcast_arrays(np.asarray(g_eff, dtype=float), np.asarray(omegas, dtype=float))
+    k = 2.0 * g + p.omega_m
+
+    def coeffs(om):
+        m = np.empty(om.shape + (2, 2), dtype=complex)
+        m[..., 0, 0] = p.gamma / 2.0 + 1j * (k - om)
+        m[..., 0, 1] = 2j * g
+        m[..., 1, 0] = -2j * g
+        m[..., 1, 1] = p.gamma / 2.0 - 1j * (k + om)
+        # X = (b + b_dag)/2: sum the rows, keep the 1/2 in the prefactor below
+        return np.linalg.inv(m).sum(axis=-2).T
+
+    (c1, c2), (c1m, c2m) = coeffs(w), coeffs(-w)
+    s = (p.gamma / 4.0) * ((p.nbar + 1.0) * c1 * c2m + p.nbar * c2 * c1m)
+    return _checked_real(s, w)
 
 
 def spectrum_numeric(p: ModelParams, g_eff: float, omegas) -> SpectrumSeries:
     """<X(omega), X(omega)> by direct solution of the linear response system.
 
-    Per frequency the 2x2 response matrix is inverted for the pair
-    (b(omega), b_dag(omega)); the bath correlations then pair the
+    At every frequency of the grid the 2x2 response matrix is inverted for
+    the pair (b(omega), b_dag(omega)); the bath correlations then pair the
     coefficients at omega with those at -omega, weighted (nbar + 1) against
     nbar.  Exact linear algebra: no simulation, no sampling noise.
     """
     _require_stationary(p, g_eff)
-    w = np.asarray(omegas, dtype=float)
-    if w.ndim != 1 or w.size < 1 or not np.all(np.isfinite(w)):
-        raise ValueError("omegas must be a finite 1d grid")
-
-    vals = np.empty(w.size)
-    for i, wi in enumerate(w):
-        c1, c2 = _quadrature_coeffs(wi, g_eff, p.omega_m, p.gamma)
-        c1m, c2m = _quadrature_coeffs(-wi, g_eff, p.omega_m, p.gamma)
-        s = (p.gamma / 4.0) * ((p.nbar + 1.0) * c1 * c2m + p.nbar * c2 * c1m)
-        if abs(s.imag) > 1e-10 * (1.0 + abs(s.real)):
-            raise RuntimeError(f"spectrum came out complex at omega={wi:g}: {s!r}")
-        vals[i] = s.real
-
-    meta = {
-        "method": "langevin-inversion",
-        "index": "omega",
-        "g_eff": g_eff,
-        "omega_m": p.omega_m,
-        "gamma": p.gamma,
-        "nbar": p.nbar,
-    }
-    series = SpectrumSeries(w, vals, meta)
-    if w.size >= 3:
-        series.peaks = find_peaks(series)
-    return series
+    w = _finite_grid(omegas, "omegas")
+    vals = _langevin_variances(p, g_eff, w)
+    return _with_peaks(w, vals, _meta(p, "langevin-inversion", "omega", g_eff=g_eff))
 
 
 def spectrum_regression(p: ModelParams, g_eff: float, omegas) -> SpectrumSeries:
@@ -139,58 +164,22 @@ def spectrum_regression(p: ModelParams, g_eff: float, omegas) -> SpectrumSeries:
 
     The stationary covariance solves A C + C A^T = -D; the one-sided
     autocorrelation decays with exp(A tau), and its transform is a pair of
-    resolvents applied to the unsymmetrized moment matrix.  Shares no
-    algebra with `spectrum_numeric` beyond the model parameters.
+    resolvents applied to the unsymmetrized moment matrix, evaluated for
+    the whole grid as one stack of 2x2 solves and one of inverses.  Shares
+    no algebra with `spectrum_numeric` beyond the model parameters.
     """
     _require_stationary(p, g_eff)
-    w = np.asarray(omegas, dtype=float)
-    if w.ndim != 1 or w.size < 1 or not np.all(np.isfinite(w)):
-        raise ValueError("omegas must be a finite 1d grid")
-
-    a = np.array(
-        [[-p.gamma / 2.0, p.omega_m], [-(p.omega_m + 4.0 * g_eff), -p.gamma / 2.0]]
-    )
-    d = p.gamma * (2.0 * p.nbar + 1.0) / 4.0 * np.eye(2)
+    w = _finite_grid(omegas, "omegas")
+    a, d = _drift_diffusion(g_eff, p.omega_m, p.gamma, p.nbar)
     c = solve_continuous_lyapunov(a, -d)
     # unsymmetrized <v v^T>: covariance plus the commutator part i/4 [[0,1],[-1,0]]
     m = c + 0.25j * np.array([[0.0, 1.0], [-1.0, 0.0]])
-    eye = np.eye(2)
-
-    vals = np.empty(w.size)
-    for i, wi in enumerate(w):
-        left = np.linalg.solve(-a - 1j * wi * eye, m)
-        right = m @ np.linalg.inv(-a.T + 1j * wi * eye)
-        s = left[0, 0] + right[0, 0]
-        if abs(s.imag) > 1e-10 * (1.0 + abs(s.real)):
-            raise RuntimeError(f"spectrum came out complex at omega={wi:g}: {s!r}")
-        vals[i] = s.real
-
-    meta = {
-        "method": "lyapunov-resolvent",
-        "index": "omega",
-        "g_eff": g_eff,
-        "omega_m": p.omega_m,
-        "gamma": p.gamma,
-        "nbar": p.nbar,
-    }
-    series = SpectrumSeries(w, vals, meta)
-    if w.size >= 3:
-        series.peaks = find_peaks(series)
-    return series
-
-
-def _parabola_vertex(x0, x1, x2, y0, y1, y2):
-    # vertex of the parabola through three points; exact for any spacing
-    num = (y0 - y1) * (x2 - x1) ** 2 - (y2 - y1) * (x1 - x0) ** 2
-    den = (y0 - y1) * (x2 - x1) + (y2 - y1) * (x1 - x0)
-    if den == 0:
-        return x1, y1
-    xs = x1 + 0.5 * num / den
-    # evaluate the same parabola at its vertex (Lagrange form)
-    l0 = (xs - x1) * (xs - x2) / ((x0 - x1) * (x0 - x2))
-    l1 = (xs - x0) * (xs - x2) / ((x1 - x0) * (x1 - x2))
-    l2 = (xs - x0) * (xs - x1) / ((x2 - x0) * (x2 - x1))
-    return xs, y0 * l0 + y1 * l1 + y2 * l2
+    iw = 1j * w[:, None, None] * np.eye(2)
+    # explicit stack: numpy < 2 would read a 2-d right-hand side as a stack of vectors
+    left = np.linalg.solve(-a - iw, np.broadcast_to(m, iw.shape))
+    right = m @ np.linalg.inv(-a.T + iw)
+    vals = _checked_real(left[:, 0, 0] + right[:, 0, 0], w)
+    return _with_peaks(w, vals, _meta(p, "lyapunov-resolvent", "omega", g_eff=g_eff))
 
 
 def find_peaks(series: SpectrumSeries) -> list:
@@ -202,11 +191,19 @@ def find_peaks(series: SpectrumSeries) -> list:
     w, v = series.omegas, series.variances
     if w.size < 3:
         raise ValueError("peak finding needs at least three grid points")
-    out = []
-    for i in range(1, w.size - 1):
-        if v[i] > v[i - 1] and v[i] > v[i + 1]:
-            out.append(_parabola_vertex(w[i - 1], w[i], w[i + 1], v[i - 1], v[i], v[i + 1]))
-    return out
+    i = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
+    x0, x1, x2 = w[i - 1], w[i], w[i + 1]
+    y0, y1, y2 = v[i - 1], v[i], v[i + 1]
+    # vertex of the parabola through the three points; exact for any spacing
+    num = (y0 - y1) * (x2 - x1) ** 2 - (y2 - y1) * (x1 - x0) ** 2
+    den = (y0 - y1) * (x2 - x1) + (y2 - y1) * (x1 - x0)
+    flat = den == 0  # both products underflowed: keep the grid point
+    xs = np.where(flat, x1, x1 + 0.5 * num / np.where(flat, 1.0, den))
+    # evaluate the same parabola at its vertex (Lagrange form)
+    l0 = (xs - x1) * (xs - x2) / ((x0 - x1) * (x0 - x2))
+    l1 = (xs - x0) * (xs - x2) / ((x1 - x0) * (x1 - x2))
+    l2 = (xs - x0) * (xs - x1) / ((x2 - x0) * (x2 - x1))
+    return list(zip(xs, y0 * l0 + y1 * l1 + y2 * l2))
 
 
 def trend_vs_geff(p: ModelParams, omega_fixed: float, geff_grid) -> SpectrumSeries:
@@ -214,19 +211,17 @@ def trend_vs_geff(p: ModelParams, omega_fixed: float, geff_grid) -> SpectrumSeri
 
     The returned series is indexed by g_eff (meta["index"] = "g_eff") and
     meta["monotone"] reports "decreasing", "increasing", or "none" over the
-    grid.
+    grid.  The whole coupling grid goes through one Langevin inversion.
     """
-    g = np.asarray(geff_grid, dtype=float)
-    if g.ndim != 1 or g.size < 1 or not np.all(np.isfinite(g)):
-        raise ValueError("geff_grid must be a finite 1d grid")
+    g = _finite_grid(geff_grid, "geff_grid")
     if np.any(g < 0):
         raise ValueError("geff_grid must be non-negative")
     if g.size > 1 and not np.all(np.diff(g) > 0):
         raise ValueError("geff_grid must be strictly increasing")
-
-    vals = np.empty(g.size)
-    for i, gi in enumerate(g):
-        vals[i] = spectrum_numeric(p, float(gi), np.array([omega_fixed])).variances[0]
+    if not math.isfinite(omega_fixed):
+        raise ValueError("omega_fixed must be finite")
+    _require_stationary(p, float(g[0]))  # q^2 grows with g_eff: the first coupling is the least stable
+    vals = _langevin_variances(p, g, omega_fixed)
 
     if g.size > 1 and np.all(np.diff(vals) < 0):
         monotone = "decreasing"
@@ -234,16 +229,5 @@ def trend_vs_geff(p: ModelParams, omega_fixed: float, geff_grid) -> SpectrumSeri
         monotone = "increasing"
     else:
         monotone = "none"
-    meta = {
-        "method": "langevin-inversion",
-        "index": "g_eff",
-        "omega_fixed": omega_fixed,
-        "omega_m": p.omega_m,
-        "gamma": p.gamma,
-        "nbar": p.nbar,
-        "monotone": monotone,
-    }
-    series = SpectrumSeries(g, vals, meta)
-    if g.size >= 3:
-        series.peaks = find_peaks(series)
-    return series
+    meta = _meta(p, "langevin-inversion", "g_eff", omega_fixed=omega_fixed, monotone=monotone)
+    return _with_peaks(g, vals, meta)

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from optosqueeze.analytic import (
     BogoliubovCoeffs,
-    NoiseModel,
     OverdampedError,
     UnstableRegimeError,
     bogoliubov,
@@ -75,13 +74,6 @@ class TestThermalFactors:
         assert thermal_occupation(math.log(1.1)) == pytest.approx(10.0, rel=1e-12)
         with pytest.raises(ValueError):
             thermal_occupation(0.0)
-
-    def test_noise_model_validation(self):
-        NoiseModel(gamma=1.0, nbar=0.0)
-        with pytest.raises(ValueError):
-            NoiseModel(gamma=-1.0, nbar=0.0)
-        with pytest.raises(ValueError):
-            NoiseModel(gamma=1.0, nbar=-2.0)
 
 
 def bracket_variance(g, omega_m, nbar, t):

@@ -18,7 +18,6 @@ from optosqueeze.model import (
     build_full_hamiltonian,
     build_two_level_hamiltonian,
     hybrid_space,
-    is_stable_regime,
     oscillator_space,
 )
 from optosqueeze.operators import annihilation, commutator, number
@@ -206,8 +205,11 @@ class TestEffectiveHamiltonian:
         assert h.is_hermitian(1e-12)
 
     def test_unstable_regime_warns(self):
-        assert is_stable_regime(-0.2, 1.0)
-        assert not is_stable_regime(-0.3, 1.0)
+        import warnings as _w
+
+        with _w.catch_warnings():
+            _w.simplefilter("error")
+            build_effective_hamiltonian(-0.2, 1.0, oscillator_space(4))  # q^2 = 0.2 > 0
         with pytest.warns(UnstableRegimeWarning):
             build_effective_hamiltonian(-0.3, 1.0, oscillator_space(4))
 

@@ -20,6 +20,7 @@ from optosqueeze.analytic import (
 from optosqueeze.model import ModelParams
 from optosqueeze.spectrum import (
     SpectrumSeries,
+    _checked_real,
     default_omega_grid,
     find_peaks,
     spectrum_numeric,
@@ -30,6 +31,47 @@ from optosqueeze.spectrum import (
 
 def params(gamma=1.0, nbar=10.0, omega_m=1.0):
     return ModelParams(delta=20.0, Delta=100.0, g1=1.0, Omega=1.0, g2=0.02, gamma=gamma, nbar=nbar, omega_m=omega_m)
+
+
+def loop_reference_numeric(p, g_eff, omegas):
+    """The Langevin inversion one frequency at a time: one 2x2 inverse per point."""
+
+    def coeffs(omega):
+        k = 2.0 * g_eff + p.omega_m
+        m = np.array(
+            [
+                [p.gamma / 2.0 + 1j * (k - omega), 2j * g_eff],
+                [-2j * g_eff, p.gamma / 2.0 - 1j * (k + omega)],
+            ]
+        )
+        minv = np.linalg.inv(m)
+        return minv[0, 0] + minv[1, 0], minv[0, 1] + minv[1, 1]
+
+    vals = []
+    for w in omegas:
+        (c1, c2), (c1m, c2m) = coeffs(w), coeffs(-w)
+        vals.append(((p.gamma / 4.0) * ((p.nbar + 1.0) * c1 * c2m + p.nbar * c2 * c1m)).real)
+    return np.array(vals)
+
+
+def loop_reference_peaks(w, v):
+    """Strict interior maxima and their parabola vertices, one grid point at a time."""
+    out = []
+    for i in range(1, w.size - 1):
+        if not (v[i] > v[i - 1] and v[i] > v[i + 1]):
+            continue
+        x0, x1, x2, y0, y1, y2 = w[i - 1], w[i], w[i + 1], v[i - 1], v[i], v[i + 1]
+        num = (y0 - y1) * (x2 - x1) ** 2 - (y2 - y1) * (x1 - x0) ** 2
+        den = (y0 - y1) * (x2 - x1) + (y2 - y1) * (x1 - x0)
+        if den == 0:
+            out.append((x1, y1))
+            continue
+        xs = x1 + 0.5 * num / den
+        l0 = (xs - x1) * (xs - x2) / ((x0 - x1) * (x0 - x2))
+        l1 = (xs - x0) * (xs - x2) / ((x1 - x0) * (x1 - x2))
+        l2 = (xs - x0) * (xs - x1) / ((x2 - x0) * (x2 - x1))
+        out.append((xs, y0 * l0 + y1 * l1 + y2 * l2))
+    return out
 
 
 class TestSpectrumSeries:
@@ -48,6 +90,21 @@ class TestSpectrumSeries:
 
 
 class TestSpectrumNumeric:
+    def test_matches_per_point_inversion(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            g = rng.uniform(0.0, 4.0)
+            p = params(gamma=rng.uniform(0.05, 3.0), nbar=rng.uniform(0.0, 20.0), omega_m=rng.uniform(0.3, 2.0))
+            w = np.sort(rng.uniform(-6.0, 6.0, 57))
+            s = spectrum_numeric(p, g, w)
+            assert np.allclose(s.variances, loop_reference_numeric(p, g, w), rtol=1e-13, atol=0.0)
+            assert s.peaks == loop_reference_peaks(w, s.variances)
+
+    def test_complex_spectrum_names_first_bad_frequency(self):
+        s = np.array([1.0, 2.0 + 1e-3j, 3.0 + 1.0j])
+        with pytest.raises(RuntimeError, match="omega=0.5:"):
+            _checked_real(s, np.array([0.0, 0.5, 1.0]))
+
     def test_reference_point(self):
         # gamma = g_eff = omega_m = 1, nbar = 10, omega = 0: the response
         # matrix is [[3/2+i, 2i], [-2i, 3/2-i]] up to sign bookkeeping, and
@@ -162,6 +219,14 @@ class TestSpectrumRegression:
 
 
 class TestFindPeaks:
+    def test_matches_per_point_scan(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            w = np.cumsum(rng.uniform(0.01, 1.0, 200))
+            v = rng.uniform(0.0, 1.0, 200)
+            v[rng.integers(0, 200, 20)] = 0.5  # plateaus and ties
+            assert find_peaks(SpectrumSeries(w, v)) == loop_reference_peaks(w, v)
+
     def test_exact_on_a_parabola(self):
         w = np.linspace(-2.0, 2.0, 21)
         v = 10.0 - (w - 0.37) ** 2
@@ -211,6 +276,16 @@ class TestTrendVsGeff:
         assert np.all(np.diff(s.variances) < 0)
         assert s.meta["index"] == "g_eff"
 
+    def test_matches_per_point_inversion(self):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            p = params(gamma=rng.uniform(0.05, 3.0), nbar=rng.uniform(0.0, 20.0), omega_m=rng.uniform(0.3, 2.0))
+            omega = rng.uniform(-4.0, 4.0)
+            grid = np.sort(rng.uniform(0.0, 5.0, 33))
+            s = trend_vs_geff(p, omega, grid)
+            ref = np.array([loop_reference_numeric(p, g, [omega])[0] for g in grid])
+            assert np.allclose(s.variances, ref, rtol=1e-13, atol=0.0)
+
     def test_continuous_at_zero_coupling(self):
         p = params()
         s = trend_vs_geff(p, 1.0, np.array([0.0, 1e-8, 1e-4]))
@@ -236,3 +311,9 @@ class TestTrendVsGeff:
             trend_vs_geff(p, 1.0, np.array([-0.5, 1.0]))
         with pytest.raises(ValueError, match="increasing"):
             trend_vs_geff(p, 1.0, np.array([1.0, 0.5]))
+        with pytest.raises(ValueError, match="finite"):
+            trend_vs_geff(p, np.inf, np.array([0.5, 1.0]))
+
+    def test_rejects_undamped(self):
+        with pytest.raises(ValueError, match="gamma"):
+            trend_vs_geff(params(gamma=0.0), 1.0, np.array([0.5, 1.0]))
