@@ -68,7 +68,7 @@ class BogoliubovCoeffs:
 
 @dataclass(frozen=True)
 class SpectrumPoint:
-    """One point of the closed-form spectrum: variance = (gamma/4) P/Q."""
+    """The closed-form spectrum at one frequency, or over a grid: variance = (gamma/4) P/Q."""
 
     omega: float
     variance: float
@@ -144,8 +144,11 @@ def s_max(g_eff: float, omega_m: float) -> float:
     return 5.0 * math.log10(4.0 * g_eff / omega_m + 1.0)
 
 
-def spectrum_analytic(p: ModelParams, g_eff: float, omega: float) -> SpectrumPoint:
+def spectrum_analytic(p: ModelParams, g_eff: float, omega) -> SpectrumPoint:
     """Closed-form stationary spectrum <X(omega), X(omega)> = (gamma/4) P/Q.
+
+    `omega` may be a float or an array; an array gives array fields,
+    evaluated elementwise over the whole grid at once.
 
         P = (nbar+1) [(gamma/2)^2 + (omega + omega_m)^2]
             + nbar  [(gamma/2)^2 + (omega - omega_m)^2]

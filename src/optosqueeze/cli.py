@@ -254,9 +254,8 @@ def _run_spectrum(cfg: RunConfig):
     else:
         omegas = default_omega_grid(p.omega_m)
     series = spectrum_numeric(p, o["geff"], omegas)
-    closed = [spectrum_analytic(p, o["geff"], w) for w in omegas]
-    rows = [(w, v, c.variance, c.P, c.Q)
-            for w, v, c in zip(omegas, series.variances, closed)]
+    closed = spectrum_analytic(p, o["geff"], omegas)
+    rows = list(zip(omegas, series.variances, closed.variance, closed.P, closed.Q))
     meta = {"n_peaks": len(series.peaks)}
     extra = [f"# peak = {_fmt(w)},{_fmt(v)}" for w, v in series.peaks]
     return ["omega", "variance_numeric", "variance_closed_form", "P", "Q"], rows, meta, extra

@@ -17,6 +17,11 @@ Four independent evolution routes are implemented on purpose:
 * `evolve_lindblad`: adaptive integration of the master equation with
   explicit collapse operators, through a sparse Liouvillian.
 
+Operators arrive as CSR arrays (see `operators`) and stay sparse here, with
+two exceptions: the input of the dense `expm` in `evolve_unitary`, and the
+quadrature and its square that `variance_trajectory` contracts against a
+stack of dense density matrices.
+
 Their mutual agreement (and agreement with `analytic`) is what the test
 suite leans on; no route is trusted on its own.
 
@@ -53,6 +58,7 @@ from .operators import (
     _x2_bands,
     annihilation,
     level_projector,
+    momentum,
     position,
     thermal_state,
     vacuum_state,
@@ -312,19 +318,15 @@ def exact_quadrature_moments(H: Operator, state: QuantumState, times):
     space = H.space
     if len(space.factors) != 1 or not isinstance(space.factors[0], Fock):
         raise ValueError(_BANDED_H)
-    m = H.matrix
-    d = m.shape[0]
-    k = np.arange(d)
-    off_band = np.abs(m)
-    off_band[k, k] = 0.0
-    off_band[k[:-2], k[2:]] = 0.0
-    off_band[k[2:], k[:-2]] = 0.0
-    if off_band.max() > 1e-12 or np.abs(m.imag).max() > 1e-12:
+    c = H.csr.tocoo()
+    off_band = (c.row != c.col) & (np.abs(c.row - c.col) != 2)
+    if np.any(np.abs(c.data[off_band]) > 1e-12) or np.any(np.abs(c.data.imag) > 1e-12):
         raise ValueError(_BANDED_H)
 
+    d = space.total_dim
     t = np.asarray(times, dtype=float)
     rho = state.density()
-    hd, h2 = np.diagonal(m).real, np.diagonal(m, 2).real
+    hd, h2 = H.csr.diagonal(0).real, H.csr.diagonal(2).real
     x2d, x2o = _x2_bands(d)
     tail_levels = _tail_levels(d)
 
@@ -349,9 +351,9 @@ def exact_quadrature_moments(H: Operator, state: QuantumState, times):
         return np.zeros(t.size), second, tail
     # <X> = 2 Re Tr(rho_oe X_eo(t)), X_eo the even-row, odd-column block of X
     (lam_e, v_e), (lam_o, v_o) = sectors
-    x_eo = position(space, 0).matrix.real[0::2, 1::2]
+    x_eo = position(space, 0).csr.real[0::2, 1::2]
     rho_t = _transform(v_o, rho_oe, v_e).T
-    first = 2.0 * _phase_sum(lam_e, lam_o, (v_e.T @ x_eo @ v_o) * rho_t, t).real
+    first = 2.0 * _phase_sum(lam_e, lam_o, (v_e.T @ (x_eo @ v_o)) * rho_t, t).real
     return first, second, tail
 
 
@@ -388,12 +390,12 @@ def evolve_lindblad(
         if rate < 0:
             raise ValueError("collapse rates must be >= 0")
         if rate > 0:
-            ls.append(sparse.csr_array(math.sqrt(rate) * op.matrix))
+            ls.append(math.sqrt(rate) * op.csr)
     d = space.total_dim
 
     # drho/dt = K rho + rho K^dag + sum_k l_k rho l_k^dag with
     # K = -i H - sum_k l_k^dag l_k / 2; row-major vec(A rho B) = (A kron B^T) vec(rho)
-    k = sparse.csr_array(-1j * H.matrix)
+    k = -1j * H.csr
     for l in ls:
         k = k - 0.5 * (l.conj().T @ l)
     eye = sparse.identity(d, dtype=complex, format="csr")
@@ -452,6 +454,10 @@ def variance_trajectory(traj, quadrature: str = "X") -> TimeSeries:
     Accepts the pure-state, density-matrix, and covariance trajectory
     containers.  For tensor-product spaces the oscillator factor is
     inferred from the fixed (cavity, oscillator, atom) ordering.
+
+    On pure states both moments come from one sparse product qv = X v:
+    <X> = Re sum conj(v) qv and <X^2> = sum |qv|^2, exact for the Hermitian
+    X of the truncated space (its X @ X).
     """
     if quadrature not in ("X", "P"):
         raise ValueError("quadrature must be 'X' or 'P'")
@@ -463,21 +469,16 @@ def variance_trajectory(traj, quadrature: str = "X") -> TimeSeries:
 
     space = traj.space
     idx = _default_mech_factor(space)
-    if quadrature == "X":
-        q = position(space, idx).matrix
-    else:
-        from .operators import momentum
-
-        q = momentum(space, idx).matrix
-    q2 = q @ q
+    q = (position if quadrature == "X" else momentum)(space, idx).csr
 
     if isinstance(traj, UnitaryTrajectory):
         vs = traj.vectors
-        m1 = np.einsum("ti,ij,tj->t", vs.conj(), q, vs).real
-        m2 = np.einsum("ti,ij,tj->t", vs.conj(), q2, vs).real
+        qv = (q @ vs.T).T
+        m1 = np.einsum("ti,ti->t", vs.conj(), qv).real
+        m2 = np.einsum("ti,ti->t", qv.conj(), qv).real
     elif isinstance(traj, LindbladTrajectory):
-        m1 = np.einsum("tij,ji->t", traj.rhos, q).real
-        m2 = np.einsum("tij,ji->t", traj.rhos, q2).real
+        m1 = np.einsum("tij,ji->t", traj.rhos, q.toarray()).real
+        m2 = np.einsum("tij,ji->t", traj.rhos, (q @ q).toarray()).real
     else:
         raise TypeError(f"unsupported trajectory type {type(traj).__name__}")
     return TimeSeries(traj.times, m2 - m1**2, dict(traj.meta, quadrature=quadrature))

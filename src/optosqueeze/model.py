@@ -29,6 +29,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .operators import (
     Fock,
@@ -120,19 +121,16 @@ def _require_structure(space: HilbertSpace, levels: int, what: str):
         raise ValueError(f"{what} needs Fock x Fock x Level({levels}), got {space.factors!r}")
 
 
-def _two_band_matrix(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Dense complex matrix with `diag` on the main and `off` on the +-2 diagonals."""
-    k = np.arange(diag.size)
-    m = np.zeros((diag.size, diag.size), dtype=complex)
-    m[k, k] = diag
-    m[k[:-2], k[2:]] = off
-    m[k[2:], k[:-2]] = off
-    return m
+def _two_band_matrix(diag: np.ndarray, off: np.ndarray) -> sparse.csr_array:
+    """Complex CSR matrix with `diag` on the main and `off` on the +-2 diagonals."""
+    d = diag.size
+    return sparse.diags_array([off, diag, off], offsets=(-2, 0, 2), shape=(d, d),
+                              format="csr", dtype=complex)
 
 
 def _optomechanical_term(g2: float, space: HilbertSpace) -> Operator:
     """g2 a^dag a (b + b^dag)^2, built jointly on the two Fock factors."""
-    nmat = np.diag(np.arange(space.factors[0].size, dtype=float))
+    nmat = sparse.diags_array(np.arange(space.factors[0].size, dtype=float))
     x2 = _two_band_matrix(*_x2_bands(space.factors[1].size))
     return g2 * tensor_embed([(0, nmat), (1, x2)], space)
 

@@ -1,9 +1,12 @@
-"""Dense operator algebra on truncated tensor-product Hilbert spaces.
+"""Sparse operator algebra on truncated tensor-product Hilbert spaces.
 
 Everything downstream (Hamiltonians, evolutions, spectra) is built from the
 pieces here: Fock factors for the cavity and the mechanical oscillator, a
-Level factor for the atom, and dense complex matrices acting on their tensor
-product.  Conventions used throughout the package:
+Level factor for the atom, and complex matrices acting on their tensor
+product.  Operators are stored as `scipy.sparse` CSR arrays, the storage
+QuTiP uses: every Hamiltonian of the model is banded, so the three-level H
+at 8 x 32 x 3 = 768 dimensions holds 3,000 to 4,400 nonzeros out of 589,824
+entries.  States stay dense.  Conventions used throughout the package:
 
 * hbar = 1, all rates and frequencies in units of the mechanical frequency.
 * Factor order is fixed as (cavity, oscillator, atom).
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy import sparse
 
 __all__ = [
     "SpaceMismatchError",
@@ -126,7 +130,12 @@ def _require_same_space(a, b):
 
 @dataclass(frozen=True)
 class Operator:
-    """A dense complex matrix acting on a HilbertSpace.
+    """A complex matrix acting on a HilbertSpace, stored as a CSR array.
+
+    `Operator(space, m)` accepts a dense or a sparse `m` and keeps its own
+    copy in `csr`, without explicitly stored zeros.  All arithmetic stays
+    sparse; `matrix` builds a dense read-only array on demand, for callers
+    that need one (a dense propagator, tests).
 
     Hermiticity is a checkable predicate (`is_hermitian`), never an
     assumption; constructors downstream assert it where the physics
@@ -134,51 +143,61 @@ class Operator:
     """
 
     space: HilbertSpace
-    matrix: np.ndarray
+    csr: sparse.csr_array
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+        m = self.csr if sparse.issparse(self.csr) else np.asarray(self.csr, dtype=complex)
         n = self.space.total_dim
         if m.shape != (n, n):
             raise ValueError(f"matrix shape {m.shape} does not match space dimension {n}")
+        m = sparse.csr_array(m, dtype=complex, copy=True)
+        m.sum_duplicates()
+        m.eliminate_zeros()
+        object.__setattr__(self, "csr", m)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The operator as a dense read-only array, built on every access."""
+        m = self.csr.toarray()
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        return m
 
     def dag(self) -> "Operator":
-        return Operator(self.space, self.matrix.conj().T)
+        return Operator(self.space, self.csr.conj().T)
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
+        diff = self.csr - self.csr.conj().T
+        return diff.nnz == 0 or bool(np.max(np.abs(diff.data)) <= tol)
 
     def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
+        return complex(self.csr.diagonal().sum())
 
     def __add__(self, other: "Operator") -> "Operator":
         _require_same_space(self, other)
-        return Operator(self.space, self.matrix + other.matrix)
+        return Operator(self.space, self.csr + other.csr)
 
     def __sub__(self, other: "Operator") -> "Operator":
         _require_same_space(self, other)
-        return Operator(self.space, self.matrix - other.matrix)
+        return Operator(self.space, self.csr - other.csr)
 
     def __neg__(self) -> "Operator":
-        return Operator(self.space, -self.matrix)
+        return Operator(self.space, -self.csr)
 
     def __mul__(self, scalar) -> "Operator":
         if isinstance(scalar, Operator):
             raise TypeError("use @ for operator products, * is scalar multiplication")
-        return Operator(self.space, scalar * self.matrix)
+        return Operator(self.space, self.csr * scalar)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "Operator") -> "Operator":
         _require_same_space(self, other)
-        return Operator(self.space, self.matrix @ other.matrix)
+        return Operator(self.space, self.csr @ other.csr)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Operator):
             return NotImplemented
-        return self.space == other.space and np.array_equal(self.matrix, other.matrix)
+        return self.space == other.space and (self.csr != other.csr).nnz == 0
 
 
 @dataclass(frozen=True)
@@ -216,13 +235,20 @@ class QuantumState:
             r = np.array(self.rho, dtype=complex)
             if r.shape != (n, n):
                 raise ValueError(f"density matrix shape {r.shape} does not match dimension {n}")
-            if np.max(np.abs(r - r.conj().T)) > self._NORM_TOL:
+            diag = np.diagonal(r)
+            is_diagonal = np.count_nonzero(r) == np.count_nonzero(diag)
+            # on a diagonal r, |r - r^dag| is 2 |Im r_ii|: no d x d temporaries
+            if is_diagonal:
+                herm_dev = 2.0 * np.max(np.abs(diag.imag))
+            else:
+                herm_dev = np.max(np.abs(r - r.conj().T))
+            if herm_dev > self._NORM_TOL:
                 raise ValueError("density matrix is not Hermitian within 1e-10")
             tr = np.trace(r).real
             if abs(tr - 1.0) > self._NORM_TOL:
                 raise ValueError(f"density matrix trace {tr!r} deviates from 1 beyond {self._NORM_TOL}")
-            if np.count_nonzero(r) == np.count_nonzero(np.diagonal(r)):
-                eigmin = float(np.min(np.diag(r).real))
+            if is_diagonal:
+                eigmin = float(np.min(diag.real))
             else:
                 eigmin = float(np.min(np.linalg.eigvalsh(r)))
             if eigmin < -self._EIG_TOL:
@@ -256,13 +282,7 @@ class QuantumState:
 
 
 def identity(space: HilbertSpace) -> Operator:
-    return Operator(space, np.eye(space.total_dim, dtype=complex))
-
-
-def _embed_matrices(space: HilbertSpace, mats: dict) -> np.ndarray:
-    blocks = (mats[idx] if idx in mats else np.eye(f.size, dtype=complex)
-              for idx, f in enumerate(space.factors))
-    return functools.reduce(np.kron, blocks)
+    return Operator(space, sparse.identity(space.total_dim, dtype=complex, format="csr"))
 
 
 def tensor_embed(ops: Iterable, space: HilbertSpace) -> Operator:
@@ -277,17 +297,20 @@ def tensor_embed(ops: Iterable, space: HilbertSpace) -> Operator:
         space.check_factor(idx)
         if idx in mats:
             raise ValueError(f"duplicate factor index {idx} in tensor_embed")
-        m = np.asarray(mat, dtype=complex)
+        m = mat if sparse.issparse(mat) else np.asarray(mat, dtype=complex)
         d = space.factors[idx].size
         if m.shape != (d, d):
             raise ValueError(f"matrix for factor {idx} has shape {m.shape}, expected ({d}, {d})")
-        mats[idx] = m
-    return Operator(space, _embed_matrices(space, mats))
+        mats[idx] = sparse.csr_array(m, dtype=complex)
+    blocks = (mats[idx] if idx in mats else sparse.identity(f.size, dtype=complex, format="csr")
+              for idx, f in enumerate(space.factors))
+    return Operator(space, functools.reduce(lambda a, b: sparse.kron(a, b, format="csr"), blocks))
 
 
-def _ladder(d: int) -> np.ndarray:
+def _ladder(d: int) -> sparse.csr_array:
     # b|n> = sqrt(n)|n-1>: entries (n-1, n) = sqrt(n)
-    return np.diag(np.sqrt(np.arange(1, d, dtype=float)), 1).astype(complex)
+    return sparse.diags_array(np.sqrt(np.arange(1, d, dtype=float)), offsets=1,
+                              format="csr", dtype=complex)
 
 
 def _x2_bands(d: int) -> tuple:
@@ -408,22 +431,25 @@ def thermal_state(space: HilbertSpace, factor_index: int, nbar: float) -> Quantu
         logr = np.log(nbar) - np.log(nbar + 1.0)
         w = np.exp(np.arange(d) * logr)
         w /= w.sum()
-    blocks = {factor_index: np.diag(w.astype(complex))}
+    # every factor's block is diagonal, so rho is the diagonal of their Kronecker product
+    diags = []
     for idx, g in enumerate(space.factors):
         if idx == factor_index:
-            continue
-        ground = np.zeros((g.size, g.size), dtype=complex)
-        ground[0, 0] = 1.0
-        blocks[idx] = ground
-    return QuantumState.mixed(space, _embed_matrices(space, blocks))
+            diags.append(w.astype(complex))
+        else:
+            ground = np.zeros(g.size, dtype=complex)
+            ground[0] = 1.0
+            diags.append(ground)
+    return QuantumState.mixed(space, np.diag(functools.reduce(np.kron, diags)))
 
 
 def expectation(state: QuantumState, op: Operator) -> complex:
     """<psi|O|psi> for pure states, Tr(rho O) for mixed ones."""
     _require_same_space(state, op)
     if state.is_pure:
-        return complex(np.vdot(state.vector, op.matrix @ state.vector))
-    return complex(np.einsum("ij,ji->", state.rho, op.matrix))
+        return complex(np.vdot(state.vector, op.csr @ state.vector))
+    # Tr(rho O) = sum_ij O_ij rho_ji, over the stored entries of O only
+    return complex(op.csr.multiply(state.rho.T).sum())
 
 
 def variance(state: QuantumState, op: Operator) -> float:

@@ -216,6 +216,18 @@ class TestSpectrumAnalytic:
         with pytest.raises(ValueError):
             spectrum_analytic(ModelParams(gamma=0.0), 1.0, 0.0)
 
+    def test_grid_matches_per_point_calls(self):
+        # a whole grid at once equals one call per frequency, up to the last
+        # bits: an array's x**2 is x*x where a scalar's is C pow
+        rng = np.random.default_rng(17)
+        omegas = np.concatenate([np.linspace(-4.0, 4.0, 2001), rng.uniform(-6.0, 6.0, 500)])
+        for g, gamma, nbar in ((0.3, 0.2, 0.5), (1.7, 1.1, 10.0), (0.0, 0.05, 0.0)):
+            p = ModelParams(gamma=gamma, nbar=nbar)
+            grid = spectrum_analytic(p, g, omegas)
+            for field in ("variance", "P", "Q"):
+                ref = np.array([getattr(spectrum_analytic(p, g, w), field) for w in omegas])
+                assert np.max(np.abs(getattr(grid, field) - ref) / np.abs(ref)) <= 4 * np.finfo(float).eps
+
     def test_divergence_at_bare_resonance(self):
         # g=0, nbar=0: as gamma shrinks the on-resonance value blows up
         a = spectrum_analytic(ModelParams(gamma=1e-2), 0.0, 1.0).variance

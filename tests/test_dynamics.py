@@ -32,6 +32,8 @@ from optosqueeze.dynamics import (
 from optosqueeze.model import (
     ModelParams,
     build_effective_hamiltonian,
+    build_full_hamiltonian,
+    hybrid_space,
     oscillator_space,
 )
 from optosqueeze.operators import (
@@ -41,6 +43,7 @@ from optosqueeze.operators import (
     QuantumState,
     annihilation,
     basis_state,
+    momentum,
     number,
     position,
     thermal_state,
@@ -395,6 +398,26 @@ class TestVarianceTrajectory:
         traj = covariance_evolve(0.0, 1.0, 0.0, 0.0, CovarianceState.vacuum(), [0.0, 1.0])
         with pytest.raises(ValueError, match="quadrature"):
             variance_trajectory(traj, "Y")
+
+    @pytest.mark.parametrize("quadrature", ["X", "P"])
+    def test_unitary_moments_match_three_operand_einsum(self, quadrature):
+        # reference: <q> and <q^2> as v^dag q v and v^dag (q @ q) v with dense q,
+        # the contraction variance_trajectory replaced by one sparse product
+        p = ModelParams(delta=5.0, Delta=40.0, g1=1.5, g2=0.4, Omega=2.5, eps=0.8)
+        space = hybrid_space(3, 10, 3)
+        rng = np.random.default_rng(21)
+        v0 = rng.normal(size=space.total_dim) + 1j * rng.normal(size=space.total_dim)
+        v0[np.arange(space.total_dim) // 3 % 10 >= 6] = 0.0  # keep the oscillator tail empty
+        psi0 = QuantumState.pure(space, v0 / np.linalg.norm(v0))
+        traj = evolve_unitary(build_full_hamiltonian(p, space), psi0, np.linspace(0.0, 2.0, 25))
+        q = (position if quadrature == "X" else momentum)(space, 1).matrix
+        vs = traj.vectors
+        m1 = np.einsum("ti,ij,tj->t", vs.conj(), q, vs).real
+        m2 = np.einsum("ti,ij,tj->t", vs.conj(), q @ q, vs).real
+        assert np.max(np.abs(m1)) > 0.1  # the first moment is exercised
+        ref = m2 - m1**2
+        got = variance_trajectory(traj, quadrature).values
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
 
     def test_covariance_p_column(self):
         q = math.sqrt(5.0)

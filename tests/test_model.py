@@ -20,7 +20,7 @@ from optosqueeze.model import (
     hybrid_space,
     oscillator_space,
 )
-from optosqueeze.operators import annihilation, commutator, number
+from optosqueeze.operators import _x2_bands, annihilation, commutator, momentum, number, position
 
 
 class TestModelParams:
@@ -256,6 +256,118 @@ class TestQuadraticTermAgainstLadderProducts:
         a, b = annihilation(space, 0), annihilation(space, 1)
         ref = h0 + p.g2 * ((a.dag() @ a) @ (b + b.dag()) @ (b + b.dag()))
         assert np.max(np.abs(h.matrix - ref.matrix)) <= 1e-12 * max(1.0, np.max(np.abs(ref.matrix)))
+
+
+class DenseReference:
+    """The model's operators built with dense numpy matrices throughout.
+
+    Dense Kronecker embeddings of dense ladder matrices, combined with the
+    same operations in the same order as the constructors, so every entry
+    sees the same floating-point arithmetic.  The constructors build and
+    combine CSR arrays instead; their matrices must come out bit-identical.
+    """
+
+    def __init__(self, sizes):
+        self.sizes = sizes
+
+    def embed(self, idx, m):
+        blocks = [m if i == idx else np.eye(d, dtype=complex) for i, d in enumerate(self.sizes)]
+        out = blocks[0]
+        for b in blocks[1:]:
+            out = np.kron(out, b)
+        return out
+
+    def ladder(self, idx):
+        d = self.sizes[idx]
+        return self.embed(idx, np.diag(np.sqrt(np.arange(1, d, dtype=float)), 1).astype(complex))
+
+    def proj(self, i, j):
+        m = np.zeros((self.sizes[2], self.sizes[2]), dtype=complex)
+        m[i, j] = 1.0
+        return self.embed(2, m)
+
+    @staticmethod
+    def two_band(diag, off):
+        k = np.arange(diag.size)
+        m = np.zeros((diag.size, diag.size), dtype=complex)
+        m[k, k] = diag
+        m[k[:-2], k[2:]] = off
+        m[k[2:], k[:-2]] = off
+        return m
+
+    def optomechanical(self, g2):
+        dc, dm = self.sizes[0], self.sizes[1]
+        nmat = np.diag(np.arange(dc, dtype=float)).astype(complex)
+        out = np.kron(nmat, self.two_band(*_x2_bands(dm)))
+        return g2 * np.kron(out, np.eye(self.sizes[2], dtype=complex))
+
+    def full(self, p):
+        a, b = self.ladder(0), self.ladder(1)
+        na, nb = a.conj().T @ a, b.conj().T @ b
+        h = p.delta * na + p.omega_m * nb
+        h = h + p.Delta * self.proj(2, 2) - p.delta * self.proj(1, 1)
+        drive = p.Omega * self.proj(2, 0) + p.g1 * (a.conj().T @ self.proj(1, 2))
+        h = h + drive + drive.conj().T
+        h = h + self.optomechanical(p.g2)
+        return h + p.eps * (a + a.conj().T)
+
+    def two_level(self, p, variant):
+        coupling = p.Omega * p.g1 / p.Delta
+        s0, s1 = (coupling, coupling) if variant == "as-written" else (p.Omega**2 / p.Delta, p.g1**2 / p.Delta)
+        a, b = self.ladder(0), self.ladder(1)
+        na, nb = a.conj().T @ a, b.conj().T @ b
+        h = p.delta * na + p.omega_m * nb - p.delta * self.proj(1, 1)
+        h = h - s0 * self.proj(0, 0)
+        h = h - s1 * (na @ self.proj(1, 1))
+        flip = a @ self.proj(0, 1)
+        h = h - coupling * (flip + flip.conj().T)
+        h = h + self.optomechanical(p.g2)
+        return h + p.eps * (a + a.conj().T)
+
+    def effective(self, g, omega_m):
+        diag, off = _x2_bands(self.sizes[0])
+        n = np.arange(diag.size, dtype=float)
+        return self.two_band(omega_m * n + g * diag, g * off)
+
+    def quadratures(self, idx):
+        b = self.ladder(idx)
+        return 0.5 * (b + b.conj().T), (-0.5j) * (b - b.conj().T)
+
+
+_REFERENCE_PARAMS = (
+    ModelParams(delta=5.0, Delta=80.0, g1=1.3, g2=0.37, Omega=2.1, eps=1.7),
+    ModelParams(omega_m=1.3, delta=-10.0, Delta=40.0, g1=1.5, g2=0.4, Omega=2.5, eps=0.0),
+    ModelParams(delta=0.0, Delta=-30.0, g1=0.7, g2=0.02, Omega=0.0, eps=0.3),
+)
+
+
+class TestSparseBuildMatchesDenseReference:
+    """Sparse-built operators are bit-identical to the dense construction."""
+
+    @pytest.mark.parametrize("p", _REFERENCE_PARAMS)
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 5), (4, 9), (8, 32)])
+    def test_hybrid_hamiltonians(self, p, dims):
+        ref3 = DenseReference(dims + (3,))
+        assert np.array_equal(build_full_hamiltonian(p, hybrid_space(*dims, 3)).matrix, ref3.full(p))
+        ref2 = DenseReference(dims + (2,))
+        for variant in ("as-written", "textbook"):
+            h = build_two_level_hamiltonian(p, hybrid_space(*dims, 2), variant)
+            assert np.array_equal(h.matrix, ref2.two_level(p, variant))
+
+    @pytest.mark.parametrize("g", [0.0, 0.7, -0.2])
+    @pytest.mark.parametrize("d", [2, 3, 4, 17, 200])
+    def test_effective_hamiltonian(self, g, d):
+        h = build_effective_hamiltonian(g, 1.3, oscillator_space(d))
+        assert np.array_equal(h.matrix, DenseReference((d,)).effective(g, 1.3))
+
+    @pytest.mark.parametrize("sizes", [(5,), (3, 6, 3), (8, 32, 2)])
+    def test_quadratures(self, sizes):
+        space = hybrid_space(*sizes[:2], sizes[2]) if len(sizes) == 3 else oscillator_space(sizes[0])
+        ref = DenseReference(sizes)
+        for idx in ([0, 1] if len(sizes) == 3 else [0]):
+            x, p = ref.quadratures(idx)
+            assert np.array_equal(position(space, idx).matrix, x)
+            assert np.array_equal(momentum(space, idx).matrix, p)
 
 
 def test_spectrum_dataclass_is_plain_record():
