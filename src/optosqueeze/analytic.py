@@ -7,8 +7,8 @@ of the mode is a Bogoliubov transformation b(t) = r b(0) + s b^dag(0) with
     k = 2 g_eff + omega_m,               q = sqrt(k^2 - 4 g_eff^2),
 
 valid while q^2 = omega_m (omega_m + 4 g_eff) > 0.  Everything else here
-follows from that: the X-quadrature variance, the squeezing in dB and its
-maximum 5 log10(4 g_eff/omega_m + 1), and, once damping gamma and a thermal
+follows from that: the X-quadrature variance, the peak squeezing
+5 log10(4 g_eff/omega_m + 1) dB, and, once damping gamma and a thermal
 bath with occupation nbar are added, the stationary squeezing spectrum in
 its closed P/Q form together with the critical frequencies minimizing Q.
 
@@ -39,9 +39,7 @@ __all__ = [
     "SpectrumPoint",
     "bogoliubov",
     "thermal_V",
-    "thermal_occupation",
     "position_variance",
-    "squeezing_db",
     "s_max",
     "spectrum_analytic",
     "critical_frequencies",
@@ -102,13 +100,6 @@ def thermal_V(nbar: float) -> float:
     return 2.0 * nbar + 1.0
 
 
-def thermal_occupation(x: float) -> float:
-    """nbar = 1/(e^x - 1) for x = hbar omega_m / k_B T > 0."""
-    if x <= 0:
-        raise ValueError("hbar omega_m / k_B T must be > 0")
-    return 1.0 / math.expm1(x)
-
-
 def position_variance(g_eff: float, omega_m: float, nbar: float, t: float) -> float:
     """Variance of X(t) = (b(t) + b^dag(t))/2 from a thermal state.
 
@@ -123,18 +114,6 @@ def position_variance(g_eff: float, omega_m: float, nbar: float, t: float) -> fl
     bc = bogoliubov(g_eff, omega_m, t)
     u = bc.r + bc.s.conjugate()
     return 0.25 * thermal_V(nbar) * float(abs(u) ** 2)
-
-
-def squeezing_db(g_eff: float, omega_m: float, t: float) -> float:
-    """S(t) = -10 log10 of the uncertainty ratio against the free oscillator.
-
-    The thermal factor V cancels in the ratio, so S does not depend on
-    nbar; S(t) peaks at q t = pi/2 with the value given by `s_max`.
-    """
-    bc = bogoliubov(g_eff, omega_m, t)
-    u = bc.r + bc.s.conjugate()
-    ratio2 = float(abs(u) ** 2)  # variance ratio, free oscillator has |r + s*|^2 = 1
-    return -5.0 * math.log10(ratio2)
 
 
 def s_max(g_eff: float, omega_m: float) -> float:

@@ -284,21 +284,11 @@ def _parse_atom_state(raw: str):
 def _run_validate_adiabatic(cfg: RunConfig):
     p, o = cfg.params, cfg.options
     atom = _parse_atom_state(o.get("atom_state", "e1"))
-    kwargs = {}
-    if "n_times" in o:
-        kwargs["n_times"] = o["n_times"]
-    if "d_cav" in o:
-        kwargs["d_cav"] = o["d_cav"]
-    if "d_mech" in o:
-        kwargs["d_mech"] = o["d_mech"]
-    if "d_cav_lindblad" in o or "d_mech_lindblad" in o:
-        kwargs["lindblad_dims"] = (o.get("d_cav_lindblad", min(o.get("d_cav", 8), 4)),
-                                   o.get("d_mech_lindblad", o.get("d_mech", 16)))
-    if "lindblad_rtol" in o:
-        kwargs["lindblad_rtol"] = o["lindblad_rtol"]
-        kwargs["lindblad_atol"] = o["lindblad_rtol"] * 1e-2
+    kwargs = {k: o[k] for k in ("n_times", "d_cav", "d_mech", "lindblad_rtol") if k in o}
     rep = validate_adiabatic_chain(p, atom, o["horizon"],
-                                   include_lindblad=o.get("include_lindblad", False), **kwargs)
+                                   include_lindblad=o.get("include_lindblad", False),
+                                   lindblad_dims=(o.get("d_cav_lindblad"), o.get("d_mech_lindblad")),
+                                   **kwargs)
     rows = []
     for k in sorted(rep.ratios):
         rows.append((f"ratio_{k}", rep.ratios[k]))

@@ -3,13 +3,14 @@
 Four independent evolution routes are implemented on purpose:
 
 * `evolve_unitary`: Schroedinger-picture matrix-exponential stepping for
-  pure states of a time-independent Hamiltonian (exact up to round-off).
+  pure states of a time-independent Hamiltonian (exact up to round-off);
+  it serves the cavity-oscillator-atom legs of the elimination chain.
 * `exact_quadrature_moments`: Heisenberg-picture evaluation for the
-  effective Hamiltonian, usable for mixed (e.g. thermal) initial states
-  without storing propagated density matrices.  H_eff couples level n only
-  to n +- 2, so it splits into two parity blocks, each real symmetric
-  tridiagonal; each block is diagonalised once and every moment is one
-  batched product over the time grid.
+  effective Hamiltonian, the one route for H_eff from vacuum and thermal
+  states alike, without storing propagated density matrices.  H_eff
+  couples level n only to n +- 2, so it splits into two parity blocks,
+  each real symmetric tridiagonal; each block is diagonalised once and
+  every moment is one batched product over the time grid.
 * `covariance_evolve`: the Gaussian first/second-moment equations of the
   damped quadratic model, solved exactly per time point with an augmented
   matrix exponential (Van Loan block trick), valid in the unstable regime
@@ -26,8 +27,9 @@ Their mutual agreement (and agreement with `analytic`) is what the test
 suite leans on; no route is trusted on its own.
 
 Truncation is self-reported: every run records the joint population of the
-top two Fock levels of each mode, and the adaptive wrappers double the
-offending dimension until the tail drops below 1e-6 or a cap is hit.
+top two Fock levels of each mode, and the adaptive wrappers share one
+doubling loop that doubles the offending dimension until the tail drops
+below 1e-6 or a cap is hit.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ from .operators import (
     momentum,
     position,
     thermal_state,
-    vacuum_state,
 )
 
 __all__ = [
@@ -84,11 +85,34 @@ __all__ = [
 
 TAIL_LIMIT = 1e-6
 TRACE_TOL = 1e-9  # largest |Tr rho - 1| a master-equation run may reach
-CHAIN_DIM_CAP = 4096  # largest dimension a leg of the elimination chain may double to
+EFFECTIVE_DIM_CAP = 8192  # largest oscillator dimension of an H_eff series
+CHAIN_DIM_CAP = 4096  # largest dimension a unitary leg of the elimination chain may double to
 
 
 class TruncationError(RuntimeError):
     """A run failed its self-checks: truncation tail, norm or trace drift, or dimension cap."""
+
+
+def _double_until_converged(run, dims: tuple, cap: int):
+    """Call `run(dims)`, doubling every dim whose tail exceeds TAIL_LIMIT, until none does.
+
+    `run` returns (result, tails), with tails a dict from dim index to that
+    dimension's truncation tail.  Returns (result, tails, dims) of the first
+    run within the limit; raises TruncationError, naming the tails, the dims
+    and the cap, when a doubled dim would pass `cap`.
+    """
+    while True:
+        result, tails = run(dims)
+        over = {i for i, tail in tails.items() if tail > TAIL_LIMIT}
+        if not over:
+            return result, tails, dims
+        doubled = tuple(2 * d if i in over else d for i, d in enumerate(dims))
+        if any(doubled[i] > cap for i in over):
+            raise TruncationError(
+                f"tails {', '.join(f'{tails[i]:g}' for i in sorted(tails))} exceed "
+                f"{TAIL_LIMIT:g} at dims {dims}; doubling to {doubled} passes the cap {cap}"
+            )
+        dims = doubled
 
 
 @dataclass
@@ -308,8 +332,8 @@ def exact_quadrature_moments(H: Operator, state: QuantumState, times):
 
     Any pure or mixed state is accepted.  Returns (first, second, tail):
     <X>(t), <X^2>(t), and the joint population of the top two Fock levels
-    (the top one below four levels) over the grid.  This is the route used
-    for thermal initial states, where `evolve_unitary` does not apply.
+    (the top one below four levels) over the grid.  This is the one route
+    for H_eff, from vacuum and thermal states alike.
     """
     if not H.is_hermitian(1e-12):
         raise ValueError("exact_quadrature_moments requires a Hermitian Hamiltonian")
@@ -553,50 +577,28 @@ def effective_variance_series(
     nbar: float,
     times,
     d_start: int | None = None,
-    d_cap: int = 8192,
 ) -> TimeSeries:
-    """X-variance under H_eff from a vacuum or thermal state, truncation-adaptive.
+    """X-variance under H_eff from a thermal state (vacuum at nbar = 0), truncation-adaptive.
 
-    Uses `evolve_unitary` for nbar = 0 and the parity-split
-    `exact_quadrature_moments` for thermal states; doubles the oscillator
-    dimension until the truncation tail stays below 1e-6, and raises
-    TruncationError at the cap.
+    The moments come from the parity-split `exact_quadrature_moments` for
+    every nbar.  The oscillator dimension starts at `d_start` (default
+    `mech_dim_start`) and doubles until the truncation tail stays below
+    1e-6; TruncationError is raised when a doubling would pass
+    `EFFECTIVE_DIM_CAP`.
     """
-    d = d_start if d_start is not None else mech_dim_start(nbar, g_eff, omega_m)
-    while True:
-        space = oscillator_space(d)
+    t = np.asarray(times, dtype=float)
+
+    def run(dims):
+        space = oscillator_space(dims[0])
         h = build_effective_hamiltonian(g_eff, omega_m, space)
-        if nbar == 0:
-            traj = evolve_unitary(h, vacuum_state(space), times)
-            tail = max(traj.meta["tail_max"].values())
-            if tail <= TAIL_LIMIT:
-                ts = variance_trajectory(traj, "X")
-                ts.meta.update(d_mech=d, g_eff=g_eff, omega_m=omega_m, nbar=nbar)
-                return ts
-        else:
-            state = thermal_state(space, 0, nbar)
-            m1, m2, tailseries = exact_quadrature_moments(h, state, times)
-            tail = float(np.max(tailseries))
-            if tail <= TAIL_LIMIT:
-                return TimeSeries(
-                    np.asarray(times, dtype=float),
-                    m2 - m1**2,
-                    {
-                        "method": "eigh-moments",
-                        "d_mech": d,
-                        "dims": (d,),
-                        "g_eff": g_eff,
-                        "omega_m": omega_m,
-                        "nbar": nbar,
-                        "tail_max": {0: tail},
-                        "tail_flag": False,
-                    },
-                )
-        if 2 * d > d_cap:
-            raise TruncationError(
-                f"oscillator tail {tail:g} > {TAIL_LIMIT:g} at dimension {d}, cap {d_cap} reached"
-            )
-        d *= 2
+        first, second, tail = exact_quadrature_moments(h, thermal_state(space, 0, nbar), t)
+        return second - first**2, {0: float(np.max(tail))}
+
+    d0 = d_start if d_start is not None else mech_dim_start(nbar, g_eff, omega_m)
+    var, tails, (d,) = _double_until_converged(run, (d0,), EFFECTIVE_DIM_CAP)
+    meta = {"method": "eigh-moments", "d_mech": d, "g_eff": g_eff, "omega_m": omega_m,
+            "nbar": nbar, "tail_max": tails}
+    return TimeSeries(t, var, meta)
 
 
 @dataclass
@@ -674,10 +676,9 @@ def validate_adiabatic_chain(
     d_cav: int = 8,
     d_mech: int | None = None,
     include_lindblad: bool = False,
-    lindblad_dims: tuple | None = None,
+    lindblad_dims: tuple = (None, None),
     lindblad_n_times: int = 160,
     lindblad_rtol: float = 1e-12,
-    lindblad_atol: float = 1e-14,
 ) -> AdiabaticReport:
     """Run the elimination chain end to end and measure how well it holds.
 
@@ -693,12 +694,16 @@ def validate_adiabatic_chain(
 
     With `include_lindblad`, two extra density-matrix runs of the
     three-level model (with and without the kappa / Gamma_e collapse
-    channels, same integrator and grid) measure how much the achieved
-    maximum squeezing degrades; their dimensions may be chosen smaller via
-    `lindblad_dims`, and the tails are still checked.
+    channels, same integrator and grid, atol = `lindblad_rtol` / 100)
+    measure how much the achieved maximum squeezing degrades.  Their space
+    is `lindblad_dims` = (d_cav, d_mech); a None entry takes min(d_cav, 4),
+    respectively d_mech, as reached by the unitary legs.  Their tails are
+    checked, not doubled.
 
-    Truncation is adaptive: any leg whose top-level population exceeds
-    1e-6 doubles the offending dimension, up to `CHAIN_DIM_CAP`.
+    Truncation is adaptive: a unitary leg whose top-level population
+    exceeds 1e-6 doubles the offending dimension, up to `CHAIN_DIM_CAP`,
+    and passes its dimensions on to the next leg; the effective leg starts
+    from the d_mech they reached and doubles in `effective_variance_series`.
     """
     spec, atom3, atom2, weights = _resolve_atom_init(p, atom_init)
     alpha = spec.alpha
@@ -715,18 +720,14 @@ def validate_adiabatic_chain(
 
     def run_unitary_leg(build, levels, atom_vec):
         nonlocal dc, dm
-        while True:
-            space = hybrid_space(dc, dm, levels)
+
+        def run(dims):
+            space = hybrid_space(*dims, levels)
             traj = evolve_unitary(build(space), _product_vacuum_with_atom(space, atom_vec), times)
-            tails = traj.meta["tail_max"]
-            if not traj.meta["tail_flag"]:
-                return variance_trajectory(traj, "X").values, tails
-            if tails.get(0, 0.0) > TAIL_LIMIT:
-                dc *= 2
-            if tails.get(1, 0.0) > TAIL_LIMIT:
-                dm *= 2
-            if dc > CHAIN_DIM_CAP or dm > CHAIN_DIM_CAP:
-                raise TruncationError(f"dimension cap {CHAIN_DIM_CAP} hit at (d_cav={dc}, d_mech={dm})")
+            return traj, traj.meta["tail_max"]
+
+        traj, tails, (dc, dm) = _double_until_converged(run, (dc, dm), CHAIN_DIM_CAP)
+        return variance_trajectory(traj, "X").values, tails
 
     var_full, tails_full = run_unitary_leg(lambda s: build_full_hamiltonian(p, s), 3, atom3)
     var_aw, tails_aw = run_unitary_leg(
@@ -736,23 +737,16 @@ def validate_adiabatic_chain(
         lambda s: build_two_level_hamiltonian(p, s, "textbook"), 2, atom2
     )
 
-    # effective leg: mixture over the coupling eigenstates
-    m1 = np.zeros_like(times)
-    m2 = np.zeros_like(times)
-    tail_eff = 0.0
-    osp = oscillator_space(dm)
-    vac = vacuum_state(osp)
+    # effective leg: mixture over the coupling eigenstates.  From vacuum each
+    # branch has <X> = 0 exactly, so the mixture's variance is the weighted
+    # sum of the branch variances.
+    var_eff, tail_eff = 0.0, 0.0
     for w, g in zip(weights, (spec.g_eff_1, spec.g_eff_2)):
         if w < 1e-12:
             continue
-        h = build_effective_hamiltonian(g, p.omega_m, osp)
-        f, s, tl = exact_quadrature_moments(h, vac, times)
-        m1 += w * f
-        m2 += w * s
-        tail_eff = max(tail_eff, float(np.max(tl)))
-    if tail_eff > TAIL_LIMIT:
-        raise TruncationError(f"effective-model tail {tail_eff:g} exceeds {TAIL_LIMIT:g} at d_mech={dm}")
-    var_eff = m2 - m1**2
+        ts = effective_variance_series(g, p.omega_m, 0.0, times, d_start=dm)
+        var_eff = var_eff + w * ts.values
+        tail_eff = max(tail_eff, ts.meta["tail_max"][0])
 
     deviations = {
         "full_vs_effective": _rel_dev(var_full, var_eff),
@@ -784,7 +778,9 @@ def validate_adiabatic_chain(
     )
 
     if include_lindblad:
-        ldc, ldm = lindblad_dims if lindblad_dims is not None else (min(dc, 4), dm)
+        ldc, ldm = lindblad_dims
+        ldc = min(dc, 4) if ldc is None else ldc
+        ldm = dm if ldm is None else ldm
         lspace = hybrid_space(ldc, ldm, 3)
         lh = build_full_hamiltonian(p, lspace)
         rho0 = _product_vacuum_with_atom(lspace, atom3)
@@ -808,12 +804,9 @@ def validate_adiabatic_chain(
             var = variance_trajectory(traj, "X").values
             return -5.0 * math.log10(float(np.min(var)) / float(var[0]))
 
-        closed = evolve_lindblad(
-            lh, collapse_set(False), rho0, ltimes, rtol=lindblad_rtol, atol=lindblad_atol
-        )
-        opened = evolve_lindblad(
-            lh, collapse_set(True), rho0, ltimes, rtol=lindblad_rtol, atol=lindblad_atol
-        )
+        atol = lindblad_rtol * 1e-2
+        closed = evolve_lindblad(lh, collapse_set(False), rho0, ltimes, rtol=lindblad_rtol, atol=atol)
+        opened = evolve_lindblad(lh, collapse_set(True), rho0, ltimes, rtol=lindblad_rtol, atol=atol)
         if closed.meta["tail_flag"] or opened.meta["tail_flag"]:
             raise TruncationError(
                 f"master-equation tails exceeded {TAIL_LIMIT:g} at dims ({ldc}, {ldm}); enlarge lindblad_dims"

@@ -38,7 +38,6 @@ __all__ = [
     "QuantumState",
     "identity",
     "annihilation",
-    "creation",
     "number",
     "position",
     "momentum",
@@ -50,7 +49,6 @@ __all__ = [
     "thermal_tail_mass",
     "expectation",
     "variance",
-    "commutator",
 ]
 
 
@@ -274,12 +272,6 @@ class QuantumState:
             return np.outer(self.vector, self.vector.conj())
         return np.asarray(self.rho)
 
-    def purity(self) -> float:
-        if self.is_pure:
-            return 1.0
-        r = self.rho
-        return float(np.einsum("ij,ji->", r, r).real)
-
 
 def identity(space: HilbertSpace) -> Operator:
     return Operator(space, sparse.identity(space.total_dim, dtype=complex, format="csr"))
@@ -339,10 +331,6 @@ def annihilation(space: HilbertSpace, factor_index: int) -> Operator:
     if not isinstance(f, Fock):
         raise TypeError(f"factor {factor_index} is not a Fock factor")
     return tensor_embed([(factor_index, _ladder(f.size))], space)
-
-
-def creation(space: HilbertSpace, factor_index: int) -> Operator:
-    return annihilation(space, factor_index).dag()
 
 
 def number(space: HilbertSpace, factor_index: int) -> Operator:
@@ -457,8 +445,3 @@ def variance(state: QuantumState, op: Operator) -> float:
     m = expectation(state, op).real
     m2 = expectation(state, op @ op).real
     return m2 - m * m
-
-
-def commutator(a: Operator, b: Operator) -> Operator:
-    _require_same_space(a, b)
-    return a @ b - b @ a

@@ -20,9 +20,8 @@ from optosqueeze.analytic import (
     position_variance,
     s_max,
     spectrum_analytic,
-    squeezing_db,
 )
-from optosqueeze.cli import main
+from optosqueeze.cli import main, parse_config
 from optosqueeze.dynamics import (
     CovarianceState,
     covariance_evolve,
@@ -31,6 +30,8 @@ from optosqueeze.dynamics import (
 )
 from optosqueeze.model import ModelParams, atomic_coupling_spectrum
 from optosqueeze.spectrum import SpectrumSeries, default_omega_grid, find_peaks, spectrum_numeric
+from test_analytic import squeezing_db
+from test_golden import NUMERIC_FIELDS, SCRIPTS, rerun_config
 
 
 def verdict(capsys, num, name, ok, detail):
@@ -143,28 +144,30 @@ def test_criterion_06_adiabatic_validity_and_scaling(capsys):
             f"{d2:.2e} after doubling both detunings: shrinks {d1 / max(d2, 1e-300):.1f}x")
 
 
-def test_criterion_07_decay_immunity(capsys):
+def test_criterion_07_decay_immunity(capsys, tmp_path, monkeypatch):
     # the driven chain of scripts/decay_immunity.cfg: the cavity drive eps
     # lifts g_eff_1 to ~9e-3, so the closed run really squeezes; the
     # undriven chain above has g_eff ~5e-9 and its "squeezing" is only the
     # elimination residual.  The run stops at the first squeezing dip, and
-    # the master-equation legs need d_cav = 7 to pass the tail check.
-    p = ModelParams(omega_m=1.0, delta=10.0, Delta=40.0, g1=1.0, Omega=1.0,
-                    g2=0.4, eps=1.5, kappa=0.5, Gamma_e=0.1)
-    rep = validate_adiabatic_chain(
-        p, "e1", 3.2, n_times=160, d_cav=7, d_mech=16,
-        include_lindblad=True, lindblad_dims=(7, 16), lindblad_n_times=160,
-        lindblad_rtol=1e-8,
-    )
+    # the master-equation legs need d_cav = 7 to pass the tail check.  The
+    # config runs through the CLI, its CSV must reproduce the committed one
+    # under the golden rule, and the verdict reads that CSV.
+    numeric = NUMERIC_FIELDS["validate_adiabatic"] + ("smax_*",)
+    fields, bad = rerun_config("decay_immunity", numeric, tmp_path, monkeypatch)
+    csv = dict(fields)
+    closed, opened = float(csv["smax_closed_db"]), float(csv["smax_open_db"])
+    deg = float(csv["smax_degradation"])
+    p = parse_config((SCRIPTS / "decay_immunity.cfg").read_text()).params
     target = s_max(atomic_coupling_spectrum(p).g_eff_1, p.omega_m)
-    squeezes = abs(rep.smax_closed - target) <= 0.25 * target
-    deg = rep.smax_degradation
-    ok = squeezes and deg is not None and deg < 0.10
-    verdict(capsys, "07", "squeezing immune to cavity and atom decay", ok,
-            f"achieved squeezing {rep.smax_closed:.4f} dB closed "
-            f"(s_max(g_eff_1) = {target:.4f} dB, within 25%: {squeezes}) vs "
-            f"{rep.smax_open:.4f} dB open, relative degradation {deg:.4f} "
-            f"(bound 0.10)")
+    squeezes = abs(closed - target) <= 0.25 * target
+    ok = not bad and squeezes and deg < 0.10
+    detail = (f"achieved squeezing {closed:.4f} dB closed "
+              f"(s_max(g_eff_1) = {target:.4f} dB, within 25%: {squeezes}) vs "
+              f"{opened:.4f} dB open, relative degradation {deg:.4f} "
+              f"(bound 0.10)")
+    if bad:
+        detail += f"; {len(bad)} fields differ from scripts/out, first ones: {bad[:3]}"
+    verdict(capsys, "07", "squeezing immune to cavity and atom decay", ok, detail)
 
 
 def test_criterion_08_spectrum_identity(capsys):

@@ -275,6 +275,23 @@ class TestCommands:
         assert float(table["atom_weight_e1"]) == 1.0
         assert table["d_mech_used"] == "12"
 
+    def test_lindblad_dims_default_to_the_dims_the_chain_reached(self, tmp_path):
+        # only d_cav_lindblad is given, and the unitary legs double d_mech
+        # from 3 to 12; the master-equation legs take the doubled value
+        out = tmp_path / "va.csv"
+        code = run_cli(
+            tmp_path,
+            f"command = validate-adiabatic\ndelta = 2\nDelta = 10\nOmega = 1\n"
+            f"g1 = 1\ng2 = 0.4\nkappa = 0.1\nhorizon = 3\nn_times = 40\nd_cav = 3\n"
+            f"d_mech = 3\ninclude_lindblad = true\nd_cav_lindblad = 3\n"
+            f"lindblad_rtol = 1e-6\noutput = {out}\n",
+        )
+        assert code == 0
+        table = {r[0]: r[1] for r in read_csv(out)[2]}
+        assert table["d_mech_used"] == "12"
+        assert table["d_mech_lindblad"] == table["d_mech_used"]
+        assert table["d_cav_lindblad"] == "3"
+
 
 class TestOutputFormat:
     def test_byte_determinism(self, tmp_path):

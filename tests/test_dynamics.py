@@ -2,11 +2,13 @@
 
 The covariance route is checked against a brute-force ODE integration, the
 wavefunction and eigendecomposition routes against the covariance route and
-the closed forms, and the master-equation route against decay/steady-state
-facts it cannot inherit from any of the above.
+the closed forms, the master-equation route against decay/steady-state
+facts it cannot inherit from any of the above, and the wavefunction route
+against an extended-precision propagator.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from optosqueeze import dynamics
 from optosqueeze.analytic import position_variance, s_max
+from optosqueeze.cli import parse_config
 from optosqueeze.dynamics import (
     AdiabaticReport,
     CovarianceState,
@@ -31,8 +35,10 @@ from optosqueeze.dynamics import (
 )
 from optosqueeze.model import (
     ModelParams,
+    atomic_coupling_spectrum,
     build_effective_hamiltonian,
     build_full_hamiltonian,
+    build_two_level_hamiltonian,
     hybrid_space,
     oscillator_space,
 )
@@ -49,6 +55,8 @@ from optosqueeze.operators import (
     thermal_state,
     vacuum_state,
 )
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def brute_gaussian(g_eff, gamma, nbar, init, times, omega_m=1.0):
@@ -451,9 +459,10 @@ class TestDimensionPolicy:
         assert np.allclose(ts.values, ref, rtol=1e-5)
         assert ts.meta["method"] == "eigh-moments"
 
-    def test_cap_raises(self):
-        with pytest.raises(TruncationError, match="cap"):
-            effective_variance_series(5.0, 1.0, 0.0, np.linspace(0.0, 2.0, 11), d_start=4, d_cap=8)
+    def test_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "EFFECTIVE_DIM_CAP", 8)
+        with pytest.raises(TruncationError, match="cap 8"):
+            effective_variance_series(5.0, 1.0, 0.0, np.linspace(0.0, 2.0, 11), d_start=4)
 
 
 class TestTimeSeries:
@@ -497,12 +506,22 @@ class TestValidateAdiabaticChain:
             lindblad_dims=(4, 8),
             lindblad_n_times=30,
             lindblad_rtol=1e-8,
-            lindblad_atol=1e-10,
         )
         assert rep.smax_closed is not None and math.isfinite(rep.smax_closed)
         assert rep.smax_open is not None and math.isfinite(rep.smax_open)
         assert rep.smax_degradation is not None
         assert rep.dims["lindblad"] == (4, 8)
+
+    def test_effective_leg_doubles_its_dimension(self):
+        # at d_mech = 4 the unitary legs stay within the tail limit, but the
+        # effective leg's e1 branch (weight 1e-8, g_eff_1 = 1e-3; its tail is
+        # checked unweighted) does not; it doubles instead of raising, as the
+        # unitary legs do
+        p = ModelParams(delta=2.0, Delta=10.0, g1=1.0, Omega=1.0, g2=0.4)
+        rep = validate_adiabatic_chain(p, [1e-4, 1.0], horizon=3.0, n_times=40, d_cav=3, d_mech=4)
+        assert rep.dims == {"d_cav": 3, "d_mech": 4}
+        assert rep.tails["effective"][0] <= 1e-6
+        assert rep.deviations["full_vs_effective"] < 1e-6
 
     def test_atom_init_forms(self):
         p = ModelParams(delta=20.0, Delta=100.0, g1=1.0, Omega=1.0, g2=0.02, eps=0.0)
@@ -510,3 +529,89 @@ class TestValidateAdiabaticChain:
             validate_adiabatic_chain(p, "ground", horizon=1.0)
         with pytest.raises(ValueError, match="nonzero"):
             validate_adiabatic_chain(p, [0.0, 0.0], horizon=1.0)
+
+
+def expm_clongdouble(a):
+    """exp(a) in extended precision by scaling and squaring a Taylor series.
+
+    The matrix is scaled by 2^-s to a 1-norm of at most 1/4, where 14 or so
+    Taylor terms reach the longdouble round-off, then squared s times.
+    """
+    a = np.asarray(a, dtype=np.clongdouble)
+    nrm = float(np.max(np.sum(np.abs(a), axis=0)))
+    s = max(0, math.ceil(math.log2(nrm / 0.25))) if nrm > 0 else 0
+    a = a / np.longdouble(2) ** s
+    term = np.eye(a.shape[0], dtype=np.clongdouble)
+    out = term.copy()
+    for k in range(1, 40):
+        term = term @ a / k
+        out = out + term
+        if np.max(np.abs(term)) < 1e-3 * np.finfo(np.longdouble).eps:
+            break
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+def x_variance_clongdouble(h, psi0, times):
+    """X variance of the oscillator (factor 1) under exp(-i h t), all in longdouble."""
+    dt = np.longdouble(times[1] - times[0])
+    u = expm_clongdouble(-1j * np.asarray(h.matrix, dtype=np.clongdouble) * dt)
+    x = np.asarray(position(h.space, 1).matrix, dtype=np.clongdouble)
+    v = np.asarray(psi0.vector, dtype=np.clongdouble)
+    out = np.empty(len(times), dtype=np.longdouble)
+    for i in range(len(times)):
+        if i:
+            v = u @ v
+        xv = x @ v
+        m1 = np.vdot(v, xv).real
+        out[i] = np.vdot(xv, xv).real - m1 * m1
+    return out
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="longdouble is only double precision here")
+class TestExtendedPrecisionOracle:
+    """`evolve_unitary` against a longdouble propagator on validate_adiabatic.cfg's legs.
+
+    Both engines start from the same double-precision H and psi0, so the
+    difference is the propagation round-off alone.  The oracle agrees with
+    itself to 4e-16 when its scaling threshold drops from 1/4 to 1/50.
+    """
+
+    @pytest.fixture(scope="class")
+    def legs(self):
+        cfg = parse_config((SCRIPTS / "validate_adiabatic.cfg").read_text())
+        p, o = cfg.params, cfg.options
+        times = np.linspace(0.0, o["horizon"], o["n_times"])
+        e1 = atomic_coupling_spectrum(p).e1
+        out = {}
+        for name, levels in (("full", 3), ("as_written", 2)):
+            space = hybrid_space(o["d_cav"], o["d_mech"], levels)
+            h = (build_full_hamiltonian(p, space) if levels == 3
+                 else build_two_level_hamiltonian(p, space, "as-written"))
+            atom = np.zeros(levels, dtype=complex)
+            atom[:2] = e1
+            psi0 = QuantumState.pure(space, np.kron(np.eye(o["d_cav"] * o["d_mech"])[0], atom))
+            got = variance_trajectory(evolve_unitary(h, psi0, times), "X").values
+            out[name] = (x_variance_clongdouble(h, psi0, times), got)
+        return out
+
+    def test_pins_unitary_variances(self, legs):
+        # measured: 5.0e-15 (full, 192 dims) and 1.3e-15 (as-written, 128
+        # dims); the bound is twice the larger
+        for ref, got in legs.values():
+            assert float(np.max(np.abs(got - ref))) <= 1e-14
+
+    def test_two_level_deviation_beside_committed(self, capsys, legs):
+        # the committed field is the double engine's value; the measured gap
+        # to the oracle is 2.2e-7 relative, and the bound is 1e-6
+        (full, _), (aw, _) = legs["full"], legs["as_written"]
+        oracle = float(np.max(np.abs(aw - full) / full))
+        csv = (SCRIPTS / "out" / "validate_adiabatic.csv").read_text().splitlines()
+        rows = dict(line.split(",") for line in csv if not line.startswith("#"))
+        committed = float(rows["deviation_full_vs_two_level_as_written"])
+        gap = abs(committed - oracle) / oracle
+        with capsys.disabled():
+            print(f"\ndeviation_full_vs_two_level_as_written: oracle {oracle:.9e}, "
+                  f"committed {committed:.12g}, relative gap {gap:.1e}")
+        assert gap <= 1e-6

@@ -9,8 +9,8 @@ their bytes are reproducible on one machine and BLAS build, not across
 them.  Truncation tails are probabilities whose digits below 1e-15 are
 round-off, so they get that absolute floor on top of the relative bound.
 
-`decay_immunity.cfg` is left out: its two master-equation runs take half a
-minute.
+`decay_immunity.cfg` is left out here: its two master-equation runs take
+over ten seconds, and acceptance 07 reruns it under the same rule.
 """
 
 from fnmatch import fnmatch
@@ -67,19 +67,25 @@ def field_matches(name, got, want, numeric):
     return abs(float(got) - float(want)) <= max(REL_TOL * abs(float(want)), floor)
 
 
-@pytest.mark.parametrize("name", sorted(NUMERIC_FIELDS))
-def test_config_reproduces_committed_csv(name, tmp_path, monkeypatch):
+def rerun_config(name, numeric, tmp_path, monkeypatch):
+    """Rerun `scripts/<name>.cfg` through `cli.main` in tmp_path.
+
+    Returns the fresh CSV's fields and the (name, got, want) triples that
+    differ from the committed CSV under `field_matches`.
+    """
     (tmp_path / "out").mkdir()
     monkeypatch.chdir(tmp_path)
     assert main([str(SCRIPTS / f"{name}.cfg")]) == 0
     got = csv_fields((tmp_path / "out" / f"{name}.csv").read_text())
     want = csv_fields((SCRIPTS / "out" / f"{name}.csv").read_text())
     assert [n for n, _ in got] == [n for n, _ in want]
-    bad = [
-        (n, g, w)
-        for (n, g), (_, w) in zip(got, want)
-        if not field_matches(n, g, w, NUMERIC_FIELDS[name])
-    ]
+    bad = [(n, g, w) for (n, g), (_, w) in zip(got, want) if not field_matches(n, g, w, numeric)]
+    return got, bad
+
+
+@pytest.mark.parametrize("name", sorted(NUMERIC_FIELDS))
+def test_config_reproduces_committed_csv(name, tmp_path, monkeypatch):
+    _, bad = rerun_config(name, NUMERIC_FIELDS[name], tmp_path, monkeypatch)
     assert not bad, f"{len(bad)} fields differ, first ones: {bad[:5]}"
 
 
