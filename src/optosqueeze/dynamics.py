@@ -1,16 +1,19 @@
 """Numerical time evolution and the validation harness.
 
-Four independent evolution routes are implemented on purpose:
+Four evolution routes are implemented on purpose.  The two closed-system
+routes share one idiom: diagonalise the Hermitian generator once, then
+evaluate every time of the grid from t0 as phases in its eigenbasis.
 
-* `evolve_unitary`: Schroedinger-picture matrix-exponential stepping for
-  pure states of a time-independent Hamiltonian (exact up to round-off);
-  it serves the cavity-oscillator-atom legs of the elimination chain.
+* `evolve_unitary`: Schroedinger-picture evaluation for pure states of a
+  time-independent Hamiltonian (exact up to round-off, on any strictly
+  increasing grid); it serves the cavity-oscillator-atom legs of the
+  elimination chain.
 * `exact_quadrature_moments`: Heisenberg-picture evaluation for the
   effective Hamiltonian, the one route for H_eff from vacuum and thermal
   states alike, without storing propagated density matrices.  H_eff
   couples level n only to n +- 2, so it splits into two parity blocks,
-  each real symmetric tridiagonal; each block is diagonalised once and
-  every moment is one batched product over the time grid.
+  each real symmetric tridiagonal, and every moment is one batched
+  product over the time grid.
 * `covariance_evolve`: the Gaussian first/second-moment equations of the
   damped quadratic model, solved exactly per time point with an augmented
   matrix exponential (Van Loan block trick), valid in the unstable regime
@@ -19,7 +22,7 @@ Four independent evolution routes are implemented on purpose:
   explicit collapse operators, through a sparse Liouvillian.
 
 Operators arrive as CSR arrays (see `operators`) and stay sparse here, with
-two exceptions: the input of the dense `expm` in `evolve_unitary`, and the
+two exceptions: the input of the dense `eigh` in `evolve_unitary`, and the
 quadrature and its square that `variance_trajectory` contracts against a
 stack of dense density matrices.
 
@@ -209,34 +212,39 @@ def _tail_levels(size: int) -> tuple:
     return (size - 2, size - 1) if size >= 4 else (size - 1,)
 
 
-def _fock_tails(probs: np.ndarray, sizes: tuple, factors: tuple) -> dict:
+def _fock_tails(probs: np.ndarray, space: HilbertSpace) -> dict:
+    """Largest truncation tail of each Fock factor over the time axis of `probs` (n_t, d)."""
+    resh = probs.reshape((len(probs),) + space.factor_sizes)
     out = {}
-    resh = probs.reshape(sizes)
-    for idx, f in enumerate(factors):
+    for idx, f in enumerate(space.factors):
         if isinstance(f, Fock):
-            out[idx] = float(np.take(resh, _tail_levels(f.size), axis=idx).sum())
+            per_time = np.take(resh, _tail_levels(f.size), axis=idx + 1).reshape(len(probs), -1)
+            out[idx] = float(per_time.sum(axis=1).max())
     return out
 
 
-def _check_uniform(times: np.ndarray) -> float:
+def _time_grid(times) -> np.ndarray:
     t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size < 2:
-        raise ValueError("need a 1d time grid with at least two points")
-    dt = np.diff(t)
-    if np.any(dt <= 0):
-        raise ValueError("times must be strictly increasing")
-    if not np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
-        raise ValueError("evolve_unitary uses fixed-step propagation; the grid must be uniform")
-    return float(dt[0])
+    if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0):
+        raise ValueError("need a strictly increasing time grid with at least two points")
+    return t
+
+
+def _first_drift(values: np.ndarray, tol: float):
+    """Index of the first |value - 1| above `tol`, or None."""
+    bad = np.flatnonzero(np.abs(values - 1.0) > tol)
+    return int(bad[0]) if bad.size else None
 
 
 def evolve_unitary(H: Operator, psi0: QuantumState, times) -> UnitaryTrajectory:
-    """Propagate a pure state on a uniform grid with U = exp(-i H dt).
+    """Propagate a pure state under exp(-i H (t - t0)) on any strictly increasing grid.
 
-    The propagator is built once, so each step is a single matrix-vector
-    product and the evolution is exact up to round-off.  The norm and the
-    top-two-Fock-level population of every mode are recorded at every step;
-    norm drift beyond 1e-6 aborts with a TruncationError naming the step.
+    H is diagonalised once (`eigh`, valid because H is checked Hermitian),
+    and the state at every time is evaluated from t0 in one product,
+    psi(t) = V exp(-i Lambda (t - t0)) V^dag psi0, so round-off does not
+    accumulate from step to step.  The norm and the top-two-Fock-level
+    population of every mode are read over the whole grid; norm drift
+    beyond 1e-6 aborts with a TruncationError naming the first such time.
     """
     if not H.is_hermitian(1e-12):
         raise ValueError("evolve_unitary requires a Hermitian Hamiltonian")
@@ -244,40 +252,27 @@ def evolve_unitary(H: Operator, psi0: QuantumState, times) -> UnitaryTrajectory:
         raise ValueError("evolve_unitary requires a pure initial state (see exact_quadrature_moments for mixed ones)")
     if H.space != psi0.space:
         raise ValueError("Hamiltonian and state live on different spaces")
-    t = np.asarray(times, dtype=float)
-    dt = _check_uniform(t)
-    u = expm(-1j * H.matrix * dt)
+    t = _time_grid(times)
+    lam, v = np.linalg.eigh(H.matrix)
+    c = v.conj().T @ psi0.vector
+    vecs = (np.exp(-1j * np.outer(t - t[0], lam)) * c) @ v.T
 
     space = H.space
-    sizes = space.factor_sizes
-    n = t.size
-    vecs = np.empty((n, space.total_dim), dtype=complex)
-    vecs[0] = psi0.vector
-    tails = {idx: 0.0 for idx, f in enumerate(space.factors) if isinstance(f, Fock)}
-    norm_dev = 0.0
-    v = psi0.vector.copy()
-    for i in range(n):
-        if i > 0:
-            v = u @ v
-            vecs[i] = v
-        probs = np.abs(vecs[i]) ** 2
-        nrm = math.sqrt(float(probs.sum()))
-        norm_dev = max(norm_dev, abs(nrm - 1.0))
-        if abs(nrm - 1.0) > 1e-6:
-            raise TruncationError(
-                f"norm drifted to {nrm!r} at step {i} (t={t[i]:g}); "
-                f"tails so far {tails}; reduce dt or enlarge the space"
-            )
-        for idx, tail in _fock_tails(probs, sizes, space.factors).items():
-            tails[idx] = max(tails[idx], tail)
+    probs = np.abs(vecs) ** 2
+    tails = _fock_tails(probs, space)
+    norms = np.sqrt(probs.sum(axis=1))
+    i = _first_drift(norms, 1e-6)
+    if i is not None:
+        raise TruncationError(
+            f"norm drifted to {norms[i]!r} at t={t[i]:g}; tails {tails}; enlarge the space"
+        )
 
     meta = {
-        "method": "expm-step",
-        "dt": dt,
-        "dims": sizes,
+        "method": "eigh",
+        "dims": space.factor_sizes,
         "tail_max": tails,
         "tail_flag": any(v > TAIL_LIMIT for v in tails.values()),
-        "norm_max_dev": norm_dev,
+        "norm_max_dev": float(np.max(np.abs(norms - 1.0))),
     }
     return UnitaryTrajectory(space=space, times=t, vectors=vecs, meta=meta)
 
@@ -403,9 +398,7 @@ def evolve_lindblad(
     space = H.space
     if space != rho0.space:
         raise ValueError("Hamiltonian and state live on different spaces")
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0):
-        raise ValueError("need a strictly increasing time grid with at least two points")
+    t = _time_grid(times)
 
     ls = []
     for op, rate in collapse_ops:
@@ -441,31 +434,24 @@ def evolve_lindblad(
         raise TruncationError(f"master-equation integration failed: {sol.message}")
     rhos = sol.y.T.reshape(t.size, d, d)
 
-    trace_dev = 0.0
-    eigmin = 0.0
-    sizes = space.factor_sizes
-    tails = {idx: 0.0 for idx, f in enumerate(space.factors) if isinstance(f, Fock)}
-    for i in range(t.size):
-        tr = np.trace(rhos[i]).real
-        trace_dev = max(trace_dev, abs(tr - 1.0))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise TruncationError(
-                f"trace drifted to {tr!r} at t={t[i]:g} (tolerance {TRACE_TOL:g}); "
-                "tighten rtol/atol or enlarge the space"
-            )
-        probs = np.diag(rhos[i]).real
-        for idx, tail in _fock_tails(probs, sizes, space.factors).items():
-            tails[idx] = max(tails[idx], tail)
-    eigmin = float(np.min(np.linalg.eigvalsh(rhos[-1])))
+    probs = np.diagonal(rhos, axis1=1, axis2=2).real
+    traces = probs.sum(axis=1)
+    i = _first_drift(traces, TRACE_TOL)
+    if i is not None:
+        raise TruncationError(
+            f"trace drifted to {traces[i]!r} at t={t[i]:g} (tolerance {TRACE_TOL:g}); "
+            "tighten rtol/atol or enlarge the space"
+        )
+    tails = _fock_tails(probs, space)
 
     meta = {
         "method": "lindblad-dop853",
-        "dims": sizes,
+        "dims": space.factor_sizes,
         "rtol": rtol,
         "atol": atol,
         "n_rhs_evals": int(sol.nfev),
-        "trace_max_dev": trace_dev,
-        "final_eigmin": eigmin,
+        "trace_max_dev": float(np.max(np.abs(traces - 1.0))),
+        "final_eigmin": float(np.min(np.linalg.eigvalsh(rhos[-1]))),
         "tail_max": tails,
         "tail_flag": any(v > TAIL_LIMIT for v in tails.values()),
     }
@@ -703,7 +689,9 @@ def validate_adiabatic_chain(
     Truncation is adaptive: a unitary leg whose top-level population
     exceeds 1e-6 doubles the offending dimension, up to `CHAIN_DIM_CAP`,
     and passes its dimensions on to the next leg; the effective leg starts
-    from the d_mech they reached and doubles in `effective_variance_series`.
+    from the d_mech they reached and doubles in `effective_variance_series`;
+    the largest d_mech either of its branches reached is
+    `dims["d_mech_effective"]`.
     """
     spec, atom3, atom2, weights = _resolve_atom_init(p, atom_init)
     alpha = spec.alpha
@@ -740,13 +728,14 @@ def validate_adiabatic_chain(
     # effective leg: mixture over the coupling eigenstates.  From vacuum each
     # branch has <X> = 0 exactly, so the mixture's variance is the weighted
     # sum of the branch variances.
-    var_eff, tail_eff = 0.0, 0.0
+    var_eff, tail_eff, dm_eff = 0.0, 0.0, dm
     for w, g in zip(weights, (spec.g_eff_1, spec.g_eff_2)):
         if w < 1e-12:
             continue
         ts = effective_variance_series(g, p.omega_m, 0.0, times, d_start=dm)
         var_eff = var_eff + w * ts.values
         tail_eff = max(tail_eff, ts.meta["tail_max"][0])
+        dm_eff = max(dm_eff, ts.meta["d_mech"])
 
     deviations = {
         "full_vs_effective": _rel_dev(var_full, var_eff),
@@ -766,7 +755,7 @@ def validate_adiabatic_chain(
         ratios=ratios,
         deviations=deviations,
         stark_winner=winner,
-        dims={"d_cav": dc, "d_mech": dm},
+        dims={"d_cav": dc, "d_mech": dm, "d_mech_effective": dm_eff},
         tails={
             "full": tails_full,
             "two_level_as_written": tails_aw,

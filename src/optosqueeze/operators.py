@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy import sparse
@@ -43,8 +43,6 @@ __all__ = [
     "momentum",
     "level_projector",
     "tensor_embed",
-    "basis_state",
-    "vacuum_state",
     "thermal_state",
     "thermal_tail_mass",
     "expectation",
@@ -133,7 +131,7 @@ class Operator:
     `Operator(space, m)` accepts a dense or a sparse `m` and keeps its own
     copy in `csr`, without explicitly stored zeros.  All arithmetic stays
     sparse; `matrix` builds a dense read-only array on demand, for callers
-    that need one (a dense propagator, tests).
+    that need one (the dense eigendecomposition in `evolve_unitary`, tests).
 
     Hermiticity is a checkable predicate (`is_hermitian`), never an
     assumption; constructors downstream assert it where the physics
@@ -361,24 +359,6 @@ def level_projector(space: HilbertSpace, factor_index: int, i: int, j: int) -> O
     m = np.zeros((f.count, f.count), dtype=complex)
     m[i, j] = 1.0
     return tensor_embed([(factor_index, m)], space)
-
-
-def basis_state(space: HilbertSpace, occupations: Sequence[int]) -> QuantumState:
-    """The product basis state |n_0, ..., n_k> for the given occupations."""
-    sizes = space.factor_sizes
-    if len(occupations) != len(sizes):
-        raise ValueError(f"expected {len(sizes)} occupation numbers, got {len(occupations)}")
-    for occ, d in zip(occupations, sizes):
-        if not 0 <= occ < d:
-            raise ValueError(f"occupation {occ} out of range for factor of size {d}")
-    idx = int(np.ravel_multi_index(tuple(occupations), sizes))
-    v = np.zeros(space.total_dim, dtype=complex)
-    v[idx] = 1.0
-    return QuantumState.pure(space, v)
-
-
-def vacuum_state(space: HilbertSpace) -> QuantumState:
-    return basis_state(space, [0] * len(space.factors))
 
 
 def thermal_tail_mass(nbar: float, dim: int) -> float:

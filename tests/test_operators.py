@@ -19,7 +19,6 @@ from optosqueeze.operators import (
     QuantumState,
     SpaceMismatchError,
     annihilation,
-    basis_state,
     expectation,
     identity,
     level_projector,
@@ -29,7 +28,6 @@ from optosqueeze.operators import (
     tensor_embed,
     thermal_state,
     thermal_tail_mass,
-    vacuum_state,
     variance,
 )
 
@@ -45,6 +43,17 @@ def commutator(a, b):
 def purity(state):
     rho = state.density()
     return float(np.einsum("ij,ji->", rho, rho).real)
+
+
+def basis_state(space, occupations):
+    """The product basis state |n_0, ..., n_k> for the given occupations."""
+    v = np.zeros(space.total_dim, dtype=complex)
+    v[np.ravel_multi_index(tuple(occupations), space.factor_sizes)] = 1.0
+    return QuantumState.pure(space, v)
+
+
+def vacuum_state(space):
+    return basis_state(space, [0] * len(space.factors))
 
 
 def single_fock(d):
