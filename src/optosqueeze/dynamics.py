@@ -6,8 +6,8 @@ evaluate every time of the grid from t0 as phases in its eigenbasis.
 
 * `evolve_unitary`: Schroedinger-picture evaluation for pure states of a
   time-independent Hamiltonian (exact up to round-off, on any strictly
-  increasing grid); it serves the cavity-oscillator-atom legs of the
-  elimination chain.
+  increasing grid), on the sector the initial state reaches; it serves
+  the cavity-oscillator-atom legs of the elimination chain.
 * `exact_quadrature_moments`: Heisenberg-picture evaluation for the
   effective Hamiltonian, the one route for H_eff from vacuum and thermal
   states alike, without storing propagated density matrices.  H_eff
@@ -19,12 +19,22 @@ evaluate every time of the grid from t0 as phases in its eigenbasis.
   matrix exponential (Van Loan block trick), valid in the unstable regime
   as well.
 * `evolve_lindblad`: adaptive integration of the master equation with
-  explicit collapse operators, through a sparse Liouvillian.
+  explicit collapse operators, through a sparse Liouvillian restricted to
+  the sector the initial state reaches.
+
+Both Fock engines propagate only the reachable sector: a breadth-first
+search over the generator's nonzero pattern (H for pure states, the
+Liouvillian for rho), started from the support of the initial state,
+finds the index set that exp(t G) can populate.  The restriction is exact,
+so it is always on; a drive, mechanical damping or any other term that
+joins sectors enlarges the search result by itself.  Results are scattered
+back to the full space, where the components outside the sector are
+exactly zero.
 
 Operators arrive as CSR arrays (see `operators`) and stay sparse here, with
-two exceptions: the input of the dense `eigh` in `evolve_unitary`, and the
-quadrature and its square that `variance_trajectory` contracts against a
-stack of dense density matrices.
+two exceptions: the sector block of H that `evolve_unitary` hands to the
+dense `eigh`, and the quadrature and its square that `variance_trajectory`
+contracts against a stack of dense density matrices.
 
 Their mutual agreement (and agreement with `analytic`) is what the test
 suite leans on; no route is trusted on its own.
@@ -236,13 +246,32 @@ def _first_drift(values: np.ndarray, tol: float):
     return int(bad[0]) if bad.size else None
 
 
+def _reachable_sector(g: sparse.csr_array, seed: np.ndarray) -> np.ndarray:
+    """Sorted indices that the support of `seed` reaches along the nonzero pattern of `g`.
+
+    A breadth-first search with an edge from column c to row r wherever
+    g[r, c] != 0.  The span of the returned basis vectors is closed under g,
+    hence under exp(t g): a vector supported there stays there, and every
+    other component stays exactly zero.
+    """
+    pattern = sparse.csr_array(((g.data != 0).astype(float), g.indices, g.indptr), shape=g.shape)
+    reached = seed != 0
+    frontier = reached
+    while frontier.any():
+        frontier = (pattern @ frontier.astype(float) > 0) & ~reached
+        reached |= frontier
+    return np.flatnonzero(reached)
+
+
 def evolve_unitary(H: Operator, psi0: QuantumState, times) -> UnitaryTrajectory:
     """Propagate a pure state under exp(-i H (t - t0)) on any strictly increasing grid.
 
-    H is diagonalised once (`eigh`, valid because H is checked Hermitian),
+    H's block on the sector that psi0 reaches (`meta["sector_dim"]` states)
+    is diagonalised once (`eigh`, valid because H is checked Hermitian),
     and the state at every time is evaluated from t0 in one product,
     psi(t) = V exp(-i Lambda (t - t0)) V^dag psi0, so round-off does not
-    accumulate from step to step.  The norm and the top-two-Fock-level
+    accumulate from step to step; it is scattered back into full-length
+    vectors, exactly zero off the sector.  The norm and the top-two-Fock-level
     population of every mode are read over the whole grid; norm drift
     beyond 1e-6 aborts with a TruncationError naming the first such time.
     """
@@ -253,11 +282,13 @@ def evolve_unitary(H: Operator, psi0: QuantumState, times) -> UnitaryTrajectory:
     if H.space != psi0.space:
         raise ValueError("Hamiltonian and state live on different spaces")
     t = _time_grid(times)
-    lam, v = np.linalg.eigh(H.matrix)
-    c = v.conj().T @ psi0.vector
-    vecs = (np.exp(-1j * np.outer(t - t[0], lam)) * c) @ v.T
-
     space = H.space
+    sec = _reachable_sector(H.csr, psi0.vector)
+    lam, v = np.linalg.eigh(H.csr[sec][:, sec].toarray())
+    c = v.conj().T @ psi0.vector[sec]
+    vecs = np.zeros((t.size, space.total_dim), dtype=complex)
+    vecs[:, sec] = (np.exp(-1j * np.outer(t - t[0], lam)) * c) @ v.T
+
     probs = np.abs(vecs) ** 2
     tails = _fock_tails(probs, space)
     norms = np.sqrt(probs.sum(axis=1))
@@ -270,6 +301,7 @@ def evolve_unitary(H: Operator, psi0: QuantumState, times) -> UnitaryTrajectory:
     meta = {
         "method": "eigh",
         "dims": space.factor_sizes,
+        "sector_dim": int(sec.size),
         "tail_max": tails,
         "tail_flag": any(v > TAIL_LIMIT for v in tails.values()),
         "norm_max_dev": float(np.max(np.abs(norms - 1.0))),
@@ -390,8 +422,11 @@ def evolve_lindblad(
     D[c] rho = c rho c^dag - (c^dag c rho + rho c^dag c)/2 scaled by its
     rate (equivalently, collapse operator sqrt(rate) c).  The generator is
     assembled once as a sparse Liouvillian acting on the row-major
-    vectorised rho, then integrated adaptively (DOP853); the trace is
-    checked at every output time and drift beyond `TRACE_TOL` aborts.
+    vectorised rho; DOP853 integrates its block on the sector that
+    vec(rho0) reaches (`meta["sector_dim"]` states), and the result is
+    scattered back into full d x d matrices, exactly zero off the sector.
+    The trace is checked at every output time and drift beyond `TRACE_TOL`
+    aborts.
     """
     if not H.is_hermitian(1e-12):
         raise ValueError("evolve_lindblad requires a Hermitian Hamiltonian")
@@ -420,11 +455,14 @@ def evolve_lindblad(
     for l in ls:
         liouv = liouv + sparse.kron(l, l.conj())
     liouv = sparse.csr_array(liouv)
+    y0 = rho0.density().ravel().astype(complex)
+    sec = _reachable_sector(liouv, y0)
+    block = liouv[sec][:, sec]
 
     sol = solve_ivp(
-        lambda _, y: liouv @ y,
+        lambda _, y: block @ y,
         (t[0], t[-1]),
-        rho0.density().ravel().astype(complex),
+        y0[sec],
         t_eval=t,
         method="DOP853",
         rtol=rtol,
@@ -432,7 +470,9 @@ def evolve_lindblad(
     )
     if not sol.success:
         raise TruncationError(f"master-equation integration failed: {sol.message}")
-    rhos = sol.y.T.reshape(t.size, d, d)
+    flat = np.zeros((t.size, d * d), dtype=complex)
+    flat[:, sec] = sol.y.T
+    rhos = flat.reshape(t.size, d, d)
 
     probs = np.diagonal(rhos, axis1=1, axis2=2).real
     traces = probs.sum(axis=1)
@@ -449,6 +489,7 @@ def evolve_lindblad(
         "dims": space.factor_sizes,
         "rtol": rtol,
         "atol": atol,
+        "sector_dim": int(sec.size),
         "n_rhs_evals": int(sol.nfev),
         "trace_max_dev": float(np.max(np.abs(traces - 1.0))),
         "final_eigmin": float(np.min(np.linalg.eigvalsh(rhos[-1]))),
@@ -681,17 +722,20 @@ def validate_adiabatic_chain(
     With `include_lindblad`, two extra density-matrix runs of the
     three-level model (with and without the kappa / Gamma_e collapse
     channels, same integrator and grid, atol = `lindblad_rtol` / 100)
-    measure how much the achieved maximum squeezing degrades.  Their space
-    is `lindblad_dims` = (d_cav, d_mech); a None entry takes min(d_cav, 4),
-    respectively d_mech, as reached by the unitary legs.  Their tails are
-    checked, not doubled.
+    measure how much the achieved maximum squeezing degrades.  They share
+    one space, which starts at `lindblad_dims` = (d_cav, d_mech); a None
+    entry takes min(d_cav, 4), respectively d_mech, as reached by the
+    unitary legs.
 
     Truncation is adaptive: a unitary leg whose top-level population
     exceeds 1e-6 doubles the offending dimension, up to `CHAIN_DIM_CAP`,
     and passes its dimensions on to the next leg; the effective leg starts
     from the d_mech they reached and doubles in `effective_variance_series`;
     the largest d_mech either of its branches reached is
-    `dims["d_mech_effective"]`.
+    `dims["d_mech_effective"]`.  The master-equation pair doubles the same
+    way, on the larger tail of its two runs, and reports its dimensions as
+    `dims["lindblad"]`.  `meta["sector_dim"]` holds each Fock leg's
+    propagated sector size.
     """
     spec, atom3, atom2, weights = _resolve_atom_init(p, atom_init)
     alpha = spec.alpha
@@ -715,13 +759,13 @@ def validate_adiabatic_chain(
             return traj, traj.meta["tail_max"]
 
         traj, tails, (dc, dm) = _double_until_converged(run, (dc, dm), CHAIN_DIM_CAP)
-        return variance_trajectory(traj, "X").values, tails
+        return variance_trajectory(traj, "X").values, tails, traj.meta["sector_dim"]
 
-    var_full, tails_full = run_unitary_leg(lambda s: build_full_hamiltonian(p, s), 3, atom3)
-    var_aw, tails_aw = run_unitary_leg(
+    var_full, tails_full, sec_full = run_unitary_leg(lambda s: build_full_hamiltonian(p, s), 3, atom3)
+    var_aw, tails_aw, sec_aw = run_unitary_leg(
         lambda s: build_two_level_hamiltonian(p, s, "as-written"), 2, atom2
     )
-    var_tb, tails_tb = run_unitary_leg(
+    var_tb, tails_tb, sec_tb = run_unitary_leg(
         lambda s: build_two_level_hamiltonian(p, s, "textbook"), 2, atom2
     )
 
@@ -763,19 +807,18 @@ def validate_adiabatic_chain(
             "effective": {0: tail_eff},
         },
         atom_weights=weights,
-        meta={"n_times": n_times, "horizon": horizon, "atom_init": atom3.tolist()},
+        meta={
+            "n_times": n_times,
+            "horizon": horizon,
+            "atom_init": atom3.tolist(),
+            "sector_dim": {"full": sec_full, "two_level_as_written": sec_aw, "two_level_textbook": sec_tb},
+        },
     )
 
     if include_lindblad:
-        ldc, ldm = lindblad_dims
-        ldc = min(dc, 4) if ldc is None else ldc
-        ldm = dm if ldm is None else ldm
-        lspace = hybrid_space(ldc, ldm, 3)
-        lh = build_full_hamiltonian(p, lspace)
-        rho0 = _product_vacuum_with_atom(lspace, atom3)
         ltimes = np.linspace(0.0, horizon, lindblad_n_times)
 
-        def collapse_set(open_system: bool):
+        def collapse_set(lspace: HilbertSpace, open_system: bool):
             ops = []
             if p.gamma > 0:
                 b = annihilation(lspace, 1)
@@ -794,20 +837,31 @@ def validate_adiabatic_chain(
             return -5.0 * math.log10(float(np.min(var)) / float(var[0]))
 
         atol = lindblad_rtol * 1e-2
-        closed = evolve_lindblad(lh, collapse_set(False), rho0, ltimes, rtol=lindblad_rtol, atol=atol)
-        opened = evolve_lindblad(lh, collapse_set(True), rho0, ltimes, rtol=lindblad_rtol, atol=atol)
-        if closed.meta["tail_flag"] or opened.meta["tail_flag"]:
-            raise TruncationError(
-                f"master-equation tails exceeded {TAIL_LIMIT:g} at dims ({ldc}, {ldm}); enlarge lindblad_dims"
-            )
+
+        def run_lindblad_legs(dims):
+            # the closed and the open leg share one space, so their smax stay comparable
+            lspace = hybrid_space(*dims, 3)
+            lh = build_full_hamiltonian(p, lspace)
+            rho0 = _product_vacuum_with_atom(lspace, atom3)
+            legs = [evolve_lindblad(lh, collapse_set(lspace, open_system), rho0, ltimes,
+                                    rtol=lindblad_rtol, atol=atol)
+                    for open_system in (False, True)]
+            tails = {i: max(leg.meta["tail_max"][i] for leg in legs) for i in legs[0].meta["tail_max"]}
+            return legs, tails
+
+        ldc, ldm = lindblad_dims
+        ldims = (min(dc, 4) if ldc is None else ldc, dm if ldm is None else ldm)
+        (closed, opened), _, ldims = _double_until_converged(run_lindblad_legs, ldims, CHAIN_DIM_CAP)
         s_closed = achieved_smax(closed)
         s_open = achieved_smax(opened)
         report.smax_closed = s_closed
         report.smax_open = s_open
         report.smax_degradation = (s_closed - s_open) / s_closed if s_closed != 0 else None
-        report.dims["lindblad"] = (ldc, ldm)
+        report.dims["lindblad"] = ldims
         report.meta["lindblad_n_rhs_evals"] = (
             closed.meta["n_rhs_evals"],
             opened.meta["n_rhs_evals"],
         )
+        report.meta["sector_dim"]["lindblad_closed"] = closed.meta["sector_dim"]
+        report.meta["sector_dim"]["lindblad_open"] = opened.meta["sector_dim"]
     return report

@@ -131,7 +131,8 @@ class Operator:
     `Operator(space, m)` accepts a dense or a sparse `m` and keeps its own
     copy in `csr`, without explicitly stored zeros.  All arithmetic stays
     sparse; `matrix` builds a dense read-only array on demand, for callers
-    that need one (the dense eigendecomposition in `evolve_unitary`, tests).
+    that need one (the tests and the benchmark's correctness gates; the
+    library itself never densifies a whole operator).
 
     Hermiticity is a checkable predicate (`is_hermitian`), never an
     assumption; constructors downstream assert it where the physics

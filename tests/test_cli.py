@@ -292,6 +292,27 @@ class TestCommands:
         assert table["d_mech_lindblad"] == table["d_mech_used"]
         assert table["d_cav_lindblad"] == "3"
 
+    def test_master_equation_legs_double_from_too_small_dims(self, tmp_path):
+        # at d_mech_lindblad = 3 the master-equation tails exceed 1e-6; the
+        # pair doubles d_mech to 12 instead of exiting 1, and reads what a run
+        # started at 12 reads
+        tables = []
+        for d_start in (3, 12):
+            out = tmp_path / f"va{d_start}.csv"
+            code = run_cli(
+                tmp_path,
+                f"command = validate-adiabatic\ndelta = 2\nDelta = 10\nOmega = 1\n"
+                f"g1 = 1\ng2 = 0.4\nkappa = 0.1\nhorizon = 3\nn_times = 40\nd_cav = 3\n"
+                f"d_mech = 3\ninclude_lindblad = true\nd_cav_lindblad = 3\n"
+                f"d_mech_lindblad = {d_start}\nlindblad_rtol = 1e-6\noutput = {out}\n",
+            )
+            assert code == 0
+            tables.append({r[0]: r[1] for r in read_csv(out)[2]})
+        doubled, direct = tables
+        assert (doubled["d_cav_lindblad"], doubled["d_mech_lindblad"]) == ("3", "12")
+        for key in ("smax_closed_db", "smax_open_db", "smax_degradation"):
+            assert doubled[key] == direct[key]
+
 
 class TestOutputFormat:
     def test_byte_determinism(self, tmp_path):

@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 from optosqueeze import dynamics
 from optosqueeze.analytic import position_variance, s_max
@@ -447,6 +449,103 @@ class TestEvolveLindblad:
             evolve_lindblad(h, [(annihilation(oscillator_space(8), 0), 1.0)], rho0, [0.0, 1.0])
 
 
+def random_hermitian(rng, n):
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return m + m.conj().T
+
+
+def liouvillian_reference(h, collapse_ops):
+    """Dense Liouvillian on the row-major vec(rho), from the textbook kron formula."""
+    d = h.shape[0]
+    eye = np.eye(d)
+    out = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for c, rate in collapse_ops:
+        cdc = c.conj().T @ c
+        out += rate * (np.kron(c, c.conj()) - 0.5 * np.kron(cdc, eye) - 0.5 * np.kron(eye, cdc.T))
+    return out
+
+
+class TestReachableSector:
+    def test_connected_hermitian_gives_whole_space(self):
+        rng = np.random.default_rng(11)
+        n = 40
+        m = sparse.random(n, n, density=0.05, random_state=12, format="csr")
+        m = m + sparse.diags(np.ones(n - 1), 1)  # a chain through every index keeps it connected
+        h = sparse.csr_array(m + m.T)
+        seed = np.zeros(n, dtype=complex)
+        seed[rng.integers(n)] = 1.0
+        assert np.array_equal(dynamics._reachable_sector(h, seed), np.arange(n))
+
+    def test_block_diagonal_hamiltonian_matches_full_expm(self):
+        # two Hermitian blocks, interleaved by a permutation; psi0 lives in the
+        # block without index 0
+        rng = np.random.default_rng(3)
+        n = 10
+        perm = rng.permutation(n)
+        block_a, block_b = np.sort(perm[:6]), np.sort(perm[6:])
+        if 0 in block_b:
+            block_a, block_b = block_b, block_a
+        m = np.zeros((n, n), dtype=complex)
+        m[np.ix_(block_a, block_a)] = random_hermitian(rng, block_a.size)
+        m[np.ix_(block_b, block_b)] = random_hermitian(rng, block_b.size)
+        space = oscillator_space(n)
+        h = Operator(space, m)
+        v0 = np.zeros(n, dtype=complex)
+        v0[block_b] = rng.normal(size=block_b.size) + 1j * rng.normal(size=block_b.size)
+        psi0 = QuantumState.pure(space, v0 / np.linalg.norm(v0))
+        times = np.array([0.2, 0.5, 1.3, 3.0])
+        traj = evolve_unitary(h, psi0, times)
+        ref = np.array([expm(-1j * m * (t - times[0])) @ psi0.vector for t in times])
+        assert traj.meta["sector_dim"] == block_b.size
+        assert traj.vectors.shape == (times.size, n)
+        assert np.allclose(traj.vectors, ref, rtol=0.0, atol=1e-12)
+        assert np.all(traj.vectors[:, block_a] == 0.0)
+
+    def test_decay_reaches_down_not_up(self):
+        # D[b] carries |1><1| to |0><0| and never back: the edge runs from the
+        # column of the source to the row of the target
+        d = 4
+        space = oscillator_space(d)
+        b = annihilation(space, 0)
+        liouv = sparse.csr_array(liouvillian_reference(np.zeros((d, d)), [(b.matrix, 0.7)]))
+        excited = dynamics._reachable_sector(liouv, basis_state(space, [1]).density().ravel())
+        ground = dynamics._reachable_sector(liouv, basis_state(space, [0]).density().ravel())
+        assert excited.tolist() == [0, 1 * d + 1]
+        assert ground.tolist() == [0]
+
+        h = Operator(space, np.zeros((d, d)))
+        times = np.linspace(0.0, 3.0, 7)
+        up = evolve_lindblad(h, [(b, 0.7)], basis_state(space, [1]), times)
+        down = evolve_lindblad(h, [(b, 0.7)], basis_state(space, [0]), times)
+        assert (up.meta["sector_dim"], down.meta["sector_dim"]) == (2, 1)
+        assert np.all(down.rhos == down.rhos[0])
+
+    def test_damped_model_matches_full_liouvillian(self):
+        # D[b] and D[b^dag] move m and n of |m><n| together, and H_eff moves
+        # them by 0 or +-2, so from vacuum only even m - n is reached
+        d, g, gamma, nbar = 10, 0.5, 0.3, 0.4
+        space = oscillator_space(d)
+        h = build_effective_hamiltonian(g, 1.0, space)
+        b = annihilation(space, 0)
+        ops = [(b, gamma * (nbar + 1.0)), (b.dag(), gamma * nbar)]
+        times = np.linspace(0.0, 3.0, 13)
+        traj = evolve_lindblad(h, ops, vacuum_state(space), times, rtol=1e-10, atol=1e-13)
+        liouv = liouvillian_reference(h.matrix, [(op.matrix, rate) for op, rate in ops])
+        ref = expm_multiply(liouv, vacuum_state(space).density().ravel(),
+                            start=0.0, stop=3.0, num=13, endpoint=True)
+        odd = (np.arange(d)[:, None] - np.arange(d)[None, :]) % 2 == 1
+        assert traj.meta["sector_dim"] == d * d // 2
+        assert np.all(traj.rhos[:, odd] == 0.0)
+        assert np.allclose(traj.rhos.reshape(times.size, -1), ref, rtol=0.0, atol=1e-9)
+
+    def test_chain_sectors_at_closed_chain_dims(self):
+        # the undriven chain from vacuum at 8 x 32 x 3 (768 states) and 8 x 32 x 2 (512)
+        p = ModelParams(delta=20.0, Delta=100.0, Omega=1.0, g1=1.0, g2=0.02)
+        rep = validate_adiabatic_chain(p, "e1", horizon=1.0, n_times=20, d_cav=8, d_mech=32)
+        assert rep.dims["d_cav"] == 8 and rep.dims["d_mech"] == 32
+        assert rep.meta["sector_dim"] == {"full": 48, "two_level_as_written": 32, "two_level_textbook": 32}
+
+
 class TestVarianceTrajectory:
     def test_quadrature_validation(self):
         traj = covariance_evolve(0.0, 1.0, 0.0, 0.0, CovarianceState.vacuum(), [0.0, 1.0])
@@ -557,6 +656,8 @@ class TestValidateAdiabaticChain:
         assert rep.smax_open is not None and math.isfinite(rep.smax_open)
         assert rep.smax_degradation is not None
         assert rep.dims["lindblad"] == (4, 8)
+        sectors = rep.meta["sector_dim"]
+        assert 0 < sectors["lindblad_closed"] <= sectors["lindblad_open"] <= (4 * 8 * 3) ** 2
 
     def test_effective_leg_doubles_its_dimension(self):
         # at d_mech = 4 the unitary legs stay within the tail limit, but the
