@@ -10,10 +10,11 @@ evaluate every time of the grid from t0 as phases in its eigenbasis.
   the cavity-oscillator-atom legs of the elimination chain.
 * `exact_quadrature_moments`: Heisenberg-picture evaluation for the
   effective Hamiltonian, the one route for H_eff from vacuum and thermal
-  states alike, without storing propagated density matrices.  H_eff
-  couples level n only to n +- 2, so it splits into two parity blocks,
-  each real symmetric tridiagonal, and every moment is one batched
-  product over the time grid.
+  states alike.  The state enters as its mean occupation nbar: a thermal
+  density matrix is diagonal, so its Fock occupations are the whole state
+  and no d x d matrix is built.  H_eff couples level n only to n +- 2, so
+  it splits into two parity blocks, each real symmetric tridiagonal, and
+  every moment is one batched product over the time grid.
 * `covariance_evolve`: the Gaussian first/second-moment equations of the
   damped quadratic model, solved exactly per time point with an augmented
   matrix exponential (Van Loan block trick), valid in the unstable regime
@@ -23,13 +24,13 @@ evaluate every time of the grid from t0 as phases in its eigenbasis.
   the sector the initial state reaches.
 
 Both Fock engines propagate only the reachable sector: a breadth-first
-search over the generator's nonzero pattern (H for pure states, the
-Liouvillian for rho), started from the support of the initial state,
-finds the index set that exp(t G) can populate.  The restriction is exact,
-so it is always on; a drive, mechanical damping or any other term that
-joins sectors enlarges the search result by itself.  Results are scattered
-back to the full space, where the components outside the sector are
-exactly zero.
+search over the generator's nonzero pattern (H for `evolve_unitary`, the
+Liouvillian for `evolve_lindblad`), started from the support of the
+initial pure state, finds the index set that exp(t G) can populate.  The
+restriction is exact, so it is always on; a drive, mechanical damping or
+any other term that joins sectors enlarges the search result by itself.
+Results are scattered back to the full space, where the components
+outside the sector are exactly zero.
 
 Operators arrive as CSR arrays (see `operators`) and stay sparse here, with
 two exceptions: the sector block of H that `evolve_unitary` hands to the
@@ -75,7 +76,7 @@ from .operators import (
     level_projector,
     momentum,
     position,
-    thermal_state,
+    thermal_populations,
 )
 
 __all__ = [
@@ -100,6 +101,7 @@ TAIL_LIMIT = 1e-6
 TRACE_TOL = 1e-9  # largest |Tr rho - 1| a master-equation run may reach
 EFFECTIVE_DIM_CAP = 8192  # largest oscillator dimension of an H_eff series
 CHAIN_DIM_CAP = 4096  # largest dimension a unitary leg of the elimination chain may double to
+LINDBLAD_N_TIMES = 160  # grid points of the elimination chain's master-equation legs
 
 
 class TruncationError(RuntimeError):
@@ -277,8 +279,6 @@ def evolve_unitary(H: Operator, psi0: QuantumState, times) -> UnitaryTrajectory:
     """
     if not H.is_hermitian(1e-12):
         raise ValueError("evolve_unitary requires a Hermitian Hamiltonian")
-    if not psi0.is_pure:
-        raise ValueError("evolve_unitary requires a pure initial state (see exact_quadrature_moments for mixed ones)")
     if H.space != psi0.space:
         raise ValueError("Hamiltonian and state live on different spaces")
     t = _time_grid(times)
@@ -325,47 +325,37 @@ _BANDED_H = (
 )
 
 
-def _phase_sum(lam_l: np.ndarray, lam_r: np.ndarray, w: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """sum_jk exp(i lam_l[j] t) w[j, k] exp(-i lam_r[k] t) at every t, as one product."""
-    el = np.exp(1j * np.outer(t, lam_l))
-    er = np.exp(1j * np.outer(t, lam_r))
-    return np.einsum("tk,tk->t", el @ w, er.conj())
+def _phase_sum(lam: np.ndarray, w: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_jk exp(i lam[j] t) w[j, k] exp(-i lam[k] t) at every t, as one product."""
+    e = np.exp(1j * np.outer(t, lam))
+    return np.einsum("tk,tk->t", e @ w, e.conj())
 
 
-def _transform(vl: np.ndarray, r: np.ndarray, vr: np.ndarray) -> np.ndarray:
-    """vl^T r vr for real vl, vr; real arithmetic unless r has an imaginary part."""
-    out = vl.T @ r.real @ vr
-    if r.imag.any():
-        out = out + 1j * (vl.T @ r.imag @ vr)
-    return out
+def exact_quadrature_moments(H: Operator, nbar: float, times):
+    """Moments of X under exp(-i H t) from a thermal state, exactly, by parity sector.
 
+    The oscillator starts in the thermal state of mean occupation nbar
+    (vacuum at nbar = 0), whose density matrix is diagonal: it enters as
+    its Fock occupations `thermal_populations(d, nbar)`, and no d x d matrix
+    is built.  H must be Hermitian, act on a single Fock factor, and be
+    real with entries only on the main diagonal and the +-2 diagonals,
+    which is what `build_effective_hamiltonian` returns; any other H raises
+    ValueError.  Such an H couples level n only to n +- 2, so it splits into
+    an even- and an odd-parity block, each real symmetric tridiagonal and
+    diagonalised with `scipy.linalg.eigh_tridiagonal`.  In the eigenbasis V
+    of a block the state is V^T diag(p) V, the evolution is pure phase
+    rotation, and every moment is one batched product over the whole time
+    grid.  X^2 (the truncated-space X @ X) and the projector on the tail
+    levels are parity-even, so they need only these blocks.
 
-def exact_quadrature_moments(H: Operator, state: QuantumState, times):
-    """First and second moments of X under exp(-i H t), exactly, by parity sector.
-
-    H must be Hermitian, act on a single Fock factor, and be real with
-    entries only on the main diagonal and the +-2 diagonals, which is what
-    `build_effective_hamiltonian` returns; any other H raises ValueError.
-    Such an H couples level n only to n +- 2, so it splits into an even- and
-    an odd-parity block, each real symmetric tridiagonal and diagonalised
-    with `scipy.linalg.eigh_tridiagonal`.  In the eigenbases the evolution
-    is pure phase rotation, and every moment is one batched product over
-    the whole time grid:
-
-    * X^2 (the truncated-space X @ X) and the projector on the tail levels
-      are parity-even, so they need only the sector-diagonal blocks of rho;
-    * X maps one parity to the other, so <X> needs only rho's even-odd
-      block, which is exactly zero for thermal and vacuum states.
-
-    Any pure or mixed state is accepted.  Returns (first, second, tail):
-    <X>(t), <X^2>(t), and the joint population of the top two Fock levels
-    (the top one below four levels) over the grid.  This is the one route
-    for H_eff, from vacuum and thermal states alike.
+    Returns (mean, second, tail): <X>(t), <X^2>(t), and the joint
+    population of the top two Fock levels (the top one below four levels)
+    over the grid.  X maps one parity to the other and a thermal state has
+    no even-odd coherence, so `mean` is np.zeros(t.size); the slot stays
+    so that the variance reads second - mean**2 and the tail stays [2].
     """
     if not H.is_hermitian(1e-12):
         raise ValueError("exact_quadrature_moments requires a Hermitian Hamiltonian")
-    if H.space != state.space:
-        raise ValueError("Hamiltonian and state live on different spaces")
     space = H.space
     if len(space.factors) != 1 or not isinstance(space.factors[0], Fock):
         raise ValueError(_BANDED_H)
@@ -376,42 +366,31 @@ def exact_quadrature_moments(H: Operator, state: QuantumState, times):
 
     d = space.total_dim
     t = np.asarray(times, dtype=float)
-    rho = state.density()
+    p = thermal_populations(d, nbar)
     hd, h2 = H.csr.diagonal(0).real, H.csr.diagonal(2).real
     x2d, x2o = _x2_bands(d)
     tail_levels = _tail_levels(d)
 
     second = np.zeros(t.size)
     tail = np.zeros(t.size)
-    sectors = []
     for s in (0, 1):  # levels s, s + 2, s + 4, ...
         lam, v = eigh_tridiagonal(hd[s::2], h2[s::2])
-        sectors.append((lam, v))
         # X^2 = (b + b^dag)^2 / 4 is tridiagonal within the sector
         dg, od = x2d[s::2, None] / 4.0, x2o[s::2, None] / 4.0
         x2v = dg * v
         x2v[:-1] += od * v[1:]
         x2v[1:] += od * v[:-1]
         top = v[[(lv - s) // 2 for lv in tail_levels if lv % 2 == s]]
-        rho_t = _transform(v, rho[s::2, s::2], v).T
-        second += _phase_sum(lam, lam, (v.T @ x2v) * rho_t, t).real
-        tail += _phase_sum(lam, lam, (top.T @ top) * rho_t, t).real
-
-    rho_oe = rho[1::2, 0::2]
-    if not np.any(rho_oe):
-        return np.zeros(t.size), second, tail
-    # <X> = 2 Re Tr(rho_oe X_eo(t)), X_eo the even-row, odd-column block of X
-    (lam_e, v_e), (lam_o, v_o) = sectors
-    x_eo = position(space, 0).csr.real[0::2, 1::2]
-    rho_t = _transform(v_o, rho_oe, v_e).T
-    first = 2.0 * _phase_sum(lam_e, lam_o, (v_e.T @ (x_eo @ v_o)) * rho_t, t).real
-    return first, second, tail
+        rho_t = (v.T * p[s::2]) @ v
+        second += _phase_sum(lam, (v.T @ x2v) * rho_t, t).real
+        tail += _phase_sum(lam, (top.T @ top) * rho_t, t).real
+    return np.zeros(t.size), second, tail
 
 
 def evolve_lindblad(
     H: Operator,
     collapse_ops,
-    rho0: QuantumState,
+    psi0: QuantumState,
     times,
     rtol: float = 1e-9,
     atol: float = 1e-12,
@@ -423,15 +402,15 @@ def evolve_lindblad(
     rate (equivalently, collapse operator sqrt(rate) c).  The generator is
     assembled once as a sparse Liouvillian acting on the row-major
     vectorised rho; DOP853 integrates its block on the sector that
-    vec(rho0) reaches (`meta["sector_dim"]` states), and the result is
-    scattered back into full d x d matrices, exactly zero off the sector.
+    vec(|psi0><psi0|) reaches (`meta["sector_dim"]` states), and the result
+    is scattered back into full d x d matrices, exactly zero off the sector.
     The trace is checked at every output time and drift beyond `TRACE_TOL`
     aborts.
     """
     if not H.is_hermitian(1e-12):
         raise ValueError("evolve_lindblad requires a Hermitian Hamiltonian")
     space = H.space
-    if space != rho0.space:
+    if space != psi0.space:
         raise ValueError("Hamiltonian and state live on different spaces")
     t = _time_grid(times)
 
@@ -455,7 +434,7 @@ def evolve_lindblad(
     for l in ls:
         liouv = liouv + sparse.kron(l, l.conj())
     liouv = sparse.csr_array(liouv)
-    y0 = rho0.density().ravel().astype(complex)
+    y0 = np.outer(psi0.vector, psi0.vector.conj()).ravel()
     sec = _reachable_sector(liouv, y0)
     block = liouv[sec][:, sec]
 
@@ -618,8 +597,8 @@ def effective_variance_series(
     def run(dims):
         space = oscillator_space(dims[0])
         h = build_effective_hamiltonian(g_eff, omega_m, space)
-        first, second, tail = exact_quadrature_moments(h, thermal_state(space, 0, nbar), t)
-        return second - first**2, {0: float(np.max(tail))}
+        mean, second, tail = exact_quadrature_moments(h, nbar, t)
+        return second - mean**2, {0: float(np.max(tail))}
 
     d0 = d_start if d_start is not None else mech_dim_start(nbar, g_eff, omega_m)
     var, tails, (d,) = _double_until_converged(run, (d0,), EFFECTIVE_DIM_CAP)
@@ -704,7 +683,6 @@ def validate_adiabatic_chain(
     d_mech: int | None = None,
     include_lindblad: bool = False,
     lindblad_dims: tuple = (None, None),
-    lindblad_n_times: int = 160,
     lindblad_rtol: float = 1e-12,
 ) -> AdiabaticReport:
     """Run the elimination chain end to end and measure how well it holds.
@@ -721,11 +699,11 @@ def validate_adiabatic_chain(
 
     With `include_lindblad`, two extra density-matrix runs of the
     three-level model (with and without the kappa / Gamma_e collapse
-    channels, same integrator and grid, atol = `lindblad_rtol` / 100)
-    measure how much the achieved maximum squeezing degrades.  They share
-    one space, which starts at `lindblad_dims` = (d_cav, d_mech); a None
-    entry takes min(d_cav, 4), respectively d_mech, as reached by the
-    unitary legs.
+    channels, same integrator, `LINDBLAD_N_TIMES` points over the horizon,
+    atol = `lindblad_rtol` / 100) measure how much the achieved maximum
+    squeezing degrades.  They share one space, which starts at
+    `lindblad_dims` = (d_cav, d_mech); a None entry takes min(d_cav, 4),
+    respectively d_mech, as reached by the unitary legs.
 
     Truncation is adaptive: a unitary leg whose top-level population
     exceeds 1e-6 doubles the offending dimension, up to `CHAIN_DIM_CAP`,
@@ -816,7 +794,7 @@ def validate_adiabatic_chain(
     )
 
     if include_lindblad:
-        ltimes = np.linspace(0.0, horizon, lindblad_n_times)
+        ltimes = np.linspace(0.0, horizon, LINDBLAD_N_TIMES)
 
         def collapse_set(lspace: HilbertSpace, open_system: bool):
             ops = []
@@ -842,8 +820,8 @@ def validate_adiabatic_chain(
             # the closed and the open leg share one space, so their smax stay comparable
             lspace = hybrid_space(*dims, 3)
             lh = build_full_hamiltonian(p, lspace)
-            rho0 = _product_vacuum_with_atom(lspace, atom3)
-            legs = [evolve_lindblad(lh, collapse_set(lspace, open_system), rho0, ltimes,
+            psi0 = _product_vacuum_with_atom(lspace, atom3)
+            legs = [evolve_lindblad(lh, collapse_set(lspace, open_system), psi0, ltimes,
                                     rtol=lindblad_rtol, atol=atol)
                     for open_system in (False, True)]
             tails = {i: max(leg.meta["tail_max"][i] for leg in legs) for i in legs[0].meta["tail_max"]}

@@ -6,7 +6,11 @@ Level factor for the atom, and complex matrices acting on their tensor
 product.  Operators are stored as `scipy.sparse` CSR arrays, the storage
 QuTiP uses: every Hamiltonian of the model is banded, so the three-level H
 at 8 x 32 x 3 = 768 dimensions holds 3,000 to 4,400 nonzeros out of 589,824
-entries.  States stay dense.  Conventions used throughout the package:
+entries.  States are of two kinds only, the two the model prepares: a
+dense pure vector (`QuantumState`: vacuum modes and an atom in a chosen
+state) and the Fock occupations of a thermal oscillator
+(`thermal_populations`, whose density matrix is diagonal).  Conventions
+used throughout the package:
 
 * hbar = 1, all rates and frequencies in units of the mechanical frequency.
 * Factor order is fixed as (cavity, oscillator, atom).
@@ -43,7 +47,7 @@ __all__ = [
     "momentum",
     "level_projector",
     "tensor_embed",
-    "thermal_state",
+    "thermal_populations",
     "thermal_tail_mass",
     "expectation",
     "variance",
@@ -199,77 +203,33 @@ class Operator:
 
 @dataclass(frozen=True)
 class QuantumState:
-    """A pure state vector or a density matrix on a HilbertSpace.
+    """A pure state vector on a HilbertSpace, normalized within 1e-10.
 
-    Construction validates the state: pure vectors must be normalized within
-    1e-10; density matrices must be Hermitian and unit-trace within 1e-10
-    with eigenvalues >= -1e-10.  Numerical trajectories that accumulate
-    larger drift carry raw arrays instead (see `dynamics`); a QuantumState
-    is always a legitimate state.
+    Construction keeps a read-only complex copy of the vector.  Mixed states
+    never enter as matrices: the thermal phonon bath enters as Fock
+    occupations (`thermal_populations`), and numerical trajectories that
+    accumulate drift carry raw arrays (see `dynamics`).
     """
 
     space: HilbertSpace
-    vector: np.ndarray | None = None
-    rho: np.ndarray | None = None
+    vector: np.ndarray
 
     _NORM_TOL = 1e-10
-    _EIG_TOL = 1e-10
 
     def __post_init__(self):
-        if (self.vector is None) == (self.rho is None):
-            raise ValueError("provide exactly one of vector, rho")
         n = self.space.total_dim
-        if self.vector is not None:
-            v = np.array(self.vector, dtype=complex).reshape(-1)
-            if v.shape != (n,):
-                raise ValueError(f"vector length {v.shape[0]} does not match space dimension {n}")
-            nrm = np.linalg.norm(v)
-            if abs(nrm - 1.0) > self._NORM_TOL:
-                raise ValueError(f"pure state norm {nrm!r} deviates from 1 beyond {self._NORM_TOL}")
-            v.setflags(write=False)
-            object.__setattr__(self, "vector", v)
-        else:
-            r = np.array(self.rho, dtype=complex)
-            if r.shape != (n, n):
-                raise ValueError(f"density matrix shape {r.shape} does not match dimension {n}")
-            diag = np.diagonal(r)
-            is_diagonal = np.count_nonzero(r) == np.count_nonzero(diag)
-            # on a diagonal r, |r - r^dag| is 2 |Im r_ii|: no d x d temporaries
-            if is_diagonal:
-                herm_dev = 2.0 * np.max(np.abs(diag.imag))
-            else:
-                herm_dev = np.max(np.abs(r - r.conj().T))
-            if herm_dev > self._NORM_TOL:
-                raise ValueError("density matrix is not Hermitian within 1e-10")
-            tr = np.trace(r).real
-            if abs(tr - 1.0) > self._NORM_TOL:
-                raise ValueError(f"density matrix trace {tr!r} deviates from 1 beyond {self._NORM_TOL}")
-            if is_diagonal:
-                eigmin = float(np.min(diag.real))
-            else:
-                eigmin = float(np.min(np.linalg.eigvalsh(r)))
-            if eigmin < -self._EIG_TOL:
-                raise ValueError(f"density matrix has eigenvalue {eigmin} < -{self._EIG_TOL}")
-            r.setflags(write=False)
-            object.__setattr__(self, "rho", r)
+        v = np.array(self.vector, dtype=complex).reshape(-1)
+        if v.shape != (n,):
+            raise ValueError(f"vector length {v.shape[0]} does not match space dimension {n}")
+        nrm = np.linalg.norm(v)
+        if abs(nrm - 1.0) > self._NORM_TOL:
+            raise ValueError(f"pure state norm {nrm!r} deviates from 1 beyond {self._NORM_TOL}")
+        v.setflags(write=False)
+        object.__setattr__(self, "vector", v)
 
     @classmethod
     def pure(cls, space: HilbertSpace, vector: np.ndarray) -> "QuantumState":
-        return cls(space, vector=vector)
-
-    @classmethod
-    def mixed(cls, space: HilbertSpace, rho: np.ndarray) -> "QuantumState":
-        return cls(space, rho=rho)
-
-    @property
-    def is_pure(self) -> bool:
-        return self.vector is not None
-
-    def density(self) -> np.ndarray:
-        """The state as a density matrix, regardless of kind."""
-        if self.is_pure:
-            return np.outer(self.vector, self.vector.conj())
-        return np.asarray(self.rho)
+        return cls(space, vector)
 
 
 def identity(space: HilbertSpace) -> Operator:
@@ -366,8 +326,8 @@ def thermal_tail_mass(nbar: float, dim: int) -> float:
     """Probability mass of the untruncated thermal distribution at n >= dim.
 
     The geometric weights p_n = (nbar/(nbar+1))^n / (nbar+1) sum to
-    (nbar/(nbar+1))^dim beyond the truncation, which is what gets
-    renormalized away by `thermal_state`.
+    (nbar/(nbar+1))^dim beyond the truncation, which is what
+    `thermal_populations` renormalizes away.
     """
     if nbar < 0:
         raise ValueError("nbar must be >= 0")
@@ -376,49 +336,31 @@ def thermal_tail_mass(nbar: float, dim: int) -> float:
     return float((nbar / (nbar + 1.0)) ** dim)
 
 
-def thermal_state(space: HilbertSpace, factor_index: int, nbar: float) -> QuantumState:
-    """Thermal state of mean occupation nbar on one Fock factor.
+def thermal_populations(d: int, nbar: float) -> np.ndarray:
+    """Fock occupations p_0, ..., p_{d-1} of a thermal state of mean occupation nbar.
 
-    Populates the factor at `factor_index` with geometric weights
-    p_n proportional to (nbar/(nbar+1))^n, renormalized over the truncated
-    levels; every other factor is placed in its ground (index 0) basis
-    state.  The mass dropped by the truncation is `thermal_tail_mass(nbar,
-    d)`.  nbar = 0 gives |0><0| exactly.
+    Geometric weights p_n proportional to (nbar/(nbar+1))^n, renormalized
+    over the d truncated levels; the mass dropped by the truncation is
+    `thermal_tail_mass(nbar, d)`.  nbar = 0 gives [1, 0, ..., 0] exactly.
+    The thermal density matrix is diagonal in the Fock basis, so these
+    occupations are the whole state.
     """
     if nbar < 0:
         raise ValueError("nbar must be >= 0")
-    space.check_factor(factor_index)
-    f = space.factors[factor_index]
-    if not isinstance(f, Fock):
-        raise TypeError(f"factor {factor_index} is not a Fock factor")
-    d = f.size
     if nbar == 0:
-        w = np.zeros(d)
-        w[0] = 1.0
-    else:
-        # geometric weights in log space, stable for large n*log(ratio)
-        logr = np.log(nbar) - np.log(nbar + 1.0)
-        w = np.exp(np.arange(d) * logr)
-        w /= w.sum()
-    # every factor's block is diagonal, so rho is the diagonal of their Kronecker product
-    diags = []
-    for idx, g in enumerate(space.factors):
-        if idx == factor_index:
-            diags.append(w.astype(complex))
-        else:
-            ground = np.zeros(g.size, dtype=complex)
-            ground[0] = 1.0
-            diags.append(ground)
-    return QuantumState.mixed(space, np.diag(functools.reduce(np.kron, diags)))
+        p = np.zeros(d)
+        p[0] = 1.0
+        return p
+    # geometric weights in log space, stable for large n*log(ratio)
+    logr = np.log(nbar) - np.log(nbar + 1.0)
+    p = np.exp(np.arange(d) * logr)
+    return p / p.sum()
 
 
 def expectation(state: QuantumState, op: Operator) -> complex:
-    """<psi|O|psi> for pure states, Tr(rho O) for mixed ones."""
+    """<psi|O|psi> on a pure state."""
     _require_same_space(state, op)
-    if state.is_pure:
-        return complex(np.vdot(state.vector, op.csr @ state.vector))
-    # Tr(rho O) = sum_ij O_ij rho_ji, over the stored entries of O only
-    return complex(op.csr.multiply(state.rho.T).sum())
+    return complex(np.vdot(state.vector, op.csr @ state.vector))
 
 
 def variance(state: QuantumState, op: Operator) -> float:
