@@ -4,7 +4,7 @@ and a three-level atom.
 The package is organized bottom-up:
 
 * `operators`: truncated Fock/level algebra, pure states, thermal
-  occupations, expectations.
+  occupations.
 * `model`: physical parameters and the full, two-level-reduced, and
   effective Hamiltonians, plus the eigenmodes of the atom-conditioned
   coupling.

@@ -6,11 +6,14 @@ unknown keys are errors (no silent typo tolerance).  Every run writes one
 CSV file: ``#``-prefixed metadata lines carrying the complete parameter
 set (so the run is reproducible from the file alone), a header row, then
 comma-separated numeric rows with 12 significant digits and LF endings.
-Identical configs produce byte-identical files.
+Identical configs produce byte-identical files.  The CSV is written by
+column: float array columns as ``%.12g`` through one row format string,
+every other column (ints, true/false, labels, mixed values) cell by cell
+through `_fmt`, byte-identical to formatting every cell with `_fmt`.
 
 Exit codes: 0 success; 1 physics-domain error (unstable regime, overdamped
 doublet, truncation cap), named on stderr; 2 config error, with the line
-number on stderr.
+number on stderr (an ``output`` path that cannot be written is one).
 
 Commands and their required keys (``output`` is always required; model
 parameters default to zero, ``omega_m`` to one):
@@ -208,15 +211,34 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
-def _write_csv(path: str, meta: dict, extra: list, header: list, rows: list):
+def _write_csv(path: str, meta: dict, extra: list, header: list, columns: list):
+    """Write the metadata lines, the header and the rows of `columns` to `path`.
+
+    A float ndarray column enters one row format string as ``%.12g``, fed
+    its ``tolist()``; every other column (ints, bools, strings, mixed
+    quantity/value entries) goes through `_fmt` cell by cell as ``%s``.
+    ``"%.12g" % x`` and `_fmt`'s ``f"{float(x):.12g}"`` share one
+    float-to-string conversion, so the bytes equal a per-cell `_fmt`
+    rendering.  The text is built in full before the file is opened.
+    """
+    fmts, cells = [], []
+    for col in columns:
+        if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+            fmts.append("%.12g")
+            cells.append(col.tolist())
+        else:
+            fmts.append("%s")
+            cells.append([_fmt(v) for v in col])
+    row_fmt = ",".join(fmts)
     out = [f"# optosqueeze {__version__}",
            "# units: hbar = 1; frequencies and rates in units of omega_m"]
     out += [f"# {k} = {_fmt(v)}" for k, v in sorted(meta.items())]
     out += extra
     out.append(",".join(header))
-    out += [",".join(_fmt(v) for v in row) for row in rows]
+    out += [row_fmt % row for row in zip(*cells)]
+    text = "\n".join(out) + "\n"
     with open(path, "w", newline="\n") as f:
-        f.write("\n".join(out) + "\n")
+        f.write(text)
 
 
 def _base_meta(cfg: RunConfig) -> dict:
@@ -231,20 +253,19 @@ def _base_meta(cfg: RunConfig) -> dict:
 def _run_smax_sweep(cfg: RunConfig):
     o = cfg.options
     grid = np.linspace(o["geff_start"], o["geff_stop"], o["geff_count"])
-    rows = [(g, s_max(g, cfg.params.omega_m)) for g in grid]
-    return ["g_eff", "s_max_db"], rows, {}, []
+    smax = np.array([s_max(g, cfg.params.omega_m) for g in grid])
+    return ["g_eff", "s_max_db"], [grid, smax], {}, []
 
 
 def _run_time_trace(cfg: RunConfig):
     p, o = cfg.params, cfg.options
     times = np.linspace(o["time_start"], o["time_stop"], o["time_count"])
-    closed = [position_variance(o["geff"], p.omega_m, p.nbar, t) for t in times]
+    closed = np.array([position_variance(o["geff"], p.omega_m, p.nbar, t) for t in times])
     ts = effective_variance_series(o["geff"], p.omega_m, p.nbar, times,
                                    d_start=o.get("d_mech"))
-    rows = list(zip(times, ts.values, closed))
     meta = {"d_mech_used": ts.meta["d_mech"],
             "tail_max": max(ts.meta["tail_max"].values())}
-    return ["t", "variance_numeric", "variance_closed_form"], rows, meta, []
+    return ["t", "variance_numeric", "variance_closed_form"], [times, ts.values, closed], meta, []
 
 
 def _run_spectrum(cfg: RunConfig):
@@ -255,18 +276,18 @@ def _run_spectrum(cfg: RunConfig):
         omegas = default_omega_grid(p.omega_m)
     series = spectrum_numeric(p, o["geff"], omegas)
     closed = spectrum_analytic(p, o["geff"], omegas)
-    rows = list(zip(omegas, series.variances, closed.variance, closed.P, closed.Q))
+    columns = [omegas, series.variances, closed.variance, closed.P, closed.Q]
     meta = {"n_peaks": len(series.peaks)}
     extra = [f"# peak = {_fmt(w)},{_fmt(v)}" for w, v in series.peaks]
-    return ["omega", "variance_numeric", "variance_closed_form", "P", "Q"], rows, meta, extra
+    return ["omega", "variance_numeric", "variance_closed_form", "P", "Q"], columns, meta, extra
 
 
 def _run_spectrum_vs_g(cfg: RunConfig):
     p, o = cfg.params, cfg.options
     grid = np.linspace(o["geff_start"], o["geff_stop"], o["geff_count"])
     series = trend_vs_geff(p, o["omega"], grid)
-    rows = list(zip(series.omegas, series.variances))
-    return ["g_eff", "variance_numeric"], rows, {"monotone": series.meta["monotone"]}, []
+    columns = [series.omegas, series.variances]
+    return ["g_eff", "variance_numeric"], columns, {"monotone": series.meta["monotone"]}, []
 
 
 def _parse_atom_state(raw: str):
@@ -308,7 +329,7 @@ def _run_validate_adiabatic(cfg: RunConfig):
         rows.append(("smax_closed_db", rep.smax_closed))
         rows.append(("smax_open_db", rep.smax_open))
         rows.append(("smax_degradation", rep.smax_degradation))
-    return ["quantity", "value"], rows, {}, []
+    return ["quantity", "value"], list(zip(*rows)), {}, []
 
 
 def _run_eigenmodes(cfg: RunConfig):
@@ -318,7 +339,7 @@ def _run_eigenmodes(cfg: RunConfig):
         (2, spec.lambda2, spec.g_eff_2, spec.e2[0], spec.e2[1]),
     ]
     meta = {"alpha": spec.alpha}
-    return ["branch", "lambda", "g_eff", "e_component_0", "e_component_1"], rows, meta, []
+    return ["branch", "lambda", "g_eff", "e_component_0", "e_component_1"], list(zip(*rows)), meta, []
 
 
 _RUNNERS = {
@@ -336,13 +357,18 @@ def run(cfg: RunConfig) -> str:
 
     Physics-domain violations (unstable regime, overdamped doublet,
     truncation cap) propagate as exceptions; `main` maps them to exit
-    status 1.
+    status 1.  An output path that cannot be opened or written raises
+    ConfigError on the ``output`` line.
     """
-    header, rows, run_meta, extra = _RUNNERS[cfg.command](cfg)
+    header, columns, run_meta, extra = _RUNNERS[cfg.command](cfg)
     meta = _base_meta(cfg)
     meta.update(run_meta)
-    meta["rows"] = len(rows)
-    _write_csv(cfg.output, meta, extra, header, rows)
+    meta["rows"] = len(columns[0])
+    try:
+        _write_csv(cfg.output, meta, extra, header, columns)
+    except OSError as e:
+        raise ConfigError(f"cannot write output '{cfg.output}': {e.strerror or e}",
+                          cfg.key_lines.get("output")) from None
     return cfg.output
 
 

@@ -49,8 +49,6 @@ __all__ = [
     "tensor_embed",
     "thermal_populations",
     "thermal_tail_mass",
-    "expectation",
-    "variance",
 ]
 
 
@@ -169,9 +167,6 @@ class Operator:
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         diff = self.csr - self.csr.conj().T
         return diff.nnz == 0 or bool(np.max(np.abs(diff.data)) <= tol)
-
-    def trace(self) -> complex:
-        return complex(self.csr.diagonal().sum())
 
     def __add__(self, other: "Operator") -> "Operator":
         _require_same_space(self, other)
@@ -356,15 +351,3 @@ def thermal_populations(d: int, nbar: float) -> np.ndarray:
     p = np.exp(np.arange(d) * logr)
     return p / p.sum()
 
-
-def expectation(state: QuantumState, op: Operator) -> complex:
-    """<psi|O|psi> on a pure state."""
-    _require_same_space(state, op)
-    return complex(np.vdot(state.vector, op.csr @ state.vector))
-
-
-def variance(state: QuantumState, op: Operator) -> float:
-    """<O^2> - <O>^2 for a Hermitian observable."""
-    m = expectation(state, op).real
-    m2 = expectation(state, op @ op).real
-    return m2 - m * m

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from optosqueeze.cli import ConfigError, main, parse_config, run
+from optosqueeze.analytic import spectrum_analytic
+from optosqueeze.cli import ConfigError, _fmt, _write_csv, main, parse_config, run
 from optosqueeze.model import ModelParams
-from optosqueeze.spectrum import find_peaks
+from optosqueeze.spectrum import find_peaks, spectrum_numeric
 
 
 def read_csv(path):
@@ -372,6 +373,64 @@ class TestOutputFormat:
                 assert f"{float(cell):.12g}" == cell
 
 
+def csv_body(path):
+    """The header and data lines of a written file, metadata dropped."""
+    return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
+class TestWriterContract:
+    """`_write_csv` renders columns with the bytes of a per-cell `_fmt` rendering."""
+
+    def test_float_array_matches_per_cell_fmt(self, tmp_path):
+        col = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e16, 123456789012.5,
+                        1 / 3, -2.5e-7, 0.0, 1.0, -4.0])
+        out = tmp_path / "f.csv"
+        _write_csv(str(out), {}, [], ["x", "y"], [col, col[::-1].copy()])
+        want = [",".join((_fmt(a), _fmt(b))) for a, b in zip(col, col[::-1])]
+        assert csv_body(out) == ["x,y"] + want
+        assert want[0] == "-0,-4" and want[3] == "nan,-2.5e-07"
+
+    def test_other_columns_go_through_fmt(self, tmp_path):
+        out = tmp_path / "m.csv"
+        columns = [
+            ["stark_winner", "d_cav_used", "ratio_x", "flag"],
+            ["e1", np.int64(8), 1 / 3, True],
+            np.array([1, 2, 3, 4]),
+            [True, False, True, False],
+            np.array([1.0, 2.0, 1e16, -0.0]),
+        ]
+        _write_csv(str(out), {"rows": 4, "monotone": "decreasing", "alpha": 3.0}, [],
+                   ["quantity", "value", "branch", "flag", "x"], columns)
+        assert csv_body(out) == [
+            "quantity,value,branch,flag,x",
+            "stark_winner,e1,1,true,1",
+            "d_cav_used,8,2,false,2",
+            "ratio_x,0.333333333333,3,true,1e+16",
+            "flag,true,4,false,-0",
+        ]
+        meta, _, _ = read_csv(out)
+        assert meta["rows"] == ["4"] and meta["monotone"] == ["decreasing"] and meta["alpha"] == ["3"]
+
+    def test_spectrum_body_matches_per_cell_fmt(self, tmp_path):
+        out = tmp_path / "sp.csv"
+        code = run_cli(
+            tmp_path,
+            f"command = spectrum\ngeff = 0.8\ngamma = 1.3\nnbar = 4\n"
+            f"omega_start = -4\nomega_stop = 4\nomega_count = 20001\noutput = {out}\n",
+        )
+        assert code == 0
+        p = ModelParams(gamma=1.3, nbar=4.0)
+        omegas = np.linspace(-4.0, 4.0, 20001)
+        series = spectrum_numeric(p, 0.8, omegas)
+        closed = spectrum_analytic(p, 0.8, omegas)
+        rows = zip(omegas, series.variances, closed.variance, closed.P, closed.Q)
+        want = ["omega,variance_numeric,variance_closed_form,P,Q"]
+        want += [",".join(_fmt(v) for v in row) for row in rows]
+        assert csv_body(out) == want
+        meta, _, _ = read_csv(out)
+        assert meta["rows"] == ["20001"]
+
+
 class TestExitCodes:
     def test_config_error_exit_2(self, tmp_path, capsys):
         code = run_cli(tmp_path, "command = smax-sweep\ngeff_count = two\n")
@@ -409,6 +468,19 @@ class TestExitCodes:
         )
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_unwritable_output_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "no_such_dir" / "x.csv"
+        code = run_cli(
+            tmp_path,
+            f"command = smax-sweep\ngeff_start = 0\ngeff_stop = 1\ngeff_count = 3\n"
+            f"output = {out}\n",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (f"config error: line 5: cannot write output '{out}': "
+                       "No such file or directory\n")
+        assert not out.parent.exists()
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         code = main([str(tmp_path / "nope.cfg")])
