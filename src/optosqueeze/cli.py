@@ -12,8 +12,9 @@ every other column (ints, true/false, labels, mixed values) cell by cell
 through `_fmt`, byte-identical to formatting every cell with `_fmt`.
 
 Exit codes: 0 success; 1 physics-domain error (unstable regime, overdamped
-doublet, truncation cap), named on stderr; 2 config error, with the line
-number on stderr (an ``output`` path that cannot be written is one).
+doublet, truncation cap) or a run out of memory, named on stderr; 2 config
+error, with the line number on stderr (an ``output`` path that cannot be
+written is one).
 
 Commands and their required keys (``output`` is always required; model
 parameters default to zero, ``omega_m`` to one):
@@ -393,8 +394,10 @@ def main(argv=None) -> int:
         where = f"line {e.line}: " if e.line is not None else ""
         print(f"config error: {where}{e}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, RuntimeError, MemoryError) as e:
+        # a MemoryError comes from a large allocation in `run`; parsing allocates nothing large
+        oom = f"command {cfg.command} ran out of memory: " if isinstance(e, MemoryError) else ""
+        print(f"error: {oom}{e}", file=sys.stderr)
         return 1
     print(f"wrote {path}")
     return 0

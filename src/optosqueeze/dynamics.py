@@ -13,8 +13,11 @@ evaluate every time of the grid from t0 as phases in its eigenbasis.
   states alike.  The state enters as its mean occupation nbar: a thermal
   density matrix is diagonal, so its Fock occupations are the whole state
   and no d x d matrix is built.  H_eff couples level n only to n +- 2, so
-  it splits into two parity blocks, each real symmetric tridiagonal, and
-  every moment is one batched product over the time grid.
+  it splits into two parity blocks, each real symmetric tridiagonal.  In a
+  block's eigenbasis every weight (state, X^2, tail projector) is a real
+  Gram product a^T a, and every moment is one real cos/sin product over
+  the time grid.  X flips parity and the state has no even-odd
+  coherence, so <X> is exactly zero and never computed.
 * `covariance_evolve`: the Gaussian first/second-moment equations of the
   damped quadratic model, solved exactly per time point with an augmented
   matrix exponential (Van Loan block trick), valid in the unstable regime
@@ -53,7 +56,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal, expm
 
 from .model import (
@@ -71,7 +73,6 @@ from .operators import (
     HilbertSpace,
     Operator,
     QuantumState,
-    _x2_bands,
     annihilation,
     level_projector,
     momentum,
@@ -325,10 +326,18 @@ _BANDED_H = (
 )
 
 
-def _phase_sum(lam: np.ndarray, w: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """sum_jk exp(i lam[j] t) w[j, k] exp(-i lam[k] t) at every t, as one product."""
-    e = np.exp(1j * np.outer(t, lam))
-    return np.einsum("tk,tk->t", e @ w, e.conj())
+def _phase_sum(cs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Re sum_jk exp(i (lam[j] - lam[k]) t) w[j, k] at every t, for a real symmetric w.
+
+    `cs` stacks cos(outer(t, lam)) over sin(outer(t, lam)); the real part is
+    c^T w c + s^T w s, one real product for the whole grid.
+    """
+    return np.einsum("tk,tk->t", cs @ w, cs).reshape(2, -1).sum(axis=0)
+
+
+def _gram(a: np.ndarray) -> np.ndarray:
+    """a^T a, written so that numpy runs it as a symmetric rank-k update."""
+    return a.T @ a
 
 
 def exact_quadrature_moments(H: Operator, nbar: float, times):
@@ -336,23 +345,29 @@ def exact_quadrature_moments(H: Operator, nbar: float, times):
 
     The oscillator starts in the thermal state of mean occupation nbar
     (vacuum at nbar = 0), whose density matrix is diagonal: it enters as
-    its Fock occupations `thermal_populations(d, nbar)`, and no d x d matrix
-    is built.  H must be Hermitian, act on a single Fock factor, and be
-    real with entries only on the main diagonal and the +-2 diagonals,
+    its Fock occupations p = `thermal_populations(d, nbar)`, and no d x d
+    matrix is built.  H must be Hermitian, act on a single Fock factor, and
+    be real with entries only on the main diagonal and the +-2 diagonals,
     which is what `build_effective_hamiltonian` returns; any other H raises
     ValueError.  Such an H couples level n only to n +- 2, so it splits into
     an even- and an odd-parity block, each real symmetric tridiagonal and
-    diagonalised with `scipy.linalg.eigh_tridiagonal`.  In the eigenbasis V
-    of a block the state is V^T diag(p) V, the evolution is pure phase
-    rotation, and every moment is one batched product over the whole time
-    grid.  X^2 (the truncated-space X @ X) and the projector on the tail
-    levels are parity-even, so they need only these blocks.
+    diagonalised with `scipy.linalg.eigh_tridiagonal`.
+
+    Every weight in a block's eigenbasis V is a real Gram product a^T a:
+    the state is y^T y with y = sqrt(p) V (rows of this parity), and since
+    X maps this parity to the other one, the block of the truncated-space
+    X @ X (top diagonal entry d - 1) is z^T z with z = X[other, this] V.
+    The tail projector's block is top^T top, top being the rows of V on
+    the tail levels of this parity.  The weights are real and symmetric, so
+    each moment Re sum_jk exp(i (lam_j - lam_k) t) w_jk is c^T w c + s^T w s
+    with c, s = cos, sin(lam t): one real product over the whole grid.
 
     Returns (mean, second, tail): <X>(t), <X^2>(t), and the joint
     population of the top two Fock levels (the top one below four levels)
     over the grid.  X maps one parity to the other and a thermal state has
-    no even-odd coherence, so `mean` is np.zeros(t.size); the slot stays
-    so that the variance reads second - mean**2 and the tail stays [2].
+    no even-odd coherence, so `mean` is np.zeros(t.size) and is never
+    computed; the slot stays so that the variance reads second - mean**2
+    and the tail stays [2].
     """
     if not H.is_hermitian(1e-12):
         raise ValueError("exact_quadrature_moments requires a Hermitian Hamiltonian")
@@ -368,22 +383,20 @@ def exact_quadrature_moments(H: Operator, nbar: float, times):
     t = np.asarray(times, dtype=float)
     p = thermal_populations(d, nbar)
     hd, h2 = H.csr.diagonal(0).real, H.csr.diagonal(2).real
-    x2d, x2o = _x2_bands(d)
-    tail_levels = _tail_levels(d)
+    x = position(space, 0).csr.real
 
-    second = np.zeros(t.size)
-    tail = np.zeros(t.size)
+    second, tail = np.zeros((2, t.size))
     for s in (0, 1):  # levels s, s + 2, s + 4, ...
         lam, v = eigh_tridiagonal(hd[s::2], h2[s::2])
-        # X^2 = (b + b^dag)^2 / 4 is tridiagonal within the sector
-        dg, od = x2d[s::2, None] / 4.0, x2o[s::2, None] / 4.0
-        x2v = dg * v
-        x2v[:-1] += od * v[1:]
-        x2v[1:] += od * v[:-1]
-        top = v[[(lv - s) // 2 for lv in tail_levels if lv % 2 == s]]
-        rho_t = (v.T * p[s::2]) @ v
-        second += _phase_sum(lam, (v.T @ x2v) * rho_t, t).real
-        tail += _phase_sum(lam, (top.T @ top) * rho_t, t).real
+        w = _gram(x[1 - s::2][:, s::2] @ v)  # X^2 in the eigenbasis
+        rho_t = _gram(np.sqrt(p[s::2])[:, None] * v)
+        cs = np.concatenate([f(np.outer(t, lam)) for f in (np.cos, np.sin)])
+        w *= rho_t
+        second += _phase_sum(cs, w)
+        top = v[[(lv - s) // 2 for lv in _tail_levels(d) if lv % 2 == s]]
+        np.matmul(top.T, top, out=w)  # the tail weight reuses the X^2 weight's buffer
+        w *= rho_t
+        tail += _phase_sum(cs, w)
     return np.zeros(t.size), second, tail
 
 
@@ -407,6 +420,9 @@ def evolve_lindblad(
     The trace is checked at every output time and drift beyond `TRACE_TOL`
     aborts.
     """
+    # imported here, its only user, so that a CLI start without a master equation skips it
+    from scipy.integrate import solve_ivp
+
     if not H.is_hermitian(1e-12):
         raise ValueError("evolve_lindblad requires a Hermitian Hamiltonian")
     space = H.space
@@ -532,7 +548,8 @@ def covariance_evolve(
 
     Each output point is computed from the initial condition with one
     augmented matrix exponential (exact; no step-size error, stable and
-    unstable regimes alike).  This is the package's brute-force oracle for
+    unstable regimes alike); the exponentials of the whole grid are one
+    stacked `expm` call.  This is the package's brute-force oracle for
     everything Gaussian.
     """
     if gamma < 0 or nbar < 0:
@@ -547,9 +564,7 @@ def covariance_evolve(
     m[2:, 2:] = -a.T
 
     states = []
-    for ti in t:
-        tau = ti - t[0]
-        e = expm(m * tau)
+    for e in expm(m[None] * (t - t[0])[:, None, None]):
         f = e[:2, :2]
         w = e[:2, 2:] @ f.T
         cov = f @ init.cov @ f.T + w

@@ -1,10 +1,16 @@
 """Config parsing, command execution, and CSV output of the CLI."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import optosqueeze
+from optosqueeze import cli
 from optosqueeze.analytic import spectrum_analytic
 from optosqueeze.cli import ConfigError, _fmt, _write_csv, main, parse_config, run
 from optosqueeze.model import ModelParams
@@ -469,6 +475,23 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_memory_error_exit_1(self, tmp_path, capsys, monkeypatch):
+        def exhausted(cfg):
+            raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+        monkeypatch.setitem(cli._RUNNERS, "time-trace", exhausted)
+        out = tmp_path / "x.csv"
+        code = run_cli(
+            tmp_path,
+            f"command = time-trace\ngeff = 1\ntime_start = 0\ntime_stop = 1\n"
+            f"time_count = 5\noutput = {out}\n",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: command time-trace ran out of memory: Unable to allocate 8.00 GiB for an array\n"
+        )
+        assert not out.exists()
+
     def test_unwritable_output_exit_2(self, tmp_path, capsys):
         out = tmp_path / "no_such_dir" / "x.csv"
         code = run_cli(
@@ -505,3 +528,13 @@ class TestRunApi:
         )
         assert run(cfg) == str(out)
         assert out.exists()
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    # solve_ivp is imported inside evolve_lindblad, its only user, so a CLI
+    # start that runs no master equation never loads scipy.integrate
+    src = str(Path(optosqueeze.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, optosqueeze.cli; print('scipy.integrate' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

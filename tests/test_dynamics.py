@@ -174,6 +174,25 @@ class TestCovarianceEvolve:
         with pytest.raises(ValueError):
             covariance_evolve(1.0, 1.0, 0.0, 0.0, init, [0.0, 1.0, 0.5])
 
+    @pytest.mark.parametrize("g, gamma, nbar", [(0.5, 0.0, 0.0), (2.0, 0.0, 10.0), (-0.3, 0.3, 2.0)])
+    def test_stacked_expm_equals_per_time_expm(self, g, gamma, nbar):
+        # the grid's exponentials come from one stacked expm; each state must
+        # be bit for bit what a per-time expm(m * tau) of the same m gives
+        a = np.array([[-gamma / 2.0, 1.0], [-(1.0 + 4.0 * g), -gamma / 2.0]])
+        m = np.zeros((4, 4))
+        m[:2, :2] = a
+        m[:2, 2:] = gamma * (2.0 * nbar + 1.0) / 4.0 * np.eye(2)
+        m[2:, 2:] = -a.T
+        init = CovarianceState(mean=np.array([0.4, -0.2]), cov=np.diag([0.3, 0.4]))
+        times = 0.3 + np.linspace(0.0, 2.0 * math.pi / math.sqrt(abs(1.0 + 4.0 * g)), 201)
+        traj = covariance_evolve(g, 1.0, gamma, nbar, init, times)
+        for ti, state in zip(times, traj.states):
+            e = expm(m * (ti - times[0]))
+            f = e[:2, :2]
+            cov = f @ init.cov @ f.T + e[:2, 2:] @ f.T
+            assert np.array_equal(state.cov, 0.5 * (cov + cov.T))
+            assert np.array_equal(state.mean, f @ init.mean)
+
     @settings(max_examples=40, deadline=None)
     @given(
         g=st.floats(min_value=-0.2, max_value=5.0),
@@ -293,7 +312,7 @@ def dense_moments_reference(h, nbar, times):
     rho = np.diag(w / w.sum())
     xt = v.conj().T @ position(h.space, 0).matrix @ v
     mask = np.zeros(d)
-    mask[-2:] = 1.0
+    mask[-2 if d >= 4 else -1:] = 1.0  # the top two levels, the top one below four
     pt = v.conj().T @ (mask[:, None] * v)
     rho_t = (v.conj().T @ rho @ v).T
     out = np.empty((3, len(times)))
@@ -310,12 +329,16 @@ def pure_projector(psi):
 
 
 class TestExactQuadratureMoments:
-    def test_matches_dense_reference_for_thermal_state(self):
-        space = oscillator_space(64)
+    # odd d puts the two tail levels in different parities; below four
+    # levels one parity has no tail level at all
+    @pytest.mark.parametrize("nbar", [0.0, 2.0])
+    @pytest.mark.parametrize("d", [3, 5, 64, 65])
+    def test_matches_dense_reference_for_thermal_state(self, d, nbar):
+        space = oscillator_space(d)
         h = build_effective_hamiltonian(0.8, 1.0, space)
         times = np.linspace(0.0, 2.0 * math.pi / math.sqrt(4.2), 60)
-        got = np.array(exact_quadrature_moments(h, 2.0, times))
-        ref = dense_moments_reference(h, 2.0, times)
+        got = np.array(exact_quadrature_moments(h, nbar, times))
+        ref = dense_moments_reference(h, nbar, times)
         assert np.allclose(got, ref, rtol=0.0, atol=1e-12)
         assert np.all(got[0] == 0.0)  # no even-odd coherence, so <X> vanishes
 
@@ -607,7 +630,8 @@ class TestDimensionPolicy:
     def test_thermal_series_memory_peak(self):
         # acceptance 04's largest job: g = 2, nbar = 10 starts at d = 1512 and
         # stays there; a dense d x d thermal rho alone would be 35 MiB, and a
-        # run that built and copied it peaked at 72.6 MiB (33.3 MiB without it)
+        # run that built and copied it peaked at 72.6 MiB (31.1 MiB without it,
+        # 24.5 MiB with real Gram-product weights and cos/sin phase sums)
         period = 2.0 * math.pi / math.sqrt(9.0)
         tracemalloc.start()
         try:
