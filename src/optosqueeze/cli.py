@@ -32,6 +32,7 @@ All frequencies and rates are in units of omega_m with hbar = 1.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field, fields as dc_fields
 
@@ -93,6 +94,10 @@ _REQUIRED = {
     "eigenmodes": ("delta", "Delta"),
 }
 
+# integer keys that size a grid or a Fock factor, checked at their line
+_AT_LEAST_TWO = ("geff_count", "time_count", "omega_count", "n_times",
+                 "d_cav", "d_mech", "d_cav_lindblad", "d_mech_lindblad")
+
 _GRIDS = (("geff_start", "geff_stop", "geff_count"),
           ("time_start", "time_stop", "time_count"),
           ("omega_start", "omega_stop", "omega_count"))
@@ -129,18 +134,23 @@ def _convert(key: str, raw: str, line: int):
         except ValueError:
             raise ConfigError(f"expected integer for '{key}', got '{raw}'", line) from None
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"expected number for '{key}', got '{raw}'", line) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"'{key}' must be finite, got '{raw}'", line)
+    return value
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate ``key = value`` config text into a RunConfig.
 
     Raises ConfigError, carrying the offending line number, for unknown or
-    duplicate keys, malformed lines, bad value types, out-of-domain
-    parameter values, degenerate grids, and keys missing for the chosen
-    command (the command line is cited for those).
+    duplicate keys, malformed lines, bad value types, non-finite numbers,
+    out-of-domain parameter values, grid counts, time-grid sizes or Fock
+    dimensions below two, a non-positive `lindblad_rtol`, degenerate grids,
+    and keys missing for the chosen command (the command line is cited for
+    those).
     """
     entries: dict = {}
     lines: dict = {}
@@ -160,6 +170,10 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"empty value for '{key}'", lineno)
         entries[key] = _convert(key, value, lineno)
         lines[key] = lineno
+        if key in _AT_LEAST_TWO and entries[key] < 2:
+            raise ConfigError(f"'{key}' must be >= 2, got {entries[key]}", lineno)
+        if key == "lindblad_rtol" and not entries[key] > 0:
+            raise ConfigError(f"'{key}' must be > 0, got '{value}'", lineno)
         # model-parameter domain checks, reported at the offending line
         if key in _PARAM_KEYS:
             try:
@@ -186,8 +200,6 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"command '{command}' requires key '{key}'", lines["command"])
 
     for start, stop, count in _GRIDS:
-        if count in entries and entries[count] < 2:
-            raise ConfigError(f"'{count}' must be >= 2, got {entries[count]}", lines[count])
         present = [k for k in (start, stop, count) if k in entries]
         if present and len(present) < 3:
             missing = next(k for k in (start, stop, count) if k not in entries)

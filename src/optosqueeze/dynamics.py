@@ -32,13 +32,16 @@ Liouvillian for `evolve_lindblad`), started from the support of the
 initial pure state, finds the index set that exp(t G) can populate.  The
 restriction is exact, so it is always on; a drive, mechanical damping or
 any other term that joins sectors enlarges the search result by itself.
-Results are scattered back to the full space, where the components
-outside the sector are exactly zero.
+Their trajectories stay on the sector: they hold its sorted indices and
+the (n_t, sector size) block of amplitudes or vec(rho) entries, every
+component outside it being exactly zero, and every reader (norm, trace,
+truncation tails, `variance_trajectory`) works on that block.  No
+full-size trajectory is built; `UnitaryTrajectory.vectors` and
+`LindbladTrajectory.rhos` scatter one on access.
 
-Operators arrive as CSR arrays (see `operators`) and stay sparse here, with
-two exceptions: the sector block of H that `evolve_unitary` hands to the
-dense `eigh`, and the quadrature and its square that `variance_trajectory`
-contracts against a stack of dense density matrices.
+Operators arrive as CSR arrays (see `operators`) and stay sparse here; the
+one dense matrix is the sector block of H that `evolve_unitary` hands to
+`eigh`.
 
 Their mutual agreement (and agreement with `analytic`) is what the test
 suite leans on; no route is trusted on its own.
@@ -188,22 +191,49 @@ class CovarianceState:
 
 @dataclass
 class UnitaryTrajectory:
-    """Pure-state trajectory: row i of `vectors` is the state at times[i]."""
+    """Pure-state trajectory on the reachable sector of its space.
+
+    `sector` holds the sorted composite indices that the state can reach;
+    row i of `amplitudes` is the state at times[i] on those indices, and
+    every other component is exactly zero.
+    """
 
     space: HilbertSpace
     times: np.ndarray
-    vectors: np.ndarray
+    sector: np.ndarray
+    amplitudes: np.ndarray
     meta: dict
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """The full-length state vectors, scattered from `amplitudes` on every access."""
+        out = np.zeros((self.times.size, self.space.total_dim), dtype=complex)
+        out[:, self.sector] = self.amplitudes
+        return out
 
 
 @dataclass
 class LindbladTrajectory:
-    """Density-matrix trajectory: rhos[i] is the state at times[i]."""
+    """Density-matrix trajectory on the reachable sector of row-major vec(rho).
+
+    `sector` holds the sorted indices i * d + j of the entries rho[i, j]
+    that the evolution can reach; row k of `entries` holds them at
+    times[k], and every other entry is exactly zero.
+    """
 
     space: HilbertSpace
     times: np.ndarray
-    rhos: np.ndarray
+    sector: np.ndarray
+    entries: np.ndarray
     meta: dict
+
+    @property
+    def rhos(self) -> np.ndarray:
+        """The full d x d density matrices, scattered from `entries` on every access."""
+        d = self.space.total_dim
+        out = np.zeros((self.times.size, d * d), dtype=complex)
+        out[:, self.sector] = self.entries
+        return out.reshape(self.times.size, d, d)
 
 
 @dataclass
@@ -225,14 +255,18 @@ def _tail_levels(size: int) -> tuple:
     return (size - 2, size - 1) if size >= 4 else (size - 1,)
 
 
-def _fock_tails(probs: np.ndarray, space: HilbertSpace) -> dict:
-    """Largest truncation tail of each Fock factor over the time axis of `probs` (n_t, d)."""
-    resh = probs.reshape((len(probs),) + space.factor_sizes)
+def _fock_tails(probs: np.ndarray, states: np.ndarray, space: HilbertSpace) -> dict:
+    """Largest truncation tail of each Fock factor over the time axis of `probs`.
+
+    `probs` (n_t, n) holds the populations of the composite basis states
+    `states`; every other basis state is empty.
+    """
+    levels = np.unravel_index(states, space.factor_sizes)
     out = {}
     for idx, f in enumerate(space.factors):
         if isinstance(f, Fock):
-            per_time = np.take(resh, _tail_levels(f.size), axis=idx + 1).reshape(len(probs), -1)
-            out[idx] = float(per_time.sum(axis=1).max())
+            on_tail = np.isin(levels[idx], _tail_levels(f.size))
+            out[idx] = float(probs[:, on_tail].sum(axis=1).max())
     return out
 
 
@@ -266,6 +300,13 @@ def _reachable_sector(g: sparse.csr_array, seed: np.ndarray) -> np.ndarray:
     return np.flatnonzero(reached)
 
 
+def _sector_positions(sector: np.ndarray, indices: np.ndarray) -> tuple:
+    """(mask of the `indices` that lie in the sorted `sector`, their positions in it)."""
+    pos = np.minimum(np.searchsorted(sector, indices), sector.size - 1)
+    hit = sector[pos] == indices
+    return hit, pos[hit]
+
+
 def evolve_unitary(H: Operator, psi0: QuantumState, times) -> UnitaryTrajectory:
     """Propagate a pure state under exp(-i H (t - t0)) on any strictly increasing grid.
 
@@ -273,10 +314,10 @@ def evolve_unitary(H: Operator, psi0: QuantumState, times) -> UnitaryTrajectory:
     is diagonalised once (`eigh`, valid because H is checked Hermitian),
     and the state at every time is evaluated from t0 in one product,
     psi(t) = V exp(-i Lambda (t - t0)) V^dag psi0, so round-off does not
-    accumulate from step to step; it is scattered back into full-length
-    vectors, exactly zero off the sector.  The norm and the top-two-Fock-level
-    population of every mode are read over the whole grid; norm drift
-    beyond 1e-6 aborts with a TruncationError naming the first such time.
+    accumulate from step to step.  The trajectory keeps these sector
+    amplitudes only; the norm and the top-two-Fock-level population of
+    every mode are read from them over the whole grid.  Norm drift beyond
+    1e-6 aborts with a TruncationError naming the first such time.
     """
     if not H.is_hermitian(1e-12):
         raise ValueError("evolve_unitary requires a Hermitian Hamiltonian")
@@ -287,11 +328,10 @@ def evolve_unitary(H: Operator, psi0: QuantumState, times) -> UnitaryTrajectory:
     sec = _reachable_sector(H.csr, psi0.vector)
     lam, v = np.linalg.eigh(H.csr[sec][:, sec].toarray())
     c = v.conj().T @ psi0.vector[sec]
-    vecs = np.zeros((t.size, space.total_dim), dtype=complex)
-    vecs[:, sec] = (np.exp(-1j * np.outer(t - t[0], lam)) * c) @ v.T
+    amps = (np.exp(-1j * np.outer(t - t[0], lam)) * c) @ v.T
 
-    probs = np.abs(vecs) ** 2
-    tails = _fock_tails(probs, space)
+    probs = np.abs(amps) ** 2
+    tails = _fock_tails(probs, sec, space)
     norms = np.sqrt(probs.sum(axis=1))
     i = _first_drift(norms, 1e-6)
     if i is not None:
@@ -307,7 +347,7 @@ def evolve_unitary(H: Operator, psi0: QuantumState, times) -> UnitaryTrajectory:
         "tail_flag": any(v > TAIL_LIMIT for v in tails.values()),
         "norm_max_dev": float(np.max(np.abs(norms - 1.0))),
     }
-    return UnitaryTrajectory(space=space, times=t, vectors=vecs, meta=meta)
+    return UnitaryTrajectory(space=space, times=t, sector=sec, amplitudes=amps, meta=meta)
 
 
 def _default_mech_factor(space: HilbertSpace) -> int:
@@ -415,10 +455,12 @@ def evolve_lindblad(
     rate (equivalently, collapse operator sqrt(rate) c).  The generator is
     assembled once as a sparse Liouvillian acting on the row-major
     vectorised rho; DOP853 integrates its block on the sector that
-    vec(|psi0><psi0|) reaches (`meta["sector_dim"]` states), and the result
-    is scattered back into full d x d matrices, exactly zero off the sector.
-    The trace is checked at every output time and drift beyond `TRACE_TOL`
-    aborts.
+    vec(|psi0><psi0|) reaches (`meta["sector_dim"]` entries), and the
+    trajectory keeps the solution on that sector.  The populations, hence
+    the trace and the truncation tails, are read from its diagonal entries
+    rho[i, i] (vec index i * (d + 1)); the trace is checked at every output
+    time and drift beyond `TRACE_TOL` aborts.  Only the last rho is
+    scattered into a d x d matrix, for `meta["final_eigmin"]`.
     """
     # imported here, its only user, so that a CLI start without a master equation skips it
     from scipy.integrate import solve_ivp
@@ -465,11 +507,12 @@ def evolve_lindblad(
     )
     if not sol.success:
         raise TruncationError(f"master-equation integration failed: {sol.message}")
-    flat = np.zeros((t.size, d * d), dtype=complex)
-    flat[:, sec] = sol.y.T
-    rhos = flat.reshape(t.size, d, d)
+    entries = sol.y.T
 
-    probs = np.diagonal(rhos, axis1=1, axis2=2).real
+    # populations of all d basis states, from the diagonal entries rho[i, i] in the sector
+    probs = np.zeros((t.size, d))
+    hit, at = _sector_positions(sec, np.arange(d) * (d + 1))
+    probs[:, hit] = entries[:, at].real
     traces = probs.sum(axis=1)
     i = _first_drift(traces, TRACE_TOL)
     if i is not None:
@@ -477,7 +520,9 @@ def evolve_lindblad(
             f"trace drifted to {traces[i]!r} at t={t[i]:g} (tolerance {TRACE_TOL:g}); "
             "tighten rtol/atol or enlarge the space"
         )
-    tails = _fock_tails(probs, space)
+    tails = _fock_tails(probs, np.arange(d), space)
+    rho_final = np.zeros(d * d, dtype=complex)
+    rho_final[sec] = entries[-1]
 
     meta = {
         "method": "lindblad-dop853",
@@ -487,11 +532,11 @@ def evolve_lindblad(
         "sector_dim": int(sec.size),
         "n_rhs_evals": int(sol.nfev),
         "trace_max_dev": float(np.max(np.abs(traces - 1.0))),
-        "final_eigmin": float(np.min(np.linalg.eigvalsh(rhos[-1]))),
+        "final_eigmin": float(np.min(np.linalg.eigvalsh(rho_final.reshape(d, d)))),
         "tail_max": tails,
         "tail_flag": any(v > TAIL_LIMIT for v in tails.values()),
     }
-    return LindbladTrajectory(space=space, times=t, rhos=rhos, meta=meta)
+    return LindbladTrajectory(space=space, times=t, sector=sec, entries=entries, meta=meta)
 
 
 def variance_trajectory(traj, quadrature: str = "X") -> TimeSeries:
@@ -501,9 +546,14 @@ def variance_trajectory(traj, quadrature: str = "X") -> TimeSeries:
     containers.  For tensor-product spaces the oscillator factor is
     inferred from the fixed (cavity, oscillator, atom) ordering.
 
-    On pure states both moments come from one sparse product qv = X v:
-    <X> = Re sum conj(v) qv and <X^2> = sum |qv|^2, exact for the Hermitian
-    X of the truncated space (its X @ X).
+    Both Fock trajectories are read on their sector, never scattered.  On
+    pure states both moments come from one sparse product qv = q v, with
+    q the columns of the quadrature on the sector, restricted to its
+    nonzero rows: <q> = Re sum conj(v) qv over the rows inside the sector
+    and <q^2> = sum |qv|^2, exact for the Hermitian q of the truncated
+    space (its q @ q).  On density matrices <A> = Tr(A rho) = sum_ij
+    A[j, i] rho[i, j] is one product of the sector entries of vec(rho)
+    with the weights A[j, i], for A = q and A = q @ q.
     """
     if quadrature not in ("X", "P"):
         raise ValueError("quadrature must be 'X' or 'P'")
@@ -518,16 +568,30 @@ def variance_trajectory(traj, quadrature: str = "X") -> TimeSeries:
     q = (position if quadrature == "X" else momentum)(space, idx).csr
 
     if isinstance(traj, UnitaryTrajectory):
-        vs = traj.vectors
-        qv = (q @ vs.T).T
-        m1 = np.einsum("ti,ti->t", vs.conj(), qv).real
+        q_sec = q[:, traj.sector]
+        rows = np.flatnonzero(np.diff(q_sec.indptr))
+        qv = (q_sec[rows] @ traj.amplitudes.T).T
+        hit, at = _sector_positions(traj.sector, rows)
+        m1 = np.einsum("ti,ti->t", traj.amplitudes[:, at].conj(), qv[:, hit]).real
         m2 = np.einsum("ti,ti->t", qv.conj(), qv).real
     elif isinstance(traj, LindbladTrajectory):
-        m1 = np.einsum("tij,ji->t", traj.rhos, q.toarray()).real
-        m2 = np.einsum("tij,ji->t", traj.rhos, (q @ q).toarray()).real
+        d = space.total_dim
+        m1, m2 = ((traj.entries @ _trace_weights(a, traj.sector, d)).real for a in (q, q @ q))
     else:
         raise TypeError(f"unsupported trajectory type {type(traj).__name__}")
     return TimeSeries(traj.times, m2 - m1**2, dict(traj.meta, quadrature=quadrature))
+
+
+def _trace_weights(a: sparse.csr_array, sector: np.ndarray, d: int) -> np.ndarray:
+    """Weights w on the sector of row-major vec(rho) such that Tr(a rho) = w . vec(rho)[sector].
+
+    Tr(a rho) = sum_rc a[r, c] rho[c, r], and rho[c, r] is entry c * d + r.
+    """
+    c = a.tocoo()
+    hit, at = _sector_positions(sector, c.col.astype(np.int64) * d + c.row)
+    w = np.zeros(sector.size, dtype=complex)
+    w[at] = c.data[hit]
+    return w
 
 
 def covariance_evolve(

@@ -26,7 +26,6 @@ tell whether the truncation was adequate (see `dynamics`).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -237,20 +236,41 @@ def tensor_embed(ops: Iterable, space: HilbertSpace) -> Operator:
     `ops` is an iterable of (factor_index, matrix) pairs, at most one per
     factor; unspecified factors get identities.  The Kronecker order follows
     the factor order of `space`, factor 0 outermost.
+
+    The product is assembled in one pass: every nonzero of the result is a
+    tuple of one nonzero per factor (an identity's are its diagonal), so
+    its row and column are the factors' rows and columns in mixed radix,
+    and its value is the product of the factors' values, taken left to
+    right.  Listing the tuples in lexicographic order of the factors'
+    row-major nonzeros puts every row's entries in ascending column order,
+    so one COO-to-CSR conversion yields the canonical CSR array, the same
+    one as a chain of pairwise `scipy.sparse.kron` products.
     """
-    mats = {}
+    n = space.total_dim
+    index_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64  # as scipy.sparse picks
+    entries = {}  # factor index -> (rows, cols, values) of its stored entries, in CSR order
     for idx, mat in ops:
         space.check_factor(idx)
-        if idx in mats:
+        if idx in entries:
             raise ValueError(f"duplicate factor index {idx} in tensor_embed")
         m = mat if sparse.issparse(mat) else np.asarray(mat, dtype=complex)
         d = space.factors[idx].size
         if m.shape != (d, d):
             raise ValueError(f"matrix for factor {idx} has shape {m.shape}, expected ({d}, {d})")
-        mats[idx] = sparse.csr_array(m, dtype=complex)
-    blocks = (mats[idx] if idx in mats else sparse.identity(f.size, dtype=complex, format="csr")
-              for idx, f in enumerate(space.factors))
-    return Operator(space, functools.reduce(lambda a, b: sparse.kron(a, b, format="csr"), blocks))
+        m = sparse.csr_array(m, dtype=complex)
+        r = np.repeat(np.arange(d, dtype=index_dtype), np.diff(m.indptr))
+        entries[idx] = (r, m.indices.astype(index_dtype), m.data)
+    rows = cols = vals = None
+    for idx, f in enumerate(space.factors):
+        eye = np.arange(f.size, dtype=index_dtype)
+        r, c, v = entries.get(idx, (eye, eye, np.ones(f.size, dtype=complex)))
+        if vals is None:
+            rows, cols, vals = r, c, v
+        else:
+            rows = (rows[:, None] * f.size + r).ravel()
+            cols = (cols[:, None] * f.size + c).ravel()
+            vals = (vals[:, None] * v).ravel()
+    return Operator(space, sparse.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr())
 
 
 def _ladder(d: int) -> sparse.csr_array:

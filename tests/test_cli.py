@@ -505,6 +505,39 @@ class TestExitCodes:
                        "No such file or directory\n")
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("text, key, raw", [
+        ("command = spectrum\ngeff = inf\n", "geff", "inf"),
+        ("command = smax-sweep\ngeff_start = -inf\ngeff_stop = 1\ngeff_count = 3\n",
+         "geff_start", "-inf"),
+        ("command = time-trace\ngeff = nan\ntime_start = 0\ntime_stop = 1\ntime_count = 5\n",
+         "geff", "nan"),
+    ], ids=["spectrum-geff-inf", "smax-sweep-geff_start-minus-inf", "time-trace-geff-nan"])
+    def test_non_finite_float_exit_2(self, tmp_path, capsys, text, key, raw):
+        # each of these used to run: a nan variance column, nan rows, or exit 1
+        out = tmp_path / "x.csv"
+        code = run_cli(tmp_path, f"{text}output = {out}\n")
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: line 2: '{key}' must be finite, got '{raw}'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, want", [
+        ("d_cav = 1", "'d_cav' must be >= 2, got 1"),
+        ("d_mech = 0", "'d_mech' must be >= 2, got 0"),
+        ("d_cav_lindblad = 1", "'d_cav_lindblad' must be >= 2, got 1"),
+        ("d_mech_lindblad = -4", "'d_mech_lindblad' must be >= 2, got -4"),
+        ("n_times = 1", "'n_times' must be >= 2, got 1"),
+        ("lindblad_rtol = 0", "'lindblad_rtol' must be > 0, got '0'"),
+        ("lindblad_rtol = -1e-8", "'lindblad_rtol' must be > 0, got '-1e-8'"),
+    ])
+    def test_structural_key_out_of_range_exit_2(self, tmp_path, capsys, line, want):
+        # these used to exit 1 with a message that named no line
+        out = tmp_path / "x.csv"
+        code = run_cli(tmp_path, f"command = validate-adiabatic\ndelta = 20\nDelta = 100\n"
+                                 f"horizon = 1\ninclude_lindblad = true\n{line}\noutput = {out}\n")
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: line 6: {want}\n"
+        assert not out.exists()
+
     def test_missing_file_exit_2(self, tmp_path, capsys):
         code = main([str(tmp_path / "nope.cfg")])
         assert code == 2

@@ -49,12 +49,15 @@ from optosqueeze.model import (
 from optosqueeze.operators import (
     Fock,
     HilbertSpace,
+    Level,
     Operator,
     QuantumState,
     annihilation,
+    level_projector,
     momentum,
     number,
     position,
+    tensor_embed,
 )
 from test_operators import basis_state, vacuum_state
 
@@ -601,6 +604,102 @@ class TestVarianceTrajectory:
             1.0, 1.0, 0.0, 0.0, CovarianceState.vacuum(), np.array([0.0, math.pi / (2.0 * q)])
         )
         assert variance_trajectory(traj, "P").values[1] == pytest.approx(1.25, rel=1e-12)
+
+
+def driven_oscillator_beside_level(d):
+    """H_eff plus a linear drive on Fock(d), beside an idle Level(2); the state starts at level 0.
+
+    The drive moves the oscillator by one quantum, so X connects the
+    reachable sector (atom at level 0) to itself and <X> is nonzero.
+    """
+    space = HilbertSpace((Fock(d), Level(2)))
+    osc = build_effective_hamiltonian(0.4, 1.0, oscillator_space(d))
+    b = annihilation(oscillator_space(d), 0)
+    h = tensor_embed([(0, (osc + 0.6 * (b + b.dag())).csr)], space)
+    h = h + 0.3 * level_projector(space, 1, 1, 1)
+    return space, h, basis_state(space, [0, 0])
+
+
+class TestSectorContractions:
+    """variance_trajectory reads the sector block; the scattered full-space states are the reference."""
+
+    @staticmethod
+    def full_space_unitary_moments(traj, q):
+        # the contraction the full-length vectors used to go through
+        vs = traj.vectors
+        qv = (q @ vs.T).T
+        m1 = np.einsum("ti,ti->t", vs.conj(), qv).real
+        m2 = np.einsum("ti,ti->t", qv.conj(), qv).real
+        return m2 - m1**2
+
+    @pytest.mark.parametrize("quadrature", ["X", "P"])
+    def test_unitary_chain_equals_full_space_exactly(self, quadrature):
+        # 48 of the 768 states are reached, and X maps all of them outside the sector
+        p = ModelParams(delta=20.0, Delta=100.0, Omega=1.0, g1=1.0, g2=0.02)
+        space = hybrid_space(8, 32, 3)
+        e1 = atomic_coupling_spectrum(p).e1
+        psi0 = QuantumState.pure(space, np.kron(np.eye(8 * 32)[0], [e1[0], e1[1], 0.0]))
+        traj = evolve_unitary(build_full_hamiltonian(p, space), psi0, np.linspace(0.0, 6.0, 61))
+        assert traj.amplitudes.shape == (61, 48)
+        q = (position if quadrature == "X" else momentum)(space, 1).csr
+        got = variance_trajectory(traj, quadrature).values
+        assert np.array_equal(got, self.full_space_unitary_moments(traj, q))
+
+    @pytest.mark.parametrize("quadrature", ["X", "P"])
+    def test_unitary_driven_equals_full_space_exactly(self, quadrature):
+        space, h, psi0 = driven_oscillator_beside_level(12)
+        traj = evolve_unitary(h, psi0, np.linspace(0.0, 4.0, 41))
+        assert traj.meta["sector_dim"] == 12
+        q = (position if quadrature == "X" else momentum)(space, 0).csr
+        vs = traj.vectors
+        assert np.max(np.abs(np.einsum("ti,ti->t", vs.conj(), (q @ vs.T).T))) > 0.1
+        got = variance_trajectory(traj, quadrature).values
+        assert np.array_equal(got, self.full_space_unitary_moments(traj, q))
+
+    @pytest.mark.parametrize("quadrature", ["X", "P"])
+    @pytest.mark.parametrize("driven", [False, True])
+    def test_lindblad_matches_density_matrices(self, quadrature, driven):
+        if driven:
+            space, h, psi0 = driven_oscillator_beside_level(10)
+            b = annihilation(space, 0)
+        else:
+            space = oscillator_space(10)
+            h = build_effective_hamiltonian(0.5, 1.0, space)
+            b, psi0 = annihilation(space, 0), vacuum_state(space)
+        ops = [(b, 0.3 * 1.4), (b.dag(), 0.3 * 0.4)]
+        traj = evolve_lindblad(h, ops, psi0, np.linspace(0.0, 3.0, 13))
+        assert traj.meta["sector_dim"] < space.total_dim ** 2
+        q = (position if quadrature == "X" else momentum)(space, 0).matrix
+        rhos = traj.rhos
+        m1 = np.einsum("tij,ji->t", rhos, q).real
+        m2 = np.einsum("tij,ji->t", rhos, q @ q).real
+        assert driven == bool(np.max(np.abs(m1)) > 0.1)
+        ref = m2 - m1**2
+        got = variance_trajectory(traj, quadrature).values
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-15
+
+    def test_lindblad_open_chain_leg_stays_off_the_full_space(self):
+        # the open leg of the benchmark's open chain, 3 x 8 x 3 = 72 states:
+        # scattering its 160 states would hold 160 x 72^2 complex values (13.3 MB)
+        p = ModelParams(delta=20.0, Delta=100.0, Omega=1.0, g1=1.0, g2=0.02, kappa=0.5, Gamma_e=0.1)
+        space = hybrid_space(3, 8, 3)
+        e1 = atomic_coupling_spectrum(p).e1
+        psi0 = QuantumState.pure(space, np.kron(np.eye(3 * 8)[0], [e1[0], e1[1], 0.0]))
+        h = build_full_hamiltonian(p, space)
+        ops = [(annihilation(space, 0), p.kappa), (level_projector(space, 2, 1, 2), p.Gamma_e),
+               (level_projector(space, 2, 0, 2), p.Gamma_e)]
+        times = np.linspace(0.0, 3.2, 160)
+        scatter_bytes = times.size * space.total_dim ** 2 * 16
+        # scipy.integrate, which evolve_lindblad imports on first use, is imported at the top
+        tracemalloc.start()
+        try:
+            traj = evolve_lindblad(h, ops, psi0, times, rtol=1e-8, atol=1e-10)
+            variance_trajectory(traj, "X")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traj.meta["sector_dim"] < space.total_dim ** 2 // 4
+        assert peak < scatter_bytes / 4
 
 
 class TestDimensionPolicy:

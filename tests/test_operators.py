@@ -6,6 +6,7 @@ reference layouts, geometric-series moments), never read back from the
 module under test.
 """
 
+import functools
 import inspect
 
 import numpy as np
@@ -213,6 +214,64 @@ class TestTensorEmbed:
         sp = HilbertSpace((Fock(3), Level(2)))
         with pytest.raises(ValueError, match="shape"):
             tensor_embed([(0, np.eye(4))], sp)
+
+
+def kron_chain_reference(ops, space):
+    """CSR of the embedding as a left-to-right chain of pairwise `scipy.sparse.kron` products."""
+    mats = {idx: sparse.csr_array(m, dtype=complex) for idx, m in ops}
+    blocks = [mats.get(idx, sparse.identity(f.size, dtype=complex, format="csr"))
+              for idx, f in enumerate(space.factors)]
+    return Operator(space, functools.reduce(lambda a, b: sparse.kron(a, b, format="csr"), blocks)).csr
+
+
+@st.composite
+def embeddings(draw):
+    """A 1- to 3-factor space and a factor matrix on each drawn factor.
+
+    Matrices are complex with a drawn share of zeros (all zeros included),
+    passed dense or as CSR; factors without one get identities.
+    """
+    sizes = draw(st.lists(st.integers(2, 5), min_size=1, max_size=3))
+    space = HilbertSpace(tuple(Fock(d) if draw(st.booleans()) else Level(d) for d in sizes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    ops = []
+    for idx, d in enumerate(sizes):
+        if draw(st.booleans()):
+            m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            m[rng.random((d, d)) < draw(st.floats(0.0, 1.0))] = 0.0
+            ops.append((idx, sparse.csr_array(m) if draw(st.booleans()) else m))
+    return space, ops
+
+
+class TestTensorEmbedBitIdentical:
+    """The one-pass assembly stores exactly the CSR arrays of the pairwise kron chain."""
+
+    @staticmethod
+    def assert_same_csr(got, ref):
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype, name
+            assert a.tobytes() == b.tobytes(), name
+
+    @settings(max_examples=200, deadline=None)
+    @given(embeddings())
+    def test_matches_kron_chain(self, case):
+        space, ops = case
+        self.assert_same_csr(tensor_embed(ops, space).csr, kron_chain_reference(ops, space))
+
+    @pytest.mark.parametrize("sizes", [(4,), (3, 2), (3, 5, 2)])
+    def test_empty_embedding(self, sizes):
+        space = HilbertSpace(tuple(Fock(d) for d in sizes))
+        self.assert_same_csr(tensor_embed([], space).csr, kron_chain_reference([], space))
+
+    def test_model_operators_at_chain_dims(self):
+        # the embeddings the model Hamiltonians are made of, at 8 x 32 x 3
+        space = HilbertSpace((Fock(8), Fock(32), Level(3)))
+        ladder = annihilation(HilbertSpace((Fock(32),)), 0).csr
+        proj = np.zeros((3, 3))
+        proj[1, 2] = 1.0
+        for ops in ([(1, ladder)], [(0, np.diag(np.arange(8.0))), (1, ladder @ ladder)], [(2, proj)]):
+            self.assert_same_csr(tensor_embed(ops, space).csr, kron_chain_reference(ops, space))
 
 
 def _rng_matrix(d, seed):
