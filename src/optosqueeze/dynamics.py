@@ -21,10 +21,11 @@ evaluate every time of the grid from t0 as phases in its eigenbasis.
 * `covariance_evolve`: the Gaussian first/second-moment equations of the
   damped quadratic model, solved exactly per time point with an augmented
   matrix exponential (Van Loan block trick), valid in the unstable regime
-  as well.
+  as well; it returns the means and covariances as stacked arrays.
 * `evolve_lindblad`: adaptive integration of the master equation with
   explicit collapse operators, through a sparse Liouvillian restricted to
-  the sector the initial state reaches.
+  the sector the initial state reaches; it returns the expectations of
+  the observables the caller names, not the states.
 
 Both Fock engines propagate only the reachable sector: a breadth-first
 search over the generator's nonzero pattern (H for `evolve_unitary`, the
@@ -32,12 +33,13 @@ Liouvillian for `evolve_lindblad`), started from the support of the
 initial pure state, finds the index set that exp(t G) can populate.  The
 restriction is exact, so it is always on; a drive, mechanical damping or
 any other term that joins sectors enlarges the search result by itself.
-Their trajectories stay on the sector: they hold its sorted indices and
-the (n_t, sector size) block of amplitudes or vec(rho) entries, every
-component outside it being exactly zero, and every reader (norm, trace,
-truncation tails, `variance_trajectory`) works on that block.  No
-full-size trajectory is built; `UnitaryTrajectory.vectors` and
-`LindbladTrajectory.rhos` scatter one on access.
+Every reader (norm, trace, truncation tails, expectations) works on the
+sector block, every component outside it being exactly zero.  A
+`UnitaryTrajectory` keeps its (n_t, sector size) block of amplitudes,
+which `variance_trajectory` reads; `UnitaryTrajectory.vectors` scatters
+full-size states on access.  `evolve_lindblad` keeps no block: it reads
+its populations and the requested expectations off the solution and
+returns those.
 
 Operators arrive as CSR arrays (see `operators`) and stay sparse here; the
 one dense matrix is the sector block of H that `evolve_unitary` hands to
@@ -88,7 +90,7 @@ __all__ = [
     "TimeSeries",
     "CovarianceState",
     "UnitaryTrajectory",
-    "LindbladTrajectory",
+    "Expectations",
     "CovarianceTrajectory",
     "AdiabaticReport",
     "evolve_unitary",
@@ -122,7 +124,7 @@ def _double_until_converged(run, dims: tuple, cap: int):
     """
     while True:
         result, tails = run(dims)
-        over = {i for i, tail in tails.items() if tail > TAIL_LIMIT}
+        over = {i for i, tail in tails.items() if not tail <= TAIL_LIMIT}  # NaN counts as over
         if not over:
             return result, tails, dims
         doubled = tuple(2 * d if i in over else d for i, d in enumerate(dims))
@@ -136,21 +138,27 @@ def _double_until_converged(run, dims: tuple, cap: int):
 
 @dataclass
 class TimeSeries:
-    """Real values on a strictly increasing time grid, plus run metadata."""
+    """Real values on a strictly increasing grid of at least two times, plus run metadata."""
 
     times: np.ndarray
     values: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
+        t = _time_grid(self.times)
         v = np.asarray(self.values, dtype=float)
-        if t.ndim != 1 or v.shape != t.shape:
+        if v.shape != t.shape:
             raise ValueError("times and values must be 1d arrays of equal length")
-        if t.size > 1 and not np.all(np.diff(t) > 0):
-            raise ValueError("times must be strictly increasing")
         self.times = t
         self.values = v
+
+
+def _check_uncertainty(cov: np.ndarray):
+    """Raise ValueError unless every 2x2 covariance in `cov` has det >= 1/16 (1e-10 slack)."""
+    det = np.atleast_1d(np.linalg.det(cov))
+    bad = det[~(det >= 1.0 / 16.0 - 1e-10)]  # a NaN determinant fails too
+    if bad.size:
+        raise ValueError(f"det(cov) = {bad[0]:g} violates the bound 1/16")
 
 
 @dataclass(frozen=True)
@@ -170,10 +178,11 @@ class CovarianceState:
         c = np.array(self.cov, dtype=float)
         if m.shape != (2,) or c.shape != (2, 2):
             raise ValueError("mean must be a 2-vector and cov a 2x2 matrix")
+        if not (np.isfinite(m).all() and np.isfinite(c).all()):
+            raise ValueError("mean and cov must be finite")
         if abs(c[0, 1] - c[1, 0]) > 1e-10 * max(1.0, abs(c[0, 1])):
             raise ValueError("covariance matrix must be symmetric")
-        if float(np.linalg.det(c)) < 1.0 / 16.0 - 1e-10:
-            raise ValueError(f"det(cov) = {np.linalg.det(c):g} violates the bound 1/16")
+        _check_uncertainty(c)
         m.setflags(write=False)
         c.setflags(write=False)
         object.__setattr__(self, "mean", m)
@@ -213,33 +222,21 @@ class UnitaryTrajectory:
 
 
 @dataclass
-class LindbladTrajectory:
-    """Density-matrix trajectory on the reachable sector of row-major vec(rho).
+class Expectations:
+    """Tr(A rho(t)) of each requested observable A: column k of `values` holds the k-th."""
 
-    `sector` holds the sorted indices i * d + j of the entries rho[i, j]
-    that the evolution can reach; row k of `entries` holds them at
-    times[k], and every other entry is exactly zero.
-    """
-
-    space: HilbertSpace
     times: np.ndarray
-    sector: np.ndarray
-    entries: np.ndarray
+    values: np.ndarray  # complex, (n_t, number of observables)
     meta: dict
-
-    @property
-    def rhos(self) -> np.ndarray:
-        """The full d x d density matrices, scattered from `entries` on every access."""
-        d = self.space.total_dim
-        out = np.zeros((self.times.size, d * d), dtype=complex)
-        out[:, self.sector] = self.entries
-        return out.reshape(self.times.size, d, d)
 
 
 @dataclass
 class CovarianceTrajectory:
+    """Gaussian moments over the grid: `mean` is (n_t, 2) and `cov` is (n_t, 2, 2)."""
+
     times: np.ndarray
-    states: list
+    mean: np.ndarray
+    cov: np.ndarray
     meta: dict
 
 
@@ -272,14 +269,14 @@ def _fock_tails(probs: np.ndarray, states: np.ndarray, space: HilbertSpace) -> d
 
 def _time_grid(times) -> np.ndarray:
     t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0):
-        raise ValueError("need a strictly increasing time grid with at least two points")
+    if t.ndim != 1 or t.size < 2 or not (np.isfinite(t).all() and np.all(np.diff(t) > 0)):
+        raise ValueError("need a finite, strictly increasing time grid with at least two points")
     return t
 
 
 def _first_drift(values: np.ndarray, tol: float):
-    """Index of the first |value - 1| above `tol`, or None."""
-    bad = np.flatnonzero(np.abs(values - 1.0) > tol)
+    """Index of the first |value - 1| above `tol` or not a number, or None."""
+    bad = np.flatnonzero(~(np.abs(values - 1.0) <= tol))
     return int(bad[0]) if bad.size else None
 
 
@@ -344,20 +341,10 @@ def evolve_unitary(H: Operator, psi0: QuantumState, times) -> UnitaryTrajectory:
         "dims": space.factor_sizes,
         "sector_dim": int(sec.size),
         "tail_max": tails,
-        "tail_flag": any(v > TAIL_LIMIT for v in tails.values()),
+        "tail_flag": any(not v <= TAIL_LIMIT for v in tails.values()),
         "norm_max_dev": float(np.max(np.abs(norms - 1.0))),
     }
     return UnitaryTrajectory(space=space, times=t, sector=sec, amplitudes=amps, meta=meta)
-
-
-def _default_mech_factor(space: HilbertSpace) -> int:
-    focks = [i for i, f in enumerate(space.factors) if isinstance(f, Fock)]
-    if len(focks) == 1:
-        return focks[0]
-    # fixed (cavity, oscillator, atom) order puts the oscillator at index 1
-    if 1 in focks:
-        return 1
-    raise ValueError("cannot infer the oscillator factor")
 
 
 _BANDED_H = (
@@ -404,11 +391,13 @@ def exact_quadrature_moments(H: Operator, nbar: float, times):
 
     Returns (mean, second, tail): <X>(t), <X^2>(t), and the joint
     population of the top two Fock levels (the top one below four levels)
-    over the grid.  X maps one parity to the other and a thermal state has
-    no even-odd coherence, so `mean` is np.zeros(t.size) and is never
-    computed; the slot stays so that the variance reads second - mean**2
-    and the tail stays [2].
+    over the grid.  The phases run from t = 0, not from times[0]: the
+    state is thermal at t = 0.  X maps one parity to the other and a
+    thermal state has no even-odd coherence, so `mean` is np.zeros(t.size)
+    and is never computed; the slot stays so that the variance reads
+    second - mean**2 and the tail stays [2].
     """
+    t = _time_grid(times)
     if not H.is_hermitian(1e-12):
         raise ValueError("exact_quadrature_moments requires a Hermitian Hamiltonian")
     space = H.space
@@ -420,7 +409,6 @@ def exact_quadrature_moments(H: Operator, nbar: float, times):
         raise ValueError(_BANDED_H)
 
     d = space.total_dim
-    t = np.asarray(times, dtype=float)
     p = thermal_populations(d, nbar)
     hd, h2 = H.csr.diagonal(0).real, H.csr.diagonal(2).real
     x = position(space, 0).csr.real
@@ -445,22 +433,29 @@ def evolve_lindblad(
     collapse_ops,
     psi0: QuantumState,
     times,
+    observables,
     rtol: float = 1e-9,
     atol: float = 1e-12,
-) -> LindbladTrajectory:
-    """Integrate drho/dt = -i[H, rho] + sum_k rate_k D[c_k] rho.
+) -> Expectations:
+    """Tr(A rho(t)) over the grid for each observable A, under the master equation.
 
+    The master equation is drho/dt = -i[H, rho] + sum_k rate_k D[c_k] rho.
     `collapse_ops` is a list of (Operator, rate) pairs; each dissipator is
     D[c] rho = c rho c^dag - (c^dag c rho + rho c^dag c)/2 scaled by its
     rate (equivalently, collapse operator sqrt(rate) c).  The generator is
     assembled once as a sparse Liouvillian acting on the row-major
     vectorised rho; DOP853 integrates its block on the sector that
-    vec(|psi0><psi0|) reaches (`meta["sector_dim"]` entries), and the
-    trajectory keeps the solution on that sector.  The populations, hence
-    the trace and the truncation tails, are read from its diagonal entries
-    rho[i, i] (vec index i * (d + 1)); the trace is checked at every output
-    time and drift beyond `TRACE_TOL` aborts.  Only the last rho is
-    scattered into a d x d matrix, for `meta["final_eigmin"]`.
+    vec(|psi0><psi0|) reaches (`meta["sector_dim"]` entries).
+
+    Everything is read off the solution on that sector, which is not kept.
+    Column k of the returned `values` is Tr(A rho(t)) = sum_ij A[j, i]
+    rho[i, j] for the k-th Operator A of the sequence `observables`: one
+    product of the sector entries with the weights A[j, i], complex (take
+    the real part for a Hermitian A).  The populations, hence the trace and
+    the truncation tails, are read from the diagonal entries rho[i, i] (vec
+    index i * (d + 1)); the trace is checked at every output time and drift
+    beyond `TRACE_TOL` aborts.  Only the last rho is scattered into a d x d
+    matrix, for `meta["final_eigmin"]`.
     """
     # imported here, its only user, so that a CLI start without a master equation skips it
     from scipy.integrate import solve_ivp
@@ -468,16 +463,16 @@ def evolve_lindblad(
     if not H.is_hermitian(1e-12):
         raise ValueError("evolve_lindblad requires a Hermitian Hamiltonian")
     space = H.space
-    if space != psi0.space:
-        raise ValueError("Hamiltonian and state live on different spaces")
+    if space != psi0.space or any(a.space != space for a in observables):
+        raise ValueError("Hamiltonian, state and observables live on different spaces")
     t = _time_grid(times)
 
     ls = []
     for op, rate in collapse_ops:
         if op.space != space:
             raise ValueError("collapse operator on a different space")
-        if rate < 0:
-            raise ValueError("collapse rates must be >= 0")
+        if not rate >= 0:  # a NaN rate would otherwise be skipped below as if it were 0
+            raise ValueError(f"collapse rates must be >= 0, got {rate!r}")
         if rate > 0:
             ls.append(math.sqrt(rate) * op.csr)
     d = space.total_dim
@@ -523,6 +518,9 @@ def evolve_lindblad(
     tails = _fock_tails(probs, np.arange(d), space)
     rho_final = np.zeros(d * d, dtype=complex)
     rho_final[sec] = entries[-1]
+    values = np.empty((t.size, len(observables)), dtype=complex)
+    for col, a in enumerate(observables):
+        values[:, col] = entries @ _trace_weights(a.csr, sec, d)
 
     meta = {
         "method": "lindblad-dop853",
@@ -534,51 +532,29 @@ def evolve_lindblad(
         "trace_max_dev": float(np.max(np.abs(traces - 1.0))),
         "final_eigmin": float(np.min(np.linalg.eigvalsh(rho_final.reshape(d, d)))),
         "tail_max": tails,
-        "tail_flag": any(v > TAIL_LIMIT for v in tails.values()),
+        "tail_flag": any(not v <= TAIL_LIMIT for v in tails.values()),
     }
-    return LindbladTrajectory(space=space, times=t, sector=sec, entries=entries, meta=meta)
+    return Expectations(times=t, values=values, meta=meta)
 
 
-def variance_trajectory(traj, quadrature: str = "X") -> TimeSeries:
-    """Variance of X or P along a trajectory, as a TimeSeries.
+def variance_trajectory(traj: UnitaryTrajectory, factor: int, quadrature: str = "X") -> TimeSeries:
+    """Variance of X or P of the Fock factor `factor` along a pure-state trajectory.
 
-    Accepts the pure-state, density-matrix, and covariance trajectory
-    containers.  For tensor-product spaces the oscillator factor is
-    inferred from the fixed (cavity, oscillator, atom) ordering.
-
-    Both Fock trajectories are read on their sector, never scattered.  On
-    pure states both moments come from one sparse product qv = q v, with
-    q the columns of the quadrature on the sector, restricted to its
-    nonzero rows: <q> = Re sum conj(v) qv over the rows inside the sector
-    and <q^2> = sum |qv|^2, exact for the Hermitian q of the truncated
-    space (its q @ q).  On density matrices <A> = Tr(A rho) = sum_ij
-    A[j, i] rho[i, j] is one product of the sector entries of vec(rho)
-    with the weights A[j, i], for A = q and A = q @ q.
+    The trajectory is read on its sector, never scattered.  Both moments
+    come from one sparse product qv = q v, with q the columns of the
+    quadrature on the sector, restricted to its nonzero rows: <q> = Re sum
+    conj(v) qv over the rows inside the sector and <q^2> = sum |qv|^2,
+    exact for the Hermitian q of the truncated space (its q @ q).
     """
     if quadrature not in ("X", "P"):
         raise ValueError("quadrature must be 'X' or 'P'")
-
-    if isinstance(traj, CovarianceTrajectory):
-        i = 0 if quadrature == "X" else 1
-        vals = np.array([cs.cov[i, i] for cs in traj.states])
-        return TimeSeries(traj.times, vals, dict(traj.meta, quadrature=quadrature))
-
-    space = traj.space
-    idx = _default_mech_factor(space)
-    q = (position if quadrature == "X" else momentum)(space, idx).csr
-
-    if isinstance(traj, UnitaryTrajectory):
-        q_sec = q[:, traj.sector]
-        rows = np.flatnonzero(np.diff(q_sec.indptr))
-        qv = (q_sec[rows] @ traj.amplitudes.T).T
-        hit, at = _sector_positions(traj.sector, rows)
-        m1 = np.einsum("ti,ti->t", traj.amplitudes[:, at].conj(), qv[:, hit]).real
-        m2 = np.einsum("ti,ti->t", qv.conj(), qv).real
-    elif isinstance(traj, LindbladTrajectory):
-        d = space.total_dim
-        m1, m2 = ((traj.entries @ _trace_weights(a, traj.sector, d)).real for a in (q, q @ q))
-    else:
-        raise TypeError(f"unsupported trajectory type {type(traj).__name__}")
+    q = (position if quadrature == "X" else momentum)(traj.space, factor).csr
+    q_sec = q[:, traj.sector]
+    rows = np.flatnonzero(np.diff(q_sec.indptr))
+    qv = (q_sec[rows] @ traj.amplitudes.T).T
+    hit, at = _sector_positions(traj.sector, rows)
+    m1 = np.einsum("ti,ti->t", traj.amplitudes[:, at].conj(), qv[:, hit]).real
+    m2 = np.einsum("ti,ti->t", qv.conj(), qv).real
     return TimeSeries(traj.times, m2 - m1**2, dict(traj.meta, quadrature=quadrature))
 
 
@@ -610,30 +586,29 @@ def covariance_evolve(
         A = [[-gamma/2, omega_m], [-(omega_m + 4 g_eff), -gamma/2]],
         D = gamma (2 nbar + 1)/4 * identity.
 
-    Each output point is computed from the initial condition with one
+    Each output point is computed from `init` at times[0] with one
     augmented matrix exponential (exact; no step-size error, stable and
     unstable regimes alike); the exponentials of the whole grid are one
-    stacked `expm` call.  This is the package's brute-force oracle for
-    everything Gaussian.
+    stacked `expm` call, and the means and covariances follow from them by
+    stacked products.  The covariances are symmetrized against round-off,
+    and det(cov) >= 1/16 is checked once over the stack.  This is the
+    package's brute-force oracle for everything Gaussian.
     """
-    if gamma < 0 or nbar < 0:
-        raise ValueError("gamma and nbar must be >= 0")
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size < 1 or (t.size > 1 and np.any(np.diff(t) <= 0)):
-        raise ValueError("need a strictly increasing time grid")
+    if not (gamma >= 0 and nbar >= 0):
+        raise ValueError(f"gamma and nbar must be >= 0, got {gamma!r} and {nbar!r}")
+    t = _time_grid(times)
     a, d = _drift_diffusion(g_eff, omega_m, gamma, nbar)
     m = np.zeros((4, 4))
     m[:2, :2] = a
     m[:2, 2:] = d
     m[2:, 2:] = -a.T
 
-    states = []
-    for e in expm(m[None] * (t - t[0])[:, None, None]):
-        f = e[:2, :2]
-        w = e[:2, 2:] @ f.T
-        cov = f @ init.cov @ f.T + w
-        cov = 0.5 * (cov + cov.T)  # kill round-off asymmetry
-        states.append(CovarianceState(mean=f @ init.mean, cov=cov))
+    e = expm(m[None] * (t - t[0])[:, None, None])
+    f = e[:, :2, :2]
+    ft = f.transpose(0, 2, 1)
+    cov = f @ init.cov @ ft + e[:, :2, 2:] @ ft
+    cov = 0.5 * (cov + cov.transpose(0, 2, 1))
+    _check_uncertainty(cov)
     meta = {
         "method": "covariance-expm",
         "g_eff": g_eff,
@@ -641,7 +616,7 @@ def covariance_evolve(
         "gamma": gamma,
         "nbar": nbar,
     }
-    return CovarianceTrajectory(times=t, states=states, meta=meta)
+    return CovarianceTrajectory(times=t, mean=f @ init.mean, cov=cov, meta=meta)
 
 
 def mech_dim_start(nbar: float, g_eff: float, omega_m: float) -> int:
@@ -666,12 +641,13 @@ def effective_variance_series(
     """X-variance under H_eff from a thermal state (vacuum at nbar = 0), truncation-adaptive.
 
     The moments come from the parity-split `exact_quadrature_moments` for
-    every nbar.  The oscillator dimension starts at `d_start` (default
-    `mech_dim_start`) and doubles until the truncation tail stays below
-    1e-6; TruncationError is raised when a doubling would pass
-    `EFFECTIVE_DIM_CAP`.
+    every nbar, so the phases run from t = 0: the state is thermal at
+    t = 0, whatever times[0] is.  The oscillator dimension starts at
+    `d_start` (default `mech_dim_start`) and doubles until the truncation
+    tail stays below 1e-6; TruncationError is raised when a doubling would
+    pass `EFFECTIVE_DIM_CAP`.
     """
-    t = np.asarray(times, dtype=float)
+    t = _time_grid(times)
 
     def run(dims):
         space = oscillator_space(dims[0])
@@ -776,13 +752,14 @@ def validate_adiabatic_chain(
     the chain assumes large, and which Stark variant tracked the
     three-level model better.
 
-    With `include_lindblad`, two extra density-matrix runs of the
+    With `include_lindblad`, two extra master-equation runs of the
     three-level model (with and without the kappa / Gamma_e collapse
     channels, same integrator, `LINDBLAD_N_TIMES` points over the horizon,
     atol = `lindblad_rtol` / 100) measure how much the achieved maximum
-    squeezing degrades.  They share one space, which starts at
-    `lindblad_dims` = (d_cav, d_mech); a None entry takes min(d_cav, 4),
-    respectively d_mech, as reached by the unitary legs.
+    squeezing degrades.  Each run returns only <X> and <X^2> of the
+    oscillator, and the variance is formed here.  They share one space,
+    which starts at `lindblad_dims` = (d_cav, d_mech); a None entry takes
+    min(d_cav, 4), respectively d_mech, as reached by the unitary legs.
 
     Truncation is adaptive: a unitary leg whose top-level population
     exceeds 1e-6 doubles the offending dimension, up to `CHAIN_DIM_CAP`,
@@ -816,7 +793,7 @@ def validate_adiabatic_chain(
             return traj, traj.meta["tail_max"]
 
         traj, tails, (dc, dm) = _double_until_converged(run, (dc, dm), CHAIN_DIM_CAP)
-        return variance_trajectory(traj, "X").values, tails, traj.meta["sector_dim"]
+        return variance_trajectory(traj, 1, "X").values, tails, traj.meta["sector_dim"]
 
     var_full, tails_full, sec_full = run_unitary_leg(lambda s: build_full_hamiltonian(p, s), 3, atom3)
     var_aw, tails_aw, sec_aw = run_unitary_leg(
@@ -889,8 +866,9 @@ def validate_adiabatic_chain(
                     ops.append((level_projector(lspace, 2, 0, 2), p.Gamma_e))
             return ops
 
-        def achieved_smax(traj):
-            var = variance_trajectory(traj, "X").values
+        def achieved_smax(leg):
+            m1, m2 = leg.values.real.T  # <X> and <X^2> of the oscillator
+            var = m2 - m1**2
             return -5.0 * math.log10(float(np.min(var)) / float(var[0]))
 
         atol = lindblad_rtol * 1e-2
@@ -900,7 +878,8 @@ def validate_adiabatic_chain(
             lspace = hybrid_space(*dims, 3)
             lh = build_full_hamiltonian(p, lspace)
             psi0 = _product_vacuum_with_atom(lspace, atom3)
-            legs = [evolve_lindblad(lh, collapse_set(lspace, open_system), psi0, ltimes,
+            x = position(lspace, 1)
+            legs = [evolve_lindblad(lh, collapse_set(lspace, open_system), psi0, ltimes, (x, x @ x),
                                     rtol=lindblad_rtol, atol=atol)
                     for open_system in (False, True)]
             tails = {i: max(leg.meta["tail_max"][i] for leg in legs) for i in legs[0].meta["tail_max"]}

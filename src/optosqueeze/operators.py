@@ -39,15 +39,12 @@ __all__ = [
     "HilbertSpace",
     "Operator",
     "QuantumState",
-    "identity",
     "annihilation",
-    "number",
     "position",
     "momentum",
     "level_projector",
     "tensor_embed",
     "thermal_populations",
-    "thermal_tail_mass",
 ]
 
 
@@ -216,7 +213,7 @@ class QuantumState:
         if v.shape != (n,):
             raise ValueError(f"vector length {v.shape[0]} does not match space dimension {n}")
         nrm = np.linalg.norm(v)
-        if abs(nrm - 1.0) > self._NORM_TOL:
+        if not abs(nrm - 1.0) <= self._NORM_TOL:  # a NaN or infinite entry fails too
             raise ValueError(f"pure state norm {nrm!r} deviates from 1 beyond {self._NORM_TOL}")
         v.setflags(write=False)
         object.__setattr__(self, "vector", v)
@@ -224,10 +221,6 @@ class QuantumState:
     @classmethod
     def pure(cls, space: HilbertSpace, vector: np.ndarray) -> "QuantumState":
         return cls(space, vector)
-
-
-def identity(space: HilbertSpace) -> Operator:
-    return Operator(space, sparse.identity(space.total_dim, dtype=complex, format="csr"))
 
 
 def tensor_embed(ops: Iterable, space: HilbertSpace) -> Operator:
@@ -307,11 +300,6 @@ def annihilation(space: HilbertSpace, factor_index: int) -> Operator:
     return tensor_embed([(factor_index, _ladder(f.size))], space)
 
 
-def number(space: HilbertSpace, factor_index: int) -> Operator:
-    b = annihilation(space, factor_index)
-    return b.dag() @ b
-
-
 def position(space: HilbertSpace, factor_index: int) -> Operator:
     """X = (b + b^dag)/2 of the given Fock factor."""
     b = annihilation(space, factor_index)
@@ -337,31 +325,17 @@ def level_projector(space: HilbertSpace, factor_index: int, i: int, j: int) -> O
     return tensor_embed([(factor_index, m)], space)
 
 
-def thermal_tail_mass(nbar: float, dim: int) -> float:
-    """Probability mass of the untruncated thermal distribution at n >= dim.
-
-    The geometric weights p_n = (nbar/(nbar+1))^n / (nbar+1) sum to
-    (nbar/(nbar+1))^dim beyond the truncation, which is what
-    `thermal_populations` renormalizes away.
-    """
-    if nbar < 0:
-        raise ValueError("nbar must be >= 0")
-    if nbar == 0:
-        return 0.0
-    return float((nbar / (nbar + 1.0)) ** dim)
-
-
 def thermal_populations(d: int, nbar: float) -> np.ndarray:
     """Fock occupations p_0, ..., p_{d-1} of a thermal state of mean occupation nbar.
 
     Geometric weights p_n proportional to (nbar/(nbar+1))^n, renormalized
     over the d truncated levels; the mass dropped by the truncation is
-    `thermal_tail_mass(nbar, d)`.  nbar = 0 gives [1, 0, ..., 0] exactly.
-    The thermal density matrix is diagonal in the Fock basis, so these
-    occupations are the whole state.
+    (nbar/(nbar+1))^d.  nbar = 0 gives [1, 0, ..., 0] exactly.  The thermal
+    density matrix is diagonal in the Fock basis, so these occupations are
+    the whole state.
     """
-    if nbar < 0:
-        raise ValueError("nbar must be >= 0")
+    if not (np.isfinite(nbar) and nbar >= 0):
+        raise ValueError(f"nbar must be finite and >= 0, got {nbar!r}")
     if nbar == 0:
         p = np.zeros(d)
         p[0] = 1.0

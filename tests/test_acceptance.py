@@ -95,7 +95,7 @@ def test_criterion_04_oracle_triangle(capsys):
             fock = effective_variance_series(g, 1.0, nbar, times).values
             closed = np.array([position_variance(g, 1.0, nbar, t) for t in times])
             traj = covariance_evolve(g, 1.0, 0.0, nbar, CovarianceState.thermal(nbar), times)
-            gauss = np.array([st.cov[0, 0] for st in traj.states])
+            gauss = traj.cov[:, 0, 0]
             for a, b in ((fock, closed), (fock, gauss), (gauss, closed)):
                 worst = max(worst, float(np.max(np.abs(a - b) / b)))
     ok = worst < 5e-3

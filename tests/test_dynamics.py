@@ -55,11 +55,10 @@ from optosqueeze.operators import (
     annihilation,
     level_projector,
     momentum,
-    number,
     position,
     tensor_embed,
 )
-from test_operators import basis_state, vacuum_state
+from test_operators import basis_state, number, vacuum_state
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -97,6 +96,14 @@ class TestCovarianceState:
         with pytest.raises(ValueError, match="symmetric"):
             CovarianceState(mean=np.zeros(2), cov=np.array([[0.3, 0.1], [0.2, 0.3]]))
 
+    @pytest.mark.parametrize("field", ["mean", "cov"])
+    def test_rejects_non_finite(self, field):
+        # a NaN covariance has a NaN determinant, and nan < 1/16 is False
+        args = {"mean": np.zeros(2), "cov": np.diag([0.25, 0.25])}
+        args[field] = np.full_like(args[field], math.nan)
+        with pytest.raises(ValueError, match="finite"):
+            CovarianceState(**args)
+
     def test_arrays_read_only(self):
         v = CovarianceState.vacuum()
         with pytest.raises(ValueError):
@@ -113,20 +120,21 @@ class TestCovarianceEvolve:
             init = CovarianceState(mean=np.array([0.4, -0.2]), cov=np.diag([0.3, 0.4]))
             traj = covariance_evolve(g, 1.0, gamma, nbar, init, times)
             means, covs = brute_gaussian(g, gamma, nbar, init, times)
+            assert traj.mean.shape == (times.size, 2) and traj.cov.shape == (times.size, 2, 2)
             for i in range(times.size):
-                assert np.allclose(traj.states[i].mean, means[i], atol=1e-9)
-                assert np.allclose(traj.states[i].cov, covs[i], atol=1e-9)
+                assert np.allclose(traj.mean[i], means[i], atol=1e-9)
+                assert np.allclose(traj.cov[i], covs[i], atol=1e-9)
 
     def test_free_oscillator_vacuum_is_stationary(self):
         times = np.linspace(0.0, 10.0, 41)
         traj = covariance_evolve(0.0, 1.0, 0.0, 0.0, CovarianceState.vacuum(), times)
-        for cs in traj.states:
-            assert np.allclose(cs.cov, np.diag([0.25, 0.25]), atol=1e-12)
+        for cov in traj.cov:
+            assert np.allclose(cov, np.diag([0.25, 0.25]), atol=1e-12)
 
     def test_free_oscillator_mean_rotates(self):
         init = CovarianceState(mean=np.array([1.0, 0.0]), cov=np.diag([0.25, 0.25]))
         traj = covariance_evolve(0.0, 1.0, 0.0, 0.0, init, np.array([0.0, math.pi / 2.0]))
-        assert np.allclose(traj.states[1].mean, [0.0, -1.0], atol=1e-12)
+        assert np.allclose(traj.mean[1], [0.0, -1.0], atol=1e-12)
 
     def test_quarter_period_squeezing(self):
         # g = omega_m = 1: variance dips to (1/4)(1 - 4/5) = 1/20 at q t = pi/2
@@ -134,30 +142,29 @@ class TestCovarianceEvolve:
         traj = covariance_evolve(
             1.0, 1.0, 0.0, 0.0, CovarianceState.vacuum(), np.array([0.0, math.pi / (2.0 * q)])
         )
-        assert traj.states[1].cov[0, 0] == pytest.approx(0.05, abs=1e-12)
+        assert traj.cov[1, 0, 0] == pytest.approx(0.05, abs=1e-12)
         # pure Gaussian state stays at the uncertainty floor
-        assert np.linalg.det(traj.states[1].cov) == pytest.approx(1.0 / 16.0, abs=1e-12)
+        assert np.linalg.det(traj.cov[1]) == pytest.approx(1.0 / 16.0, abs=1e-12)
 
     def test_matches_closed_form_on_grid(self):
         g, nbar = 1.7, 3.0
         times = np.linspace(0.0, 6.0, 60)
         traj = covariance_evolve(g, 1.0, 0.0, nbar, CovarianceState.thermal(nbar), times)
-        ts = variance_trajectory(traj, "X")
         ref = np.array([position_variance(g, 1.0, nbar, t) for t in times])
-        assert np.allclose(ts.values, ref, rtol=1e-12, atol=0.0)
+        assert np.allclose(traj.cov[:, 0, 0], ref, rtol=1e-12, atol=0.0)
 
     def test_damped_steady_state_is_thermal(self):
         nbar = 3.0
         times = np.array([0.0, 60.0])
         traj = covariance_evolve(0.0, 1.0, 0.8, nbar, CovarianceState.vacuum(), times)
-        assert np.allclose(traj.states[1].cov, np.diag([1.75, 1.75]), atol=1e-6)
-        assert np.allclose(traj.states[1].mean, 0.0, atol=1e-12)
+        assert np.allclose(traj.cov[1], np.diag([1.75, 1.75]), atol=1e-6)
+        assert np.allclose(traj.mean[1], 0.0, atol=1e-12)
 
     def test_nonzero_start_time(self):
         init = CovarianceState(mean=np.array([0.2, 0.1]), cov=np.diag([0.3, 0.3]))
         a = covariance_evolve(0.8, 1.0, 0.2, 1.0, init, np.array([0.0, 1.5]))
         b = covariance_evolve(0.8, 1.0, 0.2, 1.0, init, np.array([2.0, 3.5]))
-        assert np.allclose(a.states[1].cov, b.states[1].cov, atol=1e-13)
+        assert np.allclose(a.cov[1], b.cov[1], atol=1e-13)
 
     def test_hyperbolic_regime_variance_grows(self):
         # omega_m (omega_m + 4g) < 0: X-variance is 0.25 (1 + 6 sinh^2 mu t)
@@ -166,7 +173,7 @@ class TestCovarianceEvolve:
         mu = math.sqrt(0.2)
         for i, t in enumerate(times):
             ref = 0.25 * (1.0 + 6.0 * math.sinh(mu * t) ** 2)
-            assert traj.states[i].cov[0, 0] == pytest.approx(ref, rel=1e-10)
+            assert traj.cov[i, 0, 0] == pytest.approx(ref, rel=1e-10)
 
     def test_rejects_bad_arguments(self):
         init = CovarianceState.vacuum()
@@ -174,8 +181,14 @@ class TestCovarianceEvolve:
             covariance_evolve(1.0, 1.0, -0.1, 0.0, init, [0.0, 1.0])
         with pytest.raises(ValueError):
             covariance_evolve(1.0, 1.0, 0.0, -1.0, init, [0.0, 1.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="gamma and nbar"):
+            covariance_evolve(1.0, 1.0, math.nan, 0.0, init, [0.0, 1.0])
+        with pytest.raises(ValueError, match="increasing"):
             covariance_evolve(1.0, 1.0, 0.0, 0.0, init, [0.0, 1.0, 0.5])
+        with pytest.raises(ValueError, match="two points"):
+            covariance_evolve(1.0, 1.0, 0.0, 0.0, init, [0.0])
+        with pytest.raises(ValueError, match="bound 1/16"), np.errstate(invalid="ignore"):
+            covariance_evolve(math.nan, 1.0, 0.0, 0.0, init, [0.0, 1.0])  # NaN fails the det check
 
     @pytest.mark.parametrize("g, gamma, nbar", [(0.5, 0.0, 0.0), (2.0, 0.0, 10.0), (-0.3, 0.3, 2.0)])
     def test_stacked_expm_equals_per_time_expm(self, g, gamma, nbar):
@@ -189,12 +202,12 @@ class TestCovarianceEvolve:
         init = CovarianceState(mean=np.array([0.4, -0.2]), cov=np.diag([0.3, 0.4]))
         times = 0.3 + np.linspace(0.0, 2.0 * math.pi / math.sqrt(abs(1.0 + 4.0 * g)), 201)
         traj = covariance_evolve(g, 1.0, gamma, nbar, init, times)
-        for ti, state in zip(times, traj.states):
+        for ti, mean, cov_t in zip(times, traj.mean, traj.cov):
             e = expm(m * (ti - times[0]))
             f = e[:2, :2]
             cov = f @ init.cov @ f.T + e[:2, 2:] @ f.T
-            assert np.array_equal(state.cov, 0.5 * (cov + cov.T))
-            assert np.array_equal(state.mean, f @ init.mean)
+            assert np.array_equal(cov_t, 0.5 * (cov + cov.T))
+            assert np.array_equal(mean, f @ init.mean)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -204,7 +217,7 @@ class TestCovarianceEvolve:
     def test_closed_evolution_preserves_purity(self, g, t):
         # gamma = 0 keeps det(cov) at the 1/16 floor for any quadratic g
         traj = covariance_evolve(g, 1.0, 0.0, 0.0, CovarianceState.vacuum(), np.array([0.0, t]))
-        assert np.linalg.det(traj.states[-1].cov) == pytest.approx(1.0 / 16.0, abs=1e-11)
+        assert np.linalg.det(traj.cov[-1]) == pytest.approx(1.0 / 16.0, abs=1e-11)
 
 
 class TestEvolveUnitary:
@@ -213,7 +226,7 @@ class TestEvolveUnitary:
         h = Operator(space, np.diag(np.arange(12)).astype(complex))
         psi0 = basis_state(space, [3])
         traj = evolve_unitary(h, psi0, np.linspace(0.0, 7.0, 30))
-        ts = variance_trajectory(traj, "X")
+        ts = variance_trajectory(traj, 0, "X")
         assert np.allclose(ts.values, 7.0 / 4.0, atol=1e-12)
         assert traj.meta["norm_max_dev"] < 1e-12
 
@@ -226,10 +239,9 @@ class TestEvolveUnitary:
         # both routes start from vacuum at times[0], whatever its value
         times = 2.0 * math.pi / q * s if grid == "uniform" else 0.7 + 2.0 * math.pi / q * s**2
         traj = evolve_unitary(h, vacuum_state(space), times)
-        ts = variance_trajectory(traj, "X")
+        ts = variance_trajectory(traj, 0, "X")
         ref = covariance_evolve(1.0, 1.0, 0.0, 0.0, CovarianceState.vacuum(), times)
-        refv = variance_trajectory(ref, "X")
-        assert np.allclose(ts.values, refv.values, rtol=0.0, atol=1e-9)
+        assert np.allclose(ts.values, ref.cov[:, 0, 0], rtol=0.0, atol=1e-9)
         assert max(traj.meta["tail_max"].values()) < 1e-6
 
     def test_minimum_at_quarter_period(self):
@@ -237,7 +249,7 @@ class TestEvolveUnitary:
         h = build_effective_hamiltonian(1.0, 1.0, space)
         q = math.sqrt(5.0)
         times = np.linspace(0.0, math.pi / q, 201)  # index 100 sits at q t = pi/2
-        ts = variance_trajectory(evolve_unitary(h, vacuum_state(space), times), "X")
+        ts = variance_trajectory(evolve_unitary(h, vacuum_state(space), times), 0, "X")
         assert ts.values[100] == pytest.approx(0.05, abs=1e-9)
 
     def test_conjugate_quadrature_antisqueezes(self):
@@ -246,8 +258,8 @@ class TestEvolveUnitary:
         q = math.sqrt(5.0)
         times = np.array([0.0, math.pi / (2.0 * q)])
         traj = evolve_unitary(h, vacuum_state(space), times)
-        vx = variance_trajectory(traj, "X").values[1]
-        vp = variance_trajectory(traj, "P").values[1]
+        vx = variance_trajectory(traj, 0, "X").values[1]
+        vp = variance_trajectory(traj, 0, "P").values[1]
         assert vp == pytest.approx(1.25, rel=1e-8)
         assert vx * vp == pytest.approx(1.0 / 16.0, abs=1e-9)
 
@@ -300,6 +312,20 @@ class TestEvolveUnitary:
         with pytest.raises(TruncationError, match=r"norm drifted to .* at t=2\.4;"):
             evolve_unitary(h, vacuum_state(space), np.linspace(2.0, 3.0, 11))
 
+    def test_nan_norm_raises(self, monkeypatch):
+        # |nan - 1| > tol is False, so a plain "> tol" drift test let a NaN norm through
+        eigh = np.linalg.eigh
+
+        def nan_eigh(m):
+            lam, v = eigh(m)
+            return np.full_like(lam, np.nan), v
+
+        monkeypatch.setattr(np.linalg, "eigh", nan_eigh)
+        space = oscillator_space(6)
+        h = build_effective_hamiltonian(0.5, 1.0, space)
+        with pytest.raises(TruncationError, match=r"norm drifted to .*nan.* at t=0;"):
+            evolve_unitary(h, vacuum_state(space), np.linspace(0.0, 1.0, 5))
+
 
 def dense_moments_reference(h, nbar, times):
     """<X>, <X^2> and the top-two-level tail by the former dense route.
@@ -331,6 +357,18 @@ def pure_projector(psi):
     return np.outer(psi.vector, psi.vector.conj()).ravel()
 
 
+def matrix_units(space):
+    """The observables |j><i| in row-major order of (i, j): Tr(|j><i| rho) = rho[i, j].
+
+    Their expectations from `evolve_lindblad`, reshaped to (n_t, d, d), are
+    the density matrices themselves: each weight vector holds a single 1,
+    so every entry is read without round-off.
+    """
+    d = space.total_dim
+    return [Operator(space, sparse.csr_array(([1.0], ([j], [i])), shape=(d, d)))
+            for i in range(d) for j in range(d)]
+
+
 class TestExactQuadratureMoments:
     # odd d puts the two tail levels in different parities; below four
     # levels one parity has no tail level at all
@@ -355,13 +393,20 @@ class TestExactQuadratureMoments:
         h = number(composite, 0) + number(composite, 1)
         with pytest.raises(ValueError, match="single Fock factor"):
             exact_quadrature_moments(h, 0.0, [0.0, 1.0])
+        # the time grid is checked first, before any eigendecomposition
+        h = build_effective_hamiltonian(0.5, 1.0, space)
+        for grid in ([[0.0, 1.0], [2.0, 3.0]], [0.0], [0.0, 1.0, 1.0], [0.0, math.nan], [0.0, math.inf]):
+            with pytest.raises(ValueError, match="strictly increasing time grid"):
+                exact_quadrature_moments(h, 0.0, grid)
+            with pytest.raises(ValueError, match="strictly increasing time grid"):
+                effective_variance_series(0.5, 1.0, 0.0, grid)
 
     def test_agrees_with_wavefunction_route_for_pure_states(self):
         space = oscillator_space(30)
         h = build_effective_hamiltonian(0.5, 1.0, space)
         times = np.linspace(0.0, 2.0 * math.pi, 50)
         m1, m2, tail = exact_quadrature_moments(h, 0.0, times)
-        ts = variance_trajectory(evolve_unitary(h, vacuum_state(space), times), "X")
+        ts = variance_trajectory(evolve_unitary(h, vacuum_state(space), times), 0, "X")
         assert np.allclose(m2 - m1**2, ts.values, atol=1e-10)
         assert np.max(tail) < 1e-8
 
@@ -393,10 +438,9 @@ class TestEvolveLindblad:
         b = annihilation(space, 0)
         gamma = 0.7
         times = np.linspace(0.0, 3.0, 16)
-        traj = evolve_lindblad(h, [(b, gamma)], basis_state(space, [1]), times)
-        n = number(space, 0).matrix
-        occ = np.einsum("tij,ji->t", traj.rhos, n).real
-        assert np.allclose(occ, np.exp(-gamma * times), atol=1e-8)
+        out = evolve_lindblad(h, [(b, gamma)], basis_state(space, [1]), times, [number(space, 0)])
+        assert out.values.shape == (times.size, 1)
+        assert np.allclose(out.values[:, 0].real, np.exp(-gamma * times), atol=1e-8)
 
     def test_detailed_balance_reaches_truncated_thermal(self):
         d, nbar, gamma = 30, 0.5, 1.0
@@ -404,11 +448,10 @@ class TestEvolveLindblad:
         h = build_effective_hamiltonian(0.0, 1.0, space)
         b = annihilation(space, 0)
         ops = [(b, gamma * (nbar + 1.0)), (b.dag(), gamma * nbar)]
-        traj = evolve_lindblad(h, ops, vacuum_state(space), np.array([0.0, 30.0]))
+        out = evolve_lindblad(h, ops, vacuum_state(space), np.array([0.0, 30.0]), [number(space, 0)])
         w = (nbar / (nbar + 1.0)) ** np.arange(d)
         ref_mean = float((np.arange(d) * w).sum() / w.sum())
-        occ = float(np.einsum("ij,ji->", traj.rhos[-1], number(space, 0).matrix).real)
-        assert occ == pytest.approx(ref_mean, rel=1e-6)
+        assert out.values[-1, 0].real == pytest.approx(ref_mean, rel=1e-6)
 
     def test_matches_covariance_route_with_damping(self):
         # the only route pair that shares neither equations nor integrator
@@ -418,21 +461,21 @@ class TestEvolveLindblad:
         b = annihilation(space, 0)
         ops = [(b, gamma * (nbar + 1.0)), (b.dag(), gamma * nbar)]
         times = np.linspace(0.0, 6.0, 25)
-        traj = evolve_lindblad(h, ops, vacuum_state(space), times)
-        assert not traj.meta["tail_flag"]
-        vx = variance_trajectory(traj, "X").values
-        ref = variance_trajectory(
-            covariance_evolve(g, 1.0, gamma, nbar, CovarianceState.vacuum(), times), "X"
-        ).values
-        assert np.allclose(vx, ref, rtol=1e-6)
+        x = position(space, 0)
+        out = evolve_lindblad(h, ops, vacuum_state(space), times, [x, x @ x])
+        assert not out.meta["tail_flag"]
+        m1, m2 = out.values.real.T
+        ref = covariance_evolve(g, 1.0, gamma, nbar, CovarianceState.vacuum(), times).cov[:, 0, 0]
+        assert np.allclose(m2 - m1**2, ref, rtol=1e-6)
 
     def test_no_collapse_matches_unitary(self):
         space = oscillator_space(24)
         h = build_effective_hamiltonian(1.0, 1.0, space)
         times = np.linspace(0.0, 2.0, 15)
-        traj = evolve_lindblad(h, [], vacuum_state(space), times)
-        ref = variance_trajectory(evolve_unitary(h, vacuum_state(space), times), "X")
-        assert np.allclose(variance_trajectory(traj, "X").values, ref.values, atol=1e-7)
+        x = position(space, 0)
+        m1, m2 = evolve_lindblad(h, [], vacuum_state(space), times, [x, x @ x]).values.real.T
+        ref = variance_trajectory(evolve_unitary(h, vacuum_state(space), times), 0, "X")
+        assert np.allclose(m2 - m1**2, ref.values, atol=1e-7)
 
     def test_starts_from_pure_state_projector(self):
         # a complex superposition pins the conjugate in |psi0><psi0|
@@ -440,39 +483,48 @@ class TestEvolveLindblad:
         v0 = np.array([0.6, 0.48j, 0.0, -0.64])
         psi0 = QuantumState.pure(space, v0)
         h = build_effective_hamiltonian(0.3, 1.0, space)
-        traj = evolve_lindblad(h, [(annihilation(space, 0), 0.2)], psi0, np.linspace(0.5, 1.0, 3))
-        assert np.array_equal(traj.rhos[0], np.outer(v0, v0.conj()))
+        out = evolve_lindblad(h, [(annihilation(space, 0), 0.2)], psi0, np.linspace(0.5, 1.0, 3),
+                              matrix_units(space))
+        assert np.array_equal(out.values[0].reshape(4, 4), np.outer(v0, v0.conj()))
 
     def test_trace_and_positivity_meta(self):
         space = oscillator_space(10)
         h = build_effective_hamiltonian(0.2, 1.0, space)
-        traj = evolve_lindblad(
-            h, [(annihilation(space, 0), 0.5)], basis_state(space, [2]), np.linspace(0.0, 4.0, 9)
+        out = evolve_lindblad(
+            h, [(annihilation(space, 0), 0.5)], basis_state(space, [2]), np.linspace(0.0, 4.0, 9), []
         )
-        assert traj.meta["trace_max_dev"] < 1e-9
-        assert traj.meta["final_eigmin"] > -1e-8
+        assert out.values.shape == (9, 0)
+        assert out.meta["trace_max_dev"] < 1e-9
+        assert out.meta["final_eigmin"] > -1e-8
 
     def test_trace_drift_names_first_time(self, monkeypatch):
         # the Lindblad form preserves the trace up to round-off; at tolerance
         # 0 the first time whose trace is off by any round-off must be named
         space = oscillator_space(10)
         h = build_effective_hamiltonian(0.2, 1.0, space)
-        args = (h, [(annihilation(space, 0), 0.5)], basis_state(space, [2]), np.linspace(0.0, 4.0, 9))
-        traj = evolve_lindblad(*args)
-        off = np.flatnonzero(np.diagonal(traj.rhos, axis1=1, axis2=2).real.sum(axis=1) != 1.0)
+        times = np.linspace(0.0, 4.0, 9)
+        args = (h, [(annihilation(space, 0), 0.5)], basis_state(space, [2]), times)
+        # the populations |i><i|, summed as the engine sums them: a contiguous
+        # (n_t, d) float array reduced along its rows
+        out = evolve_lindblad(*args, [Operator(space, np.diag(np.eye(10)[i])) for i in range(10)])
+        off = np.flatnonzero(np.ascontiguousarray(out.values.real).sum(axis=1) != 1.0)
         assert off.size > 1
         monkeypatch.setattr(dynamics, "TRACE_TOL", 0.0)
-        with pytest.raises(TruncationError, match=rf"at t={traj.times[off[0]]:g} "):
-            evolve_lindblad(*args)
+        with pytest.raises(TruncationError, match=rf"at t={times[off[0]]:g} "):
+            evolve_lindblad(*args, [])
 
     def test_rejections(self):
         space = oscillator_space(6)
         h = build_effective_hamiltonian(0.5, 1.0, space)
         rho0 = vacuum_state(space)
-        with pytest.raises(ValueError, match="rate"):
-            evolve_lindblad(h, [(annihilation(space, 0), -1.0)], rho0, [0.0, 1.0])
+        x = [position(space, 0)]
+        for rate in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="rate"):
+                evolve_lindblad(h, [(annihilation(space, 0), rate)], rho0, [0.0, 1.0], x)
         with pytest.raises(ValueError, match="space"):
-            evolve_lindblad(h, [(annihilation(oscillator_space(8), 0), 1.0)], rho0, [0.0, 1.0])
+            evolve_lindblad(h, [(annihilation(oscillator_space(8), 0), 1.0)], rho0, [0.0, 1.0], x)
+        with pytest.raises(ValueError, match="space"):
+            evolve_lindblad(h, [], rho0, [0.0, 1.0], [position(oscillator_space(8), 0)])
 
 
 def random_hermitian(rng, n):
@@ -541,10 +593,10 @@ class TestReachableSector:
 
         h = Operator(space, np.zeros((d, d)))
         times = np.linspace(0.0, 3.0, 7)
-        up = evolve_lindblad(h, [(b, 0.7)], basis_state(space, [1]), times)
-        down = evolve_lindblad(h, [(b, 0.7)], basis_state(space, [0]), times)
+        up = evolve_lindblad(h, [(b, 0.7)], basis_state(space, [1]), times, [])
+        down = evolve_lindblad(h, [(b, 0.7)], basis_state(space, [0]), times, matrix_units(space))
         assert (up.meta["sector_dim"], down.meta["sector_dim"]) == (2, 1)
-        assert np.all(down.rhos == down.rhos[0])
+        assert np.all(down.values == down.values[0])  # rho stays |0><0|, every entry exactly
 
     def test_damped_model_matches_full_liouvillian(self):
         # D[b] and D[b^dag] move m and n of |m><n| together, and H_eff moves
@@ -555,14 +607,20 @@ class TestReachableSector:
         b = annihilation(space, 0)
         ops = [(b, gamma * (nbar + 1.0)), (b.dag(), gamma * nbar)]
         times = np.linspace(0.0, 3.0, 13)
-        traj = evolve_lindblad(h, ops, vacuum_state(space), times, rtol=1e-10, atol=1e-13)
+        # a random Hermitian observable with unit entrywise 1-norm, so an
+        # entrywise error of 1e-9 moves its expectation by at most 1e-9
+        a = random_hermitian(np.random.default_rng(17), d)
+        a /= np.abs(a).sum()
+        odd = (np.arange(d)[:, None] - np.arange(d)[None, :]) % 2 == 1
+        obs = [Operator(space, a), Operator(space, np.where(odd, a, 0.0))]
+        out = evolve_lindblad(h, ops, vacuum_state(space), times, obs, rtol=1e-10, atol=1e-13)
         liouv = liouvillian_reference(h.matrix, [(op.matrix, rate) for op, rate in ops])
         ref = expm_multiply(liouv, pure_projector(vacuum_state(space)),
                             start=0.0, stop=3.0, num=13, endpoint=True)
-        odd = (np.arange(d)[:, None] - np.arange(d)[None, :]) % 2 == 1
-        assert traj.meta["sector_dim"] == d * d // 2
-        assert np.all(traj.rhos[:, odd] == 0.0)
-        assert np.allclose(traj.rhos.reshape(times.size, -1), ref, rtol=0.0, atol=1e-9)
+        assert out.meta["sector_dim"] == d * d // 2
+        assert np.all(out.values[:, 1] == 0.0)  # the odd entries are never reached
+        # Tr(a rho) = sum_ij a[j, i] rho[i, j] on the row-major vec(rho)
+        assert np.allclose(out.values[:, 0], ref @ a.T.ravel(), rtol=0.0, atol=1e-9)
 
     def test_chain_sectors_at_closed_chain_dims(self):
         # the undriven chain from vacuum at 8 x 32 x 3 (768 states) and 8 x 32 x 2 (512)
@@ -574,9 +632,10 @@ class TestReachableSector:
 
 class TestVarianceTrajectory:
     def test_quadrature_validation(self):
-        traj = covariance_evolve(0.0, 1.0, 0.0, 0.0, CovarianceState.vacuum(), [0.0, 1.0])
+        space = oscillator_space(4)
+        traj = evolve_unitary(build_effective_hamiltonian(0.5, 1.0, space), vacuum_state(space), [0.0, 1.0])
         with pytest.raises(ValueError, match="quadrature"):
-            variance_trajectory(traj, "Y")
+            variance_trajectory(traj, 0, "Y")
 
     @pytest.mark.parametrize("quadrature", ["X", "P"])
     def test_unitary_moments_match_three_operand_einsum(self, quadrature):
@@ -595,15 +654,18 @@ class TestVarianceTrajectory:
         m2 = np.einsum("ti,ij,tj->t", vs.conj(), q @ q, vs).real
         assert np.max(np.abs(m1)) > 0.1  # the first moment is exercised
         ref = m2 - m1**2
-        got = variance_trajectory(traj, quadrature).values
+        got = variance_trajectory(traj, 1, quadrature).values
         assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
 
     def test_covariance_p_column(self):
+        # the P variance of a unitary run against the covariance route's P column
         q = math.sqrt(5.0)
-        traj = covariance_evolve(
-            1.0, 1.0, 0.0, 0.0, CovarianceState.vacuum(), np.array([0.0, math.pi / (2.0 * q)])
-        )
-        assert variance_trajectory(traj, "P").values[1] == pytest.approx(1.25, rel=1e-12)
+        times = np.array([0.0, math.pi / (2.0 * q)])
+        traj = covariance_evolve(1.0, 1.0, 0.0, 0.0, CovarianceState.vacuum(), times)
+        assert traj.cov[1, 1, 1] == pytest.approx(1.25, rel=1e-12)
+        space = oscillator_space(64)
+        fock = evolve_unitary(build_effective_hamiltonian(1.0, 1.0, space), vacuum_state(space), times)
+        assert variance_trajectory(fock, 0, "P").values[1] == pytest.approx(traj.cov[1, 1, 1], rel=1e-8)
 
 
 def driven_oscillator_beside_level(d):
@@ -621,7 +683,7 @@ def driven_oscillator_beside_level(d):
 
 
 class TestSectorContractions:
-    """variance_trajectory reads the sector block; the scattered full-space states are the reference."""
+    """Both engines read the sector block; full-space states are the reference."""
 
     @staticmethod
     def full_space_unitary_moments(traj, q):
@@ -642,7 +704,7 @@ class TestSectorContractions:
         traj = evolve_unitary(build_full_hamiltonian(p, space), psi0, np.linspace(0.0, 6.0, 61))
         assert traj.amplitudes.shape == (61, 48)
         q = (position if quadrature == "X" else momentum)(space, 1).csr
-        got = variance_trajectory(traj, quadrature).values
+        got = variance_trajectory(traj, 1, quadrature).values
         assert np.array_equal(got, self.full_space_unitary_moments(traj, q))
 
     @pytest.mark.parametrize("quadrature", ["X", "P"])
@@ -653,7 +715,7 @@ class TestSectorContractions:
         q = (position if quadrature == "X" else momentum)(space, 0).csr
         vs = traj.vectors
         assert np.max(np.abs(np.einsum("ti,ti->t", vs.conj(), (q @ vs.T).T))) > 0.1
-        got = variance_trajectory(traj, quadrature).values
+        got = variance_trajectory(traj, 0, quadrature).values
         assert np.array_equal(got, self.full_space_unitary_moments(traj, q))
 
     @pytest.mark.parametrize("quadrature", ["X", "P"])
@@ -667,15 +729,19 @@ class TestSectorContractions:
             h = build_effective_hamiltonian(0.5, 1.0, space)
             b, psi0 = annihilation(space, 0), vacuum_state(space)
         ops = [(b, 0.3 * 1.4), (b.dag(), 0.3 * 0.4)]
-        traj = evolve_lindblad(h, ops, psi0, np.linspace(0.0, 3.0, 13))
-        assert traj.meta["sector_dim"] < space.total_dim ** 2
-        q = (position if quadrature == "X" else momentum)(space, 0).matrix
-        rhos = traj.rhos
-        m1 = np.einsum("tij,ji->t", rhos, q).real
-        m2 = np.einsum("tij,ji->t", rhos, q @ q).real
+        q = (position if quadrature == "X" else momentum)(space, 0)
+        # one run: the quadrature moments, then the matrix units, which read rho exactly
+        out = evolve_lindblad(h, ops, psi0, np.linspace(0.0, 3.0, 13), [q, q @ q, *matrix_units(space)])
+        assert out.meta["sector_dim"] < space.total_dim ** 2
+        d = space.total_dim
+        rhos = out.values[:, 2:].reshape(-1, d, d)
+        qd = q.matrix
+        m1 = np.einsum("tij,ji->t", rhos, qd).real
+        m2 = np.einsum("tij,ji->t", rhos, qd @ qd).real
         assert driven == bool(np.max(np.abs(m1)) > 0.1)
         ref = m2 - m1**2
-        got = variance_trajectory(traj, quadrature).values
+        got_m1, got_m2 = out.values[:, :2].real.T
+        got = got_m2 - got_m1**2
         assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-15
 
     def test_lindblad_open_chain_leg_stays_off_the_full_space(self):
@@ -690,15 +756,15 @@ class TestSectorContractions:
                (level_projector(space, 2, 0, 2), p.Gamma_e)]
         times = np.linspace(0.0, 3.2, 160)
         scatter_bytes = times.size * space.total_dim ** 2 * 16
+        x = position(space, 1)
         # scipy.integrate, which evolve_lindblad imports on first use, is imported at the top
         tracemalloc.start()
         try:
-            traj = evolve_lindblad(h, ops, psi0, times, rtol=1e-8, atol=1e-10)
-            variance_trajectory(traj, "X")
+            out = evolve_lindblad(h, ops, psi0, times, [x, x @ x], rtol=1e-8, atol=1e-10)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert traj.meta["sector_dim"] < space.total_dim ** 2 // 4
+        assert out.meta["sector_dim"] < space.total_dim ** 2 // 4
         assert peak < scatter_bytes / 4
 
 
@@ -740,6 +806,11 @@ class TestDimensionPolicy:
             tracemalloc.stop()
         assert ts.meta["d_mech"] == 1512
         assert peak < 48 * 2**20
+
+    def test_nan_tail_counts_as_over(self):
+        # nan > 1e-6 is False, so a plain "> limit" test took a NaN tail as converged
+        with pytest.raises(TruncationError, match="tails nan exceed"):
+            dynamics._double_until_converged(lambda dims: (None, {0: math.nan}), (4,), 8)
 
     def test_cap_raises(self, monkeypatch):
         monkeypatch.setattr(dynamics, "EFFECTIVE_DIM_CAP", 8)
@@ -875,7 +946,7 @@ class TestExtendedPrecisionOracle:
             atom = np.zeros(levels, dtype=complex)
             atom[:2] = e1
             psi0 = QuantumState.pure(space, np.kron(np.eye(o["d_cav"] * o["d_mech"])[0], atom))
-            got = variance_trajectory(evolve_unitary(h, psi0, times), "X").values
+            got = variance_trajectory(evolve_unitary(h, psi0, times), 1, "X").values
             out[name] = (x_variance_clongdouble(h, psi0, times), got)
         return out
 

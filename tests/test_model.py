@@ -20,7 +20,8 @@ from optosqueeze.model import (
     hybrid_space,
     oscillator_space,
 )
-from optosqueeze.operators import _x2_bands, annihilation, momentum, number, position
+from optosqueeze.operators import _x2_bands, annihilation, momentum, position
+from test_operators import number
 
 
 def commutator(a, b):

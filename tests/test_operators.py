@@ -8,6 +8,7 @@ module under test.
 
 import functools
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -24,19 +25,34 @@ from optosqueeze.operators import (
     SpaceMismatchError,
     _require_same_space,
     annihilation,
-    identity,
     level_projector,
     momentum,
-    number,
     position,
     tensor_embed,
     thermal_populations,
-    thermal_tail_mass,
 )
 
 
 def creation(space, factor_index):
     return annihilation(space, factor_index).dag()
+
+
+def identity(space):
+    return Operator(space, sparse.identity(space.total_dim, dtype=complex, format="csr"))
+
+
+def number(space, factor_index):
+    b = annihilation(space, factor_index)
+    return b.dag() @ b
+
+
+def thermal_tail_mass(nbar, dim):
+    """Mass of the untruncated thermal distribution at n >= dim: (nbar/(nbar+1))^dim."""
+    if not (math.isfinite(nbar) and nbar >= 0):
+        raise ValueError(f"nbar must be finite and >= 0, got {nbar!r}")
+    if nbar == 0:
+        return 0.0
+    return float((nbar / (nbar + 1.0)) ** dim)
 
 
 def commutator(a, b):
@@ -300,6 +316,12 @@ class TestStates:
         with pytest.raises(ValueError, match="does not match"):
             QuantumState.pure(sp, [1.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        # abs(nan - 1) > tol is False, so a plain "> tol" test let NaN through
+        with pytest.raises(ValueError, match="norm"):
+            QuantumState(single_fock(4), [bad, 0.0, 0.0, 0.0])
+
     def test_basis_state_indexing(self):
         sp = HilbertSpace((Fock(2), Fock(2), Level(3)))
         psi = basis_state(sp, [0, 0, 2])
@@ -362,6 +384,14 @@ class TestThermal:
     def test_negative_nbar_rejected(self):
         with pytest.raises(ValueError):
             thermal_populations(4, -0.1)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_nbar_rejected(self, bad):
+        # log(inf) - log(inf + 1) is NaN, and nan < 0 is False
+        with pytest.raises(ValueError, match="finite"):
+            thermal_populations(4, bad)
+        with pytest.raises(ValueError, match="finite"):
+            thermal_tail_mass(bad, 4)
 
 
 class TestExpectation:
