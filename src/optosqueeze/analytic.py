@@ -80,6 +80,8 @@ def bogoliubov(g_eff: float, omega_m: float, t: float) -> BogoliubovCoeffs:
     Raises UnstableRegimeError when q^2 <= 0 (hyperbolic regime): the
     trigonometric closed form no longer applies.
     """
+    if not (math.isfinite(g_eff) and math.isfinite(omega_m) and math.isfinite(t)):
+        raise ValueError(f"g_eff, omega_m and t must be finite, got {g_eff!r}, {omega_m!r}, {t!r}")
     q2 = _q_squared(g_eff, omega_m)
     if q2 <= 0:
         raise UnstableRegimeError(
@@ -95,8 +97,8 @@ def bogoliubov(g_eff: float, omega_m: float, t: float) -> BogoliubovCoeffs:
 
 def thermal_V(nbar: float) -> float:
     """V = coth(hbar omega_m / 2 k_B T) = 2 nbar + 1."""
-    if nbar < 0:
-        raise ValueError("nbar must be >= 0")
+    if not (math.isfinite(nbar) and nbar >= 0):
+        raise ValueError(f"nbar must be finite and >= 0, got {nbar!r}")
     return 2.0 * nbar + 1.0
 
 
@@ -109,8 +111,6 @@ def position_variance(g_eff: float, omega_m: float, nbar: float, t: float) -> fl
 
     with the minimum (V/4) omega_m / (4 g_eff + omega_m) at q t = pi/2.
     """
-    if nbar < 0:
-        raise ValueError("nbar must be >= 0")
     bc = bogoliubov(g_eff, omega_m, t)
     u = bc.r + bc.s.conjugate()
     return 0.25 * thermal_V(nbar) * float(abs(u) ** 2)
@@ -118,8 +118,8 @@ def position_variance(g_eff: float, omega_m: float, nbar: float, t: float) -> fl
 
 def s_max(g_eff: float, omega_m: float) -> float:
     """Maximum squeezing over time: 5 log10(4 g_eff / omega_m + 1) dB."""
-    if g_eff < 0:
-        raise ValueError("s_max is defined for g_eff >= 0")
+    if not (math.isfinite(g_eff) and g_eff >= 0 and math.isfinite(omega_m)):
+        raise ValueError(f"s_max is defined for finite g_eff >= 0 and omega_m, got {g_eff!r}, {omega_m!r}")
     return 5.0 * math.log10(4.0 * g_eff / omega_m + 1.0)
 
 
@@ -157,6 +157,8 @@ def critical_frequencies(p: ModelParams, g_eff: float) -> tuple:
     Raises OverdampedError when the argument of the root is <= 0 and the
     doublet collapses.
     """
+    if not math.isfinite(g_eff):
+        raise ValueError(f"g_eff must be finite, got {g_eff!r}")
     arg = _q_squared(g_eff, p.omega_m) - 0.25 * p.gamma**2
     if arg <= 0:
         raise OverdampedError(

@@ -4,9 +4,9 @@ Two independent numerical routes are provided next to the closed form in
 `analytic`:
 
 * `spectrum_numeric` solves the frequency-domain Langevin system for
-  (b(omega), b_dag(omega)) by direct 2x2 matrix inversion and applies the
-  white-bath input correlations.  It never touches the closed-form
-  numerator/denominator expressions.
+  (b(omega), b_dag(omega)) by inverting its 2x2 response matrix in closed
+  form and applies the white-bath input correlations.  It never touches
+  the closed-form numerator/denominator expressions.
 * `spectrum_regression` works in the time domain instead: stationary
   covariances from the Lyapunov equation, then the resolvent form of the
   Wiener-Khinchin transform.
@@ -17,9 +17,10 @@ stationary autocorrelation <X(t + tau) X(t)>.  Agreement between the two
 (they share no algebra beyond the model itself) is the backbone of the
 spectrum tests.
 
-Both routes, and `trend_vs_geff` over a coupling grid, run on whole grids:
-the 2x2 systems of every grid point are stacked and solved or inverted in
-one call, with no per-point Python loop.
+Both routes, and `trend_vs_geff` over a coupling grid, run on whole grids
+with no per-point Python loop: the Langevin route inverts every 2x2
+response matrix elementwise from its adjugate, and the regression route
+stacks its 2x2 resolvents and solves or inverts them in one call.
 
 The spectrum exists only when the damped drift is actually stable; in the
 hyperbolic regime this requires gamma/2 to beat the growth rate, and both
@@ -81,6 +82,8 @@ def default_omega_grid(omega_m: float = 1.0, n: int = 801) -> np.ndarray:
 def _require_stationary(p: ModelParams, g_eff: float):
     if p.gamma <= 0:
         raise ValueError("the stationary spectrum needs gamma > 0")
+    if not math.isfinite(g_eff):
+        raise ValueError(f"g_eff must be finite, got {g_eff!r}")
     q2 = _q_squared(g_eff, p.omega_m)
     if q2 <= 0 and math.sqrt(-q2) >= p.gamma / 2.0:
         raise UnstableRegimeError(
@@ -119,12 +122,12 @@ def _checked_real(s: np.ndarray, omegas: np.ndarray) -> np.ndarray:
 def _langevin_variances(p: ModelParams, g_eff, omegas) -> np.ndarray:
     """Langevin-inversion spectrum at every (g_eff, omega) pair, broadcast together.
 
-    The 2x2 response matrix of (b(omega), b_dag(omega)) is stacked over
-    every pair and the stack is inverted in one call, once at omega and
-    once at -omega (one stack for both would double the largest
-    temporary).  The coefficients of b_in(omega), b_in_dag(omega) in
-    X(omega) (without sqrt(gamma)) are the column sums of the inverse; the
-    bath correlations <b_in(omega) b_in_dag(-omega')> = (nbar + 1)
+    The 2x2 response matrix [[a, b], [c, d]] of (b(omega), b_dag(omega))
+    is formed elementwise over every pair, once at omega and once at
+    -omega.  The coefficients of b_in(omega), b_in_dag(omega) in X(omega)
+    (without sqrt(gamma)) are the column sums of its inverse, taken from
+    the adjugate: ((d - c)/det, (a - b)/det) with det = ad - bc.  The bath
+    correlations <b_in(omega) b_in_dag(-omega')> = (nbar + 1)
     delta(omega + omega') and <b_in_dag(omega) b_in(-omega')> = nbar
     delta(omega + omega') pair them with those at -omega.
     """
@@ -132,13 +135,13 @@ def _langevin_variances(p: ModelParams, g_eff, omegas) -> np.ndarray:
     k = 2.0 * g + p.omega_m
 
     def coeffs(om):
-        m = np.empty(om.shape + (2, 2), dtype=complex)
-        m[..., 0, 0] = p.gamma / 2.0 + 1j * (k - om)
-        m[..., 0, 1] = 2j * g
-        m[..., 1, 0] = -2j * g
-        m[..., 1, 1] = p.gamma / 2.0 - 1j * (k + om)
-        # X = (b + b_dag)/2: sum the rows, keep the 1/2 in the prefactor below
-        return np.linalg.inv(m).sum(axis=-2).T
+        a = p.gamma / 2.0 + 1j * (k - om)
+        b = 2j * g
+        c = -b
+        d = p.gamma / 2.0 - 1j * (k + om)
+        det = a * d - b * c
+        # X = (b + b_dag)/2: sum the rows of the inverse, keep the 1/2 in the prefactor below
+        return (d - c) / det, (a - b) / det
 
     (c1, c2), (c1m, c2m) = coeffs(w), coeffs(-w)
     s = (p.gamma / 4.0) * ((p.nbar + 1.0) * c1 * c2m + p.nbar * c2 * c1m)
@@ -148,10 +151,10 @@ def _langevin_variances(p: ModelParams, g_eff, omegas) -> np.ndarray:
 def spectrum_numeric(p: ModelParams, g_eff: float, omegas) -> SpectrumSeries:
     """<X(omega), X(omega)> by direct solution of the linear response system.
 
-    At every frequency of the grid the 2x2 response matrix is inverted for
-    the pair (b(omega), b_dag(omega)); the bath correlations then pair the
-    coefficients at omega with those at -omega, weighted (nbar + 1) against
-    nbar.  Exact linear algebra: no simulation, no sampling noise.
+    At every frequency of the grid the 2x2 response matrix is inverted in
+    closed form for the pair (b(omega), b_dag(omega)); the bath correlations
+    then pair the coefficients at omega with those at -omega, weighted
+    (nbar + 1) against nbar.  Exact linear algebra, no sampling noise.
     """
     _require_stationary(p, g_eff)
     w = _finite_grid(omegas, "omegas")
@@ -211,7 +214,7 @@ def trend_vs_geff(p: ModelParams, omega_fixed: float, geff_grid) -> SpectrumSeri
 
     The returned series is indexed by g_eff (meta["index"] = "g_eff") and
     meta["monotone"] reports "decreasing", "increasing", or "none" over the
-    grid.  The whole coupling grid goes through one Langevin inversion.
+    grid.  The whole coupling grid goes through one elementwise Langevin inversion.
     """
     g = _finite_grid(geff_grid, "geff_grid")
     if np.any(g < 0):

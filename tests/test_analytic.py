@@ -71,6 +71,13 @@ class TestBogoliubov:
         bc = bogoliubov(g, 1.0, t)
         assert abs(bc.r) ** 2 - abs(bc.s) ** 2 == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("args", [(math.nan, 1.0, 0.5), (1.0, math.nan, 0.5), (1.0, 1.0, math.inf)])
+    def test_non_finite_input_rejected(self, args):
+        # a NaN q^2 fails "q2 <= 0" and would give NaN coefficients
+        with pytest.raises(ValueError, match="finite") as info:
+            bogoliubov(*args)
+        assert not isinstance(info.value, UnstableRegimeError)
+
     def test_unstable_regime_raises(self):
         with pytest.raises(UnstableRegimeError):
             bogoliubov(-0.3, 1.0, 0.5)
@@ -87,6 +94,11 @@ class TestThermalFactors:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             thermal_V(-0.1)
+
+    @pytest.mark.parametrize("nbar", [math.nan, math.inf])
+    def test_non_finite_rejected(self, nbar):
+        with pytest.raises(ValueError, match="nbar"):
+            thermal_V(nbar)
 
     def test_occupation_inverse(self):
         assert thermal_occupation(math.log(1.1)) == pytest.approx(10.0, rel=1e-12)
@@ -114,6 +126,12 @@ class TestPositionVariance:
         # V=21 scales the vacuum minimum 0.05 to 1.05 = (V/4) omega_m/(4g+omega_m)
         q = math.sqrt(5.0)
         assert position_variance(1.0, 1.0, 10.0, (math.pi / 2) / q) == pytest.approx(1.05, abs=1e-12)
+
+    @pytest.mark.parametrize("nbar", [math.nan, math.inf, -0.1])
+    def test_bad_occupation_rejected(self, nbar):
+        # "nbar < 0" alone let NaN through: position_variance(1, 1, nan, 0.5) was nan
+        with pytest.raises(ValueError, match="nbar"):
+            position_variance(1.0, 1.0, nbar, 0.5)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -202,6 +220,11 @@ class TestSMax:
         with pytest.raises(ValueError):
             s_max(-0.1, 1.0)
 
+    @pytest.mark.parametrize("args", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan)])
+    def test_non_finite_input_rejected(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            s_max(*args)
+
 
 class TestSpectrumAnalytic:
     def test_worked_point(self):
@@ -264,6 +287,13 @@ class TestCriticalFrequencies:
         p = ModelParams(gamma=1e-8)
         _, hi = critical_frequencies(p, 0.0)
         assert hi == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("g", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coupling_rejected(self, g):
+        # a NaN root argument fails "arg <= 0" and would give (nan, nan)
+        with pytest.raises(ValueError, match="g_eff") as info:
+            critical_frequencies(ModelParams(gamma=1.0), g)
+        assert not isinstance(info.value, OverdampedError)
 
     def test_overdamped_boundary(self):
         g = 1.0
