@@ -123,6 +123,19 @@ def s_max(g_eff: float, omega_m: float) -> float:
     return 5.0 * math.log10(4.0 * g_eff / omega_m + 1.0)
 
 
+def _require_stationary(p: ModelParams, g_eff: float):
+    """The one stationarity test of every spectrum route: gamma > 0 and a damped drift."""
+    if p.gamma <= 0:
+        raise ValueError("the stationary spectrum needs gamma > 0")
+    if not math.isfinite(g_eff):
+        raise ValueError(f"g_eff must be finite, got {g_eff!r}")
+    q2 = _q_squared(g_eff, p.omega_m)
+    if q2 <= 0 and math.sqrt(-q2) >= p.gamma / 2.0:
+        raise UnstableRegimeError(
+            f"no stationary state: growth rate {math.sqrt(-q2):g} >= gamma/2 = {p.gamma / 2.0:g}"
+        )
+
+
 def spectrum_analytic(p: ModelParams, g_eff: float, omega) -> SpectrumPoint:
     """Closed-form stationary spectrum <X(omega), X(omega)> = (gamma/4) P/Q.
 
@@ -137,10 +150,10 @@ def spectrum_analytic(p: ModelParams, g_eff: float, omega) -> SpectrumPoint:
     Q's minimum over omega sits at the critical frequencies (see
     `critical_frequencies`).  An independent frequency-domain solution of
     the same damped model lives in `spectrum.spectrum_numeric`; the two are
-    compared, not assumed equal.
+    compared, not assumed equal.  Like it, this raises when the damped
+    drift has no stationary state.
     """
-    if p.gamma <= 0:
-        raise ValueError("spectrum requires gamma > 0")
+    _require_stationary(p, g_eff)
     half = 0.5 * p.gamma
     pnum = (
         (p.nbar + 1.0) * (half**2 + (omega + p.omega_m) ** 2)

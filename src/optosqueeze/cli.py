@@ -312,6 +312,8 @@ def _parse_atom_state(raw: str):
         raise ValueError(f"atom_state must be e1, e2, or comma-separated reals, got '{raw}'") from None
     if len(comps) not in (2, 3):
         raise ValueError(f"atom_state vector needs 2 or 3 components, got {len(comps)}")
+    if not all(math.isfinite(c) for c in comps):
+        raise ValueError(f"'atom_state' must be finite, got '{raw}'")
     return np.array(comps)
 
 

@@ -707,8 +707,8 @@ def _resolve_atom_init(p: ModelParams, atom_init):
         else:
             raise ValueError("atom_init must be 'e1', 'e2', or a 2- or 3-vector")
         nrm = np.linalg.norm(full)
-        if nrm == 0:
-            raise ValueError("atom_init must be nonzero")
+        if not (np.all(np.isfinite(full)) and nrm > 0):
+            raise ValueError(f"atom_init must be finite and nonzero, got {v!r}")
         full = full / nrm
     ground = full[:2]
     gnorm = np.linalg.norm(ground)

@@ -36,9 +36,9 @@ from .operators import (
     HilbertSpace,
     Level,
     Operator,
+    _ket_bra,
+    _ladder,
     _x2_bands,
-    annihilation,
-    level_projector,
     tensor_embed,
 )
 
@@ -110,14 +110,7 @@ def oscillator_space(d_mech: int) -> HilbertSpace:
 
 
 def _require_structure(space: HilbertSpace, levels: int, what: str):
-    ok = (
-        len(space.factors) == 3
-        and isinstance(space.factors[0], Fock)
-        and isinstance(space.factors[1], Fock)
-        and isinstance(space.factors[2], Level)
-        and space.factors[2].count == levels
-    )
-    if not ok:
+    if [type(f) for f in space.factors] != [Fock, Fock, Level] or space.factors[2].count != levels:
         raise ValueError(f"{what} needs Fock x Fock x Level({levels}), got {space.factors!r}")
 
 
@@ -128,11 +121,30 @@ def _two_band_matrix(diag: np.ndarray, off: np.ndarray) -> sparse.csr_array:
                               format="csr", dtype=complex)
 
 
-def _optomechanical_term(g2: float, space: HilbertSpace) -> Operator:
-    """g2 a^dag a (b + b^dag)^2, built jointly on the two Fock factors."""
-    nmat = sparse.diags_array(np.arange(space.factors[0].size, dtype=float))
-    x2 = _two_band_matrix(*_x2_bands(space.factors[1].size))
-    return g2 * tensor_embed([(0, nmat), (1, x2)], space)
+def _hybrid_hamiltonian(p: ModelParams, space: HilbertSpace, atom_terms: list) -> Operator:
+    """The terms both hybrid models share, summed with the model's own atom terms.
+
+    Each term is (coefficient, [(factor, matrix), ...]) in the input format
+    of `tensor_embed`.  The embedded products are summed in list order:
+    delta a^dag a, omega_m b^dag b, -delta |1><1|, the atom terms,
+    g2 a^dag a (b + b^dag)^2 and eps (a + a^dag); only diagonal entries
+    receive more than one term, so this order fixes their rounding.  The
+    number operators are the products a^dag a and b^dag b, with entries
+    fl(sqrt(n) sqrt(n)), not always n; the quadratic coupling weights
+    (b + b^dag)^2 with the exact n.
+    """
+    a, b = _ladder(space, 0), _ladder(space, 1)
+    d_cav, d_mech, levels = space.factor_sizes
+    terms = [
+        (p.delta, [(0, a.T @ a)]),
+        (p.omega_m, [(1, b.T @ b)]),
+        (-p.delta, [(2, _ket_bra(levels, 1, 1))]),
+        *atom_terms,
+        (p.g2, [(0, sparse.diags_array(np.arange(d_cav, dtype=float))),
+                (1, _two_band_matrix(*_x2_bands(d_mech)))]),
+        (p.eps, [(0, a + a.T)]),
+    ]
+    return Operator(space, sum(c * tensor_embed(ops, space).csr for c, ops in terms))
 
 
 def build_full_hamiltonian(p: ModelParams, space: HilbertSpace) -> Operator:
@@ -143,20 +155,13 @@ def build_full_hamiltonian(p: ModelParams, space: HilbertSpace) -> Operator:
         + g2 a^dag a (b + b^dag)^2 + eps (a + a^dag)
     """
     _require_structure(space, 3, "build_full_hamiltonian")
-    a = annihilation(space, 0)
-    na = a.dag() @ a
-    b = annihilation(space, 1)
-    nb = b.dag() @ b
-
-    h = p.delta * na + p.omega_m * nb
-    h = h + p.Delta * level_projector(space, 2, 2, 2) - p.delta * level_projector(space, 2, 1, 1)
-
-    drive = p.Omega * level_projector(space, 2, 2, 0) + p.g1 * (a.dag() @ level_projector(space, 2, 1, 2))
-    h = h + drive + drive.dag()
-
-    h = h + _optomechanical_term(p.g2, space)
-    h = h + p.eps * (a + a.dag())
-    return h
+    a = _ladder(space, 0)
+    return _hybrid_hamiltonian(p, space, [
+        (p.Delta, [(2, _ket_bra(3, 2, 2))]),
+        (p.Omega, [(2, _ket_bra(3, 2, 0) + _ket_bra(3, 0, 2))]),
+        (p.g1, [(0, a.T), (2, _ket_bra(3, 1, 2))]),
+        (p.g1, [(0, a), (2, _ket_bra(3, 2, 1))]),
+    ])
 
 
 def build_two_level_hamiltonian(p: ModelParams, space: HilbertSpace, variant: str = "as-written") -> Operator:
@@ -182,27 +187,14 @@ def build_two_level_hamiltonian(p: ModelParams, space: HilbertSpace, variant: st
         raise ValueError("two-level reduction requires Delta != 0")
 
     coupling = p.Omega * p.g1 / p.Delta
-    if variant == "as-written":
-        s0 = coupling
-        s1 = coupling
-    else:
-        s0 = p.Omega**2 / p.Delta
-        s1 = p.g1**2 / p.Delta
-
-    a = annihilation(space, 0)
-    na = a.dag() @ a
-    b = annihilation(space, 1)
-    nb = b.dag() @ b
-
-    h = p.delta * na + p.omega_m * nb - p.delta * level_projector(space, 2, 1, 1)
-    h = h - s0 * level_projector(space, 2, 0, 0)
-    h = h - s1 * (na @ level_projector(space, 2, 1, 1))
-    flip = a @ level_projector(space, 2, 0, 1)
-    h = h - coupling * (flip + flip.dag())
-
-    h = h + _optomechanical_term(p.g2, space)
-    h = h + p.eps * (a + a.dag())
-    return h
+    s0, s1 = (coupling, coupling) if variant == "as-written" else (p.Omega**2 / p.Delta, p.g1**2 / p.Delta)
+    a = _ladder(space, 0)
+    return _hybrid_hamiltonian(p, space, [
+        (-s0, [(2, _ket_bra(2, 0, 0))]),
+        (-s1, [(0, a.T @ a), (2, _ket_bra(2, 1, 1))]),
+        (-coupling, [(0, a), (2, _ket_bra(2, 0, 1))]),
+        (-coupling, [(0, a.T), (2, _ket_bra(2, 1, 0))]),
+    ])
 
 
 @dataclass(frozen=True)

@@ -266,9 +266,14 @@ def tensor_embed(ops: Iterable, space: HilbertSpace) -> Operator:
     return Operator(space, sparse.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr())
 
 
-def _ladder(d: int) -> sparse.csr_array:
+def _ladder(space: HilbertSpace, factor_index: int) -> sparse.csr_array:
+    """The single-factor matrix of b on the Fock factor at `factor_index`."""
+    space.check_factor(factor_index)
+    f = space.factors[factor_index]
+    if not isinstance(f, Fock):
+        raise TypeError(f"factor {factor_index} is not a Fock factor")
     # b|n> = sqrt(n)|n-1>: entries (n-1, n) = sqrt(n)
-    return sparse.diags_array(np.sqrt(np.arange(1, d, dtype=float)), offsets=1,
+    return sparse.diags_array(np.sqrt(np.arange(1, f.size, dtype=float)), offsets=1,
                               format="csr", dtype=complex)
 
 
@@ -293,23 +298,24 @@ def annihilation(space: HilbertSpace, factor_index: int) -> Operator:
     (d-1, d-1) element is 1-d.  Callers track top-level population to keep
     that edge unpopulated.
     """
-    space.check_factor(factor_index)
-    f = space.factors[factor_index]
-    if not isinstance(f, Fock):
-        raise TypeError(f"factor {factor_index} is not a Fock factor")
-    return tensor_embed([(factor_index, _ladder(f.size))], space)
+    return tensor_embed([(factor_index, _ladder(space, factor_index))], space)
 
 
 def position(space: HilbertSpace, factor_index: int) -> Operator:
     """X = (b + b^dag)/2 of the given Fock factor."""
-    b = annihilation(space, factor_index)
-    return 0.5 * (b + b.dag())
+    b = _ladder(space, factor_index)
+    return tensor_embed([(factor_index, 0.5 * (b + b.T))], space)
 
 
 def momentum(space: HilbertSpace, factor_index: int) -> Operator:
     """P = (b - b^dag)/(2i) of the given Fock factor."""
-    b = annihilation(space, factor_index)
-    return (-0.5j) * (b - b.dag())
+    b = _ladder(space, factor_index)
+    return tensor_embed([(factor_index, -0.5j * (b - b.T))], space)
+
+
+def _ket_bra(count: int, i: int, j: int) -> sparse.csr_array:
+    """The single-factor matrix |i><j| on `count` levels."""
+    return sparse.csr_array(([1.0], ([i], [j])), shape=(count, count), dtype=complex)
 
 
 def level_projector(space: HilbertSpace, factor_index: int, i: int, j: int) -> Operator:
@@ -320,9 +326,7 @@ def level_projector(space: HilbertSpace, factor_index: int, i: int, j: int) -> O
         raise TypeError(f"factor {factor_index} is not a Level factor")
     if not (0 <= i < f.count and 0 <= j < f.count):
         raise IndexError(f"level indices ({i}, {j}) out of range for {f.count} levels")
-    m = np.zeros((f.count, f.count), dtype=complex)
-    m[i, j] = 1.0
-    return tensor_embed([(factor_index, m)], space)
+    return tensor_embed([(factor_index, _ket_bra(f.count, i, j))], space)
 
 
 def thermal_populations(d: int, nbar: float) -> np.ndarray:

@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
 
-from .analytic import UnstableRegimeError
-from .model import ModelParams, _drift_diffusion, _q_squared
+from .analytic import _require_stationary
+from .model import ModelParams, _drift_diffusion
 
 __all__ = [
     "SpectrumSeries",
@@ -77,18 +77,6 @@ class SpectrumSeries:
 def default_omega_grid(omega_m: float = 1.0, n: int = 801) -> np.ndarray:
     """801 points over [-4, 4] omega_m: resolves both peaks at the usual scales."""
     return np.linspace(-4.0 * omega_m, 4.0 * omega_m, n)
-
-
-def _require_stationary(p: ModelParams, g_eff: float):
-    if p.gamma <= 0:
-        raise ValueError("the stationary spectrum needs gamma > 0")
-    if not math.isfinite(g_eff):
-        raise ValueError(f"g_eff must be finite, got {g_eff!r}")
-    q2 = _q_squared(g_eff, p.omega_m)
-    if q2 <= 0 and math.sqrt(-q2) >= p.gamma / 2.0:
-        raise UnstableRegimeError(
-            f"no stationary state: growth rate {math.sqrt(-q2):g} >= gamma/2 = {p.gamma / 2.0:g}"
-        )
 
 
 def _finite_grid(values, name: str) -> np.ndarray:

@@ -257,6 +257,12 @@ class TestSpectrumAnalytic:
         with pytest.raises(ValueError):
             spectrum_analytic(ModelParams(gamma=0.0), 1.0, 0.0)
 
+    def test_no_stationary_state_rejected(self):
+        # growth rate sqrt(2.6) beats gamma/2 = 0.5: both numeric routes raise,
+        # and the closed form used to return positive values
+        with pytest.raises(UnstableRegimeError):
+            spectrum_analytic(ModelParams(gamma=1.0), -0.9, np.array([0.0, 1.0]))
+
     def test_grid_matches_per_point_calls(self):
         # a whole grid at once equals one call per frequency, up to the last
         # bits: an array's x**2 is x*x where a scalar's is C pow

@@ -511,9 +511,13 @@ class TestExitCodes:
          "geff_start", "-inf"),
         ("command = time-trace\ngeff = nan\ntime_start = 0\ntime_stop = 1\ntime_count = 5\n",
          "geff", "nan"),
-    ], ids=["spectrum-geff-inf", "smax-sweep-geff_start-minus-inf", "time-trace-geff-nan"])
+        ("command = validate-adiabatic\natom_state = nan,1\n", "atom_state", "nan,1"),
+        ("command = validate-adiabatic\natom_state = 1,0,-inf\n", "atom_state", "1,0,-inf"),
+    ], ids=["spectrum-geff-inf", "smax-sweep-geff_start-minus-inf", "time-trace-geff-nan",
+            "validate-adiabatic-atom_state-nan", "validate-adiabatic-atom_state-minus-inf"])
     def test_non_finite_float_exit_2(self, tmp_path, capsys, text, key, raw):
         # each of these used to run: a nan variance column, nan rows, or exit 1
+        # (atom_state: after two numpy RuntimeWarnings, on a NaN state norm)
         out = tmp_path / "x.csv"
         code = run_cli(tmp_path, f"{text}output = {out}\n")
         assert code == 2

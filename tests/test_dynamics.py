@@ -883,6 +883,10 @@ class TestValidateAdiabaticChain:
             validate_adiabatic_chain(p, "ground", horizon=1.0)
         with pytest.raises(ValueError, match="nonzero"):
             validate_adiabatic_chain(p, [0.0, 0.0], horizon=1.0)
+        # these used to warn twice and fail later on a NaN state norm
+        for atom in ([np.nan, 1.0], [np.inf, 1.0], [1.0, 0.0, -np.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                validate_adiabatic_chain(p, atom, horizon=1.0)
 
 
 def expm_clongdouble(a):

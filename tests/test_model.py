@@ -266,10 +266,11 @@ class TestQuadraticTermAgainstLadderProducts:
 class DenseReference:
     """The model's operators built with dense numpy matrices throughout.
 
-    Dense Kronecker embeddings of dense ladder matrices, combined with the
-    same operations in the same order as the constructors, so every entry
-    sees the same floating-point arithmetic.  The constructors build and
-    combine CSR arrays instead; their matrices must come out bit-identical.
+    Dense Kronecker embeddings of dense ladder matrices: the dense reference
+    of the same sums the constructors form, so every entry sees the same
+    floating-point arithmetic.  The constructors sum CSR Kronecker products
+    of single-factor matrices instead; their matrices must come out
+    bit-identical.
     """
 
     def __init__(self, sizes):

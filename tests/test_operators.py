@@ -142,10 +142,11 @@ class TestLadder:
 
     def test_annihilation_requires_fock_factor(self):
         sp = HilbertSpace((Fock(3), Level(3)))
-        with pytest.raises(TypeError):
-            annihilation(sp, 1)
-        with pytest.raises(IndexError):
-            annihilation(sp, 2)
+        for build in (annihilation, position, momentum):
+            with pytest.raises(TypeError):
+                build(sp, 1)
+            with pytest.raises(IndexError):
+                build(sp, 2)
 
     def test_quadrature_commutator_interior(self):
         sp = single_fock(12)

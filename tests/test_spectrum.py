@@ -217,13 +217,14 @@ class TestSpectrumNumeric:
         with pytest.raises(ValueError, match="grid"):
             spectrum_numeric(params(), 1.0, np.array([np.inf]))
 
-    @pytest.mark.parametrize("route", [spectrum_numeric, spectrum_regression])
+    @pytest.mark.parametrize("route", [spectrum_numeric, spectrum_regression, spectrum_analytic])
     @pytest.mark.parametrize("g", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_coupling(self, route, g):
-        # a NaN q^2 slipped past the stability test: spectrum_numeric gave
-        # all-NaN values and spectrum_regression a scipy error
-        with pytest.raises(ValueError, match="g_eff"):
+        # a NaN q^2 slipped past the stability test: spectrum_numeric and
+        # spectrum_analytic gave all-NaN values, spectrum_regression a scipy error
+        with pytest.raises(ValueError, match="g_eff") as info:
             route(params(), g, np.linspace(-1.0, 1.0, 5))
+        assert not isinstance(info.value, UnstableRegimeError)
 
 
 class TestAdjugateAgainstStackedInverse:
