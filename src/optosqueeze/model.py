@@ -110,7 +110,14 @@ def oscillator_space(d_mech: int) -> HilbertSpace:
 
 
 def _require_structure(space: HilbertSpace, levels: int, what: str):
-    if [type(f) for f in space.factors] != [Fock, Fock, Level] or space.factors[2].count != levels:
+    ok = (
+        len(space.factors) == 3
+        and isinstance(space.factors[0], Fock)
+        and isinstance(space.factors[1], Fock)
+        and isinstance(space.factors[2], Level)
+        and space.factors[2].count == levels
+    )
+    if not ok:
         raise ValueError(f"{what} needs Fock x Fock x Level({levels}), got {space.factors!r}")
 
 
@@ -121,25 +128,27 @@ def _two_band_matrix(diag: np.ndarray, off: np.ndarray) -> sparse.csr_array:
                               format="csr", dtype=complex)
 
 
-def _hybrid_hamiltonian(p: ModelParams, space: HilbertSpace, atom_terms: list) -> Operator:
+def _hybrid_hamiltonian(p: ModelParams, space: HilbertSpace, atom_terms) -> Operator:
     """The terms both hybrid models share, summed with the model's own atom terms.
 
     Each term is (coefficient, [(factor, matrix), ...]) in the input format
-    of `tensor_embed`.  The embedded products are summed in list order:
-    delta a^dag a, omega_m b^dag b, -delta |1><1|, the atom terms,
-    g2 a^dag a (b + b^dag)^2 and eps (a + a^dag); only diagonal entries
-    receive more than one term, so this order fixes their rounding.  The
-    number operators are the products a^dag a and b^dag b, with entries
-    fl(sqrt(n) sqrt(n)), not always n; the quadratic coupling weights
-    (b + b^dag)^2 with the exact n.
+    of `tensor_embed`; `atom_terms(a, na)` lists the model's own terms, given
+    the cavity's single-factor a and a^dag a.  The embedded products are
+    summed in list order: delta a^dag a, omega_m b^dag b, -delta |1><1|,
+    the atom terms, g2 a^dag a (b + b^dag)^2 and eps (a + a^dag); only
+    diagonal entries receive more than one term, so this order fixes their
+    rounding.  The number operators are the products a^dag a and b^dag b,
+    with entries fl(sqrt(n) sqrt(n)), not always n; the quadratic coupling
+    weights (b + b^dag)^2 with the exact n.
     """
     a, b = _ladder(space, 0), _ladder(space, 1)
+    na = a.T @ a
     d_cav, d_mech, levels = space.factor_sizes
     terms = [
-        (p.delta, [(0, a.T @ a)]),
+        (p.delta, [(0, na)]),
         (p.omega_m, [(1, b.T @ b)]),
         (-p.delta, [(2, _ket_bra(levels, 1, 1))]),
-        *atom_terms,
+        *atom_terms(a, na),
         (p.g2, [(0, sparse.diags_array(np.arange(d_cav, dtype=float))),
                 (1, _two_band_matrix(*_x2_bands(d_mech)))]),
         (p.eps, [(0, a + a.T)]),
@@ -155,8 +164,7 @@ def build_full_hamiltonian(p: ModelParams, space: HilbertSpace) -> Operator:
         + g2 a^dag a (b + b^dag)^2 + eps (a + a^dag)
     """
     _require_structure(space, 3, "build_full_hamiltonian")
-    a = _ladder(space, 0)
-    return _hybrid_hamiltonian(p, space, [
+    return _hybrid_hamiltonian(p, space, lambda a, na: [
         (p.Delta, [(2, _ket_bra(3, 2, 2))]),
         (p.Omega, [(2, _ket_bra(3, 2, 0) + _ket_bra(3, 0, 2))]),
         (p.g1, [(0, a.T), (2, _ket_bra(3, 1, 2))]),
@@ -187,11 +195,16 @@ def build_two_level_hamiltonian(p: ModelParams, space: HilbertSpace, variant: st
         raise ValueError("two-level reduction requires Delta != 0")
 
     coupling = p.Omega * p.g1 / p.Delta
-    s0, s1 = (coupling, coupling) if variant == "as-written" else (p.Omega**2 / p.Delta, p.g1**2 / p.Delta)
-    a = _ladder(space, 0)
-    return _hybrid_hamiltonian(p, space, [
+    if variant == "as-written":
+        s0 = coupling
+        s1 = coupling
+    else:
+        s0 = p.Omega**2 / p.Delta
+        s1 = p.g1**2 / p.Delta
+
+    return _hybrid_hamiltonian(p, space, lambda a, na: [
         (-s0, [(2, _ket_bra(2, 0, 0))]),
-        (-s1, [(0, a.T @ a), (2, _ket_bra(2, 1, 1))]),
+        (-s1, [(0, na), (2, _ket_bra(2, 1, 1))]),
         (-coupling, [(0, a), (2, _ket_bra(2, 0, 1))]),
         (-coupling, [(0, a.T), (2, _ket_bra(2, 1, 0))]),
     ])
