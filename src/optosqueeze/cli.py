@@ -1,11 +1,13 @@
 """Config-driven experiment runner.
 
 Usage: ``optosqueeze <config-path>``.  The config is plain ``key = value``
-text: one pair per line, ``#`` starts a comment, blank lines are ignored,
-unknown keys are errors (no silent typo tolerance).  Every run writes one
-CSV file: ``#``-prefixed metadata lines carrying the complete parameter
-set (so the run is reproducible from the file alone), a header row, then
-comma-separated numeric rows with 12 significant digits and LF endings.
+text: one pair per line, ``#`` starts a comment, blank lines are ignored.
+Each command accepts exactly the keys it reads: a key it does not read is
+an error at that key's line, as is an unknown key (no silent typo
+tolerance).  Every run writes one CSV file: ``#``-prefixed metadata lines
+carrying the complete parameter set (so the run is reproducible from the
+file alone), a header row, then comma-separated numeric rows with 12
+significant digits and LF endings.
 Identical configs produce byte-identical files.  The CSV is written by
 column: float array columns as ``%.12g`` through one row format string,
 every other column (ints, true/false, labels, mixed values) cell by cell
@@ -16,16 +18,18 @@ doublet, truncation cap) or a run out of memory, named on stderr; 2 config
 error, with the line number on stderr (an ``output`` path that cannot be
 written is one).
 
-Commands and their required keys (``output`` is always required; model
-parameters default to zero, ``omega_m`` to one):
+Commands, their required keys and then their optional keys (``output`` is
+always required; model parameters default to zero, ``omega_m`` to one):
 
-* ``smax-sweep``: geff_start, geff_stop, geff_count
-* ``time-trace``: geff, time_start, time_stop, time_count
-* ``spectrum``: geff (omega grid optional, default 801 points over
-  [-4, 4] omega_m)
-* ``spectrum-vs-g``: omega, geff_start, geff_stop, geff_count
-* ``validate-adiabatic``: horizon, delta, Delta
-* ``eigenmodes``: delta, Delta
+* ``smax-sweep``: geff_start/stop/count; omega_m
+* ``time-trace``: geff, time_start/stop/count; omega_m, nbar, d_mech
+* ``spectrum``: geff; omega_start/stop/count (all or none, default 801
+  points over [-4, 4] omega_m), omega_m, gamma, nbar
+* ``spectrum-vs-g``: omega, geff_start/stop/count; omega_m, gamma, nbar
+* ``validate-adiabatic``: horizon, delta, Delta; the other nine model
+  parameters, atom_state, n_times, d_cav, d_mech, include_lindblad,
+  d_cav_lindblad, d_mech_lindblad, lindblad_rtol
+* ``eigenmodes``: delta, Delta; Omega, g1, g2, eps
 
 All frequencies and rates are in units of omega_m with hbar = 1.
 """
@@ -45,15 +49,6 @@ from .model import ModelParams, atomic_coupling_spectrum
 from .spectrum import default_omega_grid, spectrum_numeric, trend_vs_geff
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
-
-COMMANDS = (
-    "smax-sweep",
-    "time-trace",
-    "spectrum",
-    "spectrum-vs-g",
-    "validate-adiabatic",
-    "eigenmodes",
-)
 
 _PARAM_KEYS = tuple(f.name for f in dc_fields(ModelParams))
 
@@ -84,15 +79,6 @@ _KEY_TYPES = {
     "atom_state": str,
 }
 _KEY_TYPES.update({name: float for name in _PARAM_KEYS})
-
-_REQUIRED = {
-    "smax-sweep": ("geff_start", "geff_stop", "geff_count"),
-    "time-trace": ("geff", "time_start", "time_stop", "time_count"),
-    "spectrum": ("geff",),
-    "spectrum-vs-g": ("omega", "geff_start", "geff_stop", "geff_count"),
-    "validate-adiabatic": ("horizon", "delta", "Delta"),
-    "eigenmodes": ("delta", "Delta"),
-}
 
 # integer keys that size a grid or a Fock factor, checked at their line
 _AT_LEAST_TWO = ("geff_count", "time_count", "omega_count", "n_times",
@@ -146,11 +132,11 @@ def parse_config(text: str) -> RunConfig:
     """Parse and validate ``key = value`` config text into a RunConfig.
 
     Raises ConfigError, carrying the offending line number, for unknown or
-    duplicate keys, malformed lines, bad value types, non-finite numbers,
-    out-of-domain parameter values, grid counts, time-grid sizes or Fock
-    dimensions below two, a non-positive `lindblad_rtol`, degenerate grids,
-    and keys missing for the chosen command (the command line is cited for
-    those).
+    duplicate keys, keys the command does not read, malformed lines, bad
+    value types, non-finite numbers, out-of-domain parameter values, grid
+    counts, time-grid sizes or Fock dimensions below two, a non-positive
+    `lindblad_rtol`, degenerate grids, and keys missing for the chosen
+    command (the command line is cited for those).
     """
     entries: dict = {}
     lines: dict = {}
@@ -185,17 +171,21 @@ def parse_config(text: str) -> RunConfig:
                 _parse_atom_state(value)
             except ValueError as e:
                 raise ConfigError(str(e), lineno) from None
-        if key == "command" and value not in COMMANDS:
+        if key == "command" and value not in _COMMANDS:
             raise ConfigError(
-                f"unknown command '{value}' (choose from {', '.join(COMMANDS)})", lineno
+                f"unknown command '{value}' (choose from {', '.join(_COMMANDS)})", lineno
             )
 
     if "command" not in entries:
         raise ConfigError("missing key 'command'")
     command = entries["command"]
+    _, required, optional = _COMMANDS[command]
+    for key in entries:
+        if key not in ("command", "output") + required + optional:
+            raise ConfigError(f"command '{command}' does not read key '{key}'", lines[key])
     if "output" not in entries:
         raise ConfigError(f"command '{command}' requires key 'output'", lines["command"])
-    for key in _REQUIRED[command]:
+    for key in required:
         if key not in entries:
             raise ConfigError(f"command '{command}' requires key '{key}'", lines["command"])
 
@@ -357,13 +347,22 @@ def _run_eigenmodes(cfg: RunConfig):
     return ["branch", "lambda", "g_eff", "e_component_0", "e_component_1"], list(zip(*rows)), meta, []
 
 
-_RUNNERS = {
-    "smax-sweep": _run_smax_sweep,
-    "time-trace": _run_time_trace,
-    "spectrum": _run_spectrum,
-    "spectrum-vs-g": _run_spectrum_vs_g,
-    "validate-adiabatic": _run_validate_adiabatic,
-    "eigenmodes": _run_eigenmodes,
+# command -> (runner, required keys, optional keys): exactly the keys the runner
+# reads besides `command` and `output`; parse_config rejects every other key
+_COMMANDS = {
+    "smax-sweep": (_run_smax_sweep, ("geff_start", "geff_stop", "geff_count"), ("omega_m",)),
+    "time-trace": (_run_time_trace, ("geff", "time_start", "time_stop", "time_count"),
+                   ("omega_m", "nbar", "d_mech")),
+    "spectrum": (_run_spectrum, ("geff",),
+                 ("omega_start", "omega_stop", "omega_count", "omega_m", "gamma", "nbar")),
+    "spectrum-vs-g": (_run_spectrum_vs_g, ("omega", "geff_start", "geff_stop", "geff_count"),
+                      ("omega_m", "gamma", "nbar")),
+    "validate-adiabatic": (_run_validate_adiabatic, ("horizon", "delta", "Delta"),
+                           ("omega_m", "g1", "g2", "Omega", "eps", "gamma", "nbar", "kappa",
+                            "Gamma_e", "atom_state", "n_times", "d_cav", "d_mech",
+                            "include_lindblad", "d_cav_lindblad", "d_mech_lindblad",
+                            "lindblad_rtol")),
+    "eigenmodes": (_run_eigenmodes, ("delta", "Delta"), ("Omega", "g1", "g2", "eps")),
 }
 
 
@@ -375,7 +374,7 @@ def run(cfg: RunConfig) -> str:
     status 1.  An output path that cannot be opened or written raises
     ConfigError on the ``output`` line.
     """
-    header, columns, run_meta, extra = _RUNNERS[cfg.command](cfg)
+    header, columns, run_meta, extra = _COMMANDS[cfg.command][0](cfg)
     meta = _base_meta(cfg)
     meta.update(run_meta)
     meta["rows"] = len(columns[0])

@@ -471,8 +471,8 @@ def evolve_lindblad(
     for op, rate in collapse_ops:
         if op.space != space:
             raise ValueError("collapse operator on a different space")
-        if not rate >= 0:  # a NaN rate would otherwise be skipped below as if it were 0
-            raise ValueError(f"collapse rates must be >= 0, got {rate!r}")
+        if not 0 <= rate < math.inf:  # a NaN rate would otherwise be skipped below as if it were 0
+            raise ValueError(f"collapse rates must be finite and >= 0, got {rate!r}")
         if rate > 0:
             ls.append(math.sqrt(rate) * op.csr)
     d = space.total_dim
@@ -594,8 +594,8 @@ def covariance_evolve(
     and det(cov) >= 1/16 is checked once over the stack.  This is the
     package's brute-force oracle for everything Gaussian.
     """
-    if not (gamma >= 0 and nbar >= 0):
-        raise ValueError(f"gamma and nbar must be >= 0, got {gamma!r} and {nbar!r}")
+    if not (0 <= gamma < math.inf and 0 <= nbar < math.inf):
+        raise ValueError(f"gamma and nbar must be finite and >= 0, got {gamma!r} and {nbar!r}")
     t = _time_grid(times)
     a, d = _drift_diffusion(g_eff, omega_m, gamma, nbar)
     m = np.zeros((4, 4))

@@ -479,7 +479,7 @@ class TestExitCodes:
         def exhausted(cfg):
             raise MemoryError("Unable to allocate 8.00 GiB for an array")
 
-        monkeypatch.setitem(cli._RUNNERS, "time-trace", exhausted)
+        monkeypatch.setitem(cli._COMMANDS, "time-trace", (exhausted, *cli._COMMANDS["time-trace"][1:]))
         out = tmp_path / "x.csv"
         code = run_cli(
             tmp_path,
@@ -490,6 +490,28 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: command time-trace ran out of memory: Unable to allocate 8.00 GiB for an array\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, unread, keys", [
+        ("smax-sweep", "horizon = 3", "geff_start = 0\ngeff_stop = 1\ngeff_count = 3\n"),
+        ("time-trace", "gamma = 0.5", "geff = 1\ntime_start = 0\ntime_stop = 1\ntime_count = 5\n"),
+        ("time-trace", "omega_count = 5", "geff = 1\ntime_start = 0\ntime_stop = 1\ntime_count = 5\n"),
+        ("spectrum", "d_mech = 16", "geff = 1\ngamma = 1\n"),
+        ("spectrum-vs-g", "kappa = 0.5",
+         "omega = 1\ngeff_start = 0.1\ngeff_stop = 5\ngeff_count = 3\ngamma = 1\n"),
+        ("validate-adiabatic", "geff = 1", "delta = 20\nDelta = 100\nhorizon = 1\n"),
+        ("eigenmodes", "omega_m = 2", "delta = 1\nDelta = 2\n"),
+    ], ids=["smax-sweep-horizon", "time-trace-gamma", "time-trace-omega_count", "spectrum-d_mech",
+            "spectrum-vs-g-kappa", "validate-adiabatic-geff", "eigenmodes-omega_m"])
+    def test_unread_key_exit_2(self, tmp_path, capsys, command, unread, keys):
+        # each of these used to run and echo the ignored key in the metadata
+        # (time-trace with omega_count failed on a missing 'omega_start')
+        out = tmp_path / "x.csv"
+        code = run_cli(tmp_path, f"command = {command}\n{unread}\n{keys}output = {out}\n")
+        assert code == 2
+        key = unread.split(" = ")[0]
+        assert capsys.readouterr().err == (
+            f"config error: line 2: command '{command}' does not read key '{key}'\n")
         assert not out.exists()
 
     def test_unwritable_output_exit_2(self, tmp_path, capsys):

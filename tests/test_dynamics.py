@@ -181,8 +181,9 @@ class TestCovarianceEvolve:
             covariance_evolve(1.0, 1.0, -0.1, 0.0, init, [0.0, 1.0])
         with pytest.raises(ValueError):
             covariance_evolve(1.0, 1.0, 0.0, -1.0, init, [0.0, 1.0])
-        with pytest.raises(ValueError, match="gamma and nbar"):
-            covariance_evolve(1.0, 1.0, math.nan, 0.0, init, [0.0, 1.0])
+        for gamma, nbar in ((math.nan, 0.0), (math.inf, 0.0), (0.5, math.inf)):
+            with pytest.raises(ValueError, match="gamma and nbar"):
+                covariance_evolve(1.0, 1.0, gamma, nbar, init, [0.0, 1.0])
         with pytest.raises(ValueError, match="increasing"):
             covariance_evolve(1.0, 1.0, 0.0, 0.0, init, [0.0, 1.0, 0.5])
         with pytest.raises(ValueError, match="two points"):
@@ -518,7 +519,7 @@ class TestEvolveLindblad:
         h = build_effective_hamiltonian(0.5, 1.0, space)
         rho0 = vacuum_state(space)
         x = [position(space, 0)]
-        for rate in (-1.0, math.nan):
+        for rate in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="rate"):
                 evolve_lindblad(h, [(annihilation(space, 0), rate)], rho0, [0.0, 1.0], x)
         with pytest.raises(ValueError, match="space"):
