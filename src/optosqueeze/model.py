@@ -172,6 +172,18 @@ def build_full_hamiltonian(p: ModelParams, space: HilbertSpace) -> Operator:
     ])
 
 
+def _stark_shifts(p: ModelParams, variant: str) -> tuple:
+    """The Stark coefficients (S0, S1) of `variant` (see `build_two_level_hamiltonian`)."""
+    if variant not in STARK_VARIANTS:
+        raise ValueError(f"variant must be one of {STARK_VARIANTS}, got {variant!r}")
+    if p.Delta == 0:
+        raise ValueError("two-level reduction requires Delta != 0")
+    if variant == "as-written":
+        coupling = p.Omega * p.g1 / p.Delta
+        return coupling, coupling
+    return p.Omega**2 / p.Delta, p.g1**2 / p.Delta
+
+
 def build_two_level_hamiltonian(p: ModelParams, space: HilbertSpace, variant: str = "as-written") -> Operator:
     """The model after adiabatic elimination of |e>, on the ground doublet.
 
@@ -183,25 +195,14 @@ def build_two_level_hamiltonian(p: ModelParams, space: HilbertSpace, variant: st
 
     `variant` picks the Stark coefficients.  "as-written" keeps the same
     coefficient Omega g1 / Delta on both shifts; "textbook" uses the
-    second-order values Omega^2 / Delta and g1^2 / Delta.  The two coincide
-    when Omega = g1; the flip term is identical in both.  Which variant
-    tracks the three-level model better is decided dynamically
-    (`dynamics.validate_adiabatic_chain`), not assumed here.
+    second-order values Omega^2 / Delta and g1^2 / Delta.  The flip term is
+    identical in both, so variants with equal shifts (Omega = g1) give one
+    Hamiltonian bit for bit, which `dynamics.validate_adiabatic_chain` runs
+    once; which tracks the three-level model better is decided there.
     """
     _require_structure(space, 2, "build_two_level_hamiltonian")
-    if variant not in STARK_VARIANTS:
-        raise ValueError(f"variant must be one of {STARK_VARIANTS}, got {variant!r}")
-    if p.Delta == 0:
-        raise ValueError("two-level reduction requires Delta != 0")
-
+    s0, s1 = _stark_shifts(p, variant)
     coupling = p.Omega * p.g1 / p.Delta
-    if variant == "as-written":
-        s0 = coupling
-        s1 = coupling
-    else:
-        s0 = p.Omega**2 / p.Delta
-        s1 = p.g1**2 / p.Delta
-
     return _hybrid_hamiltonian(p, space, lambda a, na: [
         (-s0, [(2, _ket_bra(2, 0, 0))]),
         (-s1, [(0, na), (2, _ket_bra(2, 1, 1))]),

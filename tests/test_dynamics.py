@@ -845,6 +845,47 @@ class TestValidateAdiabaticChain:
         assert rep.deviations["full_vs_two_level_as_written"] < 0.01
         assert rep.stark_winner in ("as-written", "textbook", "tie")
 
+    def test_negated_detunings_keep_ratios(self):
+        # the hierarchy ratios compare magnitudes: the chain tracks just as
+        # well with both detunings negated, so the ratios must not turn negative
+        kw = dict(g1=1.0, Omega=1.0, g2=0.02, eps=0.0)
+        run = dict(horizon=math.pi, n_times=60, d_cav=4, d_mech=12)
+        rep = validate_adiabatic_chain(ModelParams(delta=20.0, Delta=100.0, **kw), "e1", **run)
+        neg = validate_adiabatic_chain(ModelParams(delta=-20.0, Delta=-100.0, **kw), "e1", **run)
+        assert neg.ratios == rep.ratios
+        assert max(rep.deviations["full_vs_effective"], neg.deviations["full_vs_effective"]) < 0.01
+
+    def test_distinct_stark_shifts_run_both_variants(self):
+        # scripts/stark_variant_check.py's lopsided drive (Omega = 2 g1) on a
+        # shorter grid: the two variants' shifts differ, and so do their legs
+        p = ModelParams(delta=8.0, Delta=40.0, g1=1.0, Omega=2.0, g2=0.05, eps=2.0)
+        rep = validate_adiabatic_chain(p, "e1", horizon=2.0 * math.pi, n_times=60, d_cav=4, d_mech=12)
+        d_aw = rep.deviations["full_vs_two_level_as_written"]
+        d_tb = rep.deviations["full_vs_two_level_textbook"]
+        assert d_aw != d_tb
+        assert rep.stark_winner == "textbook"
+
+    def test_equal_stark_shifts_share_one_run(self, monkeypatch):
+        # at Omega = g1 both variants have one Hamiltonian, so the chain
+        # propagates the full model and one two-level leg
+        calls = []
+
+        def counting(h, *args, **kwargs):
+            calls.append(h.space.factor_sizes)
+            return evolve_unitary(h, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "evolve_unitary", counting)
+        p = ModelParams(delta=20.0, Delta=100.0, g1=1.0, Omega=1.0, g2=0.02)
+        rep = validate_adiabatic_chain(p, "e1", horizon=2.0 * math.pi, n_times=60, d_cav=8, d_mech=32)
+        assert calls == [(8, 32, 3), (8, 32, 2)]
+        dev = rep.deviations
+        assert dev["full_vs_two_level_as_written"] == dev["full_vs_two_level_textbook"]
+        assert dev["two_level_as_written_vs_effective"] == dev["two_level_textbook_vs_effective"]
+        assert rep.tails["two_level_as_written"] == rep.tails["two_level_textbook"]
+        sectors = rep.meta["sector_dim"]
+        assert sectors["two_level_as_written"] == sectors["two_level_textbook"]
+        assert rep.stark_winner == "tie"
+
     def test_lindblad_legs_populate_degradation(self):
         p = ModelParams(
             delta=5.0, Delta=20.0, g1=1.0, Omega=1.0, g2=0.1, eps=0.0, kappa=0.05, Gamma_e=0.02
