@@ -15,8 +15,9 @@ through `_fmt`, byte-identical to formatting every cell with `_fmt`.
 
 Exit codes: 0 success; 1 physics-domain error (unstable regime, overdamped
 doublet, truncation cap) or a run out of memory, named on stderr; 2 config
-error, with the line number on stderr (an ``output`` path that cannot be
-written is one).
+error, with the line number on stderr (a value out of its key's domain,
+such as a non-positive ``horizon``, is one, and so is an ``output`` path
+that cannot be written).
 
 Commands, their required keys and then their optional keys (``output`` is
 always required; model parameters default to zero, ``omega_m`` to one):
@@ -80,10 +81,6 @@ _KEY_TYPES = {
 }
 _KEY_TYPES.update({name: float for name in _PARAM_KEYS})
 
-# integer keys that size a grid or a Fock factor, checked at their line
-_AT_LEAST_TWO = ("geff_count", "time_count", "omega_count", "n_times",
-                 "d_cav", "d_mech", "d_cav_lindblad", "d_mech_lindblad")
-
 _GRIDS = (("geff_start", "geff_stop", "geff_count"),
           ("time_start", "time_stop", "time_count"),
           ("omega_start", "omega_stop", "omega_count"))
@@ -114,11 +111,14 @@ def _convert(key: str, raw: str, line: int):
         if raw in ("true", "false"):
             return raw == "true"
         raise ConfigError(f"expected true/false for '{key}', got '{raw}'", line)
-    if want is int:
+    if want is int:  # every integer key sizes a grid or a Fock factor
         try:
-            return int(raw, 10)
+            value = int(raw, 10)
         except ValueError:
             raise ConfigError(f"expected integer for '{key}', got '{raw}'", line) from None
+        if value < 2:
+            raise ConfigError(f"'{key}' must be >= 2, got {value}", line)
+        return value
     try:
         value = float(raw)
     except ValueError:
@@ -135,8 +135,8 @@ def parse_config(text: str) -> RunConfig:
     duplicate keys, keys the command does not read, malformed lines, bad
     value types, non-finite numbers, out-of-domain parameter values, grid
     counts, time-grid sizes or Fock dimensions below two, a non-positive
-    `lindblad_rtol`, degenerate grids, and keys missing for the chosen
-    command (the command line is cited for those).
+    `horizon` or `lindblad_rtol`, degenerate grids, and keys missing for
+    the chosen command (the command line is cited for those).
     """
     entries: dict = {}
     lines: dict = {}
@@ -156,9 +156,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"empty value for '{key}'", lineno)
         entries[key] = _convert(key, value, lineno)
         lines[key] = lineno
-        if key in _AT_LEAST_TWO and entries[key] < 2:
-            raise ConfigError(f"'{key}' must be >= 2, got {entries[key]}", lineno)
-        if key == "lindblad_rtol" and not entries[key] > 0:
+        if key in ("horizon", "lindblad_rtol") and not entries[key] > 0:
             raise ConfigError(f"'{key}' must be > 0, got '{value}'", lineno)
         # model-parameter domain checks, reported at the offending line
         if key in _PARAM_KEYS:

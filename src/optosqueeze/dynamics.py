@@ -506,10 +506,9 @@ def evolve_lindblad(
         raise TruncationError(f"master-equation integration failed: {sol.message}")
     entries = sol.y.T
 
-    # populations of all d basis states, from the diagonal entries rho[i, i] in the sector
-    probs = np.zeros((t.size, d))
+    # populations of the basis states i whose diagonal entry rho[i, i] lies in the sector
     hit, at = _sector_positions(sec, np.arange(d) * (d + 1))
-    probs[:, hit] = entries[:, at].real
+    probs = entries[:, at].real
     traces = probs.sum(axis=1)
     i = _first_drift(traces, TRACE_TOL)
     if i is not None:
@@ -517,7 +516,7 @@ def evolve_lindblad(
             f"trace drifted to {traces[i]!r} at t={t[i]:g} (tolerance {TRACE_TOL:g}); "
             "tighten rtol/atol or enlarge the space"
         )
-    tails = _fock_tails(probs, np.arange(d), space)
+    tails = _fock_tails(probs, np.flatnonzero(hit), space)
     rho_final = np.zeros(d * d, dtype=complex)
     rho_final[sec] = entries[-1]
     values = np.empty((t.size, len(observables)), dtype=complex)

@@ -115,7 +115,7 @@ def _require_structure(space: HilbertSpace, levels: int, what: str):
         and isinstance(space.factors[0], Fock)
         and isinstance(space.factors[1], Fock)
         and isinstance(space.factors[2], Level)
-        and space.factors[2].count == levels
+        and space.factors[2].size == levels
     )
     if not ok:
         raise ValueError(f"{what} needs Fock x Fock x Level({levels}), got {space.factors!r}")

@@ -33,7 +33,6 @@ import numpy as np
 from scipy import sparse
 
 __all__ = [
-    "SpaceMismatchError",
     "Fock",
     "Level",
     "HilbertSpace",
@@ -48,38 +47,31 @@ __all__ = [
 ]
 
 
-class SpaceMismatchError(ValueError):
-    """Raised when two objects that must share a Hilbert space do not."""
+def _check_size(factor, what: str):
+    """Require `factor.size` to be an integer >= 2, and store it as a Python int."""
+    if not isinstance(factor.size, (int, np.integer)) or factor.size < 2:
+        raise ValueError(f"{what} must be an integer >= 2, got {factor.size!r}")
+    object.__setattr__(factor, "size", int(factor.size))
 
 
 @dataclass(frozen=True)
 class Fock:
-    """A bosonic mode truncated to the Fock states |0>, ..., |dim-1>."""
+    """A bosonic mode truncated to the Fock states |0>, ..., |size-1>."""
 
-    dim: int
+    size: int
 
     def __post_init__(self):
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
-            raise ValueError(f"Fock dimension must be an integer >= 2, got {self.dim!r}")
-
-    @property
-    def size(self) -> int:
-        return int(self.dim)
+        _check_size(self, "Fock dimension")
 
 
 @dataclass(frozen=True)
 class Level:
-    """A discrete internal degree of freedom with `count` levels."""
+    """A discrete internal degree of freedom with `size` levels."""
 
-    count: int
+    size: int
 
     def __post_init__(self):
-        if not isinstance(self.count, (int, np.integer)) or self.count < 2:
-            raise ValueError(f"Level count must be an integer >= 2, got {self.count!r}")
-
-    @property
-    def size(self) -> int:
-        return int(self.count)
+        _check_size(self, "Level count")
 
 
 @dataclass(frozen=True)
@@ -119,7 +111,7 @@ class HilbertSpace:
 
 def _require_same_space(a, b):
     if a.space != b.space:
-        raise SpaceMismatchError("operands live on different Hilbert spaces")
+        raise ValueError("operands live on different Hilbert spaces")
 
 
 @dataclass(frozen=True)
@@ -324,9 +316,9 @@ def level_projector(space: HilbertSpace, factor_index: int, i: int, j: int) -> O
     f = space.factors[factor_index]
     if not isinstance(f, Level):
         raise TypeError(f"factor {factor_index} is not a Level factor")
-    if not (0 <= i < f.count and 0 <= j < f.count):
-        raise IndexError(f"level indices ({i}, {j}) out of range for {f.count} levels")
-    return tensor_embed([(factor_index, _ket_bra(f.count, i, j))], space)
+    if not (0 <= i < f.size and 0 <= j < f.size):
+        raise IndexError(f"level indices ({i}, {j}) out of range for {f.size} levels")
+    return tensor_embed([(factor_index, _ket_bra(f.size, i, j))], space)
 
 
 def thermal_populations(d: int, nbar: float) -> np.ndarray:

@@ -74,9 +74,9 @@ class SpectrumSeries:
         self.variances = v
 
 
-def default_omega_grid(omega_m: float = 1.0, n: int = 801) -> np.ndarray:
+def default_omega_grid(omega_m: float = 1.0) -> np.ndarray:
     """801 points over [-4, 4] omega_m: resolves both peaks at the usual scales."""
-    return np.linspace(-4.0 * omega_m, 4.0 * omega_m, n)
+    return np.linspace(-4.0 * omega_m, 4.0 * omega_m, 801)
 
 
 def _finite_grid(values, name: str) -> np.ndarray:

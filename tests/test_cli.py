@@ -554,12 +554,16 @@ class TestExitCodes:
         ("n_times = 1", "'n_times' must be >= 2, got 1"),
         ("lindblad_rtol = 0", "'lindblad_rtol' must be > 0, got '0'"),
         ("lindblad_rtol = -1e-8", "'lindblad_rtol' must be > 0, got '-1e-8'"),
+        ("horizon = 0", "'horizon' must be > 0, got '0'"),
+        ("horizon = -1", "'horizon' must be > 0, got '-1'"),
     ])
     def test_structural_key_out_of_range_exit_2(self, tmp_path, capsys, line, want):
         # these used to exit 1 with a message that named no line
         out = tmp_path / "x.csv"
+        # a horizon case sets horizon on line 6, so line 4 sets another valid key
+        line4 = "d_cav = 4" if line.startswith("horizon ") else "horizon = 1"
         code = run_cli(tmp_path, f"command = validate-adiabatic\ndelta = 20\nDelta = 100\n"
-                                 f"horizon = 1\ninclude_lindblad = true\n{line}\noutput = {out}\n")
+                                 f"{line4}\ninclude_lindblad = true\n{line}\noutput = {out}\n")
         assert code == 2
         assert capsys.readouterr().err == f"config error: line 6: {want}\n"
         assert not out.exists()

@@ -22,7 +22,6 @@ from optosqueeze.operators import (
     Level,
     Operator,
     QuantumState,
-    SpaceMismatchError,
     _require_same_space,
     annihilation,
     level_projector,
@@ -401,7 +400,7 @@ class TestExpectation:
         assert expectation(vacuum_state(sp), number(sp, 0)) == 0.0
 
     def test_space_mismatch(self):
-        with pytest.raises(SpaceMismatchError):
+        with pytest.raises(ValueError, match="different Hilbert spaces"):
             expectation(vacuum_state(single_fock(5)), number(single_fock(6), 0))
 
     @settings(max_examples=30, deadline=None)
