@@ -10,6 +10,11 @@ both variants from the full three-level dynamics.
 """
 
 import math
+import sys
+from pathlib import Path
+
+# run from a checkout without installing, as run_all.sh does through PYTHONPATH
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from optosqueeze.dynamics import validate_adiabatic_chain
 from optosqueeze.model import ModelParams

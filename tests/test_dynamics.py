@@ -908,6 +908,58 @@ class TestValidateAdiabaticChain:
         sectors = rep.meta["sector_dim"]
         assert 0 < sectors["lindblad_closed"] <= sectors["lindblad_open"] <= (4 * 8 * 3) ** 2
 
+    @pytest.mark.parametrize(
+        "rates, integrated",  # integrated: (closed leg, open leg) run through evolve_lindblad
+        [
+            (dict(kappa=0.05, Gamma_e=0.02), (False, True)),  # gamma = 0: one DOP853 run
+            (dict(kappa=0.05, Gamma_e=0.02, gamma=0.01), (True, True)),  # D[b] keeps the closed leg open
+            ({}, (False, False)),  # no channel at all: both legs are unitary
+        ],
+    )
+    def test_leg_without_collapse_channel_runs_unitarily(self, monkeypatch, rates, integrated):
+        calls = []
+
+        def counting(h, collapse_ops, *args, **kwargs):
+            calls.append(len(collapse_ops))
+            return evolve_lindblad(h, collapse_ops, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "evolve_lindblad", counting)
+        p = ModelParams(delta=5.0, Delta=20.0, g1=1.0, Omega=1.0, g2=0.1, eps=0.0, **rates)
+        rep = validate_adiabatic_chain(p, "e1", horizon=math.pi, n_times=40, d_cav=3, d_mech=8,
+                                       include_lindblad=True, lindblad_dims=(3, 8), lindblad_rtol=1e-8)
+        assert len(calls) == sum(integrated) and all(calls)
+        assert tuple(n > 0 for n in rep.meta["lindblad_n_rhs_evals"]) == integrated
+        if not integrated[0]:
+            # the unitary leg's sector counts Hilbert-space states, not vec(rho) entries
+            assert rep.meta["sector_dim"]["lindblad_closed"] <= 3 * 8 * 3
+        if not any(integrated):
+            assert rep.smax_degradation == 0
+
+    def test_closed_leg_matches_dense_expm_propagation(self):
+        # open_chain's chain and Lindblad space (3 x 8 x 3 = 72 states): the
+        # closed leg has no collapse channel, so stepping psi0 with a dense
+        # expm of H must reproduce its smax.  Measured 3.3e-10 relative; the
+        # gap is the stepped expm's round-off (evolve_unitary is 4.4e-12 from
+        # a longdouble propagator), amplified because smax (8e-5 dB) is the
+        # log of a variance ratio within 2e-5 of one
+        p = ModelParams(delta=20.0, Delta=100.0, Omega=1.0, g1=1.0, g2=0.02, kappa=0.5, Gamma_e=0.1)
+        rep = validate_adiabatic_chain(p, "e1", horizon=3.2, n_times=160, d_cav=4, d_mech=16,
+                                       include_lindblad=True, lindblad_dims=(3, 8), lindblad_rtol=1e-8)
+        assert rep.dims["lindblad"] == (3, 8)
+        space = hybrid_space(3, 8, 3)
+        e1 = atomic_coupling_spectrum(p).e1
+        times = np.linspace(0.0, 3.2, dynamics.LINDBLAD_N_TIMES)
+        u = expm(-1j * build_full_hamiltonian(p, space).matrix * (times[1] - times[0]))
+        psi = [np.kron(np.eye(3 * 8)[0], [e1[0], e1[1], 0.0])]
+        for _ in times[1:]:
+            psi.append(u @ psi[-1])
+        psi = np.array(psi)
+        xpsi = psi @ position(space, 1).matrix.T
+        m1 = np.einsum("ti,ti->t", psi.conj(), xpsi).real
+        var = np.einsum("ti,ti->t", xpsi.conj(), xpsi).real - m1**2
+        ref = -5.0 * math.log10(var.min() / var[0])
+        assert abs(rep.smax_closed - ref) <= 1e-9 * ref
+
     def test_effective_leg_doubles_its_dimension(self):
         # at d_mech = 4 the unitary legs stay within the tail limit, but the
         # effective leg's e1 branch (weight 1e-8, g_eff_1 = 1e-3; its tail is

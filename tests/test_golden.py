@@ -9,8 +9,9 @@ their bytes are reproducible on one machine and BLAS build, not across
 them.  Truncation tails are probabilities whose digits below 1e-15 are
 round-off, so they get that absolute floor on top of the relative bound.
 
-`decay_immunity.cfg` is left out here: its two master-equation runs take
-over ten seconds, and acceptance 07 reruns it under the same rule.
+`decay_immunity.cfg` is left out here: the master-equation integration of
+its open leg takes several seconds (its closed leg has no collapse channel
+and runs unitarily), and acceptance 07 reruns it under the same rule.
 """
 
 from fnmatch import fnmatch
