@@ -29,7 +29,8 @@ always required; model parameters default to zero, ``omega_m`` to one):
 * ``spectrum-vs-g``: omega, geff_start/stop/count; omega_m, gamma, nbar
 * ``validate-adiabatic``: horizon, delta, Delta; the other nine model
   parameters, atom_state, n_times, d_cav, d_mech, include_lindblad,
-  d_cav_lindblad, d_mech_lindblad, lindblad_rtol
+  d_cav_lindblad, d_mech_lindblad, lindblad_rtol (gamma, nbar, kappa,
+  Gamma_e and the three lindblad keys only with include_lindblad = true)
 * ``eigenmodes``: delta, Delta; Omega, g1, g2, eps
 
 All frequencies and rates are in units of omega_m with hbar = 1.
@@ -80,6 +81,10 @@ _KEY_TYPES = {
     "atom_state": str,
 }
 _KEY_TYPES.update({name: float for name in _PARAM_KEYS})
+
+# validate-adiabatic reads these only through its master-equation pair
+_LINDBLAD_ONLY = ("gamma", "nbar", "kappa", "Gamma_e",
+                  "d_cav_lindblad", "d_mech_lindblad", "lindblad_rtol")
 
 _GRIDS = (("geff_start", "geff_stop", "geff_count"),
           ("time_start", "time_stop", "time_count"),
@@ -178,9 +183,11 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("missing key 'command'")
     command = entries["command"]
     _, required, optional = _COMMANDS[command]
+    gated = () if entries.get("include_lindblad") or command != "validate-adiabatic" else _LINDBLAD_ONLY
     for key in entries:
-        if key not in ("command", "output") + required + optional:
-            raise ConfigError(f"command '{command}' does not read key '{key}'", lines[key])
+        if key not in ("command", "output") + required + optional or key in gated:
+            why = " without include_lindblad = true" if key in gated else ""
+            raise ConfigError(f"command '{command}' does not read key '{key}'{why}", lines[key])
     if "output" not in entries:
         raise ConfigError(f"command '{command}' requires key 'output'", lines["command"])
     for key in required:

@@ -111,8 +111,7 @@ __all__ = [
 TAIL_LIMIT = 1e-6
 TRACE_TOL = 1e-9  # largest |Tr rho - 1| a master-equation run may reach
 EFFECTIVE_DIM_CAP = 8192  # largest oscillator dimension of an H_eff series
-CHAIN_DIM_CAP = 4096  # largest dimension a unitary leg of the elimination chain may double to
-LINDBLAD_N_TIMES = 160  # grid points of the elimination chain's master-equation legs
+CHAIN_DIM_CAP = 4096  # largest dimension any elimination-chain leg, Lindblad pair included, may reach
 
 
 class TruncationError(RuntimeError):
@@ -675,7 +674,8 @@ class AdiabaticReport:
     elimination assumes large; stark_winner: which two-level Stark variant
     tracked the three-level model better over this run; variances: each
     leg's oscillator X variance on the run's grid, linspace(0, horizon,
-    n_times), keyed by leg name as `tails` is.
+    n_times), keyed by leg name as `tails` is; the smax fields stay None
+    only for a run without the master-equation pair.
     """
 
     ratios: dict
@@ -728,12 +728,26 @@ def _resolve_atom_init(p: ModelParams, atom_init):
 
 
 def _product_vacuum_with_atom(space: HilbertSpace, atom_vec: np.ndarray) -> QuantumState:
-    dc, dm = space.factors[0].size, space.factors[1].size
-    ec = np.zeros(dc, dtype=complex)
-    ec[0] = 1.0
-    em = np.zeros(dm, dtype=complex)
-    em[0] = 1.0
-    return QuantumState.pure(space, np.kron(np.kron(ec, em), atom_vec))
+    # cavity and oscillator vacuum are level 0 of the two outer factors, so
+    # |0, 0, atom> holds the atom amplitudes in its first entries
+    psi = np.zeros(space.total_dim, dtype=complex)
+    psi[: atom_vec.size] = atom_vec
+    return QuantumState.pure(space, psi)
+
+
+def _leg_variance(H: Operator, psi0: QuantumState, times: np.ndarray, collapse_ops=(), rtol=None):
+    """(oscillator X variance, run meta) of one chain leg, the engine picked by its collapse set.
+
+    None keeps rho pure: exact `evolve_unitary`, 0 in `meta["n_rhs_evals"]`.
+    Any runs DOP853: `evolve_lindblad` on X and X^2, atol = `rtol` / 100.
+    """
+    if not collapse_ops:
+        ts = variance_trajectory(evolve_unitary(H, psi0, times), 1, "X")
+        return ts.values, dict(ts.meta, n_rhs_evals=0)
+    x = position(H.space, 1)
+    out = evolve_lindblad(H, collapse_ops, psi0, times, (x, x @ x), rtol=rtol, atol=rtol * 1e-2)
+    m1, m2 = out.values.real.T  # <X> and <X^2> of the oscillator
+    return m2 - m1**2, out.meta
 
 
 def validate_adiabatic_chain(
@@ -761,30 +775,30 @@ def validate_adiabatic_chain(
     (|Delta| and |delta| over the rates they must exceed), and which Stark
     variant tracked the three-level model better.
 
-    With `include_lindblad`, two master-equation legs of the three-level
-    model, without and with the kappa / Gamma_e collapse channels (gamma
-    damps the oscillator in both), measure how much the achieved maximum
-    squeezing degrades over `LINDBLAD_N_TIMES` points of the horizon.  A
-    leg with a collapse channel runs DOP853 (`evolve_lindblad`, rtol =
-    `lindblad_rtol`, atol = `lindblad_rtol` / 100); a leg without one (the
-    closed leg whenever gamma = 0) keeps rho pure and runs exactly through
-    `evolve_unitary`, with 0 in `meta["lindblad_n_rhs_evals"]` and its
-    Hilbert-sector size, not a vec(rho) one, in `meta["sector_dim"]`.  The
-    integrator's error, about 1e-11 relative, is far below the degradation
-    measured.  Both legs share one space, which starts at `lindblad_dims` =
-    (d_cav, d_mech); a None entry takes min(d_cav, 4), respectively d_mech,
-    as reached by the unitary legs.
+    Every leg runs on linspace(0, horizon, n_times) through `_leg_variance`,
+    which picks its engine from the leg's collapse set.  With
+    `include_lindblad`, two master-equation legs of the three-level model,
+    without and with the kappa / Gamma_e collapse channels (gamma damps
+    the oscillator in both), measure how much the achieved maximum
+    squeezing degrades; a closed leg that does not squeeze leaves the
+    degradation undefined and raises ValueError.  A leg without a channel
+    (the closed leg whenever gamma = 0) runs exactly, with 0 in
+    `meta["lindblad_n_rhs_evals"]` and a Hilbert-sector size in
+    `meta["sector_dim"]`; DOP853's error on the other, about 1e-11
+    relative, is far below the degradation measured.  Both legs share one
+    space, which starts at `lindblad_dims` = (d_cav, d_mech); a None entry
+    takes min(d_cav, 4), respectively d_mech, as reached by the unitary legs.
 
-    Truncation is adaptive: a unitary leg whose top-level population
-    exceeds 1e-6 doubles the offending dimension, up to `CHAIN_DIM_CAP`,
-    and passes its dimensions on to the next leg; the effective leg starts
-    from the d_mech they reached and doubles in `effective_variance_series`;
-    the largest d_mech either of its branches reached is
-    `dims["d_mech_effective"]`.  The master-equation pair doubles the same
-    way, on the larger tail of its two legs, and reports its dimensions as
-    `dims["lindblad"]`.  `meta["sector_dim"]` holds each Fock leg's
-    propagated sector size, and `variances` each unitary and effective
-    leg's X-variance series on the report's grid.
+    Truncation is adaptive: a Fock leg whose top-level population exceeds
+    1e-6 doubles the offending dimension, up to `CHAIN_DIM_CAP` for every
+    leg, the master-equation pair included.  Each unitary leg passes its
+    dimensions on to the next; the effective leg starts from the d_mech
+    they reached and doubles in `effective_variance_series`, its branches'
+    largest d_mech being `dims["d_mech_effective"]`.  The master-equation
+    pair doubles on the larger tail of its two legs and reports its
+    dimensions as `dims["lindblad"]`.  `meta["sector_dim"]` holds each Fock
+    leg's propagated sector size, and `variances` each unitary and
+    effective leg's X-variance series on the report's grid.
     """
     spec, atom3, atom2, weights = _resolve_atom_init(p, atom_init)
     alpha = spec.alpha
@@ -804,11 +818,11 @@ def validate_adiabatic_chain(
 
         def run(dims):
             space = hybrid_space(*dims, levels)
-            traj = evolve_unitary(build(space), _product_vacuum_with_atom(space, atom_vec), times)
-            return traj, traj.meta["tail_max"]
+            var, meta = _leg_variance(build(space), _product_vacuum_with_atom(space, atom_vec), times)
+            return (var, meta["sector_dim"]), meta["tail_max"]
 
-        traj, tails, (dc, dm) = _double_until_converged(run, (dc, dm), CHAIN_DIM_CAP)
-        return variance_trajectory(traj, 1, "X").values, tails, traj.meta["sector_dim"]
+        (var, sector), tails, (dc, dm) = _double_until_converged(run, (dc, dm), CHAIN_DIM_CAP)
+        return var, tails, sector
 
     # legs by report name: (X variance, tails, sector size); one run per Stark shift pair
     legs = {"full": run_unitary_leg(lambda s: build_full_hamiltonian(p, s), 3, atom3)}
@@ -851,62 +865,40 @@ def validate_adiabatic_chain(
         tails={**{k: tails for k, (_, tails, _) in legs.items()}, "effective": {0: tail_eff}},
         variances={**{k: var for k, (var, _, _) in legs.items()}, "effective": var_eff},
         atom_weights=weights,
-        meta={
-            "n_times": n_times,
-            "horizon": horizon,
-            "atom_init": atom3.tolist(),
-            "sector_dim": {k: sector for k, (_, _, sector) in legs.items()},
-        },
+        meta={"sector_dim": {k: sector for k, (_, _, sector) in legs.items()}},
     )
 
     if include_lindblad:
-        ltimes = np.linspace(0.0, horizon, LINDBLAD_N_TIMES)
-
         def collapse_set(lspace: HilbertSpace, open_system: bool):
-            ops = []
-            if p.gamma > 0:
-                b = annihilation(lspace, 1)
-                ops.append((b, p.gamma * (p.nbar + 1.0)))
-                ops.append((b.dag(), p.gamma * p.nbar))
+            b = annihilation(lspace, 1)
+            ops = [(b, p.gamma * (p.nbar + 1.0)), (b.dag(), p.gamma * p.nbar)]
             if open_system:
-                if p.kappa > 0:
-                    ops.append((annihilation(lspace, 0), p.kappa))
-                if p.Gamma_e > 0:
-                    ops.append((level_projector(lspace, 2, 1, 2), p.Gamma_e))
-                    ops.append((level_projector(lspace, 2, 0, 2), p.Gamma_e))
-            return ops
-
-        atol = lindblad_rtol * 1e-2
-
-        def run_lindblad_leg(lh, ops, psi0, x):
-            # (achieved smax, meta); without a collapse channel rho stays pure, so the leg is exact
-            if ops:
-                out = evolve_lindblad(lh, ops, psi0, ltimes, (x, x @ x), rtol=lindblad_rtol, atol=atol)
-                m1, m2 = out.values.real.T  # <X> and <X^2> of the oscillator
-                var, meta = m2 - m1**2, out.meta
-            else:
-                ts = variance_trajectory(evolve_unitary(lh, psi0, ltimes), 1, "X")
-                var, meta = ts.values, dict(ts.meta, n_rhs_evals=0)
-            return -5.0 * math.log10(float(np.min(var)) / float(var[0])), meta
+                ops += [(annihilation(lspace, 0), p.kappa),
+                        (level_projector(lspace, 2, 1, 2), p.Gamma_e),
+                        (level_projector(lspace, 2, 0, 2), p.Gamma_e)]
+            return [(op, rate) for op, rate in ops if rate > 0]
 
         def run_lindblad_legs(dims):
             # the closed and the open leg share one space, so their smax stay comparable
             lspace = hybrid_space(*dims, 3)
             lh = build_full_hamiltonian(p, lspace)
             psi0 = _product_vacuum_with_atom(lspace, atom3)
-            x = position(lspace, 1)
-            legs = [run_lindblad_leg(lh, collapse_set(lspace, open_system), psi0, x)
+            legs = [_leg_variance(lh, psi0, times, collapse_set(lspace, open_system), lindblad_rtol)
                     for open_system in (False, True)]
             tails = {i: max(meta["tail_max"][i] for _, meta in legs) for i in legs[0][1]["tail_max"]}
             return legs, tails
 
         ldc, ldm = lindblad_dims
         ldims = (min(dc, 4) if ldc is None else ldc, dm if ldm is None else ldm)
-        ((s_closed, closed), (s_open, opened)), _, ldims = _double_until_converged(
+        ((v_closed, closed), (v_open, opened)), _, ldims = _double_until_converged(
             run_lindblad_legs, ldims, CHAIN_DIM_CAP)
+        s_closed, s_open = (-5.0 * math.log10(float(np.min(v)) / float(v[0])) for v in (v_closed, v_open))
+        if not s_closed > 0:
+            raise ValueError("the smax degradation is undefined: the closed master-equation leg "
+                             f"does not squeeze below its initial X variance ({s_closed:g} dB)")
         report.smax_closed = s_closed
         report.smax_open = s_open
-        report.smax_degradation = (s_closed - s_open) / s_closed if s_closed != 0 else None
+        report.smax_degradation = (s_closed - s_open) / s_closed
         report.dims["lindblad"] = ldims
         report.meta["lindblad_n_rhs_evals"] = (closed["n_rhs_evals"], opened["n_rhs_evals"])
         report.meta["sector_dim"]["lindblad_closed"] = closed["sector_dim"]

@@ -514,6 +514,44 @@ class TestExitCodes:
             f"config error: line 2: command '{command}' does not read key '{key}'\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("unread, switch", [
+        ("gamma = 0.1\nnbar = 1", ""),
+        ("kappa = 0.5\nGamma_e = 0.1", ""),
+        ("d_cav_lindblad = 3\nd_mech_lindblad = 8", "include_lindblad = false\n"),
+        ("lindblad_rtol = 1e-3", ""),
+    ], ids=["damping", "decay", "lindblad-dims", "lindblad_rtol"])
+    def test_master_equation_key_without_include_lindblad_exit_2(self, tmp_path, capsys, unread,
+                                                                  switch):
+        # validate-adiabatic reads these keys only through its master-equation
+        # pair; without include_lindblad = true they used to change nothing and
+        # still be echoed into the CSV metadata
+        out = tmp_path / "x.csv"
+        key = unread.split(" = ")[0]
+        code = run_cli(tmp_path, f"command = validate-adiabatic\n{unread}\ndelta = 20\nDelta = 100\n"
+                                 f"horizon = 1\n{switch}output = {out}\n")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: line 2: command 'validate-adiabatic' does not read key '{key}' "
+            "without include_lindblad = true\n")
+        assert not out.exists()
+
+    def test_closed_leg_without_squeezing_exit_1(self, tmp_path, capsys):
+        # eps = 0 leaves e2 = |1> stationary, so the closed master-equation leg
+        # never squeezes and the degradation is undefined; this used to die
+        # with a TypeError traceback from formatting smax_degradation = None
+        out = tmp_path / "x.csv"
+        code = run_cli(
+            tmp_path,
+            f"command = validate-adiabatic\ndelta = 20\nDelta = 100\nOmega = 1\ng1 = 1\n"
+            f"g2 = 0.02\nkappa = 0.5\ngamma = 0.1\natom_state = e2\nhorizon = 3.2\n"
+            f"n_times = 40\nd_cav = 4\nd_mech = 8\ninclude_lindblad = true\n"
+            f"d_cav_lindblad = 3\nd_mech_lindblad = 8\nlindblad_rtol = 1e-8\noutput = {out}\n",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the smax degradation is undefined") and "Traceback" not in err
+        assert not out.exists()
+
     def test_unwritable_output_exit_2(self, tmp_path, capsys):
         out = tmp_path / "no_such_dir" / "x.csv"
         code = run_cli(

@@ -943,12 +943,13 @@ class TestValidateAdiabaticChain:
         # a longdouble propagator), amplified because smax (8e-5 dB) is the
         # log of a variance ratio within 2e-5 of one
         p = ModelParams(delta=20.0, Delta=100.0, Omega=1.0, g1=1.0, g2=0.02, kappa=0.5, Gamma_e=0.1)
-        rep = validate_adiabatic_chain(p, "e1", horizon=3.2, n_times=160, d_cav=4, d_mech=16,
+        n_times = 160
+        rep = validate_adiabatic_chain(p, "e1", horizon=3.2, n_times=n_times, d_cav=4, d_mech=16,
                                        include_lindblad=True, lindblad_dims=(3, 8), lindblad_rtol=1e-8)
         assert rep.dims["lindblad"] == (3, 8)
         space = hybrid_space(3, 8, 3)
         e1 = atomic_coupling_spectrum(p).e1
-        times = np.linspace(0.0, 3.2, dynamics.LINDBLAD_N_TIMES)
+        times = np.linspace(0.0, 3.2, n_times)
         u = expm(-1j * build_full_hamiltonian(p, space).matrix * (times[1] - times[0]))
         psi = [np.kron(np.eye(3 * 8)[0], [e1[0], e1[1], 0.0])]
         for _ in times[1:]:
@@ -959,6 +960,36 @@ class TestValidateAdiabaticChain:
         var = np.einsum("ti,ti->t", xpsi.conj(), xpsi).real - m1**2
         ref = -5.0 * math.log10(var.min() / var[0])
         assert abs(rep.smax_closed - ref) <= 1e-9 * ref
+
+    def test_master_equation_legs_use_the_chain_grid(self, monkeypatch):
+        # gamma > 0 sends both legs through DOP853; each evaluates the
+        # chain's own n_times points, as every unitary leg does
+        lindblad_grids, unitary_grids = [], []
+
+        def recording(engine, grids):
+            def run(h, *args, **kwargs):
+                out = engine(h, *args, **kwargs)
+                grids.append(out.times.size)
+                return out
+            return run
+
+        monkeypatch.setattr(dynamics, "evolve_lindblad", recording(evolve_lindblad, lindblad_grids))
+        monkeypatch.setattr(dynamics, "evolve_unitary", recording(evolve_unitary, unitary_grids))
+        p = ModelParams(delta=5.0, Delta=20.0, g1=1.0, Omega=1.0, g2=0.1, kappa=0.05, gamma=0.01)
+        rep = validate_adiabatic_chain(p, "e1", horizon=math.pi, n_times=40, d_cav=3, d_mech=8,
+                                       include_lindblad=True, lindblad_dims=(3, 8), lindblad_rtol=1e-8)
+        assert lindblad_grids == [40, 40]
+        assert unitary_grids and set(unitary_grids) == {40}
+        assert all(v.size == 40 for v in rep.variances.values())
+
+    def test_closed_leg_without_squeezing_rejected(self):
+        # eps = 0 leaves e2 = |1> stationary, so the closed leg never dips
+        # below its initial variance (smax_closed = -0.0); this used to return
+        # smax_degradation None, on which the CLI crashed
+        p = ModelParams(delta=20.0, Delta=100.0, Omega=1.0, g1=1.0, g2=0.02, kappa=0.5, gamma=0.1)
+        with pytest.raises(ValueError, match="degradation is undefined"):
+            validate_adiabatic_chain(p, "e2", horizon=3.2, n_times=40, d_cav=4, d_mech=8,
+                                     include_lindblad=True, lindblad_dims=(3, 8), lindblad_rtol=1e-8)
 
     def test_effective_leg_doubles_its_dimension(self):
         # at d_mech = 4 the unitary legs stay within the tail limit, but the
