@@ -112,6 +112,9 @@ TAIL_LIMIT = 1e-6
 TRACE_TOL = 1e-9  # largest |Tr rho - 1| a master-equation run may reach
 EFFECTIVE_DIM_CAP = 8192  # largest oscillator dimension of an H_eff series
 CHAIN_DIM_CAP = 4096  # largest dimension any elimination-chain leg, Lindblad pair included, may reach
+# relative error of an exactly propagated variance series: a stationary state
+# moves its X variance by at most 11 eps at 8 x 32 x 3
+EXACT_VARIANCE_RTOL = 256 * np.finfo(float).eps
 
 
 class TruncationError(RuntimeError):
@@ -780,8 +783,10 @@ def validate_adiabatic_chain(
     `include_lindblad`, two master-equation legs of the three-level model,
     without and with the kappa / Gamma_e collapse channels (gamma damps
     the oscillator in both), measure how much the achieved maximum
-    squeezing degrades; a closed leg that does not squeeze leaves the
-    degradation undefined and raises ValueError.  A leg without a channel
+    squeezing degrades.  A closed leg whose relative X-variance dip does not
+    exceed its own error (`EXACT_VARIANCE_RTOL` when it runs exactly,
+    `lindblad_rtol` under DOP853) leaves the degradation undefined and
+    raises ValueError.  A leg without a channel
     (the closed leg whenever gamma = 0) runs exactly, with 0 in
     `meta["lindblad_n_rhs_evals"]` and a Hilbert-sector size in
     `meta["sector_dim"]`; DOP853's error on the other, about 1e-11
@@ -892,10 +897,14 @@ def validate_adiabatic_chain(
         ldims = (min(dc, 4) if ldc is None else ldc, dm if ldm is None else ldm)
         ((v_closed, closed), (v_open, opened)), _, ldims = _double_until_converged(
             run_lindblad_legs, ldims, CHAIN_DIM_CAP)
-        s_closed, s_open = (-5.0 * math.log10(float(np.min(v)) / float(v[0])) for v in (v_closed, v_open))
-        if not s_closed > 0:
+        # a dip within the closed leg's own error is noise, and dividing by it means nothing
+        dip = 1.0 - float(np.min(v_closed)) / float(v_closed[0])
+        floor = lindblad_rtol if closed["n_rhs_evals"] else EXACT_VARIANCE_RTOL
+        if not dip > floor:
             raise ValueError("the smax degradation is undefined: the closed master-equation leg "
-                             f"does not squeeze below its initial X variance ({s_closed:g} dB)")
+                             f"does not squeeze beyond its error (relative X-variance dip {dip:.3g} "
+                             f"<= {floor:.3g})")
+        s_closed, s_open = (-5.0 * math.log10(float(np.min(v)) / float(v[0])) for v in (v_closed, v_open))
         report.smax_closed = s_closed
         report.smax_open = s_open
         report.smax_degradation = (s_closed - s_open) / s_closed

@@ -29,17 +29,19 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .operators import (
     Fock,
     HilbertSpace,
     Level,
     Operator,
+    _banded,
+    _embed,
     _ket_bra,
+    _kron_sum,
     _ladder,
+    _number,
     _x2_bands,
-    tensor_embed,
 )
 
 __all__ = [
@@ -121,39 +123,40 @@ def _require_structure(space: HilbertSpace, levels: int, what: str):
         raise ValueError(f"{what} needs Fock x Fock x Level({levels}), got {space.factors!r}")
 
 
-def _two_band_matrix(diag: np.ndarray, off: np.ndarray) -> sparse.csr_array:
-    """Complex CSR matrix with `diag` on the main and `off` on the +-2 diagonals."""
-    d = diag.size
-    return sparse.diags_array([off, diag, off], offsets=(-2, 0, 2), shape=(d, d),
-                              format="csr", dtype=complex)
+def _two_band(diag: np.ndarray, off: np.ndarray) -> tuple:
+    """(rows, cols, values) of the matrix with `diag` on the main and `off` on the +-2 diagonals."""
+    return _banded(diag.size, [(0, diag), (2, off), (-2, off)])
 
 
 def _hybrid_hamiltonian(p: ModelParams, space: HilbertSpace, atom_terms) -> Operator:
     """The terms both hybrid models share, summed with the model's own atom terms.
 
-    Each term is (coefficient, [(factor, matrix), ...]) in the input format
-    of `tensor_embed`; `atom_terms(a, na)` lists the model's own terms, given
-    the cavity's single-factor a and a^dag a.  The embedded products are
-    summed in list order: delta a^dag a, omega_m b^dag b, -delta |1><1|,
-    the atom terms, g2 a^dag a (b + b^dag)^2 and eps (a + a^dag); only
-    diagonal entries receive more than one term, so this order fixes their
-    rounding.  The number operators are the products a^dag a and b^dag b,
-    with entries fl(sqrt(n) sqrt(n)), not always n; the quadratic coupling
-    weights (b + b^dag)^2 with the exact n.
+    Each term is (coefficient, {factor: (rows, cols, values)}) in the input
+    format of `operators._kron_sum`, which sums them in one pass;
+    `atom_terms(a, ad, na)` lists the model's own terms, given the cavity's
+    single-factor a, a^dag and a^dag a.  Diagonal entries are summed in list
+    order: delta a^dag a, omega_m b^dag b, -delta |1><1|, the atom terms,
+    g2 a^dag a (b + b^dag)^2 and eps (a + a^dag), and this order fixes their
+    rounding; no off-diagonal entry receives two terms.  The number
+    operators are the products a^dag a and b^dag b, with entries
+    fl(sqrt(n) sqrt(n)), not always n; the quadratic coupling weights
+    (b + b^dag)^2 with the exact n.
     """
-    a, b = _ladder(space, 0), _ladder(space, 1)
-    na = a.T @ a
-    d_cav, d_mech, levels = space.factor_sizes
+    d_mech = space.factors[1].size
+    a = _ladder(space, 0)
+    ad = (a[1], a[0], a[2])  # the ladder matrix is real: a^dag is its transpose
+    na = _number(space, 0)
+    n = na[0]  # cavity levels 1 .. d_cav - 1, where n is nonzero
     terms = [
-        (p.delta, [(0, na)]),
-        (p.omega_m, [(1, b.T @ b)]),
-        (-p.delta, [(2, _ket_bra(levels, 1, 1))]),
-        *atom_terms(a, na),
-        (p.g2, [(0, sparse.diags_array(np.arange(d_cav, dtype=float))),
-                (1, _two_band_matrix(*_x2_bands(d_mech)))]),
-        (p.eps, [(0, a + a.T)]),
+        (p.delta, {0: na}),
+        (p.omega_m, {1: _number(space, 1)}),
+        (-p.delta, {2: _ket_bra(1, 1)}),
+        *atom_terms(a, ad, na),
+        (p.g2, {0: (n, n, n.astype(complex)), 1: _two_band(*_x2_bands(d_mech))}),
+        (p.eps, {0: a}),
+        (p.eps, {0: ad}),
     ]
-    return Operator(space, sum(c * tensor_embed(ops, space).csr for c, ops in terms))
+    return Operator(space, _kron_sum(terms, space))
 
 
 def build_full_hamiltonian(p: ModelParams, space: HilbertSpace) -> Operator:
@@ -164,11 +167,12 @@ def build_full_hamiltonian(p: ModelParams, space: HilbertSpace) -> Operator:
         + g2 a^dag a (b + b^dag)^2 + eps (a + a^dag)
     """
     _require_structure(space, 3, "build_full_hamiltonian")
-    return _hybrid_hamiltonian(p, space, lambda a, na: [
-        (p.Delta, [(2, _ket_bra(3, 2, 2))]),
-        (p.Omega, [(2, _ket_bra(3, 2, 0) + _ket_bra(3, 0, 2))]),
-        (p.g1, [(0, a.T), (2, _ket_bra(3, 1, 2))]),
-        (p.g1, [(0, a), (2, _ket_bra(3, 2, 1))]),
+    return _hybrid_hamiltonian(p, space, lambda a, ad, na: [
+        (p.Delta, {2: _ket_bra(2, 2)}),
+        (p.Omega, {2: _ket_bra(2, 0)}),
+        (p.Omega, {2: _ket_bra(0, 2)}),
+        (p.g1, {0: ad, 2: _ket_bra(1, 2)}),
+        (p.g1, {0: a, 2: _ket_bra(2, 1)}),
     ])
 
 
@@ -203,11 +207,11 @@ def build_two_level_hamiltonian(p: ModelParams, space: HilbertSpace, variant: st
     _require_structure(space, 2, "build_two_level_hamiltonian")
     s0, s1 = _stark_shifts(p, variant)
     coupling = p.Omega * p.g1 / p.Delta
-    return _hybrid_hamiltonian(p, space, lambda a, na: [
-        (-s0, [(2, _ket_bra(2, 0, 0))]),
-        (-s1, [(0, na), (2, _ket_bra(2, 1, 1))]),
-        (-coupling, [(0, a), (2, _ket_bra(2, 0, 1))]),
-        (-coupling, [(0, a.T), (2, _ket_bra(2, 1, 0))]),
+    return _hybrid_hamiltonian(p, space, lambda a, ad, na: [
+        (-s0, {2: _ket_bra(0, 0)}),
+        (-s1, {0: na, 2: _ket_bra(1, 1)}),
+        (-coupling, {0: a, 2: _ket_bra(0, 1)}),
+        (-coupling, {0: ad, 2: _ket_bra(1, 0)}),
     ])
 
 
@@ -306,4 +310,4 @@ def build_effective_hamiltonian(g_eff: float, omega_m: float, space: HilbertSpac
         )
     diag, off = _x2_bands(space.factors[0].size)
     n = np.arange(diag.size, dtype=float)
-    return Operator(space, _two_band_matrix(omega_m * n + g_eff * diag, g_eff * off))
+    return _embed(space, 0, _two_band(omega_m * n + g_eff * diag, g_eff * off))

@@ -6,7 +6,10 @@ Level factor for the atom, and complex matrices acting on their tensor
 product.  Operators are stored as `scipy.sparse` CSR arrays, the storage
 QuTiP uses: every Hamiltonian of the model is banded, so the three-level H
 at 8 x 32 x 3 = 768 dimensions holds 3,000 to 4,400 nonzeros out of 589,824
-entries.  States are of two kinds only, the two the model prepares: a
+entries.  Single-factor matrices are numpy (rows, cols, values) triples,
+and every operator built from them, from b to a model Hamiltonian, is
+one Kronecker pass over them with one COO-to-CSR conversion
+(`_kron_sum`).  States are of two kinds only, the two the model prepares: a
 dense pure vector (`QuantumState`: vacuum modes and an atom in a chosen
 state) and the Fock occupations of a thermal oscillator
 (`thermal_populations`, whose density matrix is diagonal).  Conventions
@@ -215,58 +218,109 @@ class QuantumState:
         return cls(space, vector)
 
 
+def _kron_sum(terms, space: HilbertSpace) -> sparse.csr_array:
+    """Canonical CSR array of a sum of scaled Kronecker products, assembled in one pass.
+
+    `terms` lists (c, {factor_index: (rows, cols, values)}) pairs: the
+    coefficient c of one product and the stored entries of its single-factor
+    matrices; unlisted factors carry identities.  Every nonzero of a product
+    is a tuple of one entry per factor, so its row and column are the
+    factors' rows and columns in mixed radix (factor 0 outermost), and its
+    value is c ((v_0 v_1) v_2 ...), the factors' values multiplied in factor
+    order.  Diagonal entries are accumulated into a dense vector in list
+    order, so each keeps the rounding of the term-by-term sum; off-diagonal
+    entries are concatenated, and the one COO-to-CSR conversion sorts them
+    and sums any that coincide.
+    """
+    n = space.total_dim
+    eyes = [(np.arange(d), np.arange(d), np.ones(d, dtype=complex)) for d in space.factor_sizes]
+    parts = []
+    for c, factors in terms:
+        rows, cols, vals = factors.get(0, eyes[0])
+        for idx, f in enumerate(space.factors[1:], 1):
+            r, k, v = factors.get(idx, eyes[idx])
+            rows = (rows[:, None] * f.size + r).ravel()
+            cols = (cols[:, None] * f.size + k).ravel()
+            vals = (vals[:, None] * v).ravel()
+        parts.append((rows, cols, vals * c))
+    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+    on = rows == cols
+    diag = np.zeros(n, dtype=complex)
+    np.add.at(diag, rows[on], vals[on])  # one term after another, in list order
+    at = np.flatnonzero(diag)
+    off = ~on
+    rows = np.concatenate([at, rows[off]])
+    cols = np.concatenate([at, cols[off]])
+    vals = np.concatenate([diag[at], vals[off]])
+    index_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64  # as scipy.sparse picks
+    rows, cols = rows.astype(index_dtype), cols.astype(index_dtype)
+    return sparse.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
 def tensor_embed(ops: Iterable, space: HilbertSpace) -> Operator:
     """Embed single-factor matrices into the full space.
 
     `ops` is an iterable of (factor_index, matrix) pairs, at most one per
-    factor; unspecified factors get identities.  The Kronecker order follows
-    the factor order of `space`, factor 0 outermost.
-
-    The product is assembled in one pass: every nonzero of the result is a
-    tuple of one nonzero per factor (an identity's are its diagonal), so
-    its row and column are the factors' rows and columns in mixed radix,
-    and its value is the product of the factors' values, taken left to
-    right.  Listing the tuples in lexicographic order of the factors'
-    row-major nonzeros puts every row's entries in ascending column order,
-    so one COO-to-CSR conversion yields the canonical CSR array, the same
-    one as a chain of pairwise `scipy.sparse.kron` products.
+    factor, each matrix dense or sparse; unspecified factors get identities.
+    The Kronecker order follows the factor order of `space`, factor 0
+    outermost.  The product is `_kron_sum` of one term with coefficient 1,
+    so the result stores the same entries as a chain of pairwise
+    `scipy.sparse.kron` products.
     """
-    n = space.total_dim
-    index_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64  # as scipy.sparse picks
-    entries = {}  # factor index -> (rows, cols, values) of its stored entries, in CSR order
+    factors = {}
     for idx, mat in ops:
         space.check_factor(idx)
-        if idx in entries:
+        if idx in factors:
             raise ValueError(f"duplicate factor index {idx} in tensor_embed")
         m = mat if sparse.issparse(mat) else np.asarray(mat, dtype=complex)
         d = space.factors[idx].size
         if m.shape != (d, d):
             raise ValueError(f"matrix for factor {idx} has shape {m.shape}, expected ({d}, {d})")
-        m = sparse.csr_array(m, dtype=complex)
-        r = np.repeat(np.arange(d, dtype=index_dtype), np.diff(m.indptr))
-        entries[idx] = (r, m.indices.astype(index_dtype), m.data)
-    rows = cols = vals = None
-    for idx, f in enumerate(space.factors):
-        eye = np.arange(f.size, dtype=index_dtype)
-        r, c, v = entries.get(idx, (eye, eye, np.ones(f.size, dtype=complex)))
-        if vals is None:
-            rows, cols, vals = r, c, v
-        else:
-            rows = (rows[:, None] * f.size + r).ravel()
-            cols = (cols[:, None] * f.size + c).ravel()
-            vals = (vals[:, None] * v).ravel()
-    return Operator(space, sparse.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr())
+        m = sparse.coo_array(m, dtype=complex)
+        factors[idx] = (m.row, m.col, m.data)
+    return Operator(space, _kron_sum([(1.0, factors)], space))
 
 
-def _ladder(space: HilbertSpace, factor_index: int) -> sparse.csr_array:
-    """The single-factor matrix of b on the Fock factor at `factor_index`."""
+def _banded(d: int, bands) -> tuple:
+    """(rows, cols, values) of the d x d matrix holding `values` on diagonal `offset`.
+
+    `bands` lists (offset, values) pairs; offset k > 0 lies above the main
+    diagonal, so its entries are (i, i + k).  Values are stored as complex.
+    """
+    rows, cols, vals = [], [], []
+    for k, v in bands:
+        i = np.arange(d - abs(k))
+        rows.append(i + max(-k, 0))
+        cols.append(i + max(k, 0))
+        vals.append(np.asarray(v, dtype=complex))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def _fock_size(space: HilbertSpace, factor_index: int) -> int:
     space.check_factor(factor_index)
     f = space.factors[factor_index]
     if not isinstance(f, Fock):
         raise TypeError(f"factor {factor_index} is not a Fock factor")
-    # b|n> = sqrt(n)|n-1>: entries (n-1, n) = sqrt(n)
-    return sparse.diags_array(np.sqrt(np.arange(1, f.size, dtype=float)), offsets=1,
-                              format="csr", dtype=complex)
+    return f.size
+
+
+def _ladder(space: HilbertSpace, factor_index: int) -> tuple:
+    """(rows, cols, values) of b on the Fock factor at `factor_index`.
+
+    b|n> = sqrt(n)|n-1>: entries (n-1, n) = sqrt(n).  The matrix is real, so
+    (cols, rows, values) is b^dag.
+    """
+    d = _fock_size(space, factor_index)
+    return _banded(d, [(1, np.sqrt(np.arange(1, d, dtype=float)))])
+
+
+def _number(space: HilbertSpace, factor_index: int) -> tuple:
+    """(rows, cols, values) of b^dag b as the product of the ladder matrices.
+
+    Its entries are fl(sqrt(n) sqrt(n)), not always n.
+    """
+    _, cols, vals = _ladder(space, factor_index)
+    return cols, cols, vals * vals
 
 
 def _x2_bands(d: int) -> tuple:
@@ -282,6 +336,11 @@ def _x2_bands(d: int) -> tuple:
     return diag, np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))
 
 
+def _embed(space: HilbertSpace, factor_index: int, triple: tuple) -> Operator:
+    """The single-factor matrix `triple` on the factor at `factor_index`, in the full space."""
+    return Operator(space, _kron_sum([(1.0, {factor_index: triple})], space))
+
+
 def annihilation(space: HilbertSpace, factor_index: int) -> Operator:
     """The ladder operator b of the Fock factor at `factor_index`.
 
@@ -290,24 +349,26 @@ def annihilation(space: HilbertSpace, factor_index: int) -> Operator:
     (d-1, d-1) element is 1-d.  Callers track top-level population to keep
     that edge unpopulated.
     """
-    return tensor_embed([(factor_index, _ladder(space, factor_index))], space)
+    return _embed(space, factor_index, _ladder(space, factor_index))
 
 
 def position(space: HilbertSpace, factor_index: int) -> Operator:
     """X = (b + b^dag)/2 of the given Fock factor."""
-    b = _ladder(space, factor_index)
-    return tensor_embed([(factor_index, 0.5 * (b + b.T))], space)
+    d = _fock_size(space, factor_index)
+    s = np.sqrt(np.arange(1, d, dtype=float))
+    return _embed(space, factor_index, _banded(d, [(1, 0.5 * s), (-1, 0.5 * s)]))
 
 
 def momentum(space: HilbertSpace, factor_index: int) -> Operator:
     """P = (b - b^dag)/(2i) of the given Fock factor."""
-    b = _ladder(space, factor_index)
-    return tensor_embed([(factor_index, -0.5j * (b - b.T))], space)
+    d = _fock_size(space, factor_index)
+    s = np.sqrt(np.arange(1, d, dtype=float))
+    return _embed(space, factor_index, _banded(d, [(1, -0.5j * s), (-1, 0.5j * s)]))
 
 
-def _ket_bra(count: int, i: int, j: int) -> sparse.csr_array:
-    """The single-factor matrix |i><j| on `count` levels."""
-    return sparse.csr_array(([1.0], ([i], [j])), shape=(count, count), dtype=complex)
+def _ket_bra(i: int, j: int) -> tuple:
+    """(rows, cols, values) of the single-factor matrix |i><j|."""
+    return np.array([i]), np.array([j]), np.ones(1, dtype=complex)
 
 
 def level_projector(space: HilbertSpace, factor_index: int, i: int, j: int) -> Operator:
@@ -318,7 +379,7 @@ def level_projector(space: HilbertSpace, factor_index: int, i: int, j: int) -> O
         raise TypeError(f"factor {factor_index} is not a Level factor")
     if not (0 <= i < f.size and 0 <= j < f.size):
         raise IndexError(f"level indices ({i}, {j}) out of range for {f.size} levels")
-    return tensor_embed([(factor_index, _ket_bra(f.size, i, j))], space)
+    return _embed(space, factor_index, _ket_bra(i, j))
 
 
 def thermal_populations(d: int, nbar: float) -> np.ndarray:

@@ -552,6 +552,23 @@ class TestExitCodes:
         assert err.startswith("error: the smax degradation is undefined") and "Traceback" not in err
         assert not out.exists()
 
+    def test_closed_leg_squeezing_at_round_off_exit_1(self, tmp_path, capsys):
+        # the same chain with gamma = 0: the closed leg runs exactly and moves
+        # its X variance by round-off only; this used to exit 0 and write
+        # smax_closed_db 4.8e-16 with smax_degradation 1
+        out = tmp_path / "x.csv"
+        code = run_cli(
+            tmp_path,
+            f"command = validate-adiabatic\ndelta = 20\nDelta = 100\nOmega = 1\ng1 = 1\n"
+            f"g2 = 0.02\neps = 0\nkappa = 0.5\nGamma_e = 0.1\natom_state = e2\nhorizon = 3.2\n"
+            f"n_times = 160\nd_cav = 4\nd_mech = 16\ninclude_lindblad = true\n"
+            f"d_cav_lindblad = 3\nd_mech_lindblad = 8\nlindblad_rtol = 1e-8\noutput = {out}\n",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the smax degradation is undefined") and "beyond its error" in err
+        assert not out.exists()
+
     def test_unwritable_output_exit_2(self, tmp_path, capsys):
         out = tmp_path / "no_such_dir" / "x.csv"
         code = run_cli(

@@ -533,6 +533,57 @@ def random_hermitian(rng, n):
     return m + m.conj().T
 
 
+@st.composite
+def open_systems(draw, max_collapse=3):
+    """A random Hermitian H on 2-6 Fock levels, a random pure state and 0-`max_collapse` channels.
+
+    Each collapse operator is a random complex matrix of unit Frobenius
+    norm, at a rate drawn from [0, 2].
+    """
+    d = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    space = oscillator_space(d)
+    h = Operator(space, random_hermitian(rng, d) / 2)
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi0 = QuantumState.pure(space, v / np.linalg.norm(v))
+    ops = []
+    for _ in range(draw(st.integers(0, max_collapse))):
+        c = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        ops.append((Operator(space, c / np.linalg.norm(c)), draw(st.floats(0.0, 2.0))))
+    return h, psi0, ops
+
+
+class TestLindbladProperties:
+    """Trace, positivity and the closed limit of `evolve_lindblad` on random small systems.
+
+    The bounds come from 1,800 draws of `open_systems` at the default
+    rtol 1e-9: |Tr rho - 1| reached 2.4e-15, the final eigenvalue -6.4e-10,
+    and the moments' distance from the unitary route 1.5e-9.
+    """
+
+    TIMES = np.linspace(0.0, 2.0, 9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(open_systems())
+    def test_trace_and_positivity(self, system):
+        h, psi0, ops = system
+        meta = evolve_lindblad(h, ops, psi0, self.TIMES, []).meta
+        assert meta["trace_max_dev"] <= dynamics.TRACE_TOL
+        assert meta["final_eigmin"] >= -1e-8
+
+    @settings(max_examples=40, deadline=None)
+    @given(open_systems(max_collapse=0))
+    def test_without_collapse_matches_unitary(self, system):
+        h, psi0, _ = system
+        x = position(h.space, 0)
+        m1, m2 = evolve_lindblad(h, [], psi0, self.TIMES, [x, x @ x]).values.real.T
+        traj = evolve_unitary(h, psi0, self.TIMES)
+        u1 = np.einsum("ti,ij,tj->t", traj.vectors.conj(), x.matrix, traj.vectors).real
+        var = variance_trajectory(traj, 0, "X").values
+        assert np.max(np.abs(m1 - u1)) <= 1e-8
+        assert np.max(np.abs(m2 - (var + u1**2))) <= 1e-8
+
+
 def liouvillian_reference(h, collapse_ops):
     """Dense Liouvillian on the row-major vec(rho), from the textbook kron formula."""
     d = h.shape[0]
@@ -990,6 +1041,44 @@ class TestValidateAdiabaticChain:
         with pytest.raises(ValueError, match="degradation is undefined"):
             validate_adiabatic_chain(p, "e2", horizon=3.2, n_times=40, d_cav=4, d_mech=8,
                                      include_lindblad=True, lindblad_dims=(3, 8), lindblad_rtol=1e-8)
+
+    def test_closed_leg_squeezing_at_round_off_rejected(self):
+        # with gamma = 0 the closed leg runs exactly; e2 = |1> stays put, so
+        # its X variance moves by round-off only (a dip of about 1 eps, which
+        # used to pass as 4.8e-16 dB squeezing and degradation 1)
+        p = ModelParams(delta=20.0, Delta=100.0, Omega=1.0, g1=1.0, g2=0.02, kappa=0.5, Gamma_e=0.1)
+        with pytest.raises(ValueError, match="degradation is undefined.*beyond its error"):
+            validate_adiabatic_chain(p, "e2", horizon=3.2, n_times=160, d_cav=4, d_mech=16,
+                                     include_lindblad=True, lindblad_dims=(3, 8), lindblad_rtol=1e-8)
+
+    @pytest.mark.parametrize("n_rhs_evals, dip, rejected", [
+        (0, 1e-9, False),  # an exact leg resolves a dip far below lindblad_rtol
+        (0, 1e-14, True),
+        (500, 1e-9, True),  # a DOP853 leg does not resolve a dip below lindblad_rtol
+        (500, 1e-7, False),
+    ])
+    def test_degradation_floor_follows_the_closed_leg_engine(self, monkeypatch, n_rhs_evals, dip, rejected):
+        # the closed leg's series is replaced by one with a chosen relative
+        # dip, and its engine by a chosen RHS count; the floor is
+        # EXACT_VARIANCE_RTOL for an exact leg and lindblad_rtol = 1e-8 for DOP853
+        leg_variance = dynamics._leg_variance
+
+        def closed_leg_with_dip(H, psi0, times, collapse_ops=(), rtol=None):
+            var, meta = leg_variance(H, psi0, times, collapse_ops, rtol)
+            if rtol is None or collapse_ops:
+                return var, meta
+            return var[0] * (1.0 - dip * times / times[-1]), dict(meta, n_rhs_evals=n_rhs_evals)
+
+        monkeypatch.setattr(dynamics, "_leg_variance", closed_leg_with_dip)
+        p = ModelParams(delta=20.0, Delta=100.0, Omega=1.0, g1=1.0, g2=0.02, kappa=0.5)
+        run = lambda: validate_adiabatic_chain(p, "e1", horizon=1.0, n_times=20, d_cav=3, d_mech=8,
+                                               include_lindblad=True, lindblad_dims=(3, 8),
+                                               lindblad_rtol=1e-8)
+        if rejected:
+            with pytest.raises(ValueError, match="beyond its error"):
+                run()
+        else:
+            assert run().smax_closed == pytest.approx(-5.0 * math.log10(1.0 - dip), rel=1e-6)
 
     def test_effective_leg_doubles_its_dimension(self):
         # at d_mech = 4 the unitary legs stay within the tail limit, but the

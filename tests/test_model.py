@@ -20,7 +20,7 @@ from optosqueeze.model import (
     hybrid_space,
     oscillator_space,
 )
-from optosqueeze.operators import _x2_bands, annihilation, momentum, position
+from optosqueeze.operators import Operator, _x2_bands, annihilation, level_projector, momentum, position
 from test_operators import number
 
 
@@ -374,6 +374,38 @@ class TestSparseBuildMatchesDenseReference:
             x, p = ref.quadratures(idx)
             assert np.array_equal(position(space, idx).matrix, x)
             assert np.array_equal(momentum(space, idx).matrix, p)
+
+    @pytest.mark.parametrize("sizes", [(5,), (3, 6, 3), (8, 32, 2)])
+    def test_ladders_and_level_projectors(self, sizes):
+        space = hybrid_space(*sizes[:2], sizes[2]) if len(sizes) == 3 else oscillator_space(sizes[0])
+        ref = DenseReference(sizes)
+        for idx in ([0, 1] if len(sizes) == 3 else [0]):
+            assert np.array_equal(annihilation(space, idx).matrix, ref.ladder(idx))
+        if len(sizes) == 3:
+            for i in range(sizes[2]):
+                for j in range(sizes[2]):
+                    assert np.array_equal(level_projector(space, 2, i, j).matrix, ref.proj(i, j))
+
+
+class TestOneAssembly:
+    """Each hybrid Hamiltonian is assembled once: one Operator, no per-term ones."""
+
+    @pytest.mark.parametrize("build, levels", [
+        (build_full_hamiltonian, 3),
+        (lambda p, space: build_two_level_hamiltonian(p, space, "textbook"), 2),
+    ])
+    def test_one_operator_per_hamiltonian(self, monkeypatch, build, levels):
+        built = []
+        post_init = Operator.__post_init__
+
+        def counting(self):
+            built.append(self.space)
+            post_init(self)
+
+        monkeypatch.setattr(Operator, "__post_init__", counting)
+        space = hybrid_space(8, 32, levels)
+        build(ModelParams(delta=20.0, Delta=100.0, Omega=1.0, g1=1.3, g2=0.02, eps=0.5), space)
+        assert built == [space]
 
 
 def test_spectrum_dataclass_is_plain_record():

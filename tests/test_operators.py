@@ -22,6 +22,7 @@ from optosqueeze.operators import (
     Level,
     Operator,
     QuantumState,
+    _kron_sum,
     _require_same_space,
     annihilation,
     level_projector,
@@ -288,6 +289,49 @@ class TestTensorEmbedBitIdentical:
         proj[1, 2] = 1.0
         for ops in ([(1, ladder)], [(0, np.diag(np.arange(8.0))), (1, ladder @ ladder)], [(2, proj)]):
             self.assert_same_csr(tensor_embed(ops, space).csr, kron_chain_reference(ops, space))
+
+
+@st.composite
+def kron_sums(draw):
+    """A 1- to 3-factor space and 1-4 scaled products of dense factor matrices on it.
+
+    The matrices are dense with a drawn share of zeros, so the terms overlap
+    on many off-diagonal entries as well as on the diagonal.
+    """
+    sizes = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+    space = HilbertSpace(tuple(Fock(d) for d in sizes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        mats = {}
+        for idx, d in enumerate(sizes):
+            if draw(st.booleans()):
+                m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                m[rng.random((d, d)) < draw(st.floats(0.0, 1.0))] = 0.0
+                mats[idx] = m
+        terms.append((draw(st.floats(-3.0, 3.0)), mats))
+    return space, terms
+
+
+class TestKronSum:
+    """`_kron_sum` against the dense sum of scaled `np.kron` chains, term after term."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(kron_sums())
+    def test_matches_dense_term_by_term_sum(self, case):
+        space, terms = case
+        ref = np.zeros((space.total_dim,) * 2, dtype=complex)
+        triples = []
+        for c, mats in terms:
+            blocks = [mats.get(i, np.eye(f.size, dtype=complex)) for i, f in enumerate(space.factors)]
+            ref = ref + c * functools.reduce(np.kron, blocks)
+            triples.append((c, {i: (*np.nonzero(m), m[np.nonzero(m)]) for i, m in mats.items()}))
+        got = _kron_sum(triples, space)
+        assert got.has_canonical_format
+        # the diagonal is summed in list order, as the reference sums it
+        assert np.array_equal(got.diagonal(), np.diag(ref))
+        # an off-diagonal entry shared by several terms is summed once, in any order
+        assert np.max(np.abs(got.toarray() - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 def _rng_matrix(d, seed):
