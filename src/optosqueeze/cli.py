@@ -46,7 +46,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import position_variance, s_max, spectrum_analytic
-from .dynamics import effective_variance_series, validate_adiabatic_chain
+from .dynamics import MIN_RTOL, effective_variance_series, validate_adiabatic_chain
 from .model import ModelParams, atomic_coupling_spectrum
 from .spectrum import default_omega_grid, spectrum_numeric, trend_vs_geff
 
@@ -140,7 +140,8 @@ def parse_config(text: str) -> RunConfig:
     duplicate keys, keys the command does not read, malformed lines, bad
     value types, non-finite numbers, out-of-domain parameter values, grid
     counts, time-grid sizes or Fock dimensions below two, a non-positive
-    `horizon` or `lindblad_rtol`, degenerate grids, and keys missing for
+    `horizon`, a `lindblad_rtol` below `MIN_RTOL` (a tighter one would be
+    silently raised by the integrator), degenerate grids, and keys missing for
     the chosen command (the command line is cited for those).
     """
     entries: dict = {}
@@ -163,6 +164,9 @@ def parse_config(text: str) -> RunConfig:
         lines[key] = lineno
         if key in ("horizon", "lindblad_rtol") and not entries[key] > 0:
             raise ConfigError(f"'{key}' must be > 0, got '{value}'", lineno)
+        if key == "lindblad_rtol" and not entries[key] >= MIN_RTOL:
+            raise ConfigError(f"'{key}' must be >= {MIN_RTOL:.3g} (100 machine epsilon), got '{value}'",
+                              lineno)
         # model-parameter domain checks, reported at the offending line
         if key in _PARAM_KEYS:
             try:

@@ -1,8 +1,10 @@
 """Numerical time evolution and the validation harness.
 
 Four evolution routes are implemented on purpose.  The two closed-system
-routes share one idiom: diagonalise the Hermitian generator once, then
-evaluate every time of the grid from t0 as phases in its eigenbasis.
+routes, and the master equation on a small sector, share one idiom:
+diagonalise the generator once, then evaluate every time of the grid from
+t0 as exponentials in its eigenbasis (`_eigen_expansion` for the Fock
+engines).
 
 * `evolve_unitary`: Schroedinger-picture evaluation for pure states of a
   time-independent Hamiltonian (exact up to round-off, on any strictly
@@ -23,12 +25,17 @@ evaluate every time of the grid from t0 as phases in its eigenbasis.
   damped quadratic model, solved exactly per time point with an augmented
   matrix exponential (Van Loan block trick), valid in the unstable regime
   as well; it returns the means and covariances as stacked arrays.
-* `evolve_lindblad`: adaptive integration of the master equation with
-  explicit collapse operators, through a sparse Liouvillian restricted to
-  the sector the initial state reaches; it returns the expectations of
-  the observables the caller names, not the states.  The chain compares
-  an exact closed leg with a DOP853 open leg: the integrator's error,
-  about 1e-11 relative, is far below the 0.0746 degradation measured.
+* `evolve_lindblad`: the master equation with explicit collapse
+  operators, through a sparse Liouvillian restricted to the sector the
+  initial state reaches; it returns the expectations of the observables
+  the caller names, not the states.  A sector of at most
+  `EIGEN_SECTOR_MAX` entries is diagonalised once (L = V Lambda V^-1)
+  and evaluated as `evolve_unitary` does, unless its eigenvector
+  expansion cancels beyond `EIGEN_EXPANSION_MAX`, as near a defective L;
+  any other sector is stepped by DOP853.  The chain compares an exact
+  closed leg with an open leg: DOP853's error on decay_immunity.cfg's
+  28,224 entries, about 1e-11 relative, is far below the 0.0746
+  degradation measured there.
 
 Both Fock engines propagate only the reachable sector: a breadth-first
 search over the generator's nonzero pattern (H for `evolve_unitary`, the
@@ -40,13 +47,14 @@ Every reader (norm, trace, truncation tails, expectations) works on the
 sector block, every component outside it being exactly zero.  A
 `UnitaryTrajectory` keeps its (n_t, sector size) block of amplitudes,
 which `variance_trajectory` reads; `UnitaryTrajectory.vectors` scatters
-full-size states on access.  `evolve_lindblad` keeps no block: it reads
-its populations and the requested expectations off the solution and
-returns those.
+full-size states on access.  `evolve_lindblad` keeps no states: it
+reads its populations and the requested expectations off the eigen
+route's entries, or off each DOP853 step's grid times, and returns those.
 
 Operators arrive as CSR arrays (see `operators`) and stay sparse here; the
-one dense matrix is the sector block of H that `evolve_unitary` hands to
-`eigh`.
+dense matrices are the sector block of H that `evolve_unitary` hands to
+`eigh` and the small Liouvillian sector blocks that `evolve_lindblad`
+hands to `eig`.
 
 Their mutual agreement (and agreement with `analytic`) is what the test
 suite leans on; no route is trusted on its own.
@@ -115,6 +123,17 @@ CHAIN_DIM_CAP = 4096  # largest dimension any elimination-chain leg, Lindblad pa
 # relative error of an exactly propagated variance series: a stationary state
 # moves its X variance by at most 11 eps at 8 x 32 x 3
 EXACT_VARIANCE_RTOL = 256 * np.finfo(float).eps
+# the same for a master-equation series on the eigen route: 1,247 eps at most
+# against a longdouble propagator, over 50 chain legs of 40-180 entries
+EIGEN_VARIANCE_RTOL = 2**14 * np.finfo(float).eps
+MIN_RTOL = 100 * np.finfo(float).eps  # DOP853 raises any smaller rtol to this, with a warning
+# largest Liouvillian sector that `evolve_lindblad` diagonalises instead of
+# stepping DOP853: at the chain's parameters (rtol 1e-8, 2,900-5,100 RHS,
+# 63-98 ms) a dense eig takes 29 ms at 160 entries and 89 ms at 256
+EIGEN_SECTOR_MAX = 256
+# largest ||V^-1 y0||_1 the eigen route accepts; its error measured about
+# 1e-16 ||c||_1 from ||c||_1 = 1.6 up to a driven qubit's exceptional point (1.6e7)
+EIGEN_EXPANSION_MAX = 1e4
 
 
 class TruncationError(RuntimeError):
@@ -311,17 +330,29 @@ def _sector_positions(sector: np.ndarray, indices: np.ndarray) -> tuple:
     return hit, pos[hit]
 
 
+def _eigen_expansion(omega: np.ndarray, v: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """exp(-i G (t - t0)) y0 at every time of the grid, for G = V diag(omega) V^-1 and c = V^-1 y0.
+
+    Row k is (exp(-i omega (t_k - t0)) * c) V^T: every time is evaluated
+    from t0 in one product, so round-off does not accumulate from step to
+    step.  A real omega is a Hamiltonian's spectrum; a Liouvillian L enters
+    as G = i L, its decay rates being -Im omega.
+    """
+    return (np.exp(-1j * np.outer(t - t[0], omega)) * c) @ v.T
+
+
 def evolve_unitary(H: Operator, psi0: QuantumState, times) -> UnitaryTrajectory:
     """Propagate a pure state under exp(-i H (t - t0)) on any strictly increasing grid.
 
     H's block on the sector that psi0 reaches (`meta["sector_dim"]` states)
     is diagonalised once (`eigh`, valid because H is checked Hermitian),
     and the state at every time is evaluated from t0 in one product,
-    psi(t) = V exp(-i Lambda (t - t0)) V^dag psi0, so round-off does not
-    accumulate from step to step.  The trajectory keeps these sector
-    amplitudes only; the norm and the top-two-Fock-level population of
-    every mode are read from them over the whole grid.  Norm drift beyond
-    1e-6 aborts with a TruncationError naming the first such time.
+    psi(t) = V exp(-i Lambda (t - t0)) V^dag psi0 (`_eigen_expansion`), so
+    round-off does not accumulate from step to step.  The trajectory keeps
+    these sector amplitudes only; the norm and the top-two-Fock-level
+    population of every mode are read from them over the whole grid.  Norm
+    drift beyond 1e-6 aborts with a TruncationError naming the first such
+    time.
     """
     if not H.is_hermitian(1e-12):
         raise ValueError("evolve_unitary requires a Hermitian Hamiltonian")
@@ -332,7 +363,7 @@ def evolve_unitary(H: Operator, psi0: QuantumState, times) -> UnitaryTrajectory:
     sec = _reachable_sector(H.csr, psi0.vector)
     lam, v = np.linalg.eigh(H.csr[sec][:, sec].toarray())
     c = v.conj().T @ psi0.vector[sec]
-    amps = (np.exp(-1j * np.outer(t - t[0], lam)) * c) @ v.T
+    amps = _eigen_expansion(lam, v, c, t)
 
     probs = np.abs(amps) ** 2
     tails = _fock_tails(probs, sec, space)
@@ -450,25 +481,39 @@ def evolve_lindblad(
     `collapse_ops` is a list of (Operator, rate) pairs; each dissipator is
     D[c] rho = c rho c^dag - (c^dag c rho + rho c^dag c)/2 scaled by its
     rate (equivalently, collapse operator sqrt(rate) c).  The generator is
-    assembled once as a sparse Liouvillian acting on the row-major
-    vectorised rho; DOP853 integrates its block on the sector that
-    vec(|psi0><psi0|) reaches (`meta["sector_dim"]` entries).
+    assembled once as a sparse Liouvillian L acting on the row-major
+    vectorised rho, and restricted to the sector that vec(|psi0><psi0|)
+    reaches (`meta["sector_dim"]` entries).
 
-    Everything is read off the solution on that sector, which is not kept.
-    Column k of the returned `values` is Tr(A rho(t)) = sum_ij A[j, i]
-    rho[i, j] for the k-th Operator A of the sequence `observables`: one
-    product of the sector entries with the weights A[j, i], complex (take
-    the real part for a Hermitian A).  The populations, hence the trace and
-    the truncation tails, are read from the diagonal entries rho[i, i] (vec
-    index i * (d + 1)); the trace is checked at every output time and drift
-    beyond `TRACE_TOL` aborts.  Only the last rho is scattered into a d x d
+    Two routes propagate that block, named in `meta["method"]`:
+
+    * "lindblad-eig": a sector of at most `EIGEN_SECTOR_MAX` entries is
+      diagonalised once, L = V Lambda V^-1, and every time is evaluated
+      from t0 as (exp(Lambda (t - t0)) * c) V^T with c = V^-1 y0, the
+      evaluation `evolve_unitary` does (`_eigen_expansion`); rtol and atol
+      play no part, and `meta["n_rhs_evals"]` is 0.  The columns of V have
+      unit norm and y0 has unit 2-norm, so ||c||_1 (`meta["expansion_l1"]`)
+      bounds how far the expansion cancels; near a defective L it grows
+      without bound, and above `EIGEN_EXPANSION_MAX` the run takes the
+      other route.
+    * "lindblad-dop853": a `scipy.integrate.DOP853` stepper, its dense
+      output evaluated at the grid times inside each step.  rtol below
+      `MIN_RTOL`, which DOP853 would silently raise to it, is a ValueError.
+
+    No route keeps the states.  Column k of the returned `values` is
+    Tr(A rho(t)) = sum_ij A[j, i] rho[i, j] for the k-th Operator A of the
+    sequence `observables`: one product of the sector entries with the
+    weights A[j, i], complex (take the real part for a Hermitian A).  The
+    populations, hence the trace and the truncation tails, are read from
+    the diagonal entries rho[i, i] (vec index i * (d + 1)); row t0 is y0
+    itself, the trace is checked at every output time and drift beyond
+    `TRACE_TOL` aborts.  Only the last rho is scattered into a d x d
     matrix, for `meta["final_eigmin"]`.
     """
-    # imported here, its only user, so that a CLI start without a master equation skips it
-    from scipy.integrate import solve_ivp
-
     if not H.is_hermitian(1e-12):
         raise ValueError("evolve_lindblad requires a Hermitian Hamiltonian")
+    if not rtol >= MIN_RTOL:
+        raise ValueError(f"rtol must be >= {MIN_RTOL:.3g} (100 machine epsilon), got {rtol!r}")
     space = H.space
     if space != psi0.space or any(a.space != space for a in observables):
         raise ValueError("Hamiltonian, state and observables live on different spaces")
@@ -497,23 +542,40 @@ def evolve_lindblad(
     y0 = np.outer(psi0.vector, psi0.vector.conj()).ravel()
     sec = _reachable_sector(liouv, y0)
     block = liouv[sec][:, sec]
-
-    sol = solve_ivp(
-        lambda _, y: block @ y,
-        (t[0], t[-1]),
-        y0[sec],
-        t_eval=t,
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:
-        raise TruncationError(f"master-equation integration failed: {sol.message}")
-    entries = sol.y.T
+    y0 = y0[sec]
 
     # populations of the basis states i whose diagonal entry rho[i, i] lies in the sector
     hit, at = _sector_positions(sec, np.arange(d) * (d + 1))
-    probs = entries[:, at].real
+    weights = [_trace_weights(a.csr, sec, d) for a in observables]
+    probs = np.empty((t.size, at.size))
+    values = np.empty((t.size, len(observables)), dtype=complex)
+    rho_final = np.zeros(d * d, dtype=complex)
+
+    def record(i: int, entries: np.ndarray):
+        """Read the sector entries of grid rows i, i + 1, ...; the last row recorded is the final rho."""
+        rows = slice(i, i + len(entries))
+        probs[rows] = entries[:, at].real
+        for col, w in enumerate(weights):
+            values[rows, col] = entries @ w
+        rho_final[sec] = entries[-1]
+
+    l1 = None
+    if sec.size <= EIGEN_SECTOR_MAX:
+        try:
+            lam, v = np.linalg.eig(block.toarray())
+            c = np.linalg.solve(v, y0)
+        except np.linalg.LinAlgError:  # no convergence, or V exactly singular: L is defective
+            c = np.full(sec.size, np.inf)
+        l1 = float(np.abs(c).sum())
+    eigen = l1 is not None and l1 <= EIGEN_EXPANSION_MAX  # a NaN l1 fails too
+    if eigen:
+        entries = _eigen_expansion(1j * lam, v, c, t)
+        entries[0] = y0
+        record(0, entries)
+        nfev = 0
+    else:
+        nfev = _dop853_steps(block, y0, t, rtol, atol, record)
+
     traces = probs.sum(axis=1)
     i = _first_drift(traces, TRACE_TOL)
     if i is not None:
@@ -522,25 +584,44 @@ def evolve_lindblad(
             "tighten rtol/atol or enlarge the space"
         )
     tails = _fock_tails(probs, np.flatnonzero(hit), space)
-    rho_final = np.zeros(d * d, dtype=complex)
-    rho_final[sec] = entries[-1]
-    values = np.empty((t.size, len(observables)), dtype=complex)
-    for col, a in enumerate(observables):
-        values[:, col] = entries @ _trace_weights(a.csr, sec, d)
 
     meta = {
-        "method": "lindblad-dop853",
+        "method": "lindblad-eig" if eigen else "lindblad-dop853",
         "dims": space.factor_sizes,
         "rtol": rtol,
         "atol": atol,
         "sector_dim": int(sec.size),
-        "n_rhs_evals": int(sol.nfev),
+        "n_rhs_evals": nfev,
+        "expansion_l1": l1,
         "trace_max_dev": float(np.max(np.abs(traces - 1.0))),
         "final_eigmin": float(np.min(np.linalg.eigvalsh(rho_final.reshape(d, d)))),
         "tail_max": tails,
         "tail_flag": any(not v <= TAIL_LIMIT for v in tails.values()),
     }
     return Expectations(times=t, values=values, meta=meta)
+
+
+def _dop853_steps(block: sparse.csr_array, y0: np.ndarray, t: np.ndarray, rtol, atol, record):
+    """Integrate dy/dt = block @ y from y0 over the grid with DOP853, as `solve_ivp` does.
+
+    Each step's dense output is evaluated at the grid times it covers, and
+    `record(i, rows)` receives them (rows[j] at t[i + j]); no step's states
+    are kept.  Returns the RHS count.
+    """
+    # imported here, its only user, so that a run without a large master equation skips it
+    from scipy.integrate import DOP853
+
+    solver = DOP853(lambda _, y: block @ y, t[0], y0, t[-1], rtol=rtol, atol=atol)
+    done = 0
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise TruncationError(f"master-equation integration failed: {message}")
+        upto = int(np.searchsorted(t, solver.t, side="right"))
+        if upto > done:
+            record(done, solver.dense_output()(t[done:upto]).T)
+            done = upto
+    return solver.nfev
 
 
 def variance_trajectory(traj: UnitaryTrajectory, factor: int, quadrature: str = "X") -> TimeSeries:
@@ -741,8 +822,10 @@ def _product_vacuum_with_atom(space: HilbertSpace, atom_vec: np.ndarray) -> Quan
 def _leg_variance(H: Operator, psi0: QuantumState, times: np.ndarray, collapse_ops=(), rtol=None):
     """(oscillator X variance, run meta) of one chain leg, the engine picked by its collapse set.
 
-    None keeps rho pure: exact `evolve_unitary`, 0 in `meta["n_rhs_evals"]`.
-    Any runs DOP853: `evolve_lindblad` on X and X^2, atol = `rtol` / 100.
+    None keeps rho pure: exact `evolve_unitary`, "eigh" in `meta["method"]`
+    and 0 in `meta["n_rhs_evals"]`.  Any runs `evolve_lindblad` on X and
+    X^2, with atol = `rtol` / 100, which picks its own route
+    ("lindblad-eig" or "lindblad-dop853").
     """
     if not collapse_ops:
         ts = variance_trajectory(evolve_unitary(H, psi0, times), 1, "X")
@@ -784,13 +867,16 @@ def validate_adiabatic_chain(
     without and with the kappa / Gamma_e collapse channels (gamma damps
     the oscillator in both), measure how much the achieved maximum
     squeezing degrades.  A closed leg whose relative X-variance dip does not
-    exceed its own error (`EXACT_VARIANCE_RTOL` when it runs exactly,
+    exceed its own error (`EXACT_VARIANCE_RTOL` when it runs unitarily,
+    `EIGEN_VARIANCE_RTOL` on the master equation's eigen route,
     `lindblad_rtol` under DOP853) leaves the degradation undefined and
-    raises ValueError.  A leg without a channel
-    (the closed leg whenever gamma = 0) runs exactly, with 0 in
-    `meta["lindblad_n_rhs_evals"]` and a Hilbert-sector size in
-    `meta["sector_dim"]`; DOP853's error on the other, about 1e-11
-    relative, is far below the degradation measured.  Both legs share one
+    raises ValueError.  A leg without a channel (the closed leg whenever
+    gamma = 0) runs unitarily, with a Hilbert-sector size in
+    `meta["sector_dim"]`; `meta["lindblad_method"]` names each leg's route
+    and `meta["lindblad_n_rhs_evals"]` counts its RHS calls (0 off
+    DOP853).  DOP853's error, about 1e-11 relative on
+    decay_immunity.cfg's open leg, is far below the degradation measured
+    there.  Both legs share one
     space, which starts at `lindblad_dims` = (d_cav, d_mech); a None entry
     takes min(d_cav, 4), respectively d_mech, as reached by the unitary legs.
 
@@ -899,7 +985,8 @@ def validate_adiabatic_chain(
             run_lindblad_legs, ldims, CHAIN_DIM_CAP)
         # a dip within the closed leg's own error is noise, and dividing by it means nothing
         dip = 1.0 - float(np.min(v_closed)) / float(v_closed[0])
-        floor = lindblad_rtol if closed["n_rhs_evals"] else EXACT_VARIANCE_RTOL
+        floor = {"eigh": EXACT_VARIANCE_RTOL, "lindblad-eig": EIGEN_VARIANCE_RTOL}.get(
+            closed["method"], lindblad_rtol)
         if not dip > floor:
             raise ValueError("the smax degradation is undefined: the closed master-equation leg "
                              f"does not squeeze beyond its error (relative X-variance dip {dip:.3g} "
@@ -909,6 +996,7 @@ def validate_adiabatic_chain(
         report.smax_open = s_open
         report.smax_degradation = (s_closed - s_open) / s_closed
         report.dims["lindblad"] = ldims
+        report.meta["lindblad_method"] = (closed["method"], opened["method"])
         report.meta["lindblad_n_rhs_evals"] = (closed["n_rhs_evals"], opened["n_rhs_evals"])
         report.meta["sector_dim"]["lindblad_closed"] = closed["sector_dim"]
         report.meta["sector_dim"]["lindblad_open"] = opened["sector_dim"]

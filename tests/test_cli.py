@@ -609,6 +609,8 @@ class TestExitCodes:
         ("n_times = 1", "'n_times' must be >= 2, got 1"),
         ("lindblad_rtol = 0", "'lindblad_rtol' must be > 0, got '0'"),
         ("lindblad_rtol = -1e-8", "'lindblad_rtol' must be > 0, got '-1e-8'"),
+        # DOP853 used to raise it to 100 eps with a warning while the CSV recorded 1e-15
+        ("lindblad_rtol = 1e-15", "'lindblad_rtol' must be >= 2.22e-14 (100 machine epsilon), got '1e-15'"),
         ("horizon = 0", "'horizon' must be > 0, got '0'"),
         ("horizon = -1", "'horizon' must be > 0, got '-1'"),
     ])
@@ -649,8 +651,9 @@ class TestRunApi:
 
 
 def test_cli_import_leaves_scipy_integrate_out():
-    # solve_ivp is imported inside evolve_lindblad, its only user, so a CLI
-    # start that runs no master equation never loads scipy.integrate
+    # DOP853 is imported inside the master equation's stepping branch, its
+    # only user, so a CLI start that runs no master equation never loads
+    # scipy.integrate
     src = str(Path(optosqueeze.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = "import sys, optosqueeze.cli; print('scipy.integrate' in sys.modules)"

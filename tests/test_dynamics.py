@@ -526,6 +526,85 @@ class TestEvolveLindblad:
             evolve_lindblad(h, [(annihilation(oscillator_space(8), 0), 1.0)], rho0, [0.0, 1.0], x)
         with pytest.raises(ValueError, match="space"):
             evolve_lindblad(h, [], rho0, [0.0, 1.0], [position(oscillator_space(8), 0)])
+        # DOP853 would raise this rtol to 100 eps with a warning, and the run would record 1e-15
+        with pytest.raises(ValueError, match=r"rtol must be >= 2\.22e-14.*1e-15"):
+            evolve_lindblad(h, [], rho0, [0.0, 1.0], x, rtol=1e-15)
+
+    def test_exceptional_point_falls_back_to_dop853(self):
+        # a driven, decaying qubit at Omega = Gamma/4: with p = rho_11 and
+        # y = Im rho_01, s = (p, y) obeys ds/dt = M s + f with M = [[-G, W],
+        # [-W, -G/2]] and f = (0, W/2), whose eigenvalues -3G/4 +- sqrt(G^2/16
+        # - W^2) merge there; the Liouvillian is defective and its eigenvector
+        # expansion cancels (||c||_1 = 1.6e7), so the run takes DOP853
+        gamma = 1.0
+        omega = gamma / 4
+        space = oscillator_space(2)
+        b = annihilation(space, 0)
+        h = Operator(space, omega / 2 * (b.matrix + b.matrix.T))
+        times = np.linspace(0.0, 8.0, 41)
+        out = evolve_lindblad(h, [(b, gamma)], vacuum_state(space), times, [number(space, 0)])
+        assert out.meta["method"] == "lindblad-dop853"
+        assert out.meta["n_rhs_evals"] > 0
+        assert out.meta["expansion_l1"] > dynamics.EIGEN_EXPANSION_MAX
+        # exp(M t) = exp(lam t) (1 + N t) with N = M - lam, nilpotent at the exceptional point
+        m = np.array([[-gamma, omega], [-omega, -gamma / 2]])
+        lam = -0.75 * gamma
+        s_inf = -np.linalg.solve(m, [0.0, omega / 2])
+        nil = m - lam * np.eye(2)
+        assert np.max(np.abs(nil @ nil)) < 1e-15
+        p = [(s_inf - np.exp(lam * t) * (np.eye(2) + nil * t) @ s_inf)[0] for t in times]
+        assert np.max(np.abs(out.values[:, 0].real - p)) <= 1e-9
+
+    def test_dop853_route_holds_no_state_array(self):
+        # 1,600 entries of a decaying oscillator's coherences, above
+        # EIGEN_SECTOR_MAX, on 200 times: solve_ivp's stacked sol.y alone
+        # held 200 x 1,600 complex values (5.1 MB) and its per-step chunks as
+        # much again (11.2 MB peak); stepping a DOP853 object peaks at 1.2 MB
+        d = 40
+        space = oscillator_space(d)
+        args = (build_effective_hamiltonian(0.0, 1.0, space), [(annihilation(space, 0), 0.05)],
+                QuantumState.pure(space, np.ones(d) / np.sqrt(d)))
+        times = np.linspace(0.0, 1.0, 200)
+        evolve_lindblad(*args, times[:2], [])  # the integrator's first import stays out of the peak
+        tracemalloc.start()
+        try:
+            out = evolve_lindblad(*args, times, [])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.meta["method"] == "lindblad-dop853"
+        assert peak < times.size * out.meta["sector_dim"] * 16 / 2
+
+    def test_eigen_route_matches_dop853_on_the_open_chain_leg(self, monkeypatch):
+        # the benchmark's open leg (160 entries) on both routes; the variances
+        # differ by 2.6e-14 relative (DOP853 at rtol 1e-8; the eigen route is
+        # 2.8e-14 from an expm_multiply reference in the entries, DOP853 3.7e-8)
+        h, ops, psi0, times = open_chain_leg()
+        x = position(h.space, 1)
+        runs = []
+        for largest in (dynamics.EIGEN_SECTOR_MAX, 0):
+            monkeypatch.setattr(dynamics, "EIGEN_SECTOR_MAX", largest)
+            runs.append(evolve_lindblad(h, ops, psi0, times, [x, x @ x], rtol=1e-8, atol=1e-10))
+        eig, dop = runs
+        assert (eig.meta["method"], dop.meta["method"]) == ("lindblad-eig", "lindblad-dop853")
+        assert eig.meta["n_rhs_evals"] == 0 and dop.meta["n_rhs_evals"] > 0
+        assert eig.meta["sector_dim"] == dop.meta["sector_dim"] == 160
+        var_eig, var_dop = ((o.values[:, 1] - o.values[:, 0] ** 2).real for o in runs)
+        assert np.max(np.abs(var_dop - var_eig) / var_eig) <= 1e-12
+
+
+def open_chain_leg():
+    """The open master-equation leg of the benchmark's open chain: (H, collapse set, psi0, grid).
+
+    3 x 8 x 3 = 72 states, kappa and Gamma_e decay, 160 times over [0, 3.2].
+    """
+    p = ModelParams(delta=20.0, Delta=100.0, Omega=1.0, g1=1.0, g2=0.02, kappa=0.5, Gamma_e=0.1)
+    space = hybrid_space(3, 8, 3)
+    e1 = atomic_coupling_spectrum(p).e1
+    psi0 = QuantumState.pure(space, np.kron(np.eye(3 * 8)[0], [e1[0], e1[1], 0.0]))
+    ops = [(annihilation(space, 0), p.kappa), (level_projector(space, 2, 1, 2), p.Gamma_e),
+           (level_projector(space, 2, 0, 2), p.Gamma_e)]
+    return build_full_hamiltonian(p, space), ops, psi0, np.linspace(0.0, 3.2, 160)
 
 
 def random_hermitian(rng, n):
@@ -799,17 +878,12 @@ class TestSectorContractions:
     def test_lindblad_open_chain_leg_stays_off_the_full_space(self):
         # the open leg of the benchmark's open chain, 3 x 8 x 3 = 72 states:
         # scattering its 160 states would hold 160 x 72^2 complex values (13.3 MB)
-        p = ModelParams(delta=20.0, Delta=100.0, Omega=1.0, g1=1.0, g2=0.02, kappa=0.5, Gamma_e=0.1)
-        space = hybrid_space(3, 8, 3)
-        e1 = atomic_coupling_spectrum(p).e1
-        psi0 = QuantumState.pure(space, np.kron(np.eye(3 * 8)[0], [e1[0], e1[1], 0.0]))
-        h = build_full_hamiltonian(p, space)
-        ops = [(annihilation(space, 0), p.kappa), (level_projector(space, 2, 1, 2), p.Gamma_e),
-               (level_projector(space, 2, 0, 2), p.Gamma_e)]
-        times = np.linspace(0.0, 3.2, 160)
+        h, ops, psi0, times = open_chain_leg()
+        space = h.space
         scatter_bytes = times.size * space.total_dim ** 2 * 16
         x = position(space, 1)
-        # scipy.integrate, which evolve_lindblad imports on first use, is imported at the top
+        # the leg runs on the eigen route: the Liouvillian's assembly, its
+        # dense 160-entry block, eigenvectors and entries peak at 2.1 MB
         tracemalloc.start()
         try:
             out = evolve_lindblad(h, ops, psi0, times, [x, x @ x], rtol=1e-8, atol=1e-10)
@@ -960,14 +1034,16 @@ class TestValidateAdiabaticChain:
         assert 0 < sectors["lindblad_closed"] <= sectors["lindblad_open"] <= (4 * 8 * 3) ** 2
 
     @pytest.mark.parametrize(
-        "rates, integrated",  # integrated: (closed leg, open leg) run through evolve_lindblad
+        "rates, methods",  # the (closed leg, open leg) routes
         [
-            (dict(kappa=0.05, Gamma_e=0.02), (False, True)),  # gamma = 0: one DOP853 run
-            (dict(kappa=0.05, Gamma_e=0.02, gamma=0.01), (True, True)),  # D[b] keeps the closed leg open
-            ({}, (False, False)),  # no channel at all: both legs are unitary
+            # gamma = 0: the closed leg is unitary, the open leg's 160 entries are diagonalised
+            (dict(kappa=0.05, Gamma_e=0.02), ("eigh", "lindblad-eig")),
+            # D[b] keeps the closed leg open, and it joins sectors of 288 and 320 entries
+            (dict(kappa=0.05, Gamma_e=0.02, gamma=0.01), ("lindblad-dop853", "lindblad-dop853")),
+            ({}, ("eigh", "eigh")),  # no channel at all: both legs are unitary
         ],
     )
-    def test_leg_without_collapse_channel_runs_unitarily(self, monkeypatch, rates, integrated):
+    def test_leg_without_collapse_channel_runs_unitarily(self, monkeypatch, rates, methods):
         calls = []
 
         def counting(h, collapse_ops, *args, **kwargs):
@@ -978,12 +1054,14 @@ class TestValidateAdiabaticChain:
         p = ModelParams(delta=5.0, Delta=20.0, g1=1.0, Omega=1.0, g2=0.1, eps=0.0, **rates)
         rep = validate_adiabatic_chain(p, "e1", horizon=math.pi, n_times=40, d_cav=3, d_mech=8,
                                        include_lindblad=True, lindblad_dims=(3, 8), lindblad_rtol=1e-8)
-        assert len(calls) == sum(integrated) and all(calls)
+        assert rep.meta["lindblad_method"] == methods
+        assert len(calls) == sum(m != "eigh" for m in methods) and all(calls)
+        integrated = tuple(m == "lindblad-dop853" for m in methods)
         assert tuple(n > 0 for n in rep.meta["lindblad_n_rhs_evals"]) == integrated
-        if not integrated[0]:
+        if methods[0] == "eigh":
             # the unitary leg's sector counts Hilbert-space states, not vec(rho) entries
             assert rep.meta["sector_dim"]["lindblad_closed"] <= 3 * 8 * 3
-        if not any(integrated):
+        if methods == ("eigh", "eigh"):
             assert rep.smax_degradation == 0
 
     def test_closed_leg_matches_dense_expm_propagation(self):
@@ -1051,23 +1129,26 @@ class TestValidateAdiabaticChain:
             validate_adiabatic_chain(p, "e2", horizon=3.2, n_times=160, d_cav=4, d_mech=16,
                                      include_lindblad=True, lindblad_dims=(3, 8), lindblad_rtol=1e-8)
 
-    @pytest.mark.parametrize("n_rhs_evals, dip, rejected", [
-        (0, 1e-9, False),  # an exact leg resolves a dip far below lindblad_rtol
-        (0, 1e-14, True),
-        (500, 1e-9, True),  # a DOP853 leg does not resolve a dip below lindblad_rtol
-        (500, 1e-7, False),
+    @pytest.mark.parametrize("method, dip, rejected", [
+        ("eigh", 1e-9, False),  # an exact leg resolves a dip far below lindblad_rtol
+        ("eigh", 1e-14, True),
+        ("lindblad-eig", 1e-9, False),  # so does the eigen route, with its larger round-off
+        ("lindblad-eig", 1e-12, True),
+        ("lindblad-dop853", 1e-9, True),  # a DOP853 leg does not resolve a dip below lindblad_rtol
+        ("lindblad-dop853", 1e-7, False),
     ])
-    def test_degradation_floor_follows_the_closed_leg_engine(self, monkeypatch, n_rhs_evals, dip, rejected):
+    def test_degradation_floor_follows_the_closed_leg_engine(self, monkeypatch, method, dip, rejected):
         # the closed leg's series is replaced by one with a chosen relative
-        # dip, and its engine by a chosen RHS count; the floor is
-        # EXACT_VARIANCE_RTOL for an exact leg and lindblad_rtol = 1e-8 for DOP853
+        # dip, and its engine by a chosen route; the floor is
+        # EXACT_VARIANCE_RTOL for a unitary leg, EIGEN_VARIANCE_RTOL for the
+        # eigen route and lindblad_rtol = 1e-8 for DOP853
         leg_variance = dynamics._leg_variance
 
         def closed_leg_with_dip(H, psi0, times, collapse_ops=(), rtol=None):
             var, meta = leg_variance(H, psi0, times, collapse_ops, rtol)
             if rtol is None or collapse_ops:
                 return var, meta
-            return var[0] * (1.0 - dip * times / times[-1]), dict(meta, n_rhs_evals=n_rhs_evals)
+            return var[0] * (1.0 - dip * times / times[-1]), dict(meta, method=method)
 
         monkeypatch.setattr(dynamics, "_leg_variance", closed_leg_with_dip)
         p = ModelParams(delta=20.0, Delta=100.0, Omega=1.0, g1=1.0, g2=0.02, kappa=0.5)
