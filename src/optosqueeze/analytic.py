@@ -81,7 +81,7 @@ def bogoliubov(g_eff: float, omega_m: float, t: float) -> BogoliubovCoeffs:
     trigonometric closed form no longer applies.
     """
     if not (math.isfinite(g_eff) and math.isfinite(omega_m) and math.isfinite(t)):
-        raise ValueError(f"g_eff, omega_m and t must be finite, got {g_eff!r}, {omega_m!r}, {t!r}")
+        raise ValueError(f"g_eff, omega_m and t must be finite, got {g_eff:g}, {omega_m:g}, {t:g}")
     q2 = _q_squared(g_eff, omega_m)
     if q2 <= 0:
         raise UnstableRegimeError(
@@ -98,7 +98,7 @@ def bogoliubov(g_eff: float, omega_m: float, t: float) -> BogoliubovCoeffs:
 def thermal_V(nbar: float) -> float:
     """V = coth(hbar omega_m / 2 k_B T) = 2 nbar + 1."""
     if not (math.isfinite(nbar) and nbar >= 0):
-        raise ValueError(f"nbar must be finite and >= 0, got {nbar!r}")
+        raise ValueError(f"nbar must be finite and >= 0, got {nbar:g}")
     return 2.0 * nbar + 1.0
 
 
@@ -119,7 +119,7 @@ def position_variance(g_eff: float, omega_m: float, nbar: float, t: float) -> fl
 def s_max(g_eff: float, omega_m: float) -> float:
     """Maximum squeezing over time: 5 log10(4 g_eff / omega_m + 1) dB."""
     if not (math.isfinite(g_eff) and g_eff >= 0 and math.isfinite(omega_m)):
-        raise ValueError(f"s_max is defined for finite g_eff >= 0 and omega_m, got {g_eff!r}, {omega_m!r}")
+        raise ValueError(f"s_max is defined for finite g_eff >= 0 and omega_m, got {g_eff:g}, {omega_m:g}")
     return 5.0 * math.log10(4.0 * g_eff / omega_m + 1.0)
 
 
@@ -128,7 +128,7 @@ def _require_stationary(p: ModelParams, g_eff: float):
     if p.gamma <= 0:
         raise ValueError("the stationary spectrum needs gamma > 0")
     if not math.isfinite(g_eff):
-        raise ValueError(f"g_eff must be finite, got {g_eff!r}")
+        raise ValueError(f"g_eff must be finite, got {g_eff:g}")
     q2 = _q_squared(g_eff, p.omega_m)
     if q2 <= 0 and math.sqrt(-q2) >= p.gamma / 2.0:
         raise UnstableRegimeError(
@@ -171,7 +171,7 @@ def critical_frequencies(p: ModelParams, g_eff: float) -> tuple:
     doublet collapses.
     """
     if not math.isfinite(g_eff):
-        raise ValueError(f"g_eff must be finite, got {g_eff!r}")
+        raise ValueError(f"g_eff must be finite, got {g_eff:g}")
     arg = _q_squared(g_eff, p.omega_m) - 0.25 * p.gamma**2
     if arg <= 0:
         raise OverdampedError(

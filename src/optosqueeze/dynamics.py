@@ -62,7 +62,9 @@ suite leans on; no route is trusted on its own.
 Truncation is self-reported: every run records the joint population of the
 top two Fock levels of each mode, and the adaptive wrappers share one
 doubling loop that doubles the offending dimension until the tail drops
-below 1e-6 or a cap is hit.
+below 1e-6 or a cap is hit.  So is accuracy: each Fock engine's meta names
+its route, sector size and RHS count, and its own relative error ("rtol"),
+which is all a caller reads of it.
 """
 
 from __future__ import annotations
@@ -353,6 +355,11 @@ def evolve_unitary(H: Operator, psi0: QuantumState, times) -> UnitaryTrajectory:
     population of every mode are read from them over the whole grid.  Norm
     drift beyond 1e-6 aborts with a TruncationError naming the first such
     time.
+
+    `meta` holds the record every Fock engine returns: "method" ("eigh"),
+    "dims", "sector_dim", "n_rhs_evals" (0: nothing is stepped), "rtol"
+    (`EXACT_VARIANCE_RTOL`, this route's relative variance error) and
+    "tail_max".
     """
     if not H.is_hermitian(1e-12):
         raise ValueError("evolve_unitary requires a Hermitian Hamiltonian")
@@ -378,6 +385,8 @@ def evolve_unitary(H: Operator, psi0: QuantumState, times) -> UnitaryTrajectory:
         "method": "eigh",
         "dims": space.factor_sizes,
         "sector_dim": int(sec.size),
+        "n_rhs_evals": 0,
+        "rtol": EXACT_VARIANCE_RTOL,
         "tail_max": tails,
         "tail_flag": any(not v <= TAIL_LIMIT for v in tails.values()),
         "norm_max_dev": float(np.max(np.abs(norms - 1.0))),
@@ -490,15 +499,18 @@ def evolve_lindblad(
     * "lindblad-eig": a sector of at most `EIGEN_SECTOR_MAX` entries is
       diagonalised once, L = V Lambda V^-1, and every time is evaluated
       from t0 as (exp(Lambda (t - t0)) * c) V^T with c = V^-1 y0, the
-      evaluation `evolve_unitary` does (`_eigen_expansion`); rtol and atol
-      play no part, and `meta["n_rhs_evals"]` is 0.  The columns of V have
+      evaluation `evolve_unitary` does (`_eigen_expansion`); the requested
+      rtol and atol play no part, so `meta["rtol"]` is this route's own
+      error, `EIGEN_VARIANCE_RTOL`, `meta["atol"]` is None and
+      `meta["n_rhs_evals"]` is 0.  The columns of V have
       unit norm and y0 has unit 2-norm, so ||c||_1 (`meta["expansion_l1"]`)
       bounds how far the expansion cancels; near a defective L it grows
       without bound, and above `EIGEN_EXPANSION_MAX` the run takes the
       other route.
     * "lindblad-dop853": a `scipy.integrate.DOP853` stepper, its dense
-      output evaluated at the grid times inside each step.  rtol below
-      `MIN_RTOL`, which DOP853 would silently raise to it, is a ValueError.
+      output evaluated at the grid times inside each step; `meta` keeps
+      the rtol and atol it was given.  rtol below `MIN_RTOL`, which DOP853
+      would silently raise to it, is a ValueError (on either route).
 
     No route keeps the states.  Column k of the returned `values` is
     Tr(A rho(t)) = sum_ij A[j, i] rho[i, j] for the k-th Operator A of the
@@ -588,8 +600,8 @@ def evolve_lindblad(
     meta = {
         "method": "lindblad-eig" if eigen else "lindblad-dop853",
         "dims": space.factor_sizes,
-        "rtol": rtol,
-        "atol": atol,
+        "rtol": EIGEN_VARIANCE_RTOL if eigen else rtol,
+        "atol": None if eigen else atol,
         "sector_dim": int(sec.size),
         "n_rhs_evals": nfev,
         "expansion_l1": l1,
@@ -820,16 +832,17 @@ def _product_vacuum_with_atom(space: HilbertSpace, atom_vec: np.ndarray) -> Quan
 
 
 def _leg_variance(H: Operator, psi0: QuantumState, times: np.ndarray, collapse_ops=(), rtol=None):
-    """(oscillator X variance, run meta) of one chain leg, the engine picked by its collapse set.
+    """(oscillator X variance, engine record) of one chain leg, the engine picked by its collapse set.
 
-    None keeps rho pure: exact `evolve_unitary`, "eigh" in `meta["method"]`
-    and 0 in `meta["n_rhs_evals"]`.  Any runs `evolve_lindblad` on X and
-    X^2, with atol = `rtol` / 100, which picks its own route
-    ("lindblad-eig" or "lindblad-dop853").
+    None keeps rho pure: exact `evolve_unitary`.  Any runs `evolve_lindblad`
+    on X and X^2, with atol = `rtol` / 100, which picks its own route.
+    Either way the meta is the engine's own record, passed on unchanged:
+    its "method", "n_rhs_evals" and "rtol", the relative error of the
+    variance series.
     """
     if not collapse_ops:
         ts = variance_trajectory(evolve_unitary(H, psi0, times), 1, "X")
-        return ts.values, dict(ts.meta, n_rhs_evals=0)
+        return ts.values, ts.meta
     x = position(H.space, 1)
     out = evolve_lindblad(H, collapse_ops, psi0, times, (x, x @ x), rtol=rtol, atol=rtol * 1e-2)
     m1, m2 = out.values.real.T  # <X> and <X^2> of the oscillator
@@ -867,18 +880,18 @@ def validate_adiabatic_chain(
     without and with the kappa / Gamma_e collapse channels (gamma damps
     the oscillator in both), measure how much the achieved maximum
     squeezing degrades.  A closed leg whose relative X-variance dip does not
-    exceed its own error (`EXACT_VARIANCE_RTOL` when it runs unitarily,
-    `EIGEN_VARIANCE_RTOL` on the master equation's eigen route,
-    `lindblad_rtol` under DOP853) leaves the degradation undefined and
-    raises ValueError.  A leg without a channel (the closed leg whenever
-    gamma = 0) runs unitarily, with a Hilbert-sector size in
-    `meta["sector_dim"]`; `meta["lindblad_method"]` names each leg's route
-    and `meta["lindblad_n_rhs_evals"]` counts its RHS calls (0 off
-    DOP853).  DOP853's error, about 1e-11 relative on
+    exceed its own error, the "rtol" its engine reports in its meta
+    (`EXACT_VARIANCE_RTOL` when it runs unitarily, `EIGEN_VARIANCE_RTOL` on
+    the master equation's eigen route, `lindblad_rtol` under DOP853),
+    leaves the degradation undefined and raises ValueError.  A leg without
+    a channel (the closed leg whenever gamma = 0) runs unitarily, with a
+    Hilbert-sector size in `meta["sector_dim"]`; `meta["lindblad_method"]`
+    names each leg's route and `meta["lindblad_n_rhs_evals"]` counts its
+    RHS calls (0 off DOP853).  DOP853's error, about 1e-11 relative on
     decay_immunity.cfg's open leg, is far below the degradation measured
-    there.  Both legs share one
-    space, which starts at `lindblad_dims` = (d_cav, d_mech); a None entry
-    takes min(d_cav, 4), respectively d_mech, as reached by the unitary legs.
+    there.  Both legs share one space, which starts at `lindblad_dims` =
+    (d_cav, d_mech); a None entry takes min(d_cav, 4), respectively d_mech,
+    as reached by the unitary legs.
 
     Truncation is adaptive: a Fock leg whose top-level population exceeds
     1e-6 doubles the offending dimension, up to `CHAIN_DIM_CAP` for every
@@ -961,13 +974,15 @@ def validate_adiabatic_chain(
 
     if include_lindblad:
         def collapse_set(lspace: HilbertSpace, open_system: bool):
-            b = annihilation(lspace, 1)
-            ops = [(b, p.gamma * (p.nbar + 1.0)), (b.dag(), p.gamma * p.nbar)]
+            # (rate, builder) pairs: an operator is built only when its rate is positive,
+            # and D[b] runs whenever gamma > 0
+            b = annihilation(lspace, 1) if p.gamma > 0 else None
+            ops = [(p.gamma * (p.nbar + 1.0), lambda: b), (p.gamma * p.nbar, lambda: b.dag())]
             if open_system:
-                ops += [(annihilation(lspace, 0), p.kappa),
-                        (level_projector(lspace, 2, 1, 2), p.Gamma_e),
-                        (level_projector(lspace, 2, 0, 2), p.Gamma_e)]
-            return [(op, rate) for op, rate in ops if rate > 0]
+                ops += [(p.kappa, lambda: annihilation(lspace, 0)),
+                        (p.Gamma_e, lambda: level_projector(lspace, 2, 1, 2)),
+                        (p.Gamma_e, lambda: level_projector(lspace, 2, 0, 2))]
+            return [(build(), rate) for rate, build in ops if rate > 0]
 
         def run_lindblad_legs(dims):
             # the closed and the open leg share one space, so their smax stay comparable
@@ -985,12 +1000,10 @@ def validate_adiabatic_chain(
             run_lindblad_legs, ldims, CHAIN_DIM_CAP)
         # a dip within the closed leg's own error is noise, and dividing by it means nothing
         dip = 1.0 - float(np.min(v_closed)) / float(v_closed[0])
-        floor = {"eigh": EXACT_VARIANCE_RTOL, "lindblad-eig": EIGEN_VARIANCE_RTOL}.get(
-            closed["method"], lindblad_rtol)
-        if not dip > floor:
+        if not dip > closed["rtol"]:
             raise ValueError("the smax degradation is undefined: the closed master-equation leg "
                              f"does not squeeze beyond its error (relative X-variance dip {dip:.3g} "
-                             f"<= {floor:.3g})")
+                             f"<= {closed['rtol']:.3g})")
         s_closed, s_open = (-5.0 * math.log10(float(np.min(v)) / float(v[0])) for v in (v_closed, v_open))
         report.smax_closed = s_closed
         report.smax_open = s_open

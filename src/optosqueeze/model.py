@@ -102,7 +102,7 @@ class ModelParams:
                 raise ValueError(f"{name} must be >= 0, got {v!r}")
 
 
-def hybrid_space(d_cav: int = 8, d_mech: int = 16, levels: int = 3) -> HilbertSpace:
+def hybrid_space(d_cav: int, d_mech: int, levels: int) -> HilbertSpace:
     """Cavity x oscillator x atom, in the fixed factor order."""
     return HilbertSpace((Fock(d_cav), Fock(d_mech), Level(levels)))
 

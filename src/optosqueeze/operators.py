@@ -9,7 +9,8 @@ at 8 x 32 x 3 = 768 dimensions holds 3,000 to 4,400 nonzeros out of 589,824
 entries.  Single-factor matrices are numpy (rows, cols, values) triples,
 and every operator built from them, from b to a model Hamiltonian, is
 one Kronecker pass over them with one COO-to-CSR conversion
-(`_kron_sum`).  States are of two kinds only, the two the model prepares: a
+(`_kron_sum`); the module exports the operators the model needs, not a
+general embedding of caller-supplied matrices.  States are of two kinds only, the two the model prepares: a
 dense pure vector (`QuantumState`: vacuum modes and an atom in a chosen
 state) and the Fock occupations of a thermal oscillator
 (`thermal_populations`, whose density matrix is diagonal).  Conventions
@@ -30,7 +31,6 @@ tell whether the truncation was adequate (see `dynamics`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 from scipy import sparse
@@ -45,7 +45,6 @@ __all__ = [
     "position",
     "momentum",
     "level_projector",
-    "tensor_embed",
     "thermal_populations",
 ]
 
@@ -117,7 +116,7 @@ def _require_same_space(a, b):
         raise ValueError("operands live on different Hilbert spaces")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Operator:
     """A complex matrix acting on a HilbertSpace, stored as a CSR array.
 
@@ -129,7 +128,9 @@ class Operator:
 
     Hermiticity is a checkable predicate (`is_hermitian`), never an
     assumption; constructors downstream assert it where the physics
-    requires it.
+    requires it.  Operators compare by identity: nothing in the package
+    compares two of them, and a value comparison is one of their `csr`
+    arrays (`(a.csr != b.csr).nnz == 0`).
     """
 
     space: HilbertSpace
@@ -180,11 +181,6 @@ class Operator:
     def __matmul__(self, other: "Operator") -> "Operator":
         _require_same_space(self, other)
         return Operator(self.space, self.csr @ other.csr)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Operator):
-            return NotImplemented
-        return self.space == other.space and (self.csr != other.csr).nnz == 0
 
 
 @dataclass(frozen=True)
@@ -255,30 +251,6 @@ def _kron_sum(terms, space: HilbertSpace) -> sparse.csr_array:
     index_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64  # as scipy.sparse picks
     rows, cols = rows.astype(index_dtype), cols.astype(index_dtype)
     return sparse.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
-
-
-def tensor_embed(ops: Iterable, space: HilbertSpace) -> Operator:
-    """Embed single-factor matrices into the full space.
-
-    `ops` is an iterable of (factor_index, matrix) pairs, at most one per
-    factor, each matrix dense or sparse; unspecified factors get identities.
-    The Kronecker order follows the factor order of `space`, factor 0
-    outermost.  The product is `_kron_sum` of one term with coefficient 1,
-    so the result stores the same entries as a chain of pairwise
-    `scipy.sparse.kron` products.
-    """
-    factors = {}
-    for idx, mat in ops:
-        space.check_factor(idx)
-        if idx in factors:
-            raise ValueError(f"duplicate factor index {idx} in tensor_embed")
-        m = mat if sparse.issparse(mat) else np.asarray(mat, dtype=complex)
-        d = space.factors[idx].size
-        if m.shape != (d, d):
-            raise ValueError(f"matrix for factor {idx} has shape {m.shape}, expected ({d}, {d})")
-        m = sparse.coo_array(m, dtype=complex)
-        factors[idx] = (m.row, m.col, m.data)
-    return Operator(space, _kron_sum([(1.0, factors)], space))
 
 
 def _banded(d: int, bands) -> tuple:

@@ -4,13 +4,18 @@
 patches the `Operator` arithmetic methods for a traced pass.  Importing
 both checks every name the workloads import; entering `Tracer.installed`
 checks that each patched method exists, and that the block puts the
-originals back.
+originals back.  The open_chain gate's reference is run once as well, so
+the library surface it reads (`evolve_unitary(...).vectors`,
+`QuantumState.pure`, `Operator.matrix`) is held here and not only by a
+benchmark pass.
 """
 
 import importlib
 import sys
 from pathlib import Path
 
+from optosqueeze.dynamics import validate_adiabatic_chain
+from optosqueeze.model import ModelParams
 from optosqueeze.operators import Operator
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -30,3 +35,20 @@ def test_tracer_patches_and_restores_operator_methods(monkeypatch):
             sys.modules.pop(name, None)
     assert patched == list(tracer.OPERATOR_METHODS)
     assert restored == list(tracer.OPERATOR_METHODS)
+
+
+def test_open_chain_gate_reference_matches_the_chain(monkeypatch):
+    # open_chain's parameters and its 3 x 8 x 3 master-equation space; the
+    # gate's unitary reference must reproduce the chain's closed leg
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        workloads = importlib.import_module("workloads")
+        p = ModelParams(**workloads.CHAIN, kappa=0.5, Gamma_e=0.1)
+        want = workloads._closed_leg_smax(p, 3.2)
+    finally:
+        sys.modules.pop("workloads", None)
+    rep = validate_adiabatic_chain(p, "e1", horizon=3.2, n_times=workloads.OPEN_LINDBLAD_TIMES,
+                                   d_cav=4, d_mech=16, include_lindblad=True,
+                                   lindblad_dims=workloads.OPEN_LINDBLAD_DIMS, lindblad_rtol=1e-8)
+    assert rep.dims["lindblad"] == workloads.OPEN_LINDBLAD_DIMS
+    assert abs(rep.smax_closed - want) <= workloads.SMAX_REL_BOUND * abs(want)

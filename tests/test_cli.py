@@ -455,6 +455,20 @@ class TestExitCodes:
         assert "g_eff" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_domain_error_prints_plain_numbers(self, tmp_path, capsys):
+        # the sweep hands numpy scalars to analytic.s_max, whose message
+        # used to show them as np.float64(-0.1)
+        out = tmp_path / "x.csv"
+        code = run_cli(
+            tmp_path,
+            f"command = smax-sweep\ngeff_start = -0.1\ngeff_stop = 1\ngeff_count = 3\noutput = {out}\n",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "-0.1" in err
+        assert "np.float64" not in err
+        assert not out.exists()
+
     def test_overdamped_spectrum_runs(self, tmp_path):
         # negative coupling with strong damping is stationary, so it must work
         out = tmp_path / "x.csv"

@@ -56,7 +56,6 @@ from optosqueeze.operators import (
     level_projector,
     momentum,
     position,
-    tensor_embed,
 )
 from test_operators import basis_state, number, vacuum_state
 
@@ -607,6 +606,37 @@ def open_chain_leg():
     return build_full_hamiltonian(p, space), ops, psi0, np.linspace(0.0, 3.2, 160)
 
 
+class TestEngineRecord:
+    """Every Fock engine reports its route, size, work and accuracy in one record."""
+
+    RECORD = {"method", "dims", "sector_dim", "n_rhs_evals", "rtol", "tail_max"}
+
+    @pytest.mark.parametrize("route", ["eigh", "lindblad-eig", "lindblad-dop853"])
+    def test_engine_reports_its_own_accuracy(self, monkeypatch, route):
+        space = oscillator_space(6)
+        h = build_effective_hamiltonian(0.2, 1.0, space)
+        times = np.linspace(0.0, 1.0, 20)
+        if route == "eigh":
+            meta = evolve_unitary(h, vacuum_state(space), times).meta
+        else:
+            if route == "lindblad-dop853":  # as the eigen-vs-DOP853 agreement test forces it
+                monkeypatch.setattr(dynamics, "EIGEN_SECTOR_MAX", 0)
+            meta = evolve_lindblad(h, [(annihilation(space, 0), 0.1)], vacuum_state(space), times, [],
+                                   rtol=1e-8, atol=1e-10).meta
+        assert self.RECORD <= meta.keys()
+        assert meta["method"] == route
+        assert meta["dims"] == (6,)
+        assert 0 < meta["sector_dim"] <= 6 ** 2
+        assert set(meta["tail_max"]) == {0}
+        assert (meta["n_rhs_evals"] > 0) == (route == "lindblad-dop853")
+        want = {"eigh": dynamics.EXACT_VARIANCE_RTOL,
+                "lindblad-eig": dynamics.EIGEN_VARIANCE_RTOL,  # not the requested 1e-8
+                "lindblad-dop853": 1e-8}[route]
+        assert meta["rtol"] == want
+        if route != "eigh":
+            assert meta["atol"] == (None if route == "lindblad-eig" else 1e-10)
+
+
 def random_hermitian(rng, n):
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return m + m.conj().T
@@ -808,7 +838,7 @@ def driven_oscillator_beside_level(d):
     space = HilbertSpace((Fock(d), Level(2)))
     osc = build_effective_hamiltonian(0.4, 1.0, oscillator_space(d))
     b = annihilation(oscillator_space(d), 0)
-    h = tensor_embed([(0, (osc + 0.6 * (b + b.dag())).csr)], space)
+    h = Operator(space, sparse.kron((osc + 0.6 * (b + b.dag())).csr, sparse.identity(2)))
     h = h + 0.3 * level_projector(space, 1, 1, 1)
     return space, h, basis_state(space, [0, 0])
 
@@ -1129,26 +1159,28 @@ class TestValidateAdiabaticChain:
             validate_adiabatic_chain(p, "e2", horizon=3.2, n_times=160, d_cav=4, d_mech=16,
                                      include_lindblad=True, lindblad_dims=(3, 8), lindblad_rtol=1e-8)
 
-    @pytest.mark.parametrize("method, dip, rejected", [
-        ("eigh", 1e-9, False),  # an exact leg resolves a dip far below lindblad_rtol
-        ("eigh", 1e-14, True),
-        ("lindblad-eig", 1e-9, False),  # so does the eigen route, with its larger round-off
-        ("lindblad-eig", 1e-12, True),
-        ("lindblad-dop853", 1e-9, True),  # a DOP853 leg does not resolve a dip below lindblad_rtol
-        ("lindblad-dop853", 1e-7, False),
+    @pytest.mark.parametrize("reported, dip, rejected", [
+        # an exact leg resolves a dip far below lindblad_rtol
+        pytest.param(dynamics.EXACT_VARIANCE_RTOL, 1e-9, False, id="eigh-1e-09"),
+        pytest.param(dynamics.EXACT_VARIANCE_RTOL, 1e-14, True, id="eigh-1e-14"),
+        # so does the eigen route, with its larger round-off
+        pytest.param(dynamics.EIGEN_VARIANCE_RTOL, 1e-9, False, id="lindblad-eig-1e-09"),
+        pytest.param(dynamics.EIGEN_VARIANCE_RTOL, 1e-12, True, id="lindblad-eig-1e-12"),
+        # a DOP853 leg, which reports lindblad_rtol = 1e-8, does not resolve a dip below it
+        pytest.param(1e-8, 1e-9, True, id="lindblad-dop853-1e-09"),
+        pytest.param(1e-8, 1e-7, False, id="lindblad-dop853-1e-07"),
     ])
-    def test_degradation_floor_follows_the_closed_leg_engine(self, monkeypatch, method, dip, rejected):
+    def test_degradation_floor_follows_the_closed_leg_engine(self, monkeypatch, reported, dip, rejected):
         # the closed leg's series is replaced by one with a chosen relative
-        # dip, and its engine by a chosen route; the floor is
-        # EXACT_VARIANCE_RTOL for a unitary leg, EIGEN_VARIANCE_RTOL for the
-        # eigen route and lindblad_rtol = 1e-8 for DOP853
+        # dip, and the rtol its engine reports by a chosen value; the chain
+        # reads its floor from that record alone
         leg_variance = dynamics._leg_variance
 
         def closed_leg_with_dip(H, psi0, times, collapse_ops=(), rtol=None):
             var, meta = leg_variance(H, psi0, times, collapse_ops, rtol)
             if rtol is None or collapse_ops:
                 return var, meta
-            return var[0] * (1.0 - dip * times / times[-1]), dict(meta, method=method)
+            return var[0] * (1.0 - dip * times / times[-1]), dict(meta, rtol=reported)
 
         monkeypatch.setattr(dynamics, "_leg_variance", closed_leg_with_dip)
         p = ModelParams(delta=20.0, Delta=100.0, Omega=1.0, g1=1.0, g2=0.02, kappa=0.5)
