@@ -29,13 +29,13 @@ engines).
   operators, through a sparse Liouvillian restricted to the sector the
   initial state reaches; it returns the expectations of the observables
   the caller names, not the states.  A sector of at most
-  `EIGEN_SECTOR_MAX` entries is diagonalised once (L = V Lambda V^-1)
-  and evaluated as `evolve_unitary` does, unless its eigenvector
-  expansion cancels beyond `EIGEN_EXPANSION_MAX`, as near a defective L;
-  any other sector is stepped by DOP853.  The chain compares an exact
-  closed leg with an open leg: DOP853's error on decay_immunity.cfg's
-  28,224 entries, about 1e-11 relative, is far below the 0.0746
-  degradation measured there.
+  `EIGEN_SECTOR_MAX` entries is diagonalised once, in real arithmetic
+  (L = V Lambda V^-1), and evaluated as `evolve_unitary` does, unless its
+  eigenvector expansion cancels beyond `EIGEN_EXPANSION_MAX`, as near a
+  defective L; any other sector is stepped by DOP853.  The chain compares
+  an exact closed leg with an open leg: DOP853's error on
+  decay_immunity.cfg's 28,224 entries, about 1e-11 relative, is far below
+  the 0.0746 degradation measured there.
 
 Both Fock engines propagate only the reachable sector: a breadth-first
 search over the generator's nonzero pattern (H for `evolve_unitary`, the
@@ -53,8 +53,8 @@ route's entries, or off each DOP853 step's grid times, and returns those.
 
 Operators arrive as CSR arrays (see `operators`) and stay sparse here; the
 dense matrices are the sector block of H that `evolve_unitary` hands to
-`eigh` and the small Liouvillian sector blocks that `evolve_lindblad`
-hands to `eig`.
+`eigh` and the small Liouvillian sector blocks, real in a basis of
+Hermitian matrix units, that `evolve_lindblad` hands to `eig`.
 
 Their mutual agreement (and agreement with `analytic`) is what the test
 suite leans on; no route is trusted on its own.
@@ -125,13 +125,14 @@ CHAIN_DIM_CAP = 4096  # largest dimension any elimination-chain leg, Lindblad pa
 # relative error of an exactly propagated variance series: a stationary state
 # moves its X variance by at most 11 eps at 8 x 32 x 3
 EXACT_VARIANCE_RTOL = 256 * np.finfo(float).eps
-# the same for a master-equation series on the eigen route: 1,247 eps at most
-# against a longdouble propagator, over 50 chain legs of 40-180 entries
+# the same for a master-equation series on the eigen route: 1,099 eps at most
+# against a longdouble propagator, over 100 chain legs of 40-160 entries
 EIGEN_VARIANCE_RTOL = 2**14 * np.finfo(float).eps
 MIN_RTOL = 100 * np.finfo(float).eps  # DOP853 raises any smaller rtol to this, with a warning
 # largest Liouvillian sector that `evolve_lindblad` diagonalises instead of
 # stepping DOP853: at the chain's parameters (rtol 1e-8, 2,900-5,100 RHS,
-# 63-98 ms) a dense eig takes 29 ms at 160 entries and 89 ms at 256
+# 63-98 ms) the real eig, with its basis change and V^-1 y0, takes 8 ms at
+# 160 entries and 21 ms at 250 (22 and 40 ms for a complex eig), one BLAS thread
 EIGEN_SECTOR_MAX = 256
 # largest ||V^-1 y0||_1 the eigen route accepts; its error measured about
 # 1e-16 ||c||_1 from ||c||_1 = 1.6 up to a driven qubit's exceptional point (1.6e7)
@@ -332,6 +333,29 @@ def _sector_positions(sector: np.ndarray, indices: np.ndarray) -> tuple:
     return hit, pos[hit]
 
 
+def _hermitian_basis(sec: np.ndarray, d: int) -> sparse.csr_array:
+    """Unitary U whose columns are Hermitian matrix units on a sorted sector of row-major vec(rho).
+
+    Column e_ii for each diagonal entry rho[i, i]; for each pair rho[i, j],
+    rho[j, i] with i < j, the columns (e_ij + e_ji)/sqrt(2) and
+    i (e_ij - e_ji)/sqrt(2).  A Hermitian rho has real coordinates
+    U^dag vec(rho), so a generator that maps Hermitian matrices to Hermitian
+    matrices, as every Liouvillian does, has a real block U^dag B U (the
+    coherence-vector form).  The sector must be closed under
+    (i, j) -> (j, i), as every sector that `_reachable_sector` finds from
+    a Hermitian rho under `_liouvillian`'s L is.
+    """
+    i, j = np.divmod(sec, d)
+    diag, up = np.flatnonzero(i == j), np.flatnonzero(i < j)
+    _, low = _sector_positions(sec, j[up] * d + i[up])
+    pair = diag.size + 2 * np.arange(up.size)  # each pair's symmetric column; +1 is the other
+    r = math.sqrt(0.5)
+    rows = np.concatenate([diag, up, low, up, low])
+    cols = np.concatenate([np.arange(diag.size), pair, pair, pair + 1, pair + 1])
+    vals = np.repeat([1.0, r, r, 1j * r, -1j * r], [diag.size] + [up.size] * 4)
+    return sparse.csr_array((vals, (rows, cols)), shape=(sec.size, sec.size))
+
+
 def _eigen_expansion(omega: np.ndarray, v: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:
     """exp(-i G (t - t0)) y0 at every time of the grid, for G = V diag(omega) V^-1 and c = V^-1 y0.
 
@@ -378,7 +402,7 @@ def evolve_unitary(H: Operator, psi0: QuantumState, times) -> UnitaryTrajectory:
     i = _first_drift(norms, 1e-6)
     if i is not None:
         raise TruncationError(
-            f"norm drifted to {norms[i]!r} at t={t[i]:g}; tails {tails}; enlarge the space"
+            f"norm drifted to {float(norms[i])!r} at t={t[i]:g}; tails {tails}; enlarge the space"
         )
 
     meta = {
@@ -497,16 +521,20 @@ def evolve_lindblad(
     Two routes propagate that block, named in `meta["method"]`:
 
     * "lindblad-eig": a sector of at most `EIGEN_SECTOR_MAX` entries is
-      diagonalised once, L = V Lambda V^-1, and every time is evaluated
-      from t0 as (exp(Lambda (t - t0)) * c) V^T with c = V^-1 y0, the
-      evaluation `evolve_unitary` does (`_eigen_expansion`); the requested
-      rtol and atol play no part, so `meta["rtol"]` is this route's own
-      error, `EIGEN_VARIANCE_RTOL`, `meta["atol"]` is None and
-      `meta["n_rhs_evals"]` is 0.  The columns of V have
-      unit norm and y0 has unit 2-norm, so ||c||_1 (`meta["expansion_l1"]`)
-      bounds how far the expansion cancels; near a defective L it grows
-      without bound, and above `EIGEN_EXPANSION_MAX` the run takes the
-      other route.
+      diagonalised once, L = V Lambda V^-1.  L maps Hermitian rho to
+      Hermitian rho, so its block in the basis U of Hermitian matrix units
+      (`_hermitian_basis`) is real up to round-off, or up to H's
+      anti-Hermitian part within the 1e-12 check, both of which the route
+      drops: one real `eig` of U^dag L U = W Lambda W^-1 gives V = U W.
+      Every time is evaluated from t0 as (exp(Lambda (t - t0)) * c) V^T
+      with c = V^-1 y0, the evaluation `evolve_unitary` does
+      (`_eigen_expansion`); the requested rtol and atol play no part, so
+      `meta["rtol"]` is this route's own error, `EIGEN_VARIANCE_RTOL`,
+      `meta["atol"]` is None and `meta["n_rhs_evals"]` is 0.  U is
+      unitary, so the columns of V keep W's unit norm; y0 has unit 2-norm,
+      so ||c||_1 (`meta["expansion_l1"]`) bounds how far the expansion
+      cancels; near a defective L it grows without bound, and above
+      `EIGEN_EXPANSION_MAX` the run takes the other route.
     * "lindblad-dop853": a `scipy.integrate.DOP853` stepper, its dense
       output evaluated at the grid times inside each step; `meta` keeps
       the rtol and atol it was given.  rtol below `MIN_RTOL`, which DOP853
@@ -541,16 +569,7 @@ def evolve_lindblad(
             ls.append(math.sqrt(rate) * op.csr)
     d = space.total_dim
 
-    # drho/dt = K rho + rho K^dag + sum_k l_k rho l_k^dag with
-    # K = -i H - sum_k l_k^dag l_k / 2; row-major vec(A rho B) = (A kron B^T) vec(rho)
-    k = -1j * H.csr
-    for l in ls:
-        k = k - 0.5 * (l.conj().T @ l)
-    eye = sparse.identity(d, dtype=complex, format="csr")
-    liouv = sparse.kron(k, eye) + sparse.kron(eye, k.conj())
-    for l in ls:
-        liouv = liouv + sparse.kron(l, l.conj())
-    liouv = sparse.csr_array(liouv)
+    liouv = _liouvillian(H.csr, ls)
     y0 = np.outer(psi0.vector, psi0.vector.conj()).ravel()
     sec = _reachable_sector(liouv, y0)
     block = liouv[sec][:, sec]
@@ -573,8 +592,12 @@ def evolve_lindblad(
 
     l1 = None
     if sec.size <= EIGEN_SECTOR_MAX:
+        # the block is real in a basis of Hermitian matrix units, and a real
+        # eig takes about a third of the complex one's time
+        u = _hermitian_basis(sec, d)
         try:
-            lam, v = np.linalg.eig(block.toarray())
+            lam, v = np.linalg.eig((u.conj().T @ block @ u).toarray().real)
+            v = u @ v
             c = np.linalg.solve(v, y0)
         except np.linalg.LinAlgError:  # no convergence, or V exactly singular: L is defective
             c = np.full(sec.size, np.inf)
@@ -592,7 +615,7 @@ def evolve_lindblad(
     i = _first_drift(traces, TRACE_TOL)
     if i is not None:
         raise TruncationError(
-            f"trace drifted to {traces[i]!r} at t={t[i]:g} (tolerance {TRACE_TOL:g}); "
+            f"trace drifted to {float(traces[i])!r} at t={t[i]:g} (tolerance {TRACE_TOL:g}); "
             "tighten rtol/atol or enlarge the space"
         )
     tails = _fock_tails(probs, np.flatnonzero(hit), space)
@@ -611,6 +634,26 @@ def evolve_lindblad(
         "tail_flag": any(not v <= TAIL_LIMIT for v in tails.values()),
     }
     return Expectations(times=t, values=values, meta=meta)
+
+
+def _liouvillian(h: sparse.csr_array, ls: list) -> sparse.csr_array:
+    """L on the row-major vec(rho) for Hamiltonian h and collapse operators ls, rates folded in.
+
+    drho/dt = K rho + rho K^dag + sum_k l_k rho l_k^dag with
+    K = -i H - sum_k l_k^dag l_k / 2, and row-major vec(A rho B) =
+    (A kron B^T) vec(rho).  Entry ((i, j), (k, l)) is nonzero exactly
+    when entry ((j, i), (l, k)) is, for any h; for an exactly Hermitian h
+    the two are conjugate up to the round-off of the complex products, and
+    to the last bit when h and every l_k are real.
+    """
+    k = -1j * h
+    for l in ls:
+        k = k - 0.5 * (l.conj().T @ l)
+    eye = sparse.identity(h.shape[0], dtype=complex, format="csr")
+    liouv = sparse.kron(k, eye) + sparse.kron(eye, k.conj())
+    for l in ls:
+        liouv = liouv + sparse.kron(l, l.conj())
+    return sparse.csr_array(liouv)
 
 
 def _dop853_steps(block: sparse.csr_array, y0: np.ndarray, t: np.ndarray, rtol, atol, record):

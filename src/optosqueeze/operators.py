@@ -205,7 +205,7 @@ class QuantumState:
             raise ValueError(f"vector length {v.shape[0]} does not match space dimension {n}")
         nrm = np.linalg.norm(v)
         if not abs(nrm - 1.0) <= self._NORM_TOL:  # a NaN or infinite entry fails too
-            raise ValueError(f"pure state norm {nrm!r} deviates from 1 beyond {self._NORM_TOL}")
+            raise ValueError(f"pure state norm {float(nrm)!r} deviates from 1 beyond {self._NORM_TOL}")
         v.setflags(write=False)
         object.__setattr__(self, "vector", v)
 

@@ -103,7 +103,7 @@ def _checked_real(s: np.ndarray, omegas: np.ndarray) -> np.ndarray:
     bad = np.abs(s.imag) > 1e-10 * (1.0 + np.abs(s.real))
     if bad.any():
         i = int(np.argmax(bad))
-        raise RuntimeError(f"spectrum came out complex at omega={omegas[i]:g}: {s[i]!r}")
+        raise RuntimeError(f"spectrum came out complex at omega={omegas[i]:g}: {complex(s[i])}")
     return s.real
 
 

@@ -351,7 +351,7 @@ def _rng_matrix(d, seed):
 class TestStates:
     def test_pure_norm_enforced(self):
         sp = single_fock(3)
-        with pytest.raises(ValueError, match="norm"):
+        with pytest.raises(ValueError, match=r"pure state norm 1\.414\d* deviates"):
             QuantumState.pure(sp, [1.0, 1.0, 0.0])
         # drift below the 1e-10 gate is accepted
         v = np.array([1.0 + 5e-11, 0.0, 0.0])

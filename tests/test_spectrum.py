@@ -125,7 +125,7 @@ class TestSpectrumNumeric:
 
     def test_complex_spectrum_names_first_bad_frequency(self):
         s = np.array([1.0, 2.0 + 1e-3j, 3.0 + 1.0j])
-        with pytest.raises(RuntimeError, match="omega=0.5:"):
+        with pytest.raises(RuntimeError, match=r"omega=0\.5: \(2\+0\.001j\)$"):
             _checked_real(s, np.array([0.0, 0.5, 1.0]))
 
     def test_reference_point(self):
