@@ -223,6 +223,9 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
+_CSV_CHUNK = 2048  # rows converted and formatted at a time
+
+
 def _write_csv(path: str, meta: dict, extra: list, header: list, columns: list):
     """Write the metadata lines, the header and the rows of `columns` to `path`.
 
@@ -231,23 +234,23 @@ def _write_csv(path: str, meta: dict, extra: list, header: list, columns: list):
     quantity/value entries) goes through `_fmt` cell by cell as ``%s``.
     ``"%.12g" % x`` and `_fmt`'s ``f"{float(x):.12g}"`` share one
     float-to-string conversion, so the bytes equal a per-cell `_fmt`
-    rendering.  The text is built in full before the file is opened.
+    rendering.  Rows are converted and formatted `_CSV_CHUNK` at a time and
+    each chunk joined into one string, so a long file's Python floats and
+    row strings are never all alive at once.  The text is built in full
+    before the file is opened.
     """
-    fmts, cells = [], []
-    for col in columns:
-        if isinstance(col, np.ndarray) and col.dtype.kind == "f":
-            fmts.append("%.12g")
-            cells.append(col.tolist())
-        else:
-            fmts.append("%s")
-            cells.append([_fmt(v) for v in col])
-    row_fmt = ",".join(fmts)
+    floats = [isinstance(col, np.ndarray) and col.dtype.kind == "f" for col in columns]
+    row_fmt = ",".join("%.12g" if f else "%s" for f in floats)
     out = [f"# optosqueeze {__version__}",
            "# units: hbar = 1; frequencies and rates in units of omega_m"]
     out += [f"# {k} = {_fmt(v)}" for k, v in sorted(meta.items())]
     out += extra
     out.append(",".join(header))
-    out += [row_fmt % row for row in zip(*cells)]
+    n_rows = min((len(col) for col in columns), default=0)
+    for start in range(0, n_rows, _CSV_CHUNK):
+        part = slice(start, start + _CSV_CHUNK)
+        cells = [col[part].tolist() if f else [_fmt(v) for v in col[part]] for col, f in zip(columns, floats)]
+        out.append("\n".join(row_fmt % row for row in zip(*cells)))
     text = "\n".join(out) + "\n"
     with open(path, "w", newline="\n") as f:
         f.write(text)

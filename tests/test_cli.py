@@ -417,6 +417,23 @@ class TestWriterContract:
         meta, _, _ = read_csv(out)
         assert meta["rows"] == ["4"] and meta["monotone"] == ["decreasing"] and meta["alpha"] == ["3"]
 
+    def test_chunk_boundaries_match_per_cell_fmt(self, tmp_path):
+        # rows are formatted cli._CSV_CHUNK at a time: two full chunks and
+        # one row over, with float, int and string columns, read as one text
+        n = 2 * cli._CSV_CHUNK + 1
+        rng = np.random.default_rng(25)
+        columns = [
+            rng.normal(size=n) * 10.0 ** rng.integers(-12, 12, size=n),
+            np.arange(n) - 7,
+            [f"s{i}" for i in range(n)],
+            np.linspace(-1.0, 1.0, n),
+        ]
+        out = tmp_path / "c.csv"
+        _write_csv(str(out), {"rows": n}, ["# extra = 1"], ["a", "b", "c", "d"], columns)
+        body = "\n".join(",".join(_fmt(v) for v in row) for row in zip(*columns))
+        assert out.read_bytes().split(b"a,b,c,d\n", 1)[1] == (body + "\n").encode()
+        assert len(csv_body(out)) == n + 1
+
     def test_spectrum_body_matches_per_cell_fmt(self, tmp_path):
         out = tmp_path / "sp.csv"
         code = run_cli(

@@ -812,6 +812,59 @@ class TestReachableSector:
         assert (up.meta["sector_dim"], down.meta["sector_dim"]) == (2, 1)
         assert np.all(down.values == down.values[0])  # rho stays |0><0|, every entry exactly
 
+    @pytest.mark.parametrize("case", ["open_chain", "decay_immunity", "thermal_damping"])
+    def test_hilbert_sector_assembly_matches_full_space(self, case):
+        # the Liouvillian assembled on the Hilbert states psi0 reaches equals
+        # the d^2 assembly restricted to its sector: the same vec(rho)
+        # indices, CSR structure and entries, bit for bit.  The sector's rho
+        # rows span 16 of the open chain's 72 states and 168 of decay_immunity.cfg's
+        # 336; with gamma nbar > 0, b and b^dag are collapse operators and
+        # every state is reached
+        if case == "open_chain":
+            h, ops, psi0, _ = open_chain_leg()
+        else:
+            p = parse_config((SCRIPTS / "decay_immunity.cfg").read_text()).params
+            dims = (7, 16)
+            if case == "thermal_damping":
+                p, dims = ModelParams(**{**vars(p), "gamma": 0.05, "nbar": 0.5}), (3, 8)
+            space = hybrid_space(*dims, 3)
+            b = annihilation(space, 1)
+            ops = [(b, p.gamma * (p.nbar + 1.0)), (b.dag(), p.gamma * p.nbar),
+                   (annihilation(space, 0), p.kappa), (level_projector(space, 2, 1, 2), p.Gamma_e),
+                   (level_projector(space, 2, 0, 2), p.Gamma_e)]
+            e1 = atomic_coupling_spectrum(p).e1
+            psi0 = QuantumState.pure(space, np.kron(np.eye(dims[0] * dims[1])[0], [e1[0], e1[1], 0.0]))
+            h = build_full_hamiltonian(p, space)
+        ls = [math.sqrt(rate) * op.csr for op, rate in ops if rate > 0]
+        assert len(ls) == {"open_chain": 3, "decay_immunity": 3, "thermal_damping": 5}[case]
+        liouv = dynamics._liouvillian(h.csr, ls)
+        y0 = pure_projector(psi0)
+        sec = dynamics._reachable_sector(liouv, y0)
+        block = liouv[sec][:, sec]
+        got_sec, got, got_y0 = dynamics._liouvillian_sector(h.csr, ls, psi0.vector)
+        assert np.array_equal(got_sec, sec)
+        assert np.array_equal(got.indptr, block.indptr)
+        assert np.array_equal(got.indices, block.indices)
+        assert got.data.tobytes() == block.data.tobytes()
+        assert got_y0.tobytes() == y0[sec].tobytes()
+        reached = np.unique(sec // h.space.total_dim).size
+        assert reached == {"open_chain": 16, "decay_immunity": 168, "thermal_damping": 72}[case]
+
+    def test_hilbert_sector_follows_each_collapse_adjoint(self):
+        # l = |0><1| + |0><2| never maps |1> to |2>, but l^dag l does, so
+        # K = -i H - l^dag l / 2 carries rho's |1><1| into |2><1|; a Hilbert
+        # search along |l| alone would stop at {0, 1}
+        space = oscillator_space(3)
+        h = Operator(space, np.diag([0.0, 1.0, 2.5]))
+        l = sparse.csr_array(np.array([[0.0, 1.0, 0.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        psi0 = basis_state(space, [1])
+        liouv = dynamics._liouvillian(h.csr, [l])
+        sec = dynamics._reachable_sector(liouv, pure_projector(psi0))
+        got_sec, got, _ = dynamics._liouvillian_sector(h.csr, [l], psi0.vector)
+        assert 2 * 3 + 1 in sec
+        assert np.array_equal(got_sec, sec)
+        assert got.data.tobytes() == liouv[sec][:, sec].data.tobytes()
+
     def test_damped_model_matches_full_liouvillian(self):
         # D[b] and D[b^dag] move m and n of |m><n| together, and H_eff moves
         # them by 0 or +-2, so from vacuum only even m - n is reached
@@ -1005,7 +1058,9 @@ class TestDimensionPolicy:
         # acceptance 04's largest job: g = 2, nbar = 10 starts at d = 1512 and
         # stays there; a dense d x d thermal rho alone would be 35 MiB, and a
         # run that built and copied it peaked at 72.6 MiB (31.1 MiB without it,
-        # 24.5 MiB with real Gram-product weights and cos/sin phase sums)
+        # 24.5 MiB with real Gram-product weights and cos/sin phase sums).
+        # Each parity block now frees its arrays before the other block's eigh
+        # and scales V in place: 13.6 MiB, about three 756 x 756 float arrays
         period = 2.0 * math.pi / math.sqrt(9.0)
         tracemalloc.start()
         try:
@@ -1014,7 +1069,17 @@ class TestDimensionPolicy:
         finally:
             tracemalloc.stop()
         assert ts.meta["d_mech"] == 1512
-        assert peak < 48 * 2**20
+        assert peak < 16 * 2**20
+
+    def test_thermal_series_agrees_with_doubled_dimension(self):
+        # the tail bounds the population near the cut, not the variance: at
+        # g = 0.5, nbar = 10 the starting d = 504 has a tail of 1.4e-9 and a
+        # variance 1.25e-6 (relative) from d = 1008's
+        times = np.linspace(0.0, 2.0 * math.pi / math.sqrt(3.0), 201)
+        assert mech_dim_start(10.0, 0.5, 1.0) == 504
+        a, b = (effective_variance_series(0.5, 1.0, 10.0, times, d_start=d) for d in (504, 1008))
+        assert (a.meta["d_mech"], b.meta["d_mech"]) == (504, 1008)
+        assert np.max(np.abs(a.values - b.values) / b.values) <= 1e-5
 
     def test_nan_tail_counts_as_over(self):
         # nan > 1e-6 is False, so a plain "> limit" test took a NaN tail as converged
