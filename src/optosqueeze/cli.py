@@ -46,7 +46,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import position_variance, s_max, spectrum_analytic
-from .dynamics import MIN_RTOL, effective_variance_series, validate_adiabatic_chain
+from .dynamics import MIN_RTOL, _atom_vector, effective_variance_series, validate_adiabatic_chain
 from .model import ModelParams, atomic_coupling_spectrum
 from .spectrum import default_omega_grid, spectrum_numeric, trend_vs_geff
 
@@ -141,7 +141,8 @@ def parse_config(text: str) -> RunConfig:
     value types, non-finite numbers, out-of-domain parameter values, grid
     counts, time-grid sizes or Fock dimensions below two, a non-positive
     `horizon`, a `lindblad_rtol` below `MIN_RTOL` (a tighter one would be
-    silently raised by the integrator), degenerate grids, and keys missing for
+    silently raised by the integrator), an `atom_state` vector that is zero
+    or has no ground-doublet component, degenerate grids, and keys missing for
     the chosen command (the command line is cited for those).
     """
     entries: dict = {}
@@ -175,7 +176,8 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(str(e), lineno) from None
         if key == "atom_state":
             try:
-                _parse_atom_state(value)
+                if not isinstance(atom := _parse_atom_state(value), str):
+                    _atom_vector(atom)
             except ValueError as e:
                 raise ConfigError(str(e), lineno) from None
         if key == "command" and value not in _COMMANDS:
@@ -312,8 +314,6 @@ def _parse_atom_state(raw: str):
         comps = [float(x) for x in raw.split(",")]
     except ValueError:
         raise ValueError(f"atom_state must be e1, e2, or comma-separated reals, got '{raw}'") from None
-    if len(comps) not in (2, 3):
-        raise ValueError(f"atom_state vector needs 2 or 3 components, got {len(comps)}")
     if not all(math.isfinite(c) for c in comps):
         raise ValueError(f"'atom_state' must be finite, got '{raw}'")
     return np.array(comps)

@@ -334,8 +334,8 @@ def _sector_positions(sector: np.ndarray, indices: np.ndarray) -> tuple:
     return hit, pos[hit]
 
 
-def _hermitian_basis(sec: np.ndarray, d: int) -> sparse.csr_array:
-    """Unitary U whose columns are Hermitian matrix units on a sorted sector of row-major vec(rho).
+def _hermitian_basis(sec: np.ndarray, n: int) -> sparse.csr_array:
+    """Unitary U whose columns are Hermitian matrix units on a sorted sector of an n x n row-major vec(rho).
 
     Column e_ii for each diagonal entry rho[i, i]; for each pair rho[i, j],
     rho[j, i] with i < j, the columns (e_ij + e_ji)/sqrt(2) and
@@ -346,9 +346,9 @@ def _hermitian_basis(sec: np.ndarray, d: int) -> sparse.csr_array:
     (i, j) -> (j, i), as every sector that `_reachable_sector` finds from
     a Hermitian rho under `_liouvillian`'s L is.
     """
-    i, j = np.divmod(sec, d)
+    i, j = np.divmod(sec, n)
     diag, up = np.flatnonzero(i == j), np.flatnonzero(i < j)
-    _, low = _sector_positions(sec, j[up] * d + i[up])
+    _, low = _sector_positions(sec, j[up] * n + i[up])
     pair = diag.size + 2 * np.arange(up.size)  # each pair's symmetric column; +1 is the other
     r = math.sqrt(0.5)
     rows = np.concatenate([diag, up, low, up, low])
@@ -512,18 +512,18 @@ def evolve_lindblad(
     times,
     observables,
     rtol: float = 1e-9,
-    atol: float = 1e-12,
 ) -> Expectations:
     """Tr(A rho(t)) over the grid for each observable A, under the master equation.
 
     The master equation is drho/dt = -i[H, rho] + sum_k rate_k D[c_k] rho.
     `collapse_ops` is a list of (Operator, rate) pairs; each dissipator is
     D[c] rho = c rho c^dag - (c^dag c rho + rho c^dag c)/2 scaled by its
-    rate (equivalently, collapse operator sqrt(rate) c).  The generator is
-    assembled once as a sparse Liouvillian L acting on the row-major
-    vectorised rho, on the Hilbert states that psi0 reaches only
-    (`_liouvillian_sector`), and restricted to the sector that
-    vec(|psi0><psi0|) reaches (`meta["sector_dim"]` entries).
+    rate (equivalently, collapse operator sqrt(rate) c).  rho is k x k on
+    the k Hilbert states hs that psi0 reaches (`_liouvillian_sector`), the
+    engine's only coordinates: every other entry stays exactly zero.  The
+    sparse Liouvillian L on the row-major vec(rho) is assembled there once
+    and restricted to the sector that vec(|psi0><psi0|) reaches
+    (`meta["sector_dim"]` entries).
 
     Two routes propagate that block, named in `meta["method"]`:
 
@@ -535,27 +535,27 @@ def evolve_lindblad(
       drops: one real `eig` of U^dag L U = W Lambda W^-1 gives V = U W.
       Every time is evaluated from t0 as (exp(Lambda (t - t0)) * c) V^T
       with c = V^-1 y0, the evaluation `evolve_unitary` does
-      (`_eigen_expansion`); the requested rtol and atol play no part, so
+      (`_eigen_expansion`); the requested rtol plays no part, so
       `meta["rtol"]` is this route's own error, `EIGEN_VARIANCE_RTOL`,
       `meta["atol"]` is None and `meta["n_rhs_evals"]` is 0.  U is
       unitary, so the columns of V keep W's unit norm; y0 has unit 2-norm,
       so ||c||_1 (`meta["expansion_l1"]`) bounds how far the expansion
       cancels; near a defective L it grows without bound, and above
       `EIGEN_EXPANSION_MAX` the run takes the other route.
-    * "lindblad-dop853": a `scipy.integrate.DOP853` stepper, its dense
-      output evaluated at the grid times inside each step; `meta` keeps
-      the rtol and atol it was given.  rtol below `MIN_RTOL`, which DOP853
+    * "lindblad-dop853": a `scipy.integrate.DOP853` stepper at rtol and
+      atol = rtol / 100, kept in `meta`, its dense output evaluated at the
+      grid times inside each step.  rtol below `MIN_RTOL`, which DOP853
       would silently raise to it, is a ValueError (on either route).
 
-    No route keeps the states.  Column k of the returned `values` is
-    Tr(A rho(t)) = sum_ij A[j, i] rho[i, j] for the k-th Operator A of the
+    No route keeps the states.  Column n of the returned `values` is
+    Tr(A rho(t)) = sum_ij A[j, i] rho[i, j] for the n-th Operator A of the
     sequence `observables`: one product of the sector entries with the
-    weights A[j, i], complex (take the real part for a Hermitian A).  The
-    populations, hence the trace and the truncation tails, are read from
-    the diagonal entries rho[i, i] (vec index i * (d + 1)); row t0 is y0
-    itself, the trace is checked at every output time and drift beyond
-    `TRACE_TOL` aborts.  Only the last rho is scattered into a d x d
-    matrix, for `meta["final_eigmin"]`.
+    weights A[j, i] of A restricted to hs, complex (take the real part for
+    a Hermitian A).  The populations, hence the trace and the truncation
+    tails, are read from the entries rho[i, i] (vec index i * (k + 1));
+    row t0 is y0 itself, the trace is checked at every output time and
+    drift beyond `TRACE_TOL` aborts.  `meta["final_eigmin"]` is the
+    smallest eigenvalue of the last rho on the reached states (k x k).
     """
     if not H.is_hermitian(1e-12):
         raise ValueError("evolve_lindblad requires a Hermitian Hamiltonian")
@@ -574,15 +574,15 @@ def evolve_lindblad(
             raise ValueError(f"collapse rates must be finite and >= 0, got {rate!r}")
         if rate > 0:
             ls.append(math.sqrt(rate) * op.csr)
-    d = space.total_dim
-    sec, block, y0 = _liouvillian_sector(H.csr, ls, psi0.vector)
+    hs, sec, block, y0 = _liouvillian_sector(H.csr, ls, psi0.vector)
+    k = hs.size
 
-    # populations of the basis states i whose diagonal entry rho[i, i] lies in the sector
-    hit, at = _sector_positions(sec, np.arange(d) * (d + 1))
-    weights = [_trace_weights(a.csr, sec, d) for a in observables]
+    # populations of the reached states i whose diagonal entry rho[i, i] lies in the sector
+    hit, at = _sector_positions(sec, np.arange(k) * (k + 1))
+    weights = [_trace_weights(a.csr[hs][:, hs], sec, k) for a in observables]
     probs = np.empty((t.size, at.size))
     values = np.empty((t.size, len(observables)), dtype=complex)
-    rho_final = np.zeros(d * d, dtype=complex)
+    rho_final = np.zeros(k * k, dtype=complex)
 
     def record(i: int, entries: np.ndarray):
         """Read the sector entries of grid rows i, i + 1, ...; the last row recorded is the final rho."""
@@ -596,7 +596,7 @@ def evolve_lindblad(
     if sec.size <= EIGEN_SECTOR_MAX:
         # the block is real in a basis of Hermitian matrix units, and a real
         # eig takes about a third of the complex one's time
-        u = _hermitian_basis(sec, d)
+        u = _hermitian_basis(sec, k)
         try:
             lam, v = np.linalg.eig((u.conj().T @ block @ u).toarray().real)
             v = u @ v
@@ -611,27 +611,27 @@ def evolve_lindblad(
         record(0, entries)
         nfev = 0
     else:
-        nfev = _dop853_steps(block, y0, t, rtol, atol, record)
+        nfev = _dop853_steps(block, y0, t, rtol, rtol / 100, record)
 
     traces = probs.sum(axis=1)
     i = _first_drift(traces, TRACE_TOL)
     if i is not None:
         raise TruncationError(
             f"trace drifted to {float(traces[i])!r} at t={t[i]:g} (tolerance {TRACE_TOL:g}); "
-            "tighten rtol/atol or enlarge the space"
+            "tighten rtol or enlarge the space"
         )
-    tails = _fock_tails(probs, np.flatnonzero(hit), space)
+    tails = _fock_tails(probs, hs[hit], space)
 
     meta = {
         "method": "lindblad-eig" if eigen else "lindblad-dop853",
         "dims": space.factor_sizes,
         "rtol": EIGEN_VARIANCE_RTOL if eigen else rtol,
-        "atol": None if eigen else atol,
+        "atol": None if eigen else rtol / 100,
         "sector_dim": int(sec.size),
         "n_rhs_evals": nfev,
         "expansion_l1": l1,
         "trace_max_dev": float(np.max(np.abs(traces - 1.0))),
-        "final_eigmin": float(np.min(np.linalg.eigvalsh(rho_final.reshape(d, d)))),
+        "final_eigmin": float(np.min(np.linalg.eigvalsh(rho_final.reshape(k, k)))),
         "tail_max": tails,
         "tail_flag": any(not v <= TAIL_LIMIT for v in tails.values()),
     }
@@ -659,16 +659,17 @@ def _liouvillian(h: sparse.csr_array, ls: list) -> sparse.csr_array:
 
 
 def _liouvillian_sector(h: sparse.csr_array, ls: list, psi: np.ndarray) -> tuple:
-    """(sector, block, y0): `_liouvillian`'s block on the vec(|psi><psi|) sector, never built on d^2.
+    """(hs, sector, block, y0): `_liouvillian`'s block on the reached Hilbert states hs only.
 
     The Hilbert states `hs` that psi reaches under the pattern
     |h| + sum_k (|l_k| + |l_k|^T) span a space that h, every l_k and every
     l_k^dag map into itself, so the span of |i><j| with i, j in hs holds
     everything L can reach from |psi><psi|, and L restricted to it is
-    `_liouvillian` of the restricted h and l_k.  The sector is found there
-    and returned as sorted row-major vec(rho) indices of the full d x d
-    rho, with L's block on it and vec(|psi><psi|) on it: the index order of
-    hs is kept, so both equal the full-space assembly's, bit for bit.
+    `_liouvillian` of the restricted h and l_k.  The sector that
+    vec(|psi><psi|) reaches is found there and returned as sorted
+    row-major indices into the hs.size x hs.size rho, with L's block on it
+    and vec(|psi><psi|) on it.  hs is sorted, so the order of both equals
+    the full-space assembly's, bit for bit.
     """
     pattern = abs(h)
     for l in ls:
@@ -677,8 +678,7 @@ def _liouvillian_sector(h: sparse.csr_array, ls: list, psi: np.ndarray) -> tuple
     liouv = _liouvillian(h[hs][:, hs], [l[hs][:, hs] for l in ls])
     y0 = np.outer(psi[hs], psi[hs].conj()).ravel()
     sec = _reachable_sector(liouv, y0)
-    i, j = np.divmod(sec, hs.size)
-    return hs[i] * h.shape[0] + hs[j], liouv[sec][:, sec], y0[sec]
+    return hs, sec, liouv[sec][:, sec], y0[sec]
 
 
 def _dop853_steps(block: sparse.csr_array, y0: np.ndarray, t: np.ndarray, rtol, atol, record):
@@ -725,13 +725,13 @@ def variance_trajectory(traj: UnitaryTrajectory, factor: int, quadrature: str = 
     return TimeSeries(traj.times, m2 - m1**2, dict(traj.meta, quadrature=quadrature))
 
 
-def _trace_weights(a: sparse.csr_array, sector: np.ndarray, d: int) -> np.ndarray:
-    """Weights w on the sector of row-major vec(rho) such that Tr(a rho) = w . vec(rho)[sector].
+def _trace_weights(a: sparse.csr_array, sector: np.ndarray, n: int) -> np.ndarray:
+    """Weights w on the sector of an n x n row-major vec(rho) such that Tr(a rho) = w . vec(rho)[sector].
 
-    Tr(a rho) = sum_rc a[r, c] rho[c, r], and rho[c, r] is entry c * d + r.
+    Tr(a rho) = sum_rc a[r, c] rho[c, r], and rho[c, r] is entry c * n + r.
     """
     c = a.tocoo()
-    hit, at = _sector_positions(sector, c.col.astype(np.int64) * d + c.row)
+    hit, at = _sector_positions(sector, c.col.astype(np.int64) * n + c.row)
     w = np.zeros(sector.size, dtype=complex)
     w[at] = c.data[hit]
     return w
@@ -866,33 +866,30 @@ def _rel_dev(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-300)))
 
 
+def _atom_vector(atom_init) -> np.ndarray:
+    """The normalised 3-vector of a 2- or 3-component atom state (|e> last), or ValueError."""
+    v = np.asarray(atom_init).reshape(-1)
+    if v.shape not in ((2,), (3,)):
+        raise ValueError(f"the atom state must be 'e1', 'e2', or a 2- or 3-vector, got {v.size} components")
+    full = np.concatenate([v, np.zeros(3 - v.size)]).astype(complex)
+    nrm = np.linalg.norm(full)
+    if not (np.all(np.isfinite(full)) and nrm > 0):
+        raise ValueError(f"the atom state must be finite and nonzero, got {v.tolist()}")
+    full = full / nrm
+    if np.linalg.norm(full[:2]) < 1e-12:
+        raise ValueError("the atom state has no ground-doublet component; the reduced models do not apply")
+    return full
+
+
 def _resolve_atom_init(p: ModelParams, atom_init):
     spec = atomic_coupling_spectrum(p)
     if isinstance(atom_init, str):
-        if atom_init == "e1":
-            ground = spec.e1.astype(complex)
-        elif atom_init == "e2":
-            ground = spec.e2.astype(complex)
-        else:
+        if atom_init not in ("e1", "e2"):
             raise ValueError(f"atom_init string must be 'e1' or 'e2', got {atom_init!r}")
-        full = np.array([ground[0], ground[1], 0.0], dtype=complex)
+        full = np.append(getattr(spec, atom_init), 0.0).astype(complex)
     else:
-        v = np.asarray(atom_init, dtype=complex).reshape(-1)
-        if v.shape == (2,):
-            full = np.array([v[0], v[1], 0.0], dtype=complex)
-        elif v.shape == (3,):
-            full = v.copy()
-        else:
-            raise ValueError("atom_init must be 'e1', 'e2', or a 2- or 3-vector")
-        nrm = np.linalg.norm(full)
-        if not (np.all(np.isfinite(full)) and nrm > 0):
-            raise ValueError(f"atom_init must be finite and nonzero, got {v!r}")
-        full = full / nrm
-    ground = full[:2]
-    gnorm = np.linalg.norm(ground)
-    if gnorm < 1e-12:
-        raise ValueError("atom_init has no ground-doublet component; the reduced models do not apply")
-    ground = ground / gnorm
+        full = _atom_vector(atom_init)
+    ground = full[:2] / np.linalg.norm(full[:2])
     w1 = float(abs(np.vdot(spec.e1, ground)) ** 2)
     w2 = float(abs(np.vdot(spec.e2, ground)) ** 2)
     return spec, full, ground, (w1, w2)
@@ -910,7 +907,7 @@ def _leg_variance(H: Operator, psi0: QuantumState, times: np.ndarray, collapse_o
     """(oscillator X variance, engine record) of one chain leg, the engine picked by its collapse set.
 
     None keeps rho pure: exact `evolve_unitary`.  Any runs `evolve_lindblad`
-    on X and X^2, with atol = `rtol` / 100, which picks its own route.
+    on X and X^2, which picks its own route.
     Either way the meta is the engine's own record, passed on unchanged:
     its "method", "n_rhs_evals" and "rtol", the relative error of the
     variance series.
@@ -919,7 +916,7 @@ def _leg_variance(H: Operator, psi0: QuantumState, times: np.ndarray, collapse_o
         ts = variance_trajectory(evolve_unitary(H, psi0, times), 1, "X")
         return ts.values, ts.meta
     x = position(H.space, 1)
-    out = evolve_lindblad(H, collapse_ops, psi0, times, (x, x @ x), rtol=rtol, atol=rtol * 1e-2)
+    out = evolve_lindblad(H, collapse_ops, psi0, times, (x, x @ x), rtol=rtol)
     m1, m2 = out.values.real.T  # <X> and <X^2> of the oscillator
     return m2 - m1**2, out.meta
 

@@ -632,6 +632,19 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"config error: line 2: '{key}' must be finite, got '{raw}'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("raw, want", [
+        ("0,0", "the atom state must be finite and nonzero, got [0.0, 0.0]"),
+        ("0,0,1", "the atom state has no ground-doublet component; the reduced models do not apply"),
+    ], ids=["zero", "excited-only"])
+    def test_degenerate_atom_state_exit_2(self, tmp_path, capsys, raw, want):
+        # both used to exit 1, from the chain's own check of the atom state
+        out = tmp_path / "x.csv"
+        code = run_cli(tmp_path, f"command = validate-adiabatic\natom_state = {raw}\ndelta = 20\n"
+                                 f"Delta = 100\nhorizon = 1\noutput = {out}\n")
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: line 2: {want}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("line, want", [
         ("d_cav = 1", "'d_cav' must be >= 2, got 1"),
         ("d_mech = 0", "'d_mech' must be >= 2, got 0"),

@@ -585,7 +585,7 @@ class TestEvolveLindblad:
         runs = []
         for largest in (dynamics.EIGEN_SECTOR_MAX, 0):
             monkeypatch.setattr(dynamics, "EIGEN_SECTOR_MAX", largest)
-            runs.append(evolve_lindblad(h, ops, psi0, times, [x, x @ x], rtol=1e-8, atol=1e-10))
+            runs.append(evolve_lindblad(h, ops, psi0, times, [x, x @ x], rtol=1e-8))
         eig, dop = runs
         assert (eig.meta["method"], dop.meta["method"]) == ("lindblad-eig", "lindblad-dop853")
         assert eig.meta["n_rhs_evals"] == 0 and dop.meta["n_rhs_evals"] > 0
@@ -656,7 +656,7 @@ class TestEngineRecord:
             if route == "lindblad-dop853":  # as the eigen-vs-DOP853 agreement test forces it
                 monkeypatch.setattr(dynamics, "EIGEN_SECTOR_MAX", 0)
             meta = evolve_lindblad(h, [(annihilation(space, 0), 0.1)], vacuum_state(space), times, [],
-                                   rtol=1e-8, atol=1e-10).meta
+                                   rtol=1e-8).meta
         assert self.RECORD <= meta.keys()
         assert meta["method"] == route
         assert meta["dims"] == (6,)
@@ -668,7 +668,7 @@ class TestEngineRecord:
                 "lindblad-dop853": 1e-8}[route]
         assert meta["rtol"] == want
         if route != "eigh":
-            assert meta["atol"] == (None if route == "lindblad-eig" else 1e-10)
+            assert meta["atol"] == (None if route == "lindblad-eig" else 1e-8 / 100)
 
 
 def random_hermitian(rng, n):
@@ -814,12 +814,13 @@ class TestReachableSector:
 
     @pytest.mark.parametrize("case", ["open_chain", "decay_immunity", "thermal_damping"])
     def test_hilbert_sector_assembly_matches_full_space(self, case):
-        # the Liouvillian assembled on the Hilbert states psi0 reaches equals
-        # the d^2 assembly restricted to its sector: the same vec(rho)
-        # indices, CSR structure and entries, bit for bit.  The sector's rho
-        # rows span 16 of the open chain's 72 states and 168 of decay_immunity.cfg's
-        # 336; with gamma nbar > 0, b and b^dag are collapse operators and
-        # every state is reached
+        # the Liouvillian assembled on the Hilbert states hs psi0 reaches
+        # equals the d^2 assembly restricted to its sector: the local index
+        # i * k + j of rho[hs[i], hs[j]] maps to the full-space vec(rho) index
+        # hs[i] * d + hs[j], and the CSR structure and entries agree bit for
+        # bit.  The sector's rho rows span 16 of the open chain's 72 states
+        # and 168 of decay_immunity.cfg's 336; with gamma nbar > 0, b and
+        # b^dag are collapse operators and every state is reached
         if case == "open_chain":
             h, ops, psi0, _ = open_chain_leg()
         else:
@@ -841,14 +842,16 @@ class TestReachableSector:
         y0 = pure_projector(psi0)
         sec = dynamics._reachable_sector(liouv, y0)
         block = liouv[sec][:, sec]
-        got_sec, got, got_y0 = dynamics._liouvillian_sector(h.csr, ls, psi0.vector)
-        assert np.array_equal(got_sec, sec)
+        hs, got_sec, got, got_y0 = dynamics._liouvillian_sector(h.csr, ls, psi0.vector)
+        i, j = np.divmod(got_sec, hs.size)
+        assert np.array_equal(hs[i] * h.space.total_dim + hs[j], sec)
         assert np.array_equal(got.indptr, block.indptr)
         assert np.array_equal(got.indices, block.indices)
         assert got.data.tobytes() == block.data.tobytes()
         assert got_y0.tobytes() == y0[sec].tobytes()
         reached = np.unique(sec // h.space.total_dim).size
         assert reached == {"open_chain": 16, "decay_immunity": 168, "thermal_damping": 72}[case]
+        assert hs.size == {"open_chain": 36, "decay_immunity": 168, "thermal_damping": 72}[case]
 
     def test_hilbert_sector_follows_each_collapse_adjoint(self):
         # l = |0><1| + |0><2| never maps |1> to |2>, but l^dag l does, so
@@ -860,10 +863,46 @@ class TestReachableSector:
         psi0 = basis_state(space, [1])
         liouv = dynamics._liouvillian(h.csr, [l])
         sec = dynamics._reachable_sector(liouv, pure_projector(psi0))
-        got_sec, got, _ = dynamics._liouvillian_sector(h.csr, [l], psi0.vector)
+        hs, got_sec, got, _ = dynamics._liouvillian_sector(h.csr, [l], psi0.vector)
         assert 2 * 3 + 1 in sec
-        assert np.array_equal(got_sec, sec)
+        assert hs.tolist() == [0, 1, 2]
+        assert np.array_equal(got_sec, sec)  # every state is reached, so the indices are the full ones
         assert got.data.tobytes() == liouv[sec][:, sec].data.tobytes()
+
+    def test_final_eigmin_is_taken_on_the_reached_states(self, monkeypatch):
+        # the open chain's rho lives on the 36 of 72 Hilbert states psi0
+        # reaches, so its smallest eigenvalue comes from a 36 x 36 matrix
+        h, ops, psi0, times = open_chain_leg()
+        hs = dynamics._liouvillian_sector(h.csr, [math.sqrt(r) * op.csr for op, r in ops], psi0.vector)[0]
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a):
+            shapes.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        evolve_lindblad(h, ops, psi0, times, [])
+        assert hs.size == 36 and shapes == [(hs.size, hs.size)]
+
+    def test_final_eigmin_matches_full_space_reference(self):
+        # two-phonon loss and gain under H_eff keep the parity of the vacuum,
+        # so rho lives on the 6 even levels of 12, where it has full rank:
+        # its smallest eigenvalue there, 6.3e-3, is what the run reports,
+        # while the full 12 x 12 rho adds six exact zeros
+        d = 12
+        space = oscillator_space(d)
+        h = build_effective_hamiltonian(0.3, 1.0, space)
+        b = annihilation(space, 0)
+        ops = [(b @ b, 0.5), (b.dag() @ b.dag(), 0.2)]
+        times = np.linspace(0.0, 3.0, 13)
+        out = evolve_lindblad(h, ops, vacuum_state(space), times, [])
+        liouv = liouvillian_reference(h.matrix, [(op.matrix, rate) for op, rate in ops])
+        rho = expm_multiply(liouv * times[-1], pure_projector(vacuum_state(space))).reshape(d, d)
+        even = np.arange(0, d, 2)
+        want = np.min(np.linalg.eigvalsh(rho[np.ix_(even, even)]))
+        assert want > 1e-3
+        assert abs(out.meta["final_eigmin"] - want) <= 1e-12
 
     def test_damped_model_matches_full_liouvillian(self):
         # D[b] and D[b^dag] move m and n of |m><n| together, and H_eff moves
@@ -880,7 +919,7 @@ class TestReachableSector:
         a /= np.abs(a).sum()
         odd = (np.arange(d)[:, None] - np.arange(d)[None, :]) % 2 == 1
         obs = [Operator(space, a), Operator(space, np.where(odd, a, 0.0))]
-        out = evolve_lindblad(h, ops, vacuum_state(space), times, obs, rtol=1e-10, atol=1e-13)
+        out = evolve_lindblad(h, ops, vacuum_state(space), times, obs, rtol=1e-10)
         liouv = liouvillian_reference(h.matrix, [(op.matrix, rate) for op, rate in ops])
         ref = expm_multiply(liouv, pure_projector(vacuum_state(space)),
                             start=0.0, stop=3.0, num=13, endpoint=True)
@@ -1022,7 +1061,7 @@ class TestSectorContractions:
         # dense 160-entry block, eigenvectors and entries peak at 2.2 MB
         tracemalloc.start()
         try:
-            out = evolve_lindblad(h, ops, psi0, times, [x, x @ x], rtol=1e-8, atol=1e-10)
+            out = evolve_lindblad(h, ops, psi0, times, [x, x @ x], rtol=1e-8)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1129,7 +1168,7 @@ class TestValidateAdiabaticChain:
         assert max(rep.deviations["full_vs_effective"], neg.deviations["full_vs_effective"]) < 0.01
 
     def test_distinct_stark_shifts_run_both_variants(self):
-        # scripts/stark_variant_check.py's lopsided drive (Omega = 2 g1) on a
+        # scripts/stark_variant.cfg's lopsided drive (Omega = 2 g1) on a
         # shorter grid: the two variants' shifts differ, and so do their legs
         p = ModelParams(delta=8.0, Delta=40.0, g1=1.0, Omega=2.0, g2=0.05, eps=2.0)
         rep = validate_adiabatic_chain(p, "e1", horizon=2.0 * math.pi, n_times=60, d_cav=4, d_mech=12)

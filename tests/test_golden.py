@@ -35,6 +35,7 @@ NUMERIC_FIELDS = {
     "spectrum_trend": ("variance_numeric",),
     "eigenmodes": ("lambda", "g_eff", "e_component_*"),
     "validate_adiabatic": ("deviation_*", "atom_weight_*", "tail_*"),
+    "stark_variant": ("deviation_*", "atom_weight_*", "tail_*"),
 }
 
 
