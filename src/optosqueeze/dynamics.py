@@ -40,17 +40,19 @@ engines).
 Both Fock engines propagate only the reachable sector: a breadth-first
 search over the generator's nonzero pattern (H for `evolve_unitary`, the
 Liouvillian for `evolve_lindblad`, which is assembled on the Hilbert
-states a first search reaches), started from the support of the
-initial pure state, finds the index set that exp(t G) can populate.  The
-restriction is exact, so it is always on; a drive, mechanical damping or
-any other term that joins sectors enlarges the search result by itself.
-Every reader (norm, trace, truncation tails, expectations) works on the
-sector block, every component outside it being exactly zero.  A
-`UnitaryTrajectory` keeps its (n_t, sector size) block of amplitudes,
-which `variance_trajectory` reads; `UnitaryTrajectory.vectors` scatters
-full-size states on access.  `evolve_lindblad` keeps no states: it
-reads its populations and the requested expectations off the eigen
-route's entries, or off each DOP853 step's grid times, and returns those.
+states that a first search along the operators acting on rho reaches),
+started from the support of the initial pure state, finds the index set
+that exp(t G) can populate.  The restriction is exact, so it is always
+on; a drive, mechanical damping or any other term that joins sectors
+enlarges the search result by itself.  Every reader (the trace and
+truncation tails of `_checked_populations`, shared by both engines, and
+the expectations) works on the sector block, every component outside it
+being exactly zero.  A `UnitaryTrajectory` keeps its (n_t, sector size)
+block of amplitudes, which `variance_trajectory` reads;
+`UnitaryTrajectory.vectors` scatters full-size states on access.
+`evolve_lindblad` keeps no states: it reads its populations and the
+requested expectations off the eigen route's entries, or off each DOP853
+step's grid times, and returns those.
 
 Operators arrive as CSR arrays (see `operators`) and stay sparse here; the
 dense matrices are the sector block of H that `evolve_unitary` hands to
@@ -60,12 +62,13 @@ Hermitian matrix units, that `evolve_lindblad` hands to `eig`.
 Their mutual agreement (and agreement with `analytic`) is what the test
 suite leans on; no route is trusted on its own.
 
-Truncation is self-reported: every run records the joint population of the
-top two Fock levels of each mode, and the adaptive wrappers share one
-doubling loop that doubles the offending dimension until the tail drops
-below 1e-6 or a cap is hit.  So is accuracy: each Fock engine's meta names
-its route, sector size and RHS count, and its own relative error ("rtol"),
-which is all a caller reads of it.
+Truncation is self-reported: every Fock run records the joint population of
+the top two Fock levels of each mode, and how far its trace, ||psi||^2 or
+Tr rho, strays from 1 (at most `TRACE_TOL`).  The adaptive wrappers share
+one doubling loop that doubles the offending dimension until the tail
+drops below 1e-6 or a cap is hit.  So is accuracy: each Fock engine's
+meta names its route, sector size and RHS count, and its own relative
+error ("rtol"), which is all a caller reads of it.
 """
 
 from __future__ import annotations
@@ -120,7 +123,7 @@ __all__ = [
 ]
 
 TAIL_LIMIT = 1e-6
-TRACE_TOL = 1e-9  # largest |Tr rho - 1| a master-equation run may reach
+TRACE_TOL = 1e-9  # largest |trace - 1| of any Fock run: ||psi||^2 - 1 or Tr rho - 1
 EFFECTIVE_DIM_CAP = 8192  # largest oscillator dimension of an H_eff series
 CHAIN_DIM_CAP = 4096  # largest dimension any elimination-chain leg, Lindblad pair included, may reach
 # relative error of an exactly propagated variance series: a stationary state
@@ -141,7 +144,7 @@ EIGEN_EXPANSION_MAX = 1e4
 
 
 class TruncationError(RuntimeError):
-    """A run failed its self-checks: truncation tail, norm or trace drift, or dimension cap."""
+    """A run failed its self-checks: truncation tail, trace drift, or dimension cap."""
 
 
 def _double_until_converged(run, dims: tuple, cap: int):
@@ -297,17 +300,33 @@ def _fock_tails(probs: np.ndarray, states: np.ndarray, space: HilbertSpace) -> d
     return out
 
 
+def _checked_populations(probs: np.ndarray, states: np.ndarray, space: HilbertSpace, t: np.ndarray) -> dict:
+    """The population record of a Fock run, {"tail_max", "trace_max_dev"}, or TruncationError.
+
+    `probs` (n_t, n) holds the populations of the composite basis states
+    `states` at the times `t`, as in `_fock_tails`.  Each row sums to the
+    run's trace, ||psi||^2 or Tr rho; the first time at which it is off 1
+    by more than `TRACE_TOL`, or is not a number, raises TruncationError
+    naming that time, the tolerance and the tails.
+    """
+    tails = _fock_tails(probs, states, space)
+    totals = probs.sum(axis=1)
+    dev = np.abs(totals - 1.0)
+    bad = np.flatnonzero(~(dev <= TRACE_TOL))  # NaN counts as drift
+    if bad.size:
+        i = bad[0]
+        raise TruncationError(
+            f"trace drifted to {float(totals[i])!r} at t={t[i]:g} (tolerance {TRACE_TOL:g}); "
+            f"tails {tails}; enlarge the space or tighten rtol"
+        )
+    return {"tail_max": tails, "trace_max_dev": float(dev.max())}
+
+
 def _time_grid(times) -> np.ndarray:
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size < 2 or not (np.isfinite(t).all() and np.all(np.diff(t) > 0)):
         raise ValueError("need a finite, strictly increasing time grid with at least two points")
     return t
-
-
-def _first_drift(values: np.ndarray, tol: float):
-    """Index of the first |value - 1| above `tol` or not a number, or None."""
-    bad = np.flatnonzero(~(np.abs(values - 1.0) <= tol))
-    return int(bad[0]) if bad.size else None
 
 
 def _reachable_sector(g: sparse.csr_array, seed: np.ndarray) -> np.ndarray:
@@ -376,15 +395,15 @@ def evolve_unitary(H: Operator, psi0: QuantumState, times) -> UnitaryTrajectory:
     and the state at every time is evaluated from t0 in one product,
     psi(t) = V exp(-i Lambda (t - t0)) V^dag psi0 (`_eigen_expansion`), so
     round-off does not accumulate from step to step.  The trajectory keeps
-    these sector amplitudes only; the norm and the top-two-Fock-level
-    population of every mode are read from them over the whole grid.  Norm
-    drift beyond 1e-6 aborts with a TruncationError naming the first such
-    time.
+    these sector amplitudes only.  Their populations go through
+    `_checked_populations`, as the master equation's do: ||psi||^2 off 1
+    by more than `TRACE_TOL` at any time aborts with a TruncationError
+    naming the first such time.
 
     `meta` holds the record every Fock engine returns: "method" ("eigh"),
     "dims", "sector_dim", "n_rhs_evals" (0: nothing is stepped), "rtol"
-    (`EXACT_VARIANCE_RTOL`, this route's relative variance error) and
-    "tail_max".
+    (`EXACT_VARIANCE_RTOL`, this route's relative variance error), and
+    "tail_max" and "trace_max_dev" from `_checked_populations`.
     """
     if not H.is_hermitian(1e-12):
         raise ValueError("evolve_unitary requires a Hermitian Hamiltonian")
@@ -396,25 +415,13 @@ def evolve_unitary(H: Operator, psi0: QuantumState, times) -> UnitaryTrajectory:
     lam, v = np.linalg.eigh(H.csr[sec][:, sec].toarray())
     c = v.conj().T @ psi0.vector[sec]
     amps = _eigen_expansion(lam, v, c, t)
-
-    probs = np.abs(amps) ** 2
-    tails = _fock_tails(probs, sec, space)
-    norms = np.sqrt(probs.sum(axis=1))
-    i = _first_drift(norms, 1e-6)
-    if i is not None:
-        raise TruncationError(
-            f"norm drifted to {float(norms[i])!r} at t={t[i]:g}; tails {tails}; enlarge the space"
-        )
-
     meta = {
         "method": "eigh",
         "dims": space.factor_sizes,
         "sector_dim": int(sec.size),
         "n_rhs_evals": 0,
         "rtol": EXACT_VARIANCE_RTOL,
-        "tail_max": tails,
-        "tail_flag": any(not v <= TAIL_LIMIT for v in tails.values()),
-        "norm_max_dev": float(np.max(np.abs(norms - 1.0))),
+        **_checked_populations(np.abs(amps) ** 2, sec, space, t),
     }
     return UnitaryTrajectory(space=space, times=t, sector=sec, amplitudes=amps, meta=meta)
 
@@ -553,9 +560,11 @@ def evolve_lindblad(
     weights A[j, i] of A restricted to hs, complex (take the real part for
     a Hermitian A).  The populations, hence the trace and the truncation
     tails, are read from the entries rho[i, i] (vec index i * (k + 1));
-    row t0 is y0 itself, the trace is checked at every output time and
-    drift beyond `TRACE_TOL` aborts.  `meta["final_eigmin"]` is the
-    smallest eigenvalue of the last rho on the reached states (k x k).
+    row t0 is y0 itself.  They go through `_checked_populations`, as
+    `evolve_unitary`'s do, which gives `meta` "tail_max" and
+    "trace_max_dev" and aborts on a trace off 1 by more than `TRACE_TOL`.
+    `meta["final_eigmin"]` is the smallest eigenvalue of the last rho on
+    the reached states (k x k).
     """
     if not H.is_hermitian(1e-12):
         raise ValueError("evolve_lindblad requires a Hermitian Hamiltonian")
@@ -577,7 +586,8 @@ def evolve_lindblad(
     hs, sec, block, y0 = _liouvillian_sector(H.csr, ls, psi0.vector)
     k = hs.size
 
-    # populations of the reached states i whose diagonal entry rho[i, i] lies in the sector
+    # populations of the reached states i whose diagonal entry rho[i, i] lies in the sector:
+    # every i as a rule, but an exact cancellation in K can leave one's diagonal out
     hit, at = _sector_positions(sec, np.arange(k) * (k + 1))
     weights = [_trace_weights(a.csr[hs][:, hs], sec, k) for a in observables]
     probs = np.empty((t.size, at.size))
@@ -613,15 +623,6 @@ def evolve_lindblad(
     else:
         nfev = _dop853_steps(block, y0, t, rtol, rtol / 100, record)
 
-    traces = probs.sum(axis=1)
-    i = _first_drift(traces, TRACE_TOL)
-    if i is not None:
-        raise TruncationError(
-            f"trace drifted to {float(traces[i])!r} at t={t[i]:g} (tolerance {TRACE_TOL:g}); "
-            "tighten rtol or enlarge the space"
-        )
-    tails = _fock_tails(probs, hs[hit], space)
-
     meta = {
         "method": "lindblad-eig" if eigen else "lindblad-dop853",
         "dims": space.factor_sizes,
@@ -630,10 +631,8 @@ def evolve_lindblad(
         "sector_dim": int(sec.size),
         "n_rhs_evals": nfev,
         "expansion_l1": l1,
-        "trace_max_dev": float(np.max(np.abs(traces - 1.0))),
+        **_checked_populations(probs, hs[hit], space, t),  # before eigvalsh, which a NaN rho fails
         "final_eigmin": float(np.min(np.linalg.eigvalsh(rho_final.reshape(k, k)))),
-        "tail_max": tails,
-        "tail_flag": any(not v <= TAIL_LIMIT for v in tails.values()),
     }
     return Expectations(times=t, values=values, meta=meta)
 
@@ -662,10 +661,14 @@ def _liouvillian_sector(h: sparse.csr_array, ls: list, psi: np.ndarray) -> tuple
     """(hs, sector, block, y0): `_liouvillian`'s block on the reached Hilbert states hs only.
 
     The Hilbert states `hs` that psi reaches under the pattern
-    |h| + sum_k (|l_k| + |l_k|^T) span a space that h, every l_k and every
-    l_k^dag map into itself, so the span of |i><j| with i, j in hs holds
+    |h| + sum_k (|l_k| + |l_k^dag l_k|) span a space that h, every l_k and
+    every l_k^dag l_k map into itself: the operators that act on rho, as
+    K = -i h - sum_k l_k^dag l_k / 2 in K rho + rho K^dag and as l_k in
+    l_k rho l_k^dag.  So the span of |i><j| with i, j in hs holds
     everything L can reach from |psi><psi|, and L restricted to it is
-    `_liouvillian` of the restricted h and l_k.  The sector that
+    `_liouvillian` of the restricted h and l_k.  These are exactly the
+    states whose diagonal entry rho[i, i] the sector reaches, unless an
+    exact cancellation in K leaves one out.  The sector that
     vec(|psi><psi|) reaches is found there and returned as sorted
     row-major indices into the hs.size x hs.size rho, with L's block on it
     and vec(|psi><psi|) on it.  hs is sorted, so the order of both equals
@@ -673,7 +676,7 @@ def _liouvillian_sector(h: sparse.csr_array, ls: list, psi: np.ndarray) -> tuple
     """
     pattern = abs(h)
     for l in ls:
-        pattern = pattern + abs(l) + abs(l).T
+        pattern = pattern + abs(l) + abs(l.conj().T @ l)
     hs = _reachable_sector(sparse.csr_array(pattern), psi)
     liouv = _liouvillian(h[hs][:, hs], [l[hs][:, hs] for l in ls])
     y0 = np.outer(psi[hs], psi[hs].conj()).ravel()
@@ -890,9 +893,13 @@ def _resolve_atom_init(p: ModelParams, atom_init):
     else:
         full = _atom_vector(atom_init)
     ground = full[:2] / np.linalg.norm(full[:2])
-    w1 = float(abs(np.vdot(spec.e1, ground)) ** 2)
-    w2 = float(abs(np.vdot(spec.e2, ground)) ** 2)
-    return spec, full, ground, (w1, w2)
+    if isinstance(atom_init, str):
+        # a coupling eigenstate's branch weights are exact; its overlap with
+        # the other eigenvector would be the round-off of the 2 x 2 eigh
+        weights = (1.0, 0.0) if atom_init == "e1" else (0.0, 1.0)
+    else:
+        weights = tuple(float(abs(np.vdot(e, ground)) ** 2) for e in (spec.e1, spec.e2))
+    return spec, full, ground, weights
 
 
 def _product_vacuum_with_atom(space: HilbertSpace, atom_vec: np.ndarray) -> QuantumState:

@@ -235,19 +235,24 @@ class TestCommands:
             assert math.isclose(wg, wr, abs_tol=1e-9)
             assert math.isclose(vg, vr, rel_tol=1e-9)
 
-    def test_spectrum_vs_g_monotone_metadata(self, tmp_path):
+    @pytest.mark.parametrize(
+        "omega, geff_stop, label, steps",
+        [(1, 5, "decreasing", {-1.0}), (4, 1, "increasing", {1.0}), (2, 2, "none", {-1.0, 1.0})],
+        ids=["decreasing", "increasing", "none"],
+    )
+    def test_spectrum_vs_g_monotone_metadata(self, tmp_path, omega, geff_stop, label, steps):
         out = tmp_path / "tr.csv"
         code = run_cli(
             tmp_path,
-            f"command = spectrum-vs-g\nomega = 1\ngamma = 1\nnbar = 10\n"
-            f"geff_start = 0.1\ngeff_stop = 5\ngeff_count = 9\noutput = {out}\n",
+            f"command = spectrum-vs-g\nomega = {omega}\ngamma = 1\nnbar = 10\n"
+            f"geff_start = 0.1\ngeff_stop = {geff_stop}\ngeff_count = 9\noutput = {out}\n",
         )
         assert code == 0
         meta, header, rows = read_csv(out)
         assert header == ["g_eff", "variance_numeric"]
-        assert meta["monotone"] == ["decreasing"]
+        assert meta["monotone"] == [label]
         vals = [float(r[1]) for r in rows]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
+        assert set(np.sign(np.diff(vals))) == steps
 
     def test_eigenmodes_frozen_case(self, tmp_path):
         out = tmp_path / "eig.csv"

@@ -359,6 +359,22 @@ class TestTrendVsGeff:
         assert np.all(np.diff(s.variances) < 0)
         assert s.meta["index"] == "g_eff"
 
+    @pytest.mark.parametrize(
+        "omega, grid, label, steps",
+        [
+            (4.0, np.linspace(0.1, 1.0, 25), "increasing", {1.0}),
+            (2.0, np.linspace(0.1, 2.0, 25), "none", {1.0, -1.0}),
+            (1.0, np.array([0.5]), "none", set()),
+        ],
+        ids=["increasing", "rises_then_falls", "single_coupling"],
+    )
+    def test_other_monotone_labels(self, omega, grid, label, steps):
+        # the signs of the steps between neighbouring couplings; a single
+        # coupling has none
+        s = trend_vs_geff(params(), omega, grid)
+        assert s.meta["monotone"] == label
+        assert set(np.sign(np.diff(s.variances))) == steps
+
     def test_matches_per_point_inversion(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
