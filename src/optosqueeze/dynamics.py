@@ -28,14 +28,16 @@ engines).
 * `evolve_lindblad`: the master equation with explicit collapse
   operators, through a sparse Liouvillian restricted to the sector the
   initial state reaches; it returns the expectations of the observables
-  the caller names, not the states.  A sector of at most
-  `EIGEN_SECTOR_MAX` entries is diagonalised once, in real arithmetic
-  (L = V Lambda V^-1), and evaluated as `evolve_unitary` does, unless its
-  eigenvector expansion cancels beyond `EIGEN_EXPANSION_MAX`, as near a
-  defective L; any other sector is stepped by DOP853.  The chain compares
-  an exact closed leg with an open leg: DOP853's error on
-  decay_immunity.cfg's 28,224 entries, about 1e-11 relative, is far below
-  the 0.0746 degradation measured there.
+  the caller names, not the states.  Both of its routes propagate one
+  real vector, rho's coordinates in a basis of Hermitian matrix units,
+  under the Liouvillian's real block there.  A sector of at most
+  `EIGEN_SECTOR_MAX` entries is diagonalised once (G = W Lambda W^-1)
+  and evaluated as `evolve_unitary` does, unless its eigenvector
+  expansion cancels beyond `EIGEN_EXPANSION_MAX`, as near a defective L;
+  any other sector is stepped by DOP853.  The chain compares an exact
+  closed leg with an open leg: DOP853's error on decay_immunity.cfg's
+  28,224 entries, about 1e-10 relative, is far below the 0.0746
+  degradation measured there.
 
 Both Fock engines propagate only the reachable sector: a breadth-first
 search over the generator's nonzero pattern (H for `evolve_unitary`, the
@@ -51,8 +53,8 @@ being exactly zero.  A `UnitaryTrajectory` keeps its (n_t, sector size)
 block of amplitudes, which `variance_trajectory` reads;
 `UnitaryTrajectory.vectors` scatters full-size states on access.
 `evolve_lindblad` keeps no states: it reads its populations and the
-requested expectations off the eigen route's entries, or off each DOP853
-step's grid times, and returns those.
+requested expectations off the real coordinates of the eigen route's
+rows, or of each DOP853 step's grid times, and returns those.
 
 Operators arrive as CSR arrays (see `operators`) and stay sparse here; the
 dense matrices are the sector block of H that `evolve_unitary` hands to
@@ -129,16 +131,16 @@ CHAIN_DIM_CAP = 4096  # largest dimension any elimination-chain leg, Lindblad pa
 # relative error of an exactly propagated variance series: a stationary state
 # moves its X variance by at most 11 eps at 8 x 32 x 3
 EXACT_VARIANCE_RTOL = 256 * np.finfo(float).eps
-# the same for a master-equation series on the eigen route: 1,099 eps at most
-# against a longdouble propagator, over 100 chain legs of 40-160 entries
+# the same for a master-equation series on the eigen route: 2,721 eps at most
+# against a longdouble propagator, over 100 random chain legs of 40-160 entries
 EIGEN_VARIANCE_RTOL = 2**14 * np.finfo(float).eps
 MIN_RTOL = 100 * np.finfo(float).eps  # DOP853 raises any smaller rtol to this, with a warning
 # largest Liouvillian sector that `evolve_lindblad` diagonalises instead of
-# stepping DOP853: at the chain's parameters (rtol 1e-8, 2,900-5,100 RHS,
-# 63-98 ms) the real eig, with its basis change and V^-1 y0, takes 8 ms at
-# 160 entries and 21 ms at 250 (22 and 40 ms for a complex eig), one BLAS thread
+# stepping DOP853: on open-chain legs at rtol 1e-8 (medians, one BLAS thread)
+# the eigen route takes 21-28 ms at 160 entries, 86-92 ms at 360 and 419-428
+# ms at 640, DOP853 88-116, 112-114 and 141-146 ms (4,700-5,100 RHS)
 EIGEN_SECTOR_MAX = 256
-# largest ||V^-1 y0||_1 the eigen route accepts; its error measured about
+# largest ||W^-1 r0||_1 the eigen route accepts; its error measured about
 # 1e-16 ||c||_1 from ||c||_1 = 1.6 up to a driven qubit's exceptional point (1.6e7)
 EIGEN_EXPANSION_MAX = 1e4
 
@@ -152,9 +154,12 @@ def _double_until_converged(run, dims: tuple, cap: int):
 
     `run` returns (result, tails), with tails a dict from dim index to that
     dimension's truncation tail.  Returns (result, tails, dims) of the first
-    run within the limit; raises TruncationError, naming the tails, the dims
-    and the cap, when a doubled dim would pass `cap`.
+    run within the limit; raises TruncationError naming the dims and the
+    cap before the first run when a starting dim passes `cap`, and naming
+    the tails too when a doubled dim would.
     """
+    if any(d > cap for d in dims):
+        raise TruncationError(f"starting dims {dims} pass the cap {cap}")
     while True:
         result, tails = run(dims)
         over = {i for i, tail in tails.items() if not tail <= TAIL_LIMIT}  # NaN counts as over
@@ -358,12 +363,16 @@ def _hermitian_basis(sec: np.ndarray, n: int) -> sparse.csr_array:
 
     Column e_ii for each diagonal entry rho[i, i]; for each pair rho[i, j],
     rho[j, i] with i < j, the columns (e_ij + e_ji)/sqrt(2) and
-    i (e_ij - e_ji)/sqrt(2).  A Hermitian rho has real coordinates
-    U^dag vec(rho), so a generator that maps Hermitian matrices to Hermitian
-    matrices, as every Liouvillian does, has a real block U^dag B U (the
-    coherence-vector form).  The sector must be closed under
-    (i, j) -> (j, i), as every sector that `_reachable_sector` finds from
-    a Hermitian rho under `_liouvillian`'s L is.
+    i (e_ij - e_ji)/sqrt(2).  The diagonal columns come first, in sector
+    order, so the leading coordinates of U^dag vec(rho) are the sector's
+    populations; `evolve_lindblad` reads them there.  A Hermitian rho has
+    real coordinates U^dag vec(rho), so a generator that maps Hermitian
+    matrices to Hermitian matrices, as every Liouvillian does, has a real
+    block U^dag B U: the coherence-vector form (Alicki & Lendi, Quantum
+    Dynamical Semigroups and Applications, LNP 286, 1987).  The sector must
+    be closed under (i, j) -> (j, i), as every sector that
+    `_reachable_sector` finds from a Hermitian rho under `_liouvillian`'s
+    L is.
     """
     i, j = np.divmod(sec, n)
     diag, up = np.flatnonzero(i == j), np.flatnonzero(i < j)
@@ -526,27 +535,25 @@ def evolve_lindblad(
     `collapse_ops` is a list of (Operator, rate) pairs; each dissipator is
     D[c] rho = c rho c^dag - (c^dag c rho + rho c^dag c)/2 scaled by its
     rate (equivalently, collapse operator sqrt(rate) c).  rho is k x k on
-    the k Hilbert states hs that psi0 reaches (`_liouvillian_sector`), the
-    engine's only coordinates: every other entry stays exactly zero.  The
-    sparse Liouvillian L on the row-major vec(rho) is assembled there once
-    and restricted to the sector that vec(|psi0><psi0|) reaches
-    (`meta["sector_dim"]` entries).
-
-    Two routes propagate that block, named in `meta["method"]`:
+    the k Hilbert states hs that psi0 reaches (`_liouvillian_sector`):
+    every other entry stays exactly zero.  The sparse Liouvillian L on the
+    row-major vec(rho) is assembled there once and restricted to the
+    sector that vec(|psi0><psi0|) reaches (`meta["sector_dim"]` entries).
+    L maps Hermitian rho to Hermitian rho, so in the basis U of Hermitian
+    matrix units (`_hermitian_basis`) rho is the real coherence vector
+    r = U^dag vec(rho), under the real generator G = Re(U^dag L U); the
+    real part drops the round-off, and H's anti-Hermitian part within the
+    1e-12 check.  Both routes, named in `meta["method"]`, propagate r:
 
     * "lindblad-eig": a sector of at most `EIGEN_SECTOR_MAX` entries is
-      diagonalised once, L = V Lambda V^-1.  L maps Hermitian rho to
-      Hermitian rho, so its block in the basis U of Hermitian matrix units
-      (`_hermitian_basis`) is real up to round-off, or up to H's
-      anti-Hermitian part within the 1e-12 check, both of which the route
-      drops: one real `eig` of U^dag L U = W Lambda W^-1 gives V = U W.
-      Every time is evaluated from t0 as (exp(Lambda (t - t0)) * c) V^T
-      with c = V^-1 y0, the evaluation `evolve_unitary` does
-      (`_eigen_expansion`); the requested rtol plays no part, so
-      `meta["rtol"]` is this route's own error, `EIGEN_VARIANCE_RTOL`,
-      `meta["atol"]` is None and `meta["n_rhs_evals"]` is 0.  U is
-      unitary, so the columns of V keep W's unit norm; y0 has unit 2-norm,
-      so ||c||_1 (`meta["expansion_l1"]`) bounds how far the expansion
+      diagonalised once, by one real `eig`, G = W Lambda W^-1.  Every time
+      is evaluated from t0 as Re (exp(Lambda (t - t0)) * c) W^T with
+      c = W^-1 r0, the evaluation `evolve_unitary` does
+      (`_eigen_expansion`), and row t0 is r0 itself.  The requested rtol
+      plays no part, so `meta["rtol"]` is this route's own error,
+      `EIGEN_VARIANCE_RTOL`, `meta["atol"]` is None and
+      `meta["n_rhs_evals"]` is 0.  W's columns and r0 have unit 2-norm, so
+      ||c||_1 (`meta["expansion_l1"]`) bounds how far the expansion
       cancels; near a defective L it grows without bound, and above
       `EIGEN_EXPANSION_MAX` the run takes the other route.
     * "lindblad-dop853": a `scipy.integrate.DOP853` stepper at rtol and
@@ -554,17 +561,16 @@ def evolve_lindblad(
       grid times inside each step.  rtol below `MIN_RTOL`, which DOP853
       would silently raise to it, is a ValueError (on either route).
 
-    No route keeps the states.  Column n of the returned `values` is
-    Tr(A rho(t)) = sum_ij A[j, i] rho[i, j] for the n-th Operator A of the
-    sequence `observables`: one product of the sector entries with the
-    weights A[j, i] of A restricted to hs, complex (take the real part for
-    a Hermitian A).  The populations, hence the trace and the truncation
-    tails, are read from the entries rho[i, i] (vec index i * (k + 1));
-    row t0 is y0 itself.  They go through `_checked_populations`, as
-    `evolve_unitary`'s do, which gives `meta` "tail_max" and
-    "trace_max_dev" and aborts on a trace off 1 by more than `TRACE_TOL`.
-    `meta["final_eigmin"]` is the smallest eigenvalue of the last rho on
-    the reached states (k x k).
+    No route keeps the states: one reader takes the real rows r(t).
+    Column n of the returned `values` is Tr(A rho(t)) = r . (U^T w) for
+    the n-th Operator A of the sequence `observables`, w being A's weights
+    on the sector (`_trace_weights`), complex (take the real part for a
+    Hermitian A).  The populations, hence the trace and the truncation
+    tails, are r's diagonal coordinates, which U lists first.  They go
+    through `_checked_populations`, as `evolve_unitary`'s do, which gives
+    `meta` "tail_max" and "trace_max_dev" and aborts on a trace off 1 by
+    more than `TRACE_TOL`.  `meta["final_eigmin"]` is the smallest
+    eigenvalue of the last rho, U r, on the reached states (k x k).
     """
     if not H.is_hermitian(1e-12):
         raise ValueError("evolve_lindblad requires a Hermitian Hamiltonian")
@@ -585,43 +591,42 @@ def evolve_lindblad(
             ls.append(math.sqrt(rate) * op.csr)
     hs, sec, block, y0 = _liouvillian_sector(H.csr, ls, psi0.vector)
     k = hs.size
+    u = _hermitian_basis(sec, k)
+    g = sparse.csr_array((u.conj().T @ block @ u).real)  # CSC as formed; DOP853's matvec is faster on CSR
+    r0 = (u.conj().T @ y0).real
 
-    # populations of the reached states i whose diagonal entry rho[i, i] lies in the sector:
-    # every i as a rule, but an exact cancellation in K can leave one's diagonal out
-    hit, at = _sector_positions(sec, np.arange(k) * (k + 1))
-    weights = [_trace_weights(a.csr[hs][:, hs], sec, k) for a in observables]
-    probs = np.empty((t.size, at.size))
+    diag = sec[sec % (k + 1) == 0] // (k + 1)  # reached states i with rho[i, i] in the sector
+    weights = np.empty((sec.size, len(observables)), dtype=complex)
+    for col, a in enumerate(observables):
+        weights[:, col] = u.T @ _trace_weights(a.csr[hs][:, hs], sec, k)
+    probs = np.empty((t.size, diag.size))
     values = np.empty((t.size, len(observables)), dtype=complex)
-    rho_final = np.zeros(k * k, dtype=complex)
+    r_last = np.empty(sec.size)
 
-    def record(i: int, entries: np.ndarray):
-        """Read the sector entries of grid rows i, i + 1, ...; the last row recorded is the final rho."""
-        rows = slice(i, i + len(entries))
-        probs[rows] = entries[:, at].real
-        for col, w in enumerate(weights):
-            values[rows, col] = entries @ w
-        rho_final[sec] = entries[-1]
+    def record(i: int, rows: np.ndarray):
+        """Read the coordinates of grid rows i, i + 1, ...; the last row recorded is the final rho's."""
+        probs[i : i + len(rows)] = rows[:, : diag.size]
+        values[i : i + len(rows)] = rows @ weights
+        r_last[:] = rows[-1]
 
     l1 = None
     if sec.size <= EIGEN_SECTOR_MAX:
-        # the block is real in a basis of Hermitian matrix units, and a real
-        # eig takes about a third of the complex one's time
-        u = _hermitian_basis(sec, k)
         try:
-            lam, v = np.linalg.eig((u.conj().T @ block @ u).toarray().real)
-            v = u @ v
-            c = np.linalg.solve(v, y0)
-        except np.linalg.LinAlgError:  # no convergence, or V exactly singular: L is defective
+            lam, w = np.linalg.eig(g.toarray())
+            c = np.linalg.solve(w, r0)
+        except np.linalg.LinAlgError:  # no convergence, or W exactly singular: L is defective
             c = np.full(sec.size, np.inf)
         l1 = float(np.abs(c).sum())
     eigen = l1 is not None and l1 <= EIGEN_EXPANSION_MAX  # a NaN l1 fails too
     if eigen:
-        entries = _eigen_expansion(1j * lam, v, c, t)
-        entries[0] = y0
-        record(0, entries)
+        rows = _eigen_expansion(1j * lam, w, c, t).real
+        rows[0] = r0
+        record(0, rows)
         nfev = 0
     else:
-        nfev = _dop853_steps(block, y0, t, rtol, rtol / 100, record)
+        nfev = _dop853_steps(g, r0, t, rtol, rtol / 100, record)
+    rho_final = np.zeros(k * k, dtype=complex)
+    rho_final[sec] = u @ r_last
 
     meta = {
         "method": "lindblad-eig" if eigen else "lindblad-dop853",
@@ -631,7 +636,7 @@ def evolve_lindblad(
         "sector_dim": int(sec.size),
         "n_rhs_evals": nfev,
         "expansion_l1": l1,
-        **_checked_populations(probs, hs[hit], space, t),  # before eigvalsh, which a NaN rho fails
+        **_checked_populations(probs, hs[diag], space, t),  # before eigvalsh, which a NaN rho fails
         "final_eigmin": float(np.min(np.linalg.eigvalsh(rho_final.reshape(k, k)))),
     }
     return Expectations(times=t, values=values, meta=meta)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import optosqueeze
-from optosqueeze import cli
+from optosqueeze import cli, dynamics
 from optosqueeze.analytic import spectrum_analytic
 from optosqueeze.cli import ConfigError, _fmt, _write_csv, main, parse_config, run
 from optosqueeze.model import ModelParams
@@ -603,6 +603,35 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: the smax degradation is undefined") and "beyond its error" in err
+        assert not out.exists()
+
+    CHAIN = ("command = validate-adiabatic\ndelta = 20\nDelta = 100\nOmega = 1\ng1 = 1\ng2 = 0.02\n"
+             "atom_state = e1\nhorizon = 1\nn_times = 20\n")
+
+    @pytest.mark.parametrize("cap, keys, engine", [
+        ("EFFECTIVE_DIM_CAP", "command = time-trace\ngeff = 1\ntime_start = 0\ntime_stop = 1\n"
+         "time_count = 5\nd_mech = 48\n", "exact_quadrature_moments"),
+        ("CHAIN_DIM_CAP", CHAIN + "d_cav = 48\n", "evolve_unitary"),
+        ("CHAIN_DIM_CAP", CHAIN + "d_mech = 48\n", "evolve_unitary"),
+        ("CHAIN_DIM_CAP", CHAIN + "d_cav = 4\nd_mech = 16\nkappa = 0.5\ninclude_lindblad = true\n"
+         "d_mech_lindblad = 48\n", "evolve_lindblad"),
+    ], ids=["time-trace-d_mech", "chain-d_cav", "chain-d_mech", "chain-d_mech_lindblad"])
+    def test_starting_dim_above_its_cap_exit_1(self, tmp_path, capsys, monkeypatch, cap, keys, engine):
+        # a start above the cap used to run anyway: time-trace at geff = 1,
+        # nbar = 1000 starts at d = 80,040 against the cap of 8,192, each of
+        # its Gram products some 12.8 GB.  With the cap patched to 32, a
+        # start at 48 must stop before the engine runs
+        def never(*args, **kwargs):
+            raise AssertionError(f"{engine} ran at a starting dim above the cap")
+
+        monkeypatch.setattr(dynamics, cap, 32)
+        monkeypatch.setattr(dynamics, engine, never)
+        out = tmp_path / "x.csv"
+        code = run_cli(tmp_path, keys + f"output = {out}\n")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: starting dims (") and err.endswith(" pass the cap 32\n")
+        assert "48" in err
         assert not out.exists()
 
     def test_unwritable_output_exit_2(self, tmp_path, capsys):

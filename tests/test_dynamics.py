@@ -363,8 +363,9 @@ def matrix_units(space):
     """The observables |j><i| in row-major order of (i, j): Tr(|j><i| rho) = rho[i, j].
 
     Their expectations from `evolve_lindblad`, reshaped to (n_t, d, d), are
-    the density matrices themselves: each weight vector holds a single 1,
-    so every entry is read without round-off.
+    the density matrices themselves.  Each is read off the Hermitian-basis
+    coordinates with one rounded product by sqrt(1/2) (none on the
+    diagonal), so every entry is within an ulp of the coordinates' rho.
     """
     d = space.total_dim
     return [Operator(space, sparse.csr_array(([1.0], ([j], [i])), shape=(d, d)))
@@ -480,14 +481,17 @@ class TestEvolveLindblad:
         assert np.allclose(m2 - m1**2, ref.values, atol=1e-7)
 
     def test_starts_from_pure_state_projector(self):
-        # a complex superposition pins the conjugate in |psi0><psi0|
+        # a complex superposition pins the conjugate in |psi0><psi0|.  Row t0
+        # is read back through the Hermitian basis, so it is exact to 0.25
+        # eps here; a dropped conjugate would be off by 0.61
         space = oscillator_space(4)
         v0 = np.array([0.6, 0.48j, 0.0, -0.64])
         psi0 = QuantumState.pure(space, v0)
         h = build_effective_hamiltonian(0.3, 1.0, space)
         out = evolve_lindblad(h, [(annihilation(space, 0), 0.2)], psi0, np.linspace(0.5, 1.0, 3),
                               matrix_units(space))
-        assert np.array_equal(out.values[0].reshape(4, 4), np.outer(v0, v0.conj()))
+        err = np.abs(out.values[0].reshape(4, 4) - np.outer(v0, v0.conj()))
+        assert np.max(err) <= 4 * np.finfo(float).eps
 
     def test_trace_and_positivity_meta(self):
         space = oscillator_space(10)
@@ -579,8 +583,8 @@ class TestEvolveLindblad:
 
     def test_eigen_route_matches_dop853_on_the_open_chain_leg(self, monkeypatch):
         # the benchmark's open leg (160 entries) on both routes; the variances
-        # differ by 8.4e-15 relative (DOP853 at rtol 1e-8; the eigen route is
-        # 1.5e-14 from an expm_multiply reference in the entries, DOP853 3.7e-8)
+        # differ by 9.5e-15 relative (DOP853 at rtol 1e-8; the eigen route is
+        # 1.5e-14 from an expm_multiply reference in the entries, DOP853 3.6e-8)
         h, ops, psi0, times = open_chain_leg()
         x = position(h.space, 1)
         runs = []
@@ -594,11 +598,42 @@ class TestEvolveLindblad:
         var_eig, var_dop = ((o.values[:, 1] - o.values[:, 0] ** 2).real for o in runs)
         assert np.max(np.abs(var_dop - var_eig) / var_eig) <= 1e-12
 
+    def test_both_routes_propagate_one_real_generator(self, monkeypatch):
+        # the open chain leg, 160 entries: the eigen route diagonalises
+        # G = Re(U^dag B U) in the Hermitian basis U, and forced onto DOP853
+        # the same leg steps that very G from r0 = Re(U^dag y0), all float64
+        h, ops, psi0, times = open_chain_leg()
+        hs, sec, block, y0 = dynamics._liouvillian_sector(
+            h.csr, [math.sqrt(rate) * op.csr for op, rate in ops], psi0.vector)
+        u = dynamics._hermitian_basis(sec, hs.size)
+        g, r0 = (u.conj().T @ block @ u).toarray(), u.conj().T @ y0
+        assert not np.any(g.imag) and not np.any(r0.imag)  # H, the collapse operators and psi0 are real
+        seen = []
+        eig, steps = np.linalg.eig, dynamics._dop853_steps
+
+        def diagonalise(a):
+            seen.append(a)
+            return eig(a)
+
+        def step(b, y, *rest):
+            seen.append((b, y))
+            return steps(b, y, *rest)
+
+        monkeypatch.setattr(np.linalg, "eig", diagonalise)
+        monkeypatch.setattr(dynamics, "_dop853_steps", step)
+        evolve_lindblad(h, ops, psi0, times, [], rtol=1e-8)
+        monkeypatch.setattr(dynamics, "EIGEN_SECTOR_MAX", 0)
+        evolve_lindblad(h, ops, psi0, times[:20], [], rtol=1e-8)
+        diagonalised, (stepped, start) = seen
+        assert diagonalised.dtype == stepped.dtype == start.dtype == np.float64
+        assert np.array_equal(diagonalised, g.real) and np.array_equal(stepped.toarray(), g.real)
+        assert np.array_equal(start, r0.real)
+
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="longdouble is only double precision here")
     def test_eigen_route_matches_longdouble_propagation(self):
         # a 2 x 6 x 3 open chain leg (90 entries): the same Liouvillian block,
         # stepped by a longdouble exp(L dt).  This leg's error is 135 eps; the
-        # largest over 100 chain legs was 1,099 eps (EIGEN_VARIANCE_RTOL)
+        # largest over 100 random chain legs was 2,721 eps (EIGEN_VARIANCE_RTOL)
         h, ops, psi0, times = open_chain_leg(2, 6)
         space = h.space
         x = position(space, 1)
@@ -1038,7 +1073,7 @@ class TestSectorContractions:
             b, psi0 = annihilation(space, 0), vacuum_state(space)
         ops = [(b, 0.3 * 1.4), (b.dag(), 0.3 * 0.4)]
         q = (position if quadrature == "X" else momentum)(space, 0)
-        # one run: the quadrature moments, then the matrix units, which read rho exactly
+        # one run: the quadrature moments, then the matrix units, which read rho to an ulp
         out = evolve_lindblad(h, ops, psi0, np.linspace(0.0, 3.0, 13), [q, q @ q, *matrix_units(space)])
         assert out.meta["sector_dim"] < space.total_dim ** 2
         d = space.total_dim
@@ -1050,7 +1085,10 @@ class TestSectorContractions:
         ref = m2 - m1**2
         got_m1, got_m2 = out.values[:, :2].real.T
         got = got_m2 - got_m1**2
-        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-15
+        # both readouts round sqrt(1/2) products of the same coordinates, so
+        # they agree to an ulp or two, not bit for bit: the variances
+        # (0.14-0.25) differ by at most 0.76 eps
+        assert np.max(np.abs(got - ref)) <= 2 * np.finfo(float).eps
 
     def test_lindblad_open_chain_leg_stays_off_the_full_space(self):
         # the open leg of the benchmark's open chain, 3 x 8 x 3 = 72 states:
@@ -1126,6 +1164,21 @@ class TestDimensionPolicy:
         # nan > 1e-6 is False, so a plain "> limit" test took a NaN tail as converged
         with pytest.raises(TruncationError, match="tails nan exceed"):
             dynamics._double_until_converged(lambda dims: (None, {0: math.nan}), (4,), 8)
+
+    def test_starting_dim_above_the_cap_never_runs(self, monkeypatch):
+        # only doubled dims used to meet the cap: geff = 1, nbar = 1000 starts
+        # at 80,040 against EFFECTIVE_DIM_CAP = 8,192 and ran anyway, with
+        # Gram products of about 12.8 GB each
+        def never(*args):
+            raise AssertionError("ran at a starting dim above the cap")
+
+        with pytest.raises(TruncationError, match=r"^starting dims \(48, 8\) pass the cap 32$"):
+            dynamics._double_until_converged(never, (48, 8), 32)
+        assert mech_dim_start(1000.0, 1.0, 1.0) == 80040 > dynamics.EFFECTIVE_DIM_CAP
+        monkeypatch.setattr(dynamics, "exact_quadrature_moments", never)
+        with pytest.raises(TruncationError, match=r"starting dims \(80040,\) pass the cap 8192"):
+            effective_variance_series(1.0, 1.0, 1000.0, np.linspace(0.0, 1.0, 5))
+        dynamics._double_until_converged(lambda dims: (None, {0: 0.0}), (32,), 32)  # the cap itself runs
 
     def test_cap_raises(self, monkeypatch):
         monkeypatch.setattr(dynamics, "EFFECTIVE_DIM_CAP", 8)

@@ -10,16 +10,17 @@ them.  Truncation tails are probabilities whose digits below 1e-15 are
 round-off, so they get that absolute floor on top of the relative bound.
 
 `decay_immunity.cfg` is left out here: the master-equation integration of
-its open leg takes several seconds (its closed leg has no collapse channel
-and runs unitarily), and acceptance 07 reruns it under the same rule.
+its open leg takes about 2 s (its closed leg has no collapse channel and
+runs unitarily), and acceptance 07 reruns it under the same rule.
 """
 
+import re
 from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
 
-from optosqueeze.cli import main
+from optosqueeze.cli import main, parse_config
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -99,3 +100,19 @@ def test_numeric_fields_are_checked_numerically():
     assert not field_matches("variance_closed_form", "1.0", "1", ("variance_numeric",))
     assert field_matches("tail_full", "3e-26", "1e-26", ("tail_*",))
     assert not field_matches("tail_full", "2e-7", "1e-7", ("tail_*",))
+
+
+def test_every_config_is_run_committed_and_compared():
+    # a config joins the suite in three places by hand: the loop of
+    # scripts/run_all.sh, its committed CSV, and a rerun against that CSV,
+    # here through NUMERIC_FIELDS or in an acceptance test's rerun_config
+    loop = re.search(r"for cfg in (.*?); do", (SCRIPTS / "run_all.sh").read_text(), re.S).group(1)
+    acceptance = (Path(__file__).parent / "test_acceptance.py").read_text()
+    rerun = set(NUMERIC_FIELDS) | set(re.findall(r'rerun_config\("(\w+)"', acceptance))
+    names = sorted(cfg.stem for cfg in SCRIPTS.glob("*.cfg"))
+    assert names
+    for name in names:
+        assert name in re.findall(r"\w+", loop), f"{name}.cfg is not run by run_all.sh"
+        assert parse_config((SCRIPTS / f"{name}.cfg").read_text()).output == f"out/{name}.csv"
+        assert (SCRIPTS / "out" / f"{name}.csv").is_file(), f"out/{name}.csv is not committed"
+        assert name in rerun, f"{name}.cfg is never rerun against its committed CSV"

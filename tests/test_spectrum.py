@@ -11,6 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from optosqueeze.analytic import (
     OverdampedError,
@@ -184,7 +185,7 @@ class TestSpectrumNumeric:
         totals = []
         for nbar in (0.0, 1.0, 5.0, 10.0):
             s = spectrum_numeric(params(nbar=nbar), 1.0, w)
-            totals.append(np.trapezoid(s.variances, w))
+            totals.append(trapezoid(s.variances, w))
         assert np.all(np.diff(totals) > 0)
 
     def test_two_peaks_near_but_off_the_q_minimum(self):
