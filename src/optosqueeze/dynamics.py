@@ -358,19 +358,19 @@ def _sector_positions(sector: np.ndarray, indices: np.ndarray) -> tuple:
     return hit, pos[hit]
 
 
-def _hermitian_basis(sec: np.ndarray, n: int) -> sparse.csr_array:
-    """Unitary U whose columns are Hermitian matrix units on a sorted sector of an n x n row-major vec(rho).
+def _hermitian_basis(sec: np.ndarray, n: int) -> tuple:
+    """(U, states): unitary U of Hermitian matrix units on a sorted sector of an n x n row-major vec(rho).
 
     Column e_ii for each diagonal entry rho[i, i]; for each pair rho[i, j],
     rho[j, i] with i < j, the columns (e_ij + e_ji)/sqrt(2) and
-    i (e_ij - e_ji)/sqrt(2).  The diagonal columns come first, in sector
-    order, so the leading coordinates of U^dag vec(rho) are the sector's
-    populations; `evolve_lindblad` reads them there.  A Hermitian rho has
-    real coordinates U^dag vec(rho), so a generator that maps Hermitian
-    matrices to Hermitian matrices, as every Liouvillian does, has a real
-    block U^dag B U: the coherence-vector form (Alicki & Lendi, Quantum
-    Dynamical Semigroups and Applications, LNP 286, 1987).  The sector must
-    be closed under (i, j) -> (j, i), as every sector that
+    i (e_ij - e_ji)/sqrt(2).  The diagonal columns come first, one for each
+    of `states`, the indices i whose rho[i, i] lies in the sector, so the
+    leading coordinates of U^dag vec(rho) are their populations.  A
+    Hermitian rho has real coordinates U^dag vec(rho), so a generator that
+    maps Hermitian matrices to Hermitian matrices, as every Liouvillian
+    does, has a real block U^dag B U: the coherence-vector form (Alicki &
+    Lendi, Quantum Dynamical Semigroups and Applications, LNP 286, 1987).
+    The sector must be closed under (i, j) -> (j, i), as every sector that
     `_reachable_sector` finds from a Hermitian rho under `_liouvillian`'s
     L is.
     """
@@ -382,7 +382,7 @@ def _hermitian_basis(sec: np.ndarray, n: int) -> sparse.csr_array:
     rows = np.concatenate([diag, up, low, up, low])
     cols = np.concatenate([np.arange(diag.size), pair, pair, pair + 1, pair + 1])
     vals = np.repeat([1.0, r, r, 1j * r, -1j * r], [diag.size] + [up.size] * 4)
-    return sparse.csr_array((vals, (rows, cols)), shape=(sec.size, sec.size))
+    return sparse.csr_array((vals, (rows, cols)), shape=(sec.size, sec.size)), i[diag]
 
 
 def _eigen_expansion(omega: np.ndarray, v: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -565,8 +565,9 @@ def evolve_lindblad(
     Column n of the returned `values` is Tr(A rho(t)) = r . (U^T w) for
     the n-th Operator A of the sequence `observables`, w being A's weights
     on the sector (`_trace_weights`), complex (take the real part for a
-    Hermitian A).  The populations, hence the trace and the truncation
-    tails, are r's diagonal coordinates, which U lists first.  They go
+    Hermitian A), read by one product per observable.  The populations,
+    hence the trace and the truncation tails, are r's leading coordinates,
+    the diagonal ones, on the states that `_hermitian_basis` names.  They go
     through `_checked_populations`, as `evolve_unitary`'s do, which gives
     `meta` "tail_max" and "trace_max_dev" and aborts on a trace off 1 by
     more than `TRACE_TOL`.  `meta["final_eigmin"]` is the smallest
@@ -591,22 +592,24 @@ def evolve_lindblad(
             ls.append(math.sqrt(rate) * op.csr)
     hs, sec, block, y0 = _liouvillian_sector(H.csr, ls, psi0.vector)
     k = hs.size
-    u = _hermitian_basis(sec, k)
+    u, states = _hermitian_basis(sec, k)
     g = sparse.csr_array((u.conj().T @ block @ u).real)  # CSC as formed; DOP853's matvec is faster on CSR
     r0 = (u.conj().T @ y0).real
 
-    diag = sec[sec % (k + 1) == 0] // (k + 1)  # reached states i with rho[i, i] in the sector
-    weights = np.empty((sec.size, len(observables)), dtype=complex)
-    for col, a in enumerate(observables):
-        weights[:, col] = u.T @ _trace_weights(a.csr[hs][:, hs], sec, k)
-    probs = np.empty((t.size, diag.size))
+    weights = []
+    for a in observables:
+        w = u.T @ _trace_weights(a.csr[hs][:, hs], sec, k)
+        weights.append((w.real.copy(), w.imag.copy()))  # real products: the rows are never cast to complex
+    probs = np.empty((t.size, states.size))
     values = np.empty((t.size, len(observables)), dtype=complex)
     r_last = np.empty(sec.size)
 
     def record(i: int, rows: np.ndarray):
         """Read the coordinates of grid rows i, i + 1, ...; the last row recorded is the final rho's."""
-        probs[i : i + len(rows)] = rows[:, : diag.size]
-        values[i : i + len(rows)] = rows @ weights
+        probs[i : i + len(rows)] = rows[:, : states.size]
+        for col, (wr, wi) in enumerate(weights):  # one product each: a column's rounding is its own
+            values.real[i : i + len(rows), col] = rows @ wr
+            values.imag[i : i + len(rows), col] = rows @ wi
         r_last[:] = rows[-1]
 
     l1 = None
@@ -636,7 +639,7 @@ def evolve_lindblad(
         "sector_dim": int(sec.size),
         "n_rhs_evals": nfev,
         "expansion_l1": l1,
-        **_checked_populations(probs, hs[diag], space, t),  # before eigvalsh, which a NaN rho fails
+        **_checked_populations(probs, hs[states], space, t),  # before eigvalsh, which a NaN rho fails
         "final_eigmin": float(np.min(np.linalg.eigvalsh(rho_final.reshape(k, k)))),
     }
     return Expectations(times=t, values=values, meta=meta)

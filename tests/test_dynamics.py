@@ -583,7 +583,7 @@ class TestEvolveLindblad:
 
     def test_eigen_route_matches_dop853_on_the_open_chain_leg(self, monkeypatch):
         # the benchmark's open leg (160 entries) on both routes; the variances
-        # differ by 9.5e-15 relative (DOP853 at rtol 1e-8; the eigen route is
+        # differ by 9.4e-15 relative (DOP853 at rtol 1e-8; the eigen route is
         # 1.5e-14 from an expm_multiply reference in the entries, DOP853 3.6e-8)
         h, ops, psi0, times = open_chain_leg()
         x = position(h.space, 1)
@@ -605,7 +605,7 @@ class TestEvolveLindblad:
         h, ops, psi0, times = open_chain_leg()
         hs, sec, block, y0 = dynamics._liouvillian_sector(
             h.csr, [math.sqrt(rate) * op.csr for op, rate in ops], psi0.vector)
-        u = dynamics._hermitian_basis(sec, hs.size)
+        u, _ = dynamics._hermitian_basis(sec, hs.size)
         g, r0 = (u.conj().T @ block @ u).toarray(), u.conj().T @ y0
         assert not np.any(g.imag) and not np.any(r0.imag)  # H, the collapse operators and psi0 are real
         seen = []
@@ -648,7 +648,7 @@ class TestEvolveLindblad:
         i, j = np.divmod(sec, d)
         assert sec.size < d**2 and np.array_equal(np.sort(j * d + i), sec)  # closed under transposition
         block = liouv[sec][:, sec]
-        u = dynamics._hermitian_basis(sec, d)
+        u, _ = dynamics._hermitian_basis(sec, d)
         assert np.all((u.conj().T @ block @ u).toarray().imag == 0.0)  # real H and collapse operators
         step = expm_clongdouble(block.toarray() * np.longdouble(times[1] - times[0]))
         w1, w2 = (dynamics._trace_weights(a.csr, sec, d).astype(np.clongdouble) for a in (x, x @ x))
@@ -775,7 +775,10 @@ class TestLindbladProperties:
         sec = dynamics._reachable_sector(liouv, pure_projector(psi0))
         i, j = np.divmod(sec, d)
         assert np.array_equal(np.sort(j * d + i), sec)  # closed under (i, j) -> (j, i)
-        u = dynamics._hermitian_basis(sec, d)
+        u, states = dynamics._hermitian_basis(sec, d)
+        # its leading columns are the units e_ii, one for each population in the sector
+        assert np.array_equal(states, i[i == j])
+        assert np.array_equal(u[:, : states.size].toarray(), np.eye(sec.size)[:, np.flatnonzero(i == j)])
         assert np.max(np.abs((u.conj().T @ u).toarray() - np.eye(sec.size))) <= 4 * np.finfo(float).eps
         b = liouv[sec][:, sec]
         block = (u.conj().T @ b @ u).toarray()
@@ -1085,10 +1088,9 @@ class TestSectorContractions:
         ref = m2 - m1**2
         got_m1, got_m2 = out.values[:, :2].real.T
         got = got_m2 - got_m1**2
-        # both readouts round sqrt(1/2) products of the same coordinates, so
-        # they agree to an ulp or two, not bit for bit: the variances
-        # (0.14-0.25) differ by at most 0.76 eps
-        assert np.max(np.abs(got - ref)) <= 2 * np.finfo(float).eps
+        # each observable is read by its own product, so the two readouts
+        # differ only in how they round the same sums: at most 7.6e-16 relative
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-15
 
     def test_lindblad_open_chain_leg_stays_off_the_full_space(self):
         # the open leg of the benchmark's open chain, 3 x 8 x 3 = 72 states:
