@@ -9,9 +9,10 @@ carrying the complete parameter set (so the run is reproducible from the
 file alone), a header row, then comma-separated numeric rows with 12
 significant digits and LF endings.
 Identical configs produce byte-identical files.  The CSV is written by
-column: float array columns as ``%.12g`` through one row format string,
-every other column (ints, true/false, labels, mixed values) cell by cell
-through `_fmt`, byte-identical to formatting every cell with `_fmt`.
+column: float array columns as ``%.12g``, every other column (ints,
+true/false, labels, mixed values) as its `_fmt` strings, all through one
+``%`` per block of rows, byte-identical to formatting every cell with
+`_fmt`.
 
 Exit codes: 0 success; 1 physics-domain error (unstable regime, overdamped
 doublet, truncation cap) or a run out of memory, named on stderr; 2 config
@@ -231,15 +232,17 @@ _CSV_CHUNK = 2048  # rows converted and formatted at a time
 def _write_csv(path: str, meta: dict, extra: list, header: list, columns: list):
     """Write the metadata lines, the header and the rows of `columns` to `path`.
 
-    A float ndarray column enters one row format string as ``%.12g``, fed
-    its ``tolist()``; every other column (ints, bools, strings, mixed
-    quantity/value entries) goes through `_fmt` cell by cell as ``%s``.
-    ``"%.12g" % x`` and `_fmt`'s ``f"{float(x):.12g}"`` share one
-    float-to-string conversion, so the bytes equal a per-cell `_fmt`
-    rendering.  Rows are converted and formatted `_CSV_CHUNK` at a time and
-    each chunk joined into one string, so a long file's Python floats and
-    row strings are never all alive at once.  The text is built in full
-    before the file is opened.
+    Rows are formatted `_CSV_CHUNK` at a time, each chunk with one ``%``:
+    its format string repeats the row format ``%.12g`` for a float ndarray
+    column and ``%s`` for any other, one row per line, and its cells are
+    the chunk's columns interleaved row by row by ``np.column_stack``.  A
+    float column enters as its float values; any other column (ints,
+    bools, strings, mixed quantity/value entries) as an object column of
+    its `_fmt` strings.  ``"%.12g" % x`` and `_fmt`'s
+    ``f"{float(x):.12g}"`` share one float-to-string conversion, so the
+    bytes equal a per-cell `_fmt` rendering.  Each chunk becomes one
+    string, so a long file's Python floats are never all alive at once.
+    The text is built in full before the file is opened.
     """
     floats = [isinstance(col, np.ndarray) and col.dtype.kind == "f" for col in columns]
     row_fmt = ",".join("%.12g" if f else "%s" for f in floats)
@@ -250,9 +253,11 @@ def _write_csv(path: str, meta: dict, extra: list, header: list, columns: list):
     out.append(",".join(header))
     n_rows = min((len(col) for col in columns), default=0)
     for start in range(0, n_rows, _CSV_CHUNK):
-        part = slice(start, start + _CSV_CHUNK)
-        cells = [col[part].tolist() if f else [_fmt(v) for v in col[part]] for col, f in zip(columns, floats)]
-        out.append("\n".join(row_fmt % row for row in zip(*cells)))
+        stop = min(start + _CSV_CHUNK, n_rows)
+        part = [col[start:stop] for col in columns]
+        cells = np.column_stack([c if f else np.array([_fmt(v) for v in c], dtype=object)
+                                 for c, f in zip(part, floats)])
+        out.append("\n".join([row_fmt] * (stop - start)) % tuple(cells.ravel().tolist()))
     text = "\n".join(out) + "\n"
     with open(path, "w", newline="\n") as f:
         f.write(text)

@@ -59,7 +59,11 @@ rows, or of each DOP853 step's grid times, and returns those.
 Operators arrive as CSR arrays (see `operators`) and stay sparse here; the
 dense matrices are the sector block of H that `evolve_unitary` hands to
 `eigh` and the small Liouvillian sector blocks, real in a basis of
-Hermitian matrix units, that `evolve_lindblad` hands to `eig`.
+Hermitian matrix units, that `evolve_lindblad` hands to `eig`.  The Fock
+readouts build no full-space quadrature: `_quadrature_block` forms, from
+index arithmetic, only the CSR block of X or P that each one multiplies,
+X from one parity to the other for `exact_quadrature_moments` and the
+(reached rows x sector) block for `variance_trajectory`.
 
 Their mutual agreement (and agreement with `analytic`) is what the test
 suite leans on; no route is trusted on its own.
@@ -99,9 +103,9 @@ from .operators import (
     HilbertSpace,
     Operator,
     QuantumState,
+    _fock_size,
     annihilation,
     level_projector,
-    momentum,
     position,
     thermal_populations,
 )
@@ -141,7 +145,7 @@ MIN_RTOL = 100 * np.finfo(float).eps  # DOP853 raises any smaller rtol to this, 
 # ms at 640, DOP853 88-116, 112-114 and 141-146 ms (4,700-5,100 RHS)
 EIGEN_SECTOR_MAX = 256
 # largest ||W^-1 r0||_1 the eigen route accepts; its error measured about
-# 1e-16 ||c||_1 from ||c||_1 = 1.6 up to a driven qubit's exceptional point (1.6e7)
+# 1e-16 ||c||_1 from ||c||_1 = 1.6 up to a driven qubit's exceptional point (1.0e7)
 EIGEN_EXPANSION_MAX = 1e4
 
 
@@ -358,6 +362,37 @@ def _sector_positions(sector: np.ndarray, indices: np.ndarray) -> tuple:
     return hit, pos[hit]
 
 
+def _quadrature_block(space: HilbertSpace, factor: int, quadrature: str, states: np.ndarray) -> tuple:
+    """(rows, q[rows][:, states]): X or P of the Fock factor `factor` on the sorted basis `states`.
+
+    `rows` are the sorted basis states that q reaches from `states`: each
+    moves the factor's level n to n - 1 or n + 1, `step` indices apart.
+    The block is built from that index arithmetic as a canonical CSR
+    array, with q's own entries q[n, n - 1] = sqrt(n)/2, q[n, n + 1] =
+    sqrt(n + 1)/2 for X (real) and i sqrt(n)/2, -i sqrt(n + 1)/2 for P,
+    so no full-space operator is built.  It equals
+    `position`/`momentum(space, factor).csr[:, states][rows]` entry for
+    entry.
+    """
+    d = _fock_size(space, factor)
+    step = math.prod(space.factor_sizes[factor + 1:])
+    level = states // step % d
+    reached = np.zeros(space.total_dim, dtype=bool)
+    reached[states[level > 0] - step] = True
+    reached[states[level < d - 1] + step] = True
+    rows = np.flatnonzero(reached)
+    n = rows // step % d
+    cols = np.stack([rows - step, rows + step], axis=1)  # level n - 1, then n + 1: sorted
+    on = np.stack([n > 0, n < d - 1], axis=1)
+    hit, at = _sector_positions(states, cols[on])
+    on[on] = hit
+    roots = np.sqrt(np.stack([n, n + 1], axis=1).astype(float))
+    vals = 0.5 * roots if quadrature == "X" else roots * np.array([0.5j, -0.5j])
+    index_dtype = np.int32 if 2 * space.total_dim <= np.iinfo(np.int32).max else np.int64  # as scipy picks
+    indptr = np.concatenate([[0], np.cumsum(on.sum(axis=1))]).astype(index_dtype)
+    return rows, sparse.csr_array((vals[on], at.astype(index_dtype), indptr), shape=(rows.size, states.size))
+
+
 def _hermitian_basis(sec: np.ndarray, n: int) -> tuple:
     """(U, states): unitary U of Hermitian matrix units on a sorted sector of an n x n row-major vec(rho).
 
@@ -476,6 +511,10 @@ def exact_quadrature_moments(H: Operator, nbar: float, times):
     the tail levels of this parity.  The weights are real and symmetric, so
     each moment Re sum_jk exp(i (lam_j - lam_k) t) w_jk is c^T w c + s^T w s
     with c, s = cos, sin(lam t): one real product over the whole grid.
+    H's bands are read off its CSR arrays, and X[other, this] is built as
+    that block alone (`_quadrature_block`).  A block whose populations are
+    all exactly zero would add exact zeros, so it is skipped: at vacuum,
+    the odd block.
 
     Returns (mean, second, tail): <X>(t), <X^2>(t), and the joint
     population of the top two Fock levels (the top one below four levels)
@@ -491,27 +530,34 @@ def exact_quadrature_moments(H: Operator, nbar: float, times):
     space = H.space
     if len(space.factors) != 1 or not isinstance(space.factors[0], Fock):
         raise ValueError(_BANDED_H)
-    c = H.csr.tocoo()
-    off_band = (c.row != c.col) & (np.abs(c.row - c.col) != 2)
-    if np.any(np.abs(c.data[off_band]) > 1e-12) or np.any(np.abs(c.data.imag) > 1e-12):
-        raise ValueError(_BANDED_H)
-
+    h = H.csr
     d = space.total_dim
+    row = np.repeat(np.arange(d), np.diff(h.indptr))
+    off = h.indices - row
+    if np.any(np.abs(h.data[(off != 0) & (np.abs(off) != 2)]) > 1e-12) or np.any(np.abs(h.data.imag) > 1e-12):
+        raise ValueError(_BANDED_H)
+    hd, h2 = np.zeros(d), np.zeros(d - 2)
+    hd[row[off == 0]] = h.data.real[off == 0]
+    h2[row[off == 2]] = h.data.real[off == 2]
     p = thermal_populations(d, nbar)
-    hd, h2 = H.csr.diagonal(0).real, H.csr.diagonal(2).real
-    x = position(space, 0).csr.real
 
     # a block holds at most three k x k arrays at a time, and frees them
     # before the other block's eigh starts
     second, tail = np.zeros((2, t.size))
     for s in (0, 1):  # levels s, s + 2, s + 4, ...
+        if not p[s::2].any():  # every weight of this block would be an exact zero
+            continue
         lam, v = eigh_tridiagonal(hd[s::2], h2[s::2])
-        w = _gram(x[1 - s::2][:, s::2] @ v)  # X^2 in the eigenbasis
+        _, x = _quadrature_block(space, 0, "X", np.arange(s, d, 2))  # X from this parity to the other
+        w = _gram(x @ v)  # X^2 in the eigenbasis
         top = v[[(lv - s) // 2 for lv in _tail_levels(d) if lv % 2 == s]]
         v *= np.sqrt(p[s::2])[:, None]  # sqrt(p) V, in place
         rho_t = _gram(v)
         del v
-        cs = np.concatenate([f(np.outer(t, lam)) for f in (np.cos, np.sin)])
+        cs = np.empty((2 * t.size, lam.size))  # cos(outer(t, lam)) over sin(outer(t, lam))
+        np.outer(t, lam, out=cs[t.size:])
+        np.cos(cs[t.size:], out=cs[:t.size])
+        np.sin(cs[t.size:], out=cs[t.size:])
         w *= rho_t
         second += _phase_sum(cs, w)
         np.matmul(top.T, top, out=w)  # the tail weight reuses the X^2 weight's buffer
@@ -719,17 +765,16 @@ def variance_trajectory(traj: UnitaryTrajectory, factor: int, quadrature: str = 
     """Variance of X or P of the Fock factor `factor` along a pure-state trajectory.
 
     The trajectory is read on its sector, never scattered.  Both moments
-    come from one sparse product qv = q v, with q the columns of the
-    quadrature on the sector, restricted to its nonzero rows: <q> = Re sum
-    conj(v) qv over the rows inside the sector and <q^2> = sum |qv|^2,
-    exact for the Hermitian q of the truncated space (its q @ q).
+    come from one sparse product qv = q v, with q the quadrature's block
+    on the sector's columns and the rows they reach (`_quadrature_block`):
+    <q> = Re sum conj(v) qv over the rows inside the sector and <q^2> =
+    sum |qv|^2, exact for the Hermitian q of the truncated space (its
+    q @ q).
     """
     if quadrature not in ("X", "P"):
         raise ValueError("quadrature must be 'X' or 'P'")
-    q = (position if quadrature == "X" else momentum)(traj.space, factor).csr
-    q_sec = q[:, traj.sector]
-    rows = np.flatnonzero(np.diff(q_sec.indptr))
-    qv = (q_sec[rows] @ traj.amplitudes.T).T
+    rows, q = _quadrature_block(traj.space, factor, quadrature, traj.sector)
+    qv = (q @ traj.amplitudes.T).T
     hit, at = _sector_positions(traj.sector, rows)
     m1 = np.einsum("ti,ti->t", traj.amplitudes[:, at].conj(), qv[:, hit]).real
     m2 = np.einsum("ti,ti->t", qv.conj(), qv).real

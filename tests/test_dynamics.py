@@ -541,7 +541,7 @@ class TestEvolveLindblad:
         # y = Im rho_01, s = (p, y) obeys ds/dt = M s + f with M = [[-G, W],
         # [-W, -G/2]] and f = (0, W/2), whose eigenvalues -3G/4 +- sqrt(G^2/16
         # - W^2) merge there; the Liouvillian is defective and its eigenvector
-        # expansion cancels (||c||_1 = 1.6e7), so the run takes DOP853
+        # expansion cancels (||c||_1 = 1.0e7), so the run takes DOP853
         gamma = 1.0
         omega = gamma / 4
         space = oscillator_space(2)
@@ -1109,6 +1109,69 @@ class TestSectorContractions:
             tracemalloc.stop()
         assert out.meta["sector_dim"] < space.total_dim ** 2 // 4
         assert peak < scatter_bytes / 4
+
+
+def assert_same_csr(got, ref):
+    """The same block entry for entry: shape, index arrays (with their dtypes) and values."""
+    assert got.shape == ref.shape
+    for name in ("indptr", "indices"):
+        assert getattr(got, name).dtype == getattr(ref, name).dtype
+        assert np.array_equal(getattr(got, name), getattr(ref, name))
+    assert np.array_equal(got.data, ref.data)
+
+
+class TestQuadratureBlocks:
+    """The readouts' quadrature blocks equal the slices of the full-space operators they replace."""
+
+    @pytest.mark.parametrize("s", [0, 1])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 17, 64])
+    def test_parity_blocks_equal_sliced_position(self, d, s):
+        # exact_quadrature_moments' X from parity s to the other parity
+        space = oscillator_space(d)
+        rows, got = dynamics._quadrature_block(space, 0, "X", np.arange(s, d, 2))
+        assert np.array_equal(rows, np.arange(1 - s, d, 2))
+        assert got.dtype == np.float64
+        assert_same_csr(got, position(space, 0).csr.real[1 - s::2][:, s::2])
+
+    @pytest.mark.parametrize("levels", [3, 2])
+    def test_sector_blocks_equal_sliced_operators(self, levels):
+        # variance_trajectory's (reached rows x sector) block on the elimination
+        # chain's full and two-level sectors, for X and P on every Fock factor
+        p = ModelParams(delta=20.0, Delta=100.0, Omega=1.0, g1=1.0, g2=0.02)
+        space = hybrid_space(8, 32, levels)
+        e1 = atomic_coupling_spectrum(p).e1
+        build = build_full_hamiltonian if levels == 3 else build_two_level_hamiltonian
+        psi0 = QuantumState.pure(space, np.kron(np.eye(8 * 32)[0], [e1[0], e1[1], 0.0][:levels]))
+        sector = evolve_unitary(build(p, space), psi0, [0.0, 1.0]).sector
+        assert 0 < sector.size < space.total_dim
+        for factor in (0, 1):
+            for quadrature, op in (("X", position), ("P", momentum)):
+                q = op(space, factor).csr[:, sector]
+                ref_rows = np.flatnonzero(np.diff(q.indptr))
+                rows, got = dynamics._quadrature_block(space, factor, quadrature, sector)
+                assert np.array_equal(rows, ref_rows)
+                assert_same_csr(got, q[ref_rows])
+
+    def test_readouts_construct_no_operator(self, monkeypatch):
+        space = oscillator_space(32)
+        h = build_effective_hamiltonian(0.5, 1.0, space)
+        times = np.linspace(0.0, 2.0, 11)
+        traj = evolve_unitary(h, vacuum_state(space), times)
+        built = []
+        post_init = Operator.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Operator, "__post_init__", counted)
+        for nbar in (0.0, 2.0):
+            exact_quadrature_moments(h, nbar, times)
+        for quadrature in ("X", "P"):
+            variance_trajectory(traj, 0, quadrature)
+        assert built == []
+        position(space, 0)  # the counter sees a full-space build
+        assert len(built) == 1
 
 
 class TestDimensionPolicy:
