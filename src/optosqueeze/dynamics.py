@@ -35,9 +35,9 @@ engines).
   and evaluated as `evolve_unitary` does, unless its eigenvector
   expansion cancels beyond `EIGEN_EXPANSION_MAX`, as near a defective L;
   any other sector is stepped by DOP853.  The chain compares an exact
-  closed leg with an open leg: DOP853's error on decay_immunity.cfg's
-  28,224 entries, about 1e-10 relative, is far below the 0.0746
-  degradation measured there.
+  closed leg with an open leg: against an rtol-1e-11 run, DOP853 errs by
+  8.3e-12 relative in decay_immunity.cfg's smax_open_db and 1.0e-10 in its
+  smax_degradation, whose value, 0.0746, lies far above that error.
 
 Both Fock engines propagate only the reachable sector: a breadth-first
 search over the generator's nonzero pattern (H for `evolve_unitary`, the
@@ -60,10 +60,8 @@ Operators arrive as CSR arrays (see `operators`) and stay sparse here; the
 dense matrices are the sector block of H that `evolve_unitary` hands to
 `eigh` and the small Liouvillian sector blocks, real in a basis of
 Hermitian matrix units, that `evolve_lindblad` hands to `eig`.  The Fock
-readouts build no full-space quadrature: `_quadrature_block` forms, from
-index arithmetic, only the CSR block of X or P that each one multiplies,
-X from one parity to the other for `exact_quadrature_moments` and the
-(reached rows x sector) block for `variance_trajectory`.
+readouts take only the block of X or P they multiply from `operators`,
+which writes every matrix element of the model.
 
 Their mutual agreement (and agreement with `analytic`) is what the test
 suite leans on; no route is trusted on its own.
@@ -103,7 +101,8 @@ from .operators import (
     HilbertSpace,
     Operator,
     QuantumState,
-    _fock_size,
+    _quadrature_block,
+    _sector_positions,
     annihilation,
     level_projector,
     position,
@@ -355,44 +354,6 @@ def _reachable_sector(g: sparse.csr_array, seed: np.ndarray) -> np.ndarray:
     return np.flatnonzero(reached)
 
 
-def _sector_positions(sector: np.ndarray, indices: np.ndarray) -> tuple:
-    """(mask of the `indices` that lie in the sorted `sector`, their positions in it)."""
-    pos = np.minimum(np.searchsorted(sector, indices), sector.size - 1)
-    hit = sector[pos] == indices
-    return hit, pos[hit]
-
-
-def _quadrature_block(space: HilbertSpace, factor: int, quadrature: str, states: np.ndarray) -> tuple:
-    """(rows, q[rows][:, states]): X or P of the Fock factor `factor` on the sorted basis `states`.
-
-    `rows` are the sorted basis states that q reaches from `states`: each
-    moves the factor's level n to n - 1 or n + 1, `step` indices apart.
-    The block is built from that index arithmetic as a canonical CSR
-    array, with q's own entries q[n, n - 1] = sqrt(n)/2, q[n, n + 1] =
-    sqrt(n + 1)/2 for X (real) and i sqrt(n)/2, -i sqrt(n + 1)/2 for P,
-    so no full-space operator is built.  It equals
-    `position`/`momentum(space, factor).csr[:, states][rows]` entry for
-    entry.
-    """
-    d = _fock_size(space, factor)
-    step = math.prod(space.factor_sizes[factor + 1:])
-    level = states // step % d
-    reached = np.zeros(space.total_dim, dtype=bool)
-    reached[states[level > 0] - step] = True
-    reached[states[level < d - 1] + step] = True
-    rows = np.flatnonzero(reached)
-    n = rows // step % d
-    cols = np.stack([rows - step, rows + step], axis=1)  # level n - 1, then n + 1: sorted
-    on = np.stack([n > 0, n < d - 1], axis=1)
-    hit, at = _sector_positions(states, cols[on])
-    on[on] = hit
-    roots = np.sqrt(np.stack([n, n + 1], axis=1).astype(float))
-    vals = 0.5 * roots if quadrature == "X" else roots * np.array([0.5j, -0.5j])
-    index_dtype = np.int32 if 2 * space.total_dim <= np.iinfo(np.int32).max else np.int64  # as scipy picks
-    indptr = np.concatenate([[0], np.cumsum(on.sum(axis=1))]).astype(index_dtype)
-    return rows, sparse.csr_array((vals[on], at.astype(index_dtype), indptr), shape=(rows.size, states.size))
-
-
 def _hermitian_basis(sec: np.ndarray, n: int) -> tuple:
     """(U, states): unitary U of Hermitian matrix units on a sorted sector of an n x n row-major vec(rho).
 
@@ -512,9 +473,9 @@ def exact_quadrature_moments(H: Operator, nbar: float, times):
     each moment Re sum_jk exp(i (lam_j - lam_k) t) w_jk is c^T w c + s^T w s
     with c, s = cos, sin(lam t): one real product over the whole grid.
     H's bands are read off its CSR arrays, and X[other, this] is built as
-    that block alone (`_quadrature_block`).  A block whose populations are
-    all exactly zero would add exact zeros, so it is skipped: at vacuum,
-    the odd block.
+    that block alone (`operators._quadrature_block`).  A block whose
+    populations are all exactly zero would add exact zeros, so it is
+    skipped: at vacuum, the odd block.
 
     Returns (mean, second, tail): <X>(t), <X^2>(t), and the joint
     population of the top two Fock levels (the top one below four levels)
@@ -658,6 +619,7 @@ def evolve_lindblad(
             values.imag[i : i + len(rows), col] = rows @ wi
         r_last[:] = rows[-1]
 
+    atol = rtol / 100
     l1 = None
     if sec.size <= EIGEN_SECTOR_MAX:
         try:
@@ -673,7 +635,7 @@ def evolve_lindblad(
         record(0, rows)
         nfev = 0
     else:
-        nfev = _dop853_steps(g, r0, t, rtol, rtol / 100, record)
+        nfev = _dop853_steps(g, r0, t, rtol, atol, record)
     rho_final = np.zeros(k * k, dtype=complex)
     rho_final[sec] = u @ r_last
 
@@ -681,7 +643,7 @@ def evolve_lindblad(
         "method": "lindblad-eig" if eigen else "lindblad-dop853",
         "dims": space.factor_sizes,
         "rtol": EIGEN_VARIANCE_RTOL if eigen else rtol,
-        "atol": None if eigen else rtol / 100,
+        "atol": None if eigen else atol,
         "sector_dim": int(sec.size),
         "n_rhs_evals": nfev,
         "expansion_l1": l1,
@@ -765,14 +727,12 @@ def variance_trajectory(traj: UnitaryTrajectory, factor: int, quadrature: str = 
     """Variance of X or P of the Fock factor `factor` along a pure-state trajectory.
 
     The trajectory is read on its sector, never scattered.  Both moments
-    come from one sparse product qv = q v, with q the quadrature's block
-    on the sector's columns and the rows they reach (`_quadrature_block`):
-    <q> = Re sum conj(v) qv over the rows inside the sector and <q^2> =
-    sum |qv|^2, exact for the Hermitian q of the truncated space (its
-    q @ q).
+    come from one sparse product qv = q v, with q the quadrature's block on
+    the sector's columns and the rows they reach (`_quadrature_block` of
+    `operators`, which rejects any quadrature but "X" and "P"): <q> = Re
+    sum conj(v) qv over the rows inside the sector and <q^2> = sum |qv|^2,
+    exact for the Hermitian q of the truncated space (its q @ q).
     """
-    if quadrature not in ("X", "P"):
-        raise ValueError("quadrature must be 'X' or 'P'")
     rows, q = _quadrature_block(traj.space, factor, quadrature, traj.sector)
     qv = (q @ traj.amplitudes.T).T
     hit, at = _sector_positions(traj.sector, rows)
@@ -872,10 +832,10 @@ def effective_variance_series(
 
     The tail bounds the population of the top two levels, not the
     variance's error, which can be far larger: X^2 weighs level n by about
-    n.  At g = 2, nbar = 10 (201 times over one period) d = 1512 has a tail
-    of 4.5e-10 and a variance 2.95e-6 (relative) from d = 3024's, while
-    d = 756 has a tail of 2.0e-6, just over the limit, and a variance off
-    by 7.5e-3.
+    2n + 1.  At g = 2, nbar = 10 (201 times over one period) d = 1512 has
+    a tail of 4.5e-10 and a variance 2.95e-6 (relative) from d = 3024's,
+    while d = 756 has a tail of 2.0e-6, just over the limit, and a
+    variance off by 7.5e-3.
     """
     t = _time_grid(times)
 
@@ -1019,11 +979,11 @@ def validate_adiabatic_chain(
     a channel (the closed leg whenever gamma = 0) runs unitarily, with a
     Hilbert-sector size in `meta["sector_dim"]`; `meta["lindblad_method"]`
     names each leg's route and `meta["lindblad_n_rhs_evals"]` counts its
-    RHS calls (0 off DOP853).  DOP853's error, about 1e-11 relative on
-    decay_immunity.cfg's open leg, is far below the degradation measured
-    there.  Both legs share one space, which starts at `lindblad_dims` =
-    (d_cav, d_mech); a None entry takes min(d_cav, 4), respectively d_mech,
-    as reached by the unitary legs.
+    RHS calls (0 off DOP853).  Against an rtol-1e-11 run, DOP853 errs by
+    8.3e-12 relative in decay_immunity.cfg's smax_open_db and 1.0e-10 in
+    its smax_degradation, far below that degradation.  Both legs share one
+    space, which starts at `lindblad_dims` = (d_cav, d_mech); a None entry
+    takes min(d_cav, 4), respectively d_mech, as reached by the unitary legs.
 
     Truncation is adaptive: a Fock leg whose top-level population exceeds
     1e-6 doubles the offending dimension, up to `CHAIN_DIM_CAP` for every
@@ -1040,7 +1000,7 @@ def validate_adiabatic_chain(
     alpha = spec.alpha
     denom1 = max(p.Omega, p.g1)
     ratio1 = abs(p.Delta) / denom1 if denom1 > 0 else math.inf
-    denom2 = max(abs(alpha), p.g2, p.eps * p.g2 / abs(p.delta) if p.delta != 0 else 0.0)
+    denom2 = max(abs(alpha), p.g2, p.eps * p.g2 / abs(p.delta))
     ratio2 = abs(p.delta) / denom2 if denom2 > 0 else math.inf
     ratios = {"Delta_over_drive": ratio1, "delta_over_residual": ratio2}
 

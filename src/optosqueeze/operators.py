@@ -9,8 +9,10 @@ at 8 x 32 x 3 = 768 dimensions holds 3,000 to 4,400 nonzeros out of 589,824
 entries.  Single-factor matrices are numpy (rows, cols, values) triples,
 and every operator built from them, from b to a model Hamiltonian, is
 one Kronecker pass over them with one COO-to-CSR conversion
-(`_kron_sum`); the module exports the operators the model needs, not a
-general embedding of caller-supplied matrices.  States are of two kinds only, the two the model prepares: a
+(`_kron_sum`); X and P come from one builder (`_quadrature_block`), on
+the full space or on any set of basis states.  The module exports the
+operators the model needs, not a general embedding of caller-supplied
+matrices.  States are of two kinds only, the two the model prepares: a
 dense pure vector (`QuantumState`: vacuum modes and an atom in a chosen
 state) and the Fock occupations of a thermal oscillator
 (`thermal_populations`, whose density matrix is diagonal).  Conventions
@@ -214,6 +216,11 @@ class QuantumState:
         return cls(space, vector)
 
 
+def _index_dtype(largest_index: int, entries: int) -> type:
+    """The index dtype scipy.sparse picks for an array of that largest index and entry count."""
+    return np.int32 if max(largest_index, entries) <= np.iinfo(np.int32).max else np.int64
+
+
 def _kron_sum(terms, space: HilbertSpace) -> sparse.csr_array:
     """Canonical CSR array of a sum of scaled Kronecker products, assembled in one pass.
 
@@ -248,9 +255,8 @@ def _kron_sum(terms, space: HilbertSpace) -> sparse.csr_array:
     rows = np.concatenate([at, rows[off]])
     cols = np.concatenate([at, cols[off]])
     vals = np.concatenate([diag[at], vals[off]])
-    index_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64  # as scipy.sparse picks
-    rows, cols = rows.astype(index_dtype), cols.astype(index_dtype)
-    return sparse.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
+    index_dtype = _index_dtype(n, rows.size)
+    return sparse.coo_array((vals, (rows.astype(index_dtype), cols.astype(index_dtype))), shape=(n, n)).tocsr()
 
 
 def _banded(d: int, bands) -> tuple:
@@ -324,18 +330,52 @@ def annihilation(space: HilbertSpace, factor_index: int) -> Operator:
     return _embed(space, factor_index, _ladder(space, factor_index))
 
 
+def _sector_positions(sector: np.ndarray, indices: np.ndarray) -> tuple:
+    """(mask of the `indices` that lie in the sorted `sector`, their positions in it)."""
+    pos = np.minimum(np.searchsorted(sector, indices), sector.size - 1)
+    hit = sector[pos] == indices
+    return hit, pos[hit]
+
+
+def _quadrature_block(space: HilbertSpace, factor_index: int, quadrature: str, states: np.ndarray) -> tuple:
+    """(rows, q[rows][:, states]): X or P of the Fock factor `factor_index` on the sorted basis `states`.
+
+    `rows` are the sorted basis states that q reaches from `states`: each
+    moves the factor's level n to n - 1 or n + 1, `step` indices apart.
+    From that index arithmetic the block is a canonical CSR array of q's
+    entries q[n, n - 1] = sqrt(n)/2, q[n, n + 1] = sqrt(n + 1)/2 for X
+    (real) and i sqrt(n)/2, -i sqrt(n + 1)/2 for P; on every basis state
+    it is the whole operator (`position`, `momentum`).
+    """
+    if quadrature not in ("X", "P"):
+        raise ValueError("quadrature must be 'X' or 'P'")
+    d = _fock_size(space, factor_index)
+    step = int(np.prod(space.factor_sizes[factor_index + 1:]))
+    level = states // step % d
+    reached = np.zeros(space.total_dim, dtype=bool)
+    reached[states[level > 0] - step] = True
+    reached[states[level < d - 1] + step] = True
+    rows = np.flatnonzero(reached)
+    n = rows // step % d
+    cols = np.stack([rows - step, rows + step], axis=1)  # level n - 1, then n + 1: sorted
+    on = np.stack([n > 0, n < d - 1], axis=1)
+    hit, at = _sector_positions(states, cols[on])
+    on[on] = hit
+    roots = np.sqrt(np.stack([n, n + 1], axis=1).astype(float))
+    vals = 0.5 * roots if quadrature == "X" else roots * np.array([0.5j, -0.5j])
+    index_dtype = _index_dtype(space.total_dim, at.size)
+    indptr = np.concatenate([[0], np.cumsum(on.sum(axis=1))]).astype(index_dtype)
+    return rows, sparse.csr_array((vals[on], at.astype(index_dtype), indptr), shape=(rows.size, states.size))
+
+
 def position(space: HilbertSpace, factor_index: int) -> Operator:
     """X = (b + b^dag)/2 of the given Fock factor."""
-    d = _fock_size(space, factor_index)
-    s = np.sqrt(np.arange(1, d, dtype=float))
-    return _embed(space, factor_index, _banded(d, [(1, 0.5 * s), (-1, 0.5 * s)]))
+    return Operator(space, _quadrature_block(space, factor_index, "X", np.arange(space.total_dim))[1])
 
 
 def momentum(space: HilbertSpace, factor_index: int) -> Operator:
     """P = (b - b^dag)/(2i) of the given Fock factor."""
-    d = _fock_size(space, factor_index)
-    s = np.sqrt(np.arange(1, d, dtype=float))
-    return _embed(space, factor_index, _banded(d, [(1, -0.5j * s), (-1, 0.5j * s)]))
+    return Operator(space, _quadrature_block(space, factor_index, "P", np.arange(space.total_dim))[1])
 
 
 def _ket_bra(i: int, j: int) -> tuple:

@@ -477,6 +477,16 @@ class TestExitCodes:
         assert "g_eff" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_delta_chain_exit_1(self, tmp_path, capsys):
+        # the elimination needs delta != 0; the chain raises before any leg runs
+        out = tmp_path / "x.csv"
+        code = run_cli(tmp_path, f"command = validate-adiabatic\ndelta = 0\nDelta = 100\nhorizon = 1\n"
+                                 f"output = {out}\n")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: atomic_coupling_spectrum requires Delta != 0 and delta != 0\n")
+        assert not out.exists()
+
     def test_domain_error_prints_plain_numbers(self, tmp_path, capsys):
         # the sweep hands numpy scalars to analytic.s_max, whose message
         # used to show them as np.float64(-0.1)

@@ -52,6 +52,7 @@ from optosqueeze.operators import (
     Level,
     Operator,
     QuantumState,
+    _quadrature_block,
     annihilation,
     level_projector,
     momentum,
@@ -1121,14 +1122,18 @@ def assert_same_csr(got, ref):
 
 
 class TestQuadratureBlocks:
-    """The readouts' quadrature blocks equal the slices of the full-space operators they replace."""
+    """The quadrature blocks the readouts multiply equal slices of the full-space X and P.
+
+    `position` and `momentum` are the same builder on every basis state;
+    test_model checks them against dense references.
+    """
 
     @pytest.mark.parametrize("s", [0, 1])
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 17, 64])
     def test_parity_blocks_equal_sliced_position(self, d, s):
         # exact_quadrature_moments' X from parity s to the other parity
         space = oscillator_space(d)
-        rows, got = dynamics._quadrature_block(space, 0, "X", np.arange(s, d, 2))
+        rows, got = _quadrature_block(space, 0, "X", np.arange(s, d, 2))
         assert np.array_equal(rows, np.arange(1 - s, d, 2))
         assert got.dtype == np.float64
         assert_same_csr(got, position(space, 0).csr.real[1 - s::2][:, s::2])
@@ -1148,7 +1153,7 @@ class TestQuadratureBlocks:
             for quadrature, op in (("X", position), ("P", momentum)):
                 q = op(space, factor).csr[:, sector]
                 ref_rows = np.flatnonzero(np.diff(q.indptr))
-                rows, got = dynamics._quadrature_block(space, factor, quadrature, sector)
+                rows, got = _quadrature_block(space, factor, quadrature, sector)
                 assert np.array_equal(rows, ref_rows)
                 assert_same_csr(got, q[ref_rows])
 
@@ -1276,6 +1281,12 @@ class TestValidateAdiabaticChain:
         assert rep.deviations["full_vs_effective"] < 0.01
         assert rep.deviations["full_vs_two_level_as_written"] < 0.01
         assert rep.stark_winner in ("as-written", "textbook", "tie")
+
+    def test_zero_delta_raises(self):
+        # the elimination needs delta != 0: the chain stops at the coupling spectrum
+        p = ModelParams(delta=0.0, Delta=100.0, g1=1.0, Omega=1.0, g2=0.02)
+        with pytest.raises(ValueError, match="delta != 0"):
+            validate_adiabatic_chain(p, "e1", horizon=1.0, n_times=20, d_cav=4, d_mech=12)
 
     def test_negated_detunings_keep_ratios(self):
         # the hierarchy ratios compare magnitudes: the chain tracks just as
