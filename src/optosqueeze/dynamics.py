@@ -1,10 +1,10 @@
 """Numerical time evolution and the validation harness.
 
 Four evolution routes are implemented on purpose.  The two closed-system
-routes, and the master equation on a small sector, share one idiom:
-diagonalise the generator once, then evaluate every time of the grid from
-t0 as exponentials in its eigenbasis (`_eigen_expansion` for the Fock
-engines).
+routes share one idiom: diagonalise the generator once, then evaluate every
+time of the grid from t0 as exponentials in its eigenbasis
+(`_eigen_expansion` for `evolve_unitary`).  The master equation on a small
+sector needs no eigenbasis: it steps one exact propagator exp(G h).
 
 * `evolve_unitary`: Schroedinger-picture evaluation for pure states of a
   time-independent Hamiltonian (exact up to round-off, on any strictly
@@ -30,14 +30,14 @@ engines).
   initial state reaches; it returns the expectations of the observables
   the caller names, not the states.  Both of its routes propagate one
   real vector, rho's coordinates in a basis of Hermitian matrix units,
-  under the Liouvillian's real block there.  A sector of at most
-  `EIGEN_SECTOR_MAX` entries is diagonalised once (G = W Lambda W^-1)
-  and evaluated as `evolve_unitary` does, unless its eigenvector
-  expansion cancels beyond `EIGEN_EXPANSION_MAX`, as near a defective L;
-  any other sector is stepped by DOP853.  The chain compares an exact
-  closed leg with an open leg: against an rtol-1e-11 run, DOP853 errs by
-  8.3e-12 relative in decay_immunity.cfg's smax_open_db and 1.0e-10 in its
-  smax_degradation, whose value, 0.0746, lies far above that error.
+  under the Liouvillian's real block G there.  On a uniform grid of step
+  h, a sector of at most `EXPM_SECTOR_MAX` entries forms exp(G h) once
+  (scaling and squaring, exact for a defective G as well) and applies it
+  from row to row; any other grid or sector is stepped by DOP853.  The
+  chain compares an exact closed leg with an open leg: against an
+  rtol-1e-11 run, DOP853 errs by 8.3e-12 relative in decay_immunity.cfg's
+  smax_open_db and 1.0e-10 in its smax_degradation, whose value, 0.0746,
+  lies far above that error.
 
 Both Fock engines propagate only the reachable sector: a breadth-first
 search over the generator's nonzero pattern (H for `evolve_unitary`, the
@@ -53,13 +53,13 @@ being exactly zero.  A `UnitaryTrajectory` keeps its (n_t, sector size)
 block of amplitudes, which `variance_trajectory` reads;
 `UnitaryTrajectory.vectors` scatters full-size states on access.
 `evolve_lindblad` keeps no states: it reads its populations and the
-requested expectations off the real coordinates of the eigen route's
-rows, or of each DOP853 step's grid times, and returns those.
+requested expectations off the real coordinates of the propagated rows,
+or of each DOP853 step's grid times, and returns those.
 
 Operators arrive as CSR arrays (see `operators`) and stay sparse here; the
 dense matrices are the sector block of H that `evolve_unitary` hands to
 `eigh` and the small Liouvillian sector blocks, real in a basis of
-Hermitian matrix units, that `evolve_lindblad` hands to `eig`.  The Fock
+Hermitian matrix units, that `evolve_lindblad` hands to `expm`.  The Fock
 readouts take only the block of X or P they multiply from `operators`,
 which writes every matrix element of the model.
 
@@ -134,18 +134,16 @@ CHAIN_DIM_CAP = 4096  # largest dimension any elimination-chain leg, Lindblad pa
 # relative error of an exactly propagated variance series: a stationary state
 # moves its X variance by at most 11 eps at 8 x 32 x 3
 EXACT_VARIANCE_RTOL = 256 * np.finfo(float).eps
-# the same for a master-equation series on the eigen route: 2,721 eps at most
-# against a longdouble propagator, over 100 random chain legs of 40-160 entries
-EIGEN_VARIANCE_RTOL = 2**14 * np.finfo(float).eps
+# the same for a master-equation series stepped by exp(G h): 181 eps at most
+# against a longdouble exp(L h), over 200 random chain legs of 40-160 entries
+# on grids of 20-400 steps
+EXPM_VARIANCE_RTOL = 2**10 * np.finfo(float).eps
 MIN_RTOL = 100 * np.finfo(float).eps  # DOP853 raises any smaller rtol to this, with a warning
-# largest Liouvillian sector that `evolve_lindblad` diagonalises instead of
-# stepping DOP853: on open-chain legs at rtol 1e-8 (medians, one BLAS thread)
-# the eigen route takes 21-28 ms at 160 entries, 86-92 ms at 360 and 419-428
-# ms at 640, DOP853 88-116, 112-114 and 141-146 ms (4,700-5,100 RHS)
-EIGEN_SECTOR_MAX = 256
-# largest ||W^-1 r0||_1 the eigen route accepts; its error measured about
-# 1e-16 ||c||_1 from ||c||_1 = 1.6 up to a driven qubit's exceptional point (1.0e7)
-EIGEN_EXPANSION_MAX = 1e4
+# largest Liouvillian sector that `evolve_lindblad` steps by one exp(G h)
+# instead of DOP853: on open-chain legs at rtol 1e-8 (medians, one BLAS
+# thread) exp(G h) takes 12 ms at 160 entries, 40 ms at 360 and 147 ms at
+# 640, DOP853 81, 81 and 85 ms (4,700-5,100 RHS)
+EXPM_SECTOR_MAX = 256
 
 
 class TruncationError(RuntimeError):
@@ -382,12 +380,12 @@ def _hermitian_basis(sec: np.ndarray, n: int) -> tuple:
 
 
 def _eigen_expansion(omega: np.ndarray, v: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """exp(-i G (t - t0)) y0 at every time of the grid, for G = V diag(omega) V^-1 and c = V^-1 y0.
+    """exp(-i H (t - t0)) y0 at every time of the grid, for H = V diag(omega) V^dag and c = V^dag y0.
 
     Row k is (exp(-i omega (t_k - t0)) * c) V^T: every time is evaluated
     from t0 in one product, so round-off does not accumulate from step to
-    step.  A real omega is a Hamiltonian's spectrum; a Liouvillian L enters
-    as G = i L, its decay rates being -Im omega.
+    step.  omega is the real spectrum of `evolve_unitary`'s Hamiltonian
+    block and V its unitary eigenvectors.
     """
     return (np.exp(-1j * np.outer(t - t[0], omega)) * c) @ v.T
 
@@ -552,21 +550,20 @@ def evolve_lindblad(
     real part drops the round-off, and H's anti-Hermitian part within the
     1e-12 check.  Both routes, named in `meta["method"]`, propagate r:
 
-    * "lindblad-eig": a sector of at most `EIGEN_SECTOR_MAX` entries is
-      diagonalised once, by one real `eig`, G = W Lambda W^-1.  Every time
-      is evaluated from t0 as Re (exp(Lambda (t - t0)) * c) W^T with
-      c = W^-1 r0, the evaluation `evolve_unitary` does
-      (`_eigen_expansion`), and row t0 is r0 itself.  The requested rtol
-      plays no part, so `meta["rtol"]` is this route's own error,
-      `EIGEN_VARIANCE_RTOL`, `meta["atol"]` is None and
-      `meta["n_rhs_evals"]` is 0.  W's columns and r0 have unit 2-norm, so
-      ||c||_1 (`meta["expansion_l1"]`) bounds how far the expansion
-      cancels; near a defective L it grows without bound, and above
-      `EIGEN_EXPANSION_MAX` the run takes the other route.
-    * "lindblad-dop853": a `scipy.integrate.DOP853` stepper at rtol and
-      atol = rtol / 100, kept in `meta`, its dense output evaluated at the
-      grid times inside each step.  rtol below `MIN_RTOL`, which DOP853
-      would silently raise to it, is a ValueError (on either route).
+    * "lindblad-expm": on a uniform grid, every step equal to
+      h = (t[-1] - t0) / (n_t - 1) within 4 ulps of the grid's largest
+      |t| (as `np.linspace` gives), a sector of at most `EXPM_SECTOR_MAX`
+      entries forms the exact propagator E = exp(G h) once, by scaling and
+      squaring (`scipy.linalg.expm`, exact for a defective G as well), and
+      records r(t_0) = r0, r(t_i+1) = E r(t_i).  The requested rtol plays
+      no part, so `meta["rtol"]` is this route's own error,
+      `EXPM_VARIANCE_RTOL`, `meta["atol"]` is None and
+      `meta["n_rhs_evals"]` is 0.
+    * "lindblad-dop853": any other grid or sector, stepped by a
+      `scipy.integrate.DOP853` stepper at rtol and atol = rtol / 100, kept
+      in `meta`, its dense output evaluated at the grid times inside each
+      step.  rtol below `MIN_RTOL`, which DOP853 would silently raise to
+      it, is a ValueError (on either route).
 
     No route keeps the states: one reader takes the real rows r(t).
     Column n of the returned `values` is Tr(A rho(t)) = r . (U^T w) for
@@ -620,18 +617,15 @@ def evolve_lindblad(
         r_last[:] = rows[-1]
 
     atol = rtol / 100
-    l1 = None
-    if sec.size <= EIGEN_SECTOR_MAX:
-        try:
-            lam, w = np.linalg.eig(g.toarray())
-            c = np.linalg.solve(w, r0)
-        except np.linalg.LinAlgError:  # no convergence, or W exactly singular: L is defective
-            c = np.full(sec.size, np.inf)
-        l1 = float(np.abs(c).sum())
-    eigen = l1 is not None and l1 <= EIGEN_EXPANSION_MAX  # a NaN l1 fails too
-    if eigen:
-        rows = _eigen_expansion(1j * lam, w, c, t).real
+    h = (t[-1] - t[0]) / (t.size - 1)
+    uniform = np.all(np.abs(np.diff(t) - h) <= 4 * np.spacing(np.abs(t).max()))  # as every linspace is
+    exact = sec.size <= EXPM_SECTOR_MAX and uniform
+    if exact:
+        step = expm(g.toarray() * h)
+        rows = np.empty((t.size, sec.size))
         rows[0] = r0
+        for i in range(1, t.size):
+            np.dot(step, rows[i - 1], out=rows[i])
         record(0, rows)
         nfev = 0
     else:
@@ -640,13 +634,12 @@ def evolve_lindblad(
     rho_final[sec] = u @ r_last
 
     meta = {
-        "method": "lindblad-eig" if eigen else "lindblad-dop853",
+        "method": "lindblad-expm" if exact else "lindblad-dop853",
         "dims": space.factor_sizes,
-        "rtol": EIGEN_VARIANCE_RTOL if eigen else rtol,
-        "atol": None if eigen else atol,
+        "rtol": EXPM_VARIANCE_RTOL if exact else rtol,
+        "atol": None if exact else atol,
         "sector_dim": int(sec.size),
         "n_rhs_evals": nfev,
-        "expansion_l1": l1,
         **_checked_populations(probs, hs[states], space, t),  # before eigvalsh, which a NaN rho fails
         "final_eigmin": float(np.min(np.linalg.eigvalsh(rho_final.reshape(k, k)))),
     }
@@ -973,8 +966,8 @@ def validate_adiabatic_chain(
     the oscillator in both), measure how much the achieved maximum
     squeezing degrades.  A closed leg whose relative X-variance dip does not
     exceed its own error, the "rtol" its engine reports in its meta
-    (`EXACT_VARIANCE_RTOL` when it runs unitarily, `EIGEN_VARIANCE_RTOL` on
-    the master equation's eigen route, `lindblad_rtol` under DOP853),
+    (`EXACT_VARIANCE_RTOL` when it runs unitarily, `EXPM_VARIANCE_RTOL` on
+    the master equation's exp(G h) route, `lindblad_rtol` under DOP853),
     leaves the degradation undefined and raises ValueError.  A leg without
     a channel (the closed leg whenever gamma = 0) runs unitarily, with a
     Hilbert-sector size in `meta["sector_dim"]`; `meta["lindblad_method"]`

@@ -159,8 +159,24 @@ class Operator:
         return Operator(self.space, self.csr.conj().T)
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
-        diff = self.csr - self.csr.conj().T
-        return diff.nnz == 0 or bool(np.max(np.abs(diff.data)) <= tol)
+        """Whether max |H - H^dag| <= tol, read off the CSR arrays without forming H - H^dag.
+
+        Each stored entry (r, c) is compared with the conjugate of its mirror
+        (c, r), which `searchsorted` finds among the row-major keys r n + c
+        (sorted, as `__post_init__` leaves the array canonical); a missing
+        mirror counts as 0.  Every nonzero of H - H^dag is one of these
+        differences up to sign and conjugation.  A NaN entry fails.
+        """
+        m = self.csr
+        if m.nnz == 0:
+            return True
+        n = m.shape[0]
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(m.indptr))
+        cols = m.indices.astype(np.int64)
+        keys, mirrors = rows * n + cols, cols * n + rows
+        at = np.minimum(np.searchsorted(keys, mirrors), keys.size - 1)
+        d = np.abs(m.data - np.where(keys[at] == mirrors, m.data[at].conj(), 0))
+        return bool(np.all((d <= tol) | (d == 0)))  # exact zeros pass any tol, as an empty difference does
 
     def __add__(self, other: "Operator") -> "Operator":
         _require_same_space(self, other)

@@ -7,7 +7,8 @@ checks that each patched method exists, and that the block puts the
 originals back.  The open_chain gate's reference is run once as well, so
 the library surface it reads (`evolve_unitary(...).vectors`,
 `QuantumState.pure`, `Operator.matrix`) is held here and not only by a
-benchmark pass.
+benchmark pass, and so is the route the workload's open leg takes: one
+exact propagator exp(G h), with no right-hand side evaluated.
 """
 
 import importlib
@@ -51,4 +52,7 @@ def test_open_chain_gate_reference_matches_the_chain(monkeypatch):
                                    d_cav=4, d_mech=16, include_lindblad=True,
                                    lindblad_dims=workloads.OPEN_LINDBLAD_DIMS, lindblad_rtol=1e-8)
     assert rep.dims["lindblad"] == workloads.OPEN_LINDBLAD_DIMS
+    # gamma = 0 leaves the closed leg unitary; the open leg's 160 entries step exp(G h)
+    assert rep.meta["lindblad_method"] == ("eigh", "lindblad-expm")
+    assert rep.meta["lindblad_n_rhs_evals"] == (0, 0)
     assert abs(rep.smax_closed - want) <= workloads.SMAX_REL_BOUND * abs(want)

@@ -537,12 +537,12 @@ class TestEvolveLindblad:
         with pytest.raises(ValueError, match=r"rtol must be >= 2\.22e-14.*1e-15"):
             evolve_lindblad(h, [], rho0, [0.0, 1.0], x, rtol=1e-15)
 
-    def test_exceptional_point_falls_back_to_dop853(self):
+    def test_exceptional_point_runs_on_the_propagator(self):
         # a driven, decaying qubit at Omega = Gamma/4: with p = rho_11 and
         # y = Im rho_01, s = (p, y) obeys ds/dt = M s + f with M = [[-G, W],
         # [-W, -G/2]] and f = (0, W/2), whose eigenvalues -3G/4 +- sqrt(G^2/16
-        # - W^2) merge there; the Liouvillian is defective and its eigenvector
-        # expansion cancels (||c||_1 = 1.0e7), so the run takes DOP853
+        # - W^2) merge there; the Liouvillian is defective, which an
+        # eigenvector expansion cannot represent but exp(G h) can
         gamma = 1.0
         omega = gamma / 4
         space = oscillator_space(2)
@@ -550,9 +550,8 @@ class TestEvolveLindblad:
         h = Operator(space, omega / 2 * (b.matrix + b.matrix.T))
         times = np.linspace(0.0, 8.0, 41)
         out = evolve_lindblad(h, [(b, gamma)], vacuum_state(space), times, [number(space, 0)])
-        assert out.meta["method"] == "lindblad-dop853"
-        assert out.meta["n_rhs_evals"] > 0
-        assert out.meta["expansion_l1"] > dynamics.EIGEN_EXPANSION_MAX
+        assert out.meta["method"] == "lindblad-expm"
+        assert out.meta["n_rhs_evals"] == 0
         # exp(M t) = exp(lam t) (1 + N t) with N = M - lam, nilpotent at the exceptional point
         m = np.array([[-gamma, omega], [-omega, -gamma / 2]])
         lam = -0.75 * gamma
@@ -564,7 +563,7 @@ class TestEvolveLindblad:
 
     def test_dop853_route_holds_no_state_array(self):
         # 1,600 entries of a decaying oscillator's coherences, above
-        # EIGEN_SECTOR_MAX, on 200 times: solve_ivp's stacked sol.y alone
+        # EXPM_SECTOR_MAX, on 200 times: solve_ivp's stacked sol.y alone
         # held 200 x 1,600 complex values (5.1 MB) and its per-step chunks as
         # much again (11.2 MB peak); stepping a DOP853 object peaks at 1.2 MB
         d = 40
@@ -584,25 +583,25 @@ class TestEvolveLindblad:
 
     def test_eigen_route_matches_dop853_on_the_open_chain_leg(self, monkeypatch):
         # the benchmark's open leg (160 entries) on both routes; the variances
-        # differ by 9.4e-15 relative (DOP853 at rtol 1e-8; the eigen route is
-        # 1.5e-14 from an expm_multiply reference in the entries, DOP853 3.6e-8)
+        # differ by 3.0e-15 relative (DOP853 at rtol 1e-8; the exp(G h) route
+        # is 1.1e-14 from an expm_multiply reference in the entries, DOP853 3.6e-8)
         h, ops, psi0, times = open_chain_leg()
         x = position(h.space, 1)
         runs = []
-        for largest in (dynamics.EIGEN_SECTOR_MAX, 0):
-            monkeypatch.setattr(dynamics, "EIGEN_SECTOR_MAX", largest)
+        for largest in (dynamics.EXPM_SECTOR_MAX, 0):
+            monkeypatch.setattr(dynamics, "EXPM_SECTOR_MAX", largest)
             runs.append(evolve_lindblad(h, ops, psi0, times, [x, x @ x], rtol=1e-8))
-        eig, dop = runs
-        assert (eig.meta["method"], dop.meta["method"]) == ("lindblad-eig", "lindblad-dop853")
-        assert eig.meta["n_rhs_evals"] == 0 and dop.meta["n_rhs_evals"] > 0
-        assert eig.meta["sector_dim"] == dop.meta["sector_dim"] == 160
-        var_eig, var_dop = ((o.values[:, 1] - o.values[:, 0] ** 2).real for o in runs)
-        assert np.max(np.abs(var_dop - var_eig) / var_eig) <= 1e-12
+        exact, dop = runs
+        assert (exact.meta["method"], dop.meta["method"]) == ("lindblad-expm", "lindblad-dop853")
+        assert exact.meta["n_rhs_evals"] == 0 and dop.meta["n_rhs_evals"] > 0
+        assert exact.meta["sector_dim"] == dop.meta["sector_dim"] == 160
+        var_exact, var_dop = ((o.values[:, 1] - o.values[:, 0] ** 2).real for o in runs)
+        assert np.max(np.abs(var_dop - var_exact) / var_exact) <= 1e-12
 
     def test_both_routes_propagate_one_real_generator(self, monkeypatch):
-        # the open chain leg, 160 entries: the eigen route diagonalises
-        # G = Re(U^dag B U) in the Hermitian basis U, and forced onto DOP853
-        # the same leg steps that very G from r0 = Re(U^dag y0), all float64
+        # the open chain leg, 160 entries: the exp(G h) route exponentiates
+        # G h for G = Re(U^dag B U) in the Hermitian basis U, and forced onto
+        # DOP853 the same leg steps that very G from r0 = Re(U^dag y0), all float64
         h, ops, psi0, times = open_chain_leg()
         hs, sec, block, y0 = dynamics._liouvillian_sector(
             h.csr, [math.sqrt(rate) * op.csr for op, rate in ops], psi0.vector)
@@ -610,36 +609,87 @@ class TestEvolveLindblad:
         g, r0 = (u.conj().T @ block @ u).toarray(), u.conj().T @ y0
         assert not np.any(g.imag) and not np.any(r0.imag)  # H, the collapse operators and psi0 are real
         seen = []
-        eig, steps = np.linalg.eig, dynamics._dop853_steps
+        expm, steps = dynamics.expm, dynamics._dop853_steps
 
-        def diagonalise(a):
+        def exponentiate(a):
             seen.append(a)
-            return eig(a)
+            return expm(a)
 
         def step(b, y, *rest):
             seen.append((b, y))
             return steps(b, y, *rest)
 
-        monkeypatch.setattr(np.linalg, "eig", diagonalise)
+        monkeypatch.setattr(dynamics, "expm", exponentiate)
         monkeypatch.setattr(dynamics, "_dop853_steps", step)
         evolve_lindblad(h, ops, psi0, times, [], rtol=1e-8)
-        monkeypatch.setattr(dynamics, "EIGEN_SECTOR_MAX", 0)
+        monkeypatch.setattr(dynamics, "EXPM_SECTOR_MAX", 0)
         evolve_lindblad(h, ops, psi0, times[:20], [], rtol=1e-8)
-        diagonalised, (stepped, start) = seen
-        assert diagonalised.dtype == stepped.dtype == start.dtype == np.float64
-        assert np.array_equal(diagonalised, g.real) and np.array_equal(stepped.toarray(), g.real)
+        exponentiated, (stepped, start) = seen
+        assert exponentiated.dtype == stepped.dtype == start.dtype == np.float64
+        step_h = (times[-1] - times[0]) / (times.size - 1)
+        assert np.array_equal(exponentiated, g.real * step_h) and np.array_equal(stepped.toarray(), g.real)
         assert np.array_equal(start, r0.real)
+
+    def test_open_chain_leg_needs_no_eigendecomposition(self, monkeypatch):
+        # exp(G h) is exact for a defective G as well, so nothing is diagonalised or solved
+        calls = []
+        for name in ("eig", "solve"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        h, ops, psi0, times = open_chain_leg()
+        x = position(h.space, 1)
+        out = evolve_lindblad(h, ops, psi0, times, [x, x @ x], rtol=1e-8)
+        assert out.meta["method"] == "lindblad-expm"
+        assert calls == []
+        np.linalg.eig(np.eye(2))  # the counter sees a call
+        assert calls == ["eig"]
+
+    def test_non_uniform_grid_steps_dop853(self):
+        # a grid with extra times inside its first ten steps is not uniform,
+        # so the small sector steps DOP853; on the times it shares with the
+        # uniform grid it agrees with exp(G h) to 3.6e-16 (<X^2> is 0.25)
+        h, ops, psi0, _ = open_chain_leg(2, 6)
+        x = position(h.space, 1)
+        uniform = np.linspace(0.0, 3.2, 41)
+        grid = np.sort(np.concatenate([uniform, uniform[:10] + 0.3 * (uniform[1] - uniform[0])]))
+        exact, dop = (evolve_lindblad(h, ops, psi0, t, [x, x @ x], rtol=1e-8) for t in (uniform, grid))
+        assert (exact.meta["method"], dop.meta["method"]) == ("lindblad-expm", "lindblad-dop853")
+        assert dop.meta["n_rhs_evals"] > 0 and dop.meta["rtol"] == 1e-8
+        shared = np.isin(grid, uniform)
+        assert np.count_nonzero(shared) == uniform.size
+        assert np.max(np.abs(dop.values[shared] - exact.values)) <= 1e-12
+
+    def test_values_do_not_depend_on_the_global_random_state(self):
+        # scipy's expm_multiply draws its norm estimates from np.random; the
+        # dense exp(G h) route has no such draw, so its bytes are fixed
+        h, ops, psi0, times = open_chain_leg()
+        x = position(h.space, 1)
+        state = np.random.get_state()
+        runs = []
+        try:
+            for seed in (1, 2):
+                np.random.seed(seed)
+                runs.append(evolve_lindblad(h, ops, psi0, times, [x, x @ x], rtol=1e-8))
+        finally:
+            np.random.set_state(state)
+        assert runs[0].meta["method"] == "lindblad-expm"
+        assert runs[0].values.tobytes() == runs[1].values.tobytes()
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="longdouble is only double precision here")
     def test_eigen_route_matches_longdouble_propagation(self):
         # a 2 x 6 x 3 open chain leg (90 entries): the same Liouvillian block,
-        # stepped by a longdouble exp(L dt).  This leg's error is 135 eps; the
-        # largest over 100 random chain legs was 2,721 eps (EIGEN_VARIANCE_RTOL)
+        # stepped by a longdouble exp(L dt).  This leg's error is 8.2 eps; the
+        # largest over 200 random chain legs was 181 eps (EXPM_VARIANCE_RTOL)
         h, ops, psi0, times = open_chain_leg(2, 6)
         space = h.space
         x = position(space, 1)
         out = evolve_lindblad(h, ops, psi0, times, [x, x @ x])
-        assert (out.meta["method"], out.meta["sector_dim"]) == ("lindblad-eig", 90)
+        assert (out.meta["method"], out.meta["sector_dim"]) == ("lindblad-expm", 90)
         var = (out.values[:, 1] - out.values[:, 0] ** 2).real
 
         liouv = dynamics._liouvillian(h.csr, [math.sqrt(rate) * op.csr for op, rate in ops])
@@ -660,7 +710,7 @@ class TestEvolveLindblad:
                 y = step @ y
             m1 = (y @ w1).real
             ref[k] = (y @ w2).real - m1 * m1
-        assert float(np.max(np.abs(var - ref) / ref)) <= dynamics.EIGEN_VARIANCE_RTOL
+        assert float(np.max(np.abs(var - ref) / ref)) <= dynamics.EXPM_VARIANCE_RTOL
 
 
 def open_chain_leg(d_cav=3, d_mech=8):
@@ -682,7 +732,7 @@ class TestEngineRecord:
 
     RECORD = {"method", "dims", "sector_dim", "n_rhs_evals", "rtol", "tail_max"}
 
-    @pytest.mark.parametrize("route", ["eigh", "lindblad-eig", "lindblad-dop853"])
+    @pytest.mark.parametrize("route", ["eigh", "lindblad-expm", "lindblad-dop853"])
     def test_engine_reports_its_own_accuracy(self, monkeypatch, route):
         space = oscillator_space(6)
         h = build_effective_hamiltonian(0.2, 1.0, space)
@@ -690,8 +740,8 @@ class TestEngineRecord:
         if route == "eigh":
             meta = evolve_unitary(h, vacuum_state(space), times).meta
         else:
-            if route == "lindblad-dop853":  # as the eigen-vs-DOP853 agreement test forces it
-                monkeypatch.setattr(dynamics, "EIGEN_SECTOR_MAX", 0)
+            if route == "lindblad-dop853":  # as the expm-vs-DOP853 agreement test forces it
+                monkeypatch.setattr(dynamics, "EXPM_SECTOR_MAX", 0)
             meta = evolve_lindblad(h, [(annihilation(space, 0), 0.1)], vacuum_state(space), times, [],
                                    rtol=1e-8).meta
         assert self.RECORD <= meta.keys()
@@ -701,11 +751,11 @@ class TestEngineRecord:
         assert set(meta["tail_max"]) == {0}
         assert (meta["n_rhs_evals"] > 0) == (route == "lindblad-dop853")
         want = {"eigh": dynamics.EXACT_VARIANCE_RTOL,
-                "lindblad-eig": dynamics.EIGEN_VARIANCE_RTOL,  # not the requested 1e-8
+                "lindblad-expm": dynamics.EXPM_VARIANCE_RTOL,  # not the requested 1e-8
                 "lindblad-dop853": 1e-8}[route]
         assert meta["rtol"] == want
         if route != "eigh":
-            assert meta["atol"] == (None if route == "lindblad-eig" else 1e-8 / 100)
+            assert meta["atol"] == (None if route == "lindblad-expm" else 1e-8 / 100)
 
 
 def random_hermitian(rng, n):
@@ -766,7 +816,7 @@ class TestLindbladProperties:
     @settings(max_examples=40, deadline=None)
     @given(open_systems())
     def test_hermitian_basis_makes_the_block_real(self, system):
-        # the eigen route diagonalises U^dag B U as a real matrix.  With
+        # the exp(G h) route exponentiates U^dag B U as a real matrix.  With
         # complex collapse operators B's conjugate pairs differ by the
         # round-off of complex products: over 2,000 draws the imaginary part
         # reached 0.87 eps max|B|, and U^dag U missed I by 1 eps
@@ -1100,8 +1150,8 @@ class TestSectorContractions:
         space = h.space
         scatter_bytes = times.size * space.total_dim ** 2 * 16
         x = position(space, 1)
-        # the leg runs on the eigen route: the Liouvillian's assembly, its
-        # dense 160-entry block, eigenvectors and entries peak at 2.2 MB
+        # the leg runs on the exp(G h) route: the Liouvillian's assembly, its
+        # dense 160-entry block, propagator and entries peak at 1.8 MB
         tracemalloc.start()
         try:
             out = evolve_lindblad(h, ops, psi0, times, [x, x @ x], rtol=1e-8)
@@ -1354,8 +1404,8 @@ class TestValidateAdiabaticChain:
     @pytest.mark.parametrize(
         "rates, methods",  # the (closed leg, open leg) routes
         [
-            # gamma = 0: the closed leg is unitary, the open leg's 160 entries are diagonalised
-            (dict(kappa=0.05, Gamma_e=0.02), ("eigh", "lindblad-eig")),
+            # gamma = 0: the closed leg is unitary, the open leg's 160 entries step exp(G h)
+            (dict(kappa=0.05, Gamma_e=0.02), ("eigh", "lindblad-expm")),
             # D[b] keeps the closed leg open, and it joins sectors of 288 and 320 entries
             (dict(kappa=0.05, Gamma_e=0.02, gamma=0.01), ("lindblad-dop853", "lindblad-dop853")),
             ({}, ("eigh", "eigh")),  # no channel at all: both legs are unitary
@@ -1451,9 +1501,9 @@ class TestValidateAdiabaticChain:
         # an exact leg resolves a dip far below lindblad_rtol
         pytest.param(dynamics.EXACT_VARIANCE_RTOL, 1e-9, False, id="eigh-1e-09"),
         pytest.param(dynamics.EXACT_VARIANCE_RTOL, 1e-14, True, id="eigh-1e-14"),
-        # so does the eigen route, with its larger round-off
-        pytest.param(dynamics.EIGEN_VARIANCE_RTOL, 1e-9, False, id="lindblad-eig-1e-09"),
-        pytest.param(dynamics.EIGEN_VARIANCE_RTOL, 1e-12, True, id="lindblad-eig-1e-12"),
+        # so does the exp(G h) route, with its larger round-off
+        pytest.param(dynamics.EXPM_VARIANCE_RTOL, 1e-9, False, id="lindblad-expm-1e-09"),
+        pytest.param(dynamics.EXPM_VARIANCE_RTOL, 1e-13, True, id="lindblad-expm-1e-13"),
         # a DOP853 leg, which reports lindblad_rtol = 1e-8, does not resolve a dip below it
         pytest.param(1e-8, 1e-9, True, id="lindblad-dop853-1e-09"),
         pytest.param(1e-8, 1e-7, False, id="lindblad-dop853-1e-07"),

@@ -269,7 +269,7 @@ def embeddings(draw):
     return space, ops
 
 
-class TestTensorEmbedBitIdentical:
+class TestKronSumBitIdentical:
     """One `_kron_sum` term stores exactly the CSR arrays of the pairwise kron chain."""
 
     @staticmethod
@@ -544,6 +544,43 @@ class TestOperatorStorage:
         assert (op + op.dag()).is_hermitian(tol=0.0)
         assert not Operator(sp, sparse.csr_array(([1e-9j], ([2], [2])), shape=(5, 5))).is_hermitian()
         assert Operator(sp, sparse.csr_array((5, 5), dtype=complex)).is_hermitian(tol=0.0)
+
+    def test_is_hermitian_matches_the_subtraction(self):
+        # the verdict equals max |H - H^dag| <= tol as the sparse subtraction
+        # reads it, exact zeros dropped, on every kind of pattern and value
+        def by_subtraction(op, tol):
+            diff = op.csr - op.csr.conj().T
+            return diff.nnz == 0 or bool(np.max(np.abs(diff.data)) <= tol)
+
+        rng = np.random.default_rng(31)
+        sp = single_fock(7)
+        at = 2.0**-40
+        matrices = [np.zeros((7, 7), dtype=complex)]
+        for _ in range(20):
+            m = sparse.random_array((7, 7), density=0.4, dtype=complex, rng=rng).toarray()
+            matrices += [m + m.conj().T,  # Hermitian
+                         m + m.conj().T + 1e-13 * _rng_matrix(7, int(rng.integers(2**31))),  # near-Hermitian
+                         m,  # asymmetric pattern
+                         m + m.T]  # symmetric pattern, not Hermitian
+        edge = np.zeros((7, 7), dtype=complex)
+        edge[0, 1], edge[1, 0] = 0.5 + 0.25j, 0.5 - 0.25j - at  # differ by exactly 2^-40
+        edge[2, 5] = at  # unpaired, exactly 2^-40
+        edge[3, 3] = 1.0 + 0.5j * at  # imaginary diagonal: H - H^dag is 2^-40 there
+        matrices.append(edge)
+        for where in ((4, 4), (4, 6)):
+            bad = matrices[1].copy()
+            bad[where] = complex(math.nan, 0.0)
+            matrices.append(bad)
+        tols = (0.0, 1e-15, 1e-12, at, np.nextafter(at, 0.0), 1.0, math.inf, -1.0)
+        verdicts = set()
+        for m in matrices:
+            op = Operator(sp, m)
+            for tol in tols:
+                assert op.is_hermitian(tol) is by_subtraction(op, tol), (m, tol)
+                verdicts.add(op.is_hermitian(tol))
+        assert verdicts == {True, False}
+        assert Operator(sp, edge).is_hermitian(at) and not Operator(sp, edge).is_hermitian(np.nextafter(at, 0.0))
+        assert not any(Operator(sp, m).is_hermitian(math.inf) for m in matrices[-2:])  # NaN fails
 
     def test_arithmetic_matches_dense(self):
         sp = single_fock(4)
