@@ -58,10 +58,13 @@ or of each DOP853 step's grid times, and returns those.
 
 Operators arrive as CSR arrays (see `operators`) and stay sparse here; the
 dense matrices are the sector block of H that `evolve_unitary` hands to
-`eigh` and the small Liouvillian sector blocks, real in a basis of
-Hermitian matrix units, that `evolve_lindblad` hands to `expm`.  The Fock
-readouts take only the block of X or P they multiply from `operators`,
-which writes every matrix element of the model.
+`eigh`, the k x k K = -i H - sum_k l_k^dag l_k / 2 on the k reached
+Hilbert states, from which the Liouvillian is assembled in the one
+Kronecker pass that builds every operator (`operators._kron_sum`), and
+the small Liouvillian sector blocks, real in a basis of Hermitian matrix
+units, that `evolve_lindblad` hands to `expm`.  The Fock readouts take
+only the block of X or P they multiply from `operators`, which writes
+every matrix element of the model.
 
 Their mutual agreement (and agreement with `analytic`) is what the test
 suite leans on; no route is trusted on its own.
@@ -101,6 +104,7 @@ from .operators import (
     HilbertSpace,
     Operator,
     QuantumState,
+    _kron_sum,
     _quadrature_block,
     _sector_positions,
     annihilation,
@@ -365,8 +369,8 @@ def _hermitian_basis(sec: np.ndarray, n: int) -> tuple:
     does, has a real block U^dag B U: the coherence-vector form (Alicki &
     Lendi, Quantum Dynamical Semigroups and Applications, LNP 286, 1987).
     The sector must be closed under (i, j) -> (j, i), as every sector that
-    `_reachable_sector` finds from a Hermitian rho under `_liouvillian`'s
-    L is.
+    `_reachable_sector` finds from a Hermitian rho under
+    `_liouvillian_sector`'s L is.
     """
     i, j = np.divmod(sec, n)
     diag, up = np.flatnonzero(i == j), np.flatnonzero(i < j)
@@ -542,7 +546,8 @@ def evolve_lindblad(
     rate (equivalently, collapse operator sqrt(rate) c).  rho is k x k on
     the k Hilbert states hs that psi0 reaches (`_liouvillian_sector`):
     every other entry stays exactly zero.  The sparse Liouvillian L on the
-    row-major vec(rho) is assembled there once and restricted to the
+    row-major vec(rho) is assembled there once, in one Kronecker pass
+    (`operators._kron_sum`, as every Hamiltonian is), and restricted to the
     sector that vec(|psi0><psi0|) reaches (`meta["sector_dim"]` entries).
     L maps Hermitian rho to Hermitian rho, so in the basis U of Hermitian
     matrix units (`_hermitian_basis`) rho is the real coherence vector
@@ -568,8 +573,9 @@ def evolve_lindblad(
     No route keeps the states: one reader takes the real rows r(t).
     Column n of the returned `values` is Tr(A rho(t)) = r . (U^T w) for
     the n-th Operator A of the sequence `observables`, w being A's weights
-    on the sector (`_trace_weights`), complex (take the real part for a
-    Hermitian A), read by one product per observable.  The populations,
+    on the sector (`_trace_weights` of A's entries between the reached
+    states, `_entries`), complex (take the real part for a Hermitian A),
+    read by one product per observable.  The populations,
     hence the trace and the truncation tails, are r's leading coordinates,
     the diagonal ones, on the states that `_hermitian_basis` names.  They go
     through `_checked_populations`, as `evolve_unitary`'s do, which gives
@@ -602,7 +608,7 @@ def evolve_lindblad(
 
     weights = []
     for a in observables:
-        w = u.T @ _trace_weights(a.csr[hs][:, hs], sec, k)
+        w = u.T @ _trace_weights(_entries(a.csr, hs), sec, k)
         weights.append((w.real.copy(), w.imag.copy()))  # real products: the rows are never cast to complex
     probs = np.empty((t.size, states.size))
     values = np.empty((t.size, len(observables)), dtype=complex)
@@ -646,48 +652,80 @@ def evolve_lindblad(
     return Expectations(times=t, values=values, meta=meta)
 
 
-def _liouvillian(h: sparse.csr_array, ls: list) -> sparse.csr_array:
-    """L on the row-major vec(rho) for Hamiltonian h and collapse operators ls, rates folded in.
+def _entries(m: sparse.csr_array, hs: np.ndarray | None = None) -> tuple:
+    """(rows, cols, values) of the CSR array m's stored entries, in storage order.
 
-    drho/dt = K rho + rho K^dag + sum_k l_k rho l_k^dag with
-    K = -i H - sum_k l_k^dag l_k / 2, and row-major vec(A rho B) =
-    (A kron B^T) vec(rho).  Entry ((i, j), (k, l)) is nonzero exactly
-    when entry ((j, i), (l, k)) is, for any h; for an exactly Hermitian h
-    the two are conjugate up to the round-off of the complex products, and
-    to the last bit when h and every l_k are real.
+    Given the sorted states hs, only the entries between two of them are
+    kept, renumbered by the position map pos[hs] = 0, ..., k - 1: the
+    entries of m[hs][:, hs], without its two fancy slices.
     """
-    k = -1j * h
-    for l in ls:
-        k = k - 0.5 * (l.conj().T @ l)
-    eye = sparse.identity(h.shape[0], dtype=complex, format="csr")
-    liouv = sparse.kron(k, eye) + sparse.kron(eye, k.conj())
-    for l in ls:
-        liouv = liouv + sparse.kron(l, l.conj())
-    return sparse.csr_array(liouv)
+    rows, cols, vals = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices, m.data
+    if hs is None:
+        return rows, cols, vals
+    pos = np.full(m.shape[0], -1)
+    pos[hs] = np.arange(hs.size)
+    rows, cols = pos[rows], pos[cols]
+    keep = (rows >= 0) & (cols >= 0)
+    return rows[keep], cols[keep], vals[keep]
 
 
 def _liouvillian_sector(h: sparse.csr_array, ls: list, psi: np.ndarray) -> tuple:
-    """(hs, sector, block, y0): `_liouvillian`'s block on the reached Hilbert states hs only.
+    """(hs, sector, block, y0): the Liouvillian's block on the Hilbert states hs that psi reaches.
 
-    The Hilbert states `hs` that psi reaches under the pattern
-    |h| + sum_k (|l_k| + |l_k^dag l_k|) span a space that h, every l_k and
-    every l_k^dag l_k map into itself: the operators that act on rho, as
-    K = -i h - sum_k l_k^dag l_k / 2 in K rho + rho K^dag and as l_k in
-    l_k rho l_k^dag.  So the span of |i><j| with i, j in hs holds
-    everything L can reach from |psi><psi|, and L restricted to it is
-    `_liouvillian` of the restricted h and l_k.  These are exactly the
-    states whose diagonal entry rho[i, i] the sector reaches, unless an
-    exact cancellation in K leaves one out.  The sector that
-    vec(|psi><psi|) reaches is found there and returned as sorted
-    row-major indices into the hs.size x hs.size rho, with L's block on it
-    and vec(|psi><psi|) on it.  hs is sorted, so the order of both equals
-    the full-space assembly's, bit for bit.
+    For Hamiltonian h and collapse operators ls, rates folded in,
+    drho/dt = K rho + rho K^dag + sum_k l_k rho l_k^dag with
+    K = -i h - sum_k l_k^dag l_k / 2; row-major vec(A rho B) =
+    (A kron B^T) vec(rho) gives L = K kron I + I kron K* + sum_k l_k kron l_k*
+    (QuTiP's `liouvillian`; Johansson, Nation & Nori, CPC 184, 1234
+    (2013)).  Entry ((i, j), (k, l)) is nonzero exactly when entry
+    ((j, i), (l, k)) is; for an exactly Hermitian h the two are conjugate
+    up to the round-off of the complex products, and to the last bit when
+    h and every l_k are real.
+
+    hs are the states psi reaches under the joint pattern of h, every l_k
+    and every l_k^dag l_k (each formed once), the operators that act on
+    rho.  They map the span of hs into itself, so the |i><j| with i, j in
+    hs hold everything L reaches from |psi><psi|, and L there is L of the
+    operators restricted to hs (`_entries`).  These are exactly the states
+    whose rho[i, i] the sector reaches, unless an exact cancellation in K
+    leaves one out.
+
+    K is a dense k x k array (k = hs.size), -i h minus each
+    (l_k^dag l_k) / 2 in turn, rounded as the sparse sums round it; L is
+    one `operators._kron_sum` on the two k x k factors of vec(rho), of the
+    terms K kron I, I kron K*, then each l_k kron l_k*.  Each entry is
+    summed from a zero, as term-by-term sparse sums add it (a -0.0 part
+    reads +0.0): the diagonal in term order, an off-diagonal entry by the
+    COO-to-CSR conversion in its own order.  With the library's collapse
+    sets (a, b, b^dag, |1><e|, |0><e|) every off-diagonal entry has one
+    term, and a diagonal collapse operator adds to L's diagonal alone, so
+    the block equals those sums bit for bit.  A collapse operator with both
+    diagonal and off-diagonal entries, or two sharing an entry, can give an
+    entry several terms; a sum of three or more may then differ in its
+    last bits.
+
+    The sector vec(|psi><psi|) reaches there is returned as sorted
+    row-major indices into the k x k rho, with L's block and
+    vec(|psi><psi|) on it, in the full-space assembly's order (hs is
+    sorted).
     """
-    pattern = abs(h)
+    lls = [sparse.csr_array(l.conj().T @ l) for l in ls]  # the product comes out CSC
+    rows, cols, vals = (np.concatenate(x) for x in zip(*(_entries(m) for m in (h, *ls, *lls))))
+    hs = _reachable_sector(sparse.csr_array(((vals != 0).astype(float), (rows, cols)), shape=h.shape), psi)
+    k = hs.size
+    K = np.zeros((k, k), dtype=complex)
+    rows, cols, vals = _entries(h, hs)
+    K[rows, cols] = -1j * vals
+    for ll in lls:
+        rows, cols, vals = _entries(ll, hs)
+        K[rows, cols] -= 0.5 * vals
+    rows, cols = np.nonzero(K)
+    terms = [(1, {0: (rows, cols, K[rows, cols])}), (1, {1: (rows, cols, K[rows, cols].conj())})]
     for l in ls:
-        pattern = pattern + abs(l) + abs(l.conj().T @ l)
-    hs = _reachable_sector(sparse.csr_array(pattern), psi)
-    liouv = _liouvillian(h[hs][:, hs], [l[hs][:, hs] for l in ls])
+        rows, cols, vals = _entries(l, hs)
+        terms.append((1, {0: (rows, cols, vals), 1: (rows, cols, vals.conj())}))
+    liouv = _kron_sum(terms, (k, k))
+    liouv.data += 0.0  # every entry summed from a zero
     y0 = np.outer(psi[hs], psi[hs].conj()).ravel()
     sec = _reachable_sector(liouv, y0)
     return hs, sec, liouv[sec][:, sec], y0[sec]
@@ -734,15 +772,16 @@ def variance_trajectory(traj: UnitaryTrajectory, factor: int, quadrature: str = 
     return TimeSeries(traj.times, m2 - m1**2, dict(traj.meta, quadrature=quadrature))
 
 
-def _trace_weights(a: sparse.csr_array, sector: np.ndarray, n: int) -> np.ndarray:
+def _trace_weights(entries: tuple, sector: np.ndarray, n: int) -> np.ndarray:
     """Weights w on the sector of an n x n row-major vec(rho) such that Tr(a rho) = w . vec(rho)[sector].
 
+    `entries` are a's (rows, cols, values) (`_entries`).
     Tr(a rho) = sum_rc a[r, c] rho[c, r], and rho[c, r] is entry c * n + r.
     """
-    c = a.tocoo()
-    hit, at = _sector_positions(sector, c.col.astype(np.int64) * n + c.row)
+    rows, cols, vals = entries
+    hit, at = _sector_positions(sector, cols.astype(np.int64) * n + rows)
     w = np.zeros(sector.size, dtype=complex)
-    w[at] = c.data[hit]
+    w[at] = vals[hit]
     return w
 
 

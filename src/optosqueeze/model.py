@@ -156,7 +156,7 @@ def _hybrid_hamiltonian(p: ModelParams, space: HilbertSpace, atom_terms) -> Oper
         (p.eps, {0: a}),
         (p.eps, {0: ad}),
     ]
-    return Operator(space, _kron_sum(terms, space))
+    return Operator(space, _kron_sum(terms, space.factor_sizes))
 
 
 def build_full_hamiltonian(p: ModelParams, space: HilbertSpace) -> Operator:

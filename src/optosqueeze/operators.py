@@ -161,21 +161,26 @@ class Operator:
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         """Whether max |H - H^dag| <= tol, read off the CSR arrays without forming H - H^dag.
 
-        Each stored entry (r, c) is compared with the conjugate of its mirror
-        (c, r), which `searchsorted` finds among the row-major keys r n + c
-        (sorted, as `__post_init__` leaves the array canonical); a missing
-        mirror counts as 0.  Every nonzero of H - H^dag is one of these
-        differences up to sign and conjugation.  A NaN entry fails.
+        A stable argsort of the column indices lists the stored entries in
+        the row-major order of H^T, so their mirror keys c n + r come out
+        sorted, like H's keys r n + c (`__post_init__` leaves the array
+        canonical).  Each entry (r, c) is compared with the conjugate of its
+        mirror (c, r): at the same position when the pattern is symmetric,
+        else found by `searchsorted`; a missing mirror counts as 0.  Every
+        nonzero of H - H^dag is one of these differences up to sign and
+        conjugation.  A NaN entry fails.
         """
         m = self.csr
-        if m.nnz == 0:
-            return True
         n = m.shape[0]
         rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(m.indptr))
-        cols = m.indices.astype(np.int64)
-        keys, mirrors = rows * n + cols, cols * n + rows
-        at = np.minimum(np.searchsorted(keys, mirrors), keys.size - 1)
-        d = np.abs(m.data - np.where(keys[at] == mirrors, m.data[at].conj(), 0))
+        order = np.argsort(m.indices, kind="stable")
+        keys = rows * n + m.indices
+        mirrors = (m.indices.astype(np.int64) * n + rows)[order]
+        if np.array_equal(keys, mirrors):
+            at = np.arange(keys.size)
+        else:
+            at = np.minimum(np.searchsorted(keys, mirrors), keys.size - 1)
+        d = np.abs(m.data[order] - np.where(keys[at] == mirrors, m.data[at].conj(), 0))
         return bool(np.all((d <= tol) | (d == 0)))  # exact zeros pass any tol, as an empty difference does
 
     def __add__(self, other: "Operator") -> "Operator":
@@ -237,29 +242,31 @@ def _index_dtype(largest_index: int, entries: int) -> type:
     return np.int32 if max(largest_index, entries) <= np.iinfo(np.int32).max else np.int64
 
 
-def _kron_sum(terms, space: HilbertSpace) -> sparse.csr_array:
+def _kron_sum(terms, sizes) -> sparse.csr_array:
     """Canonical CSR array of a sum of scaled Kronecker products, assembled in one pass.
 
-    `terms` lists (c, {factor_index: (rows, cols, values)}) pairs: the
-    coefficient c of one product and the stored entries of its single-factor
-    matrices; unlisted factors carry identities.  Every nonzero of a product
-    is a tuple of one entry per factor, so its row and column are the
-    factors' rows and columns in mixed radix (factor 0 outermost), and its
-    value is c ((v_0 v_1) v_2 ...), the factors' values multiplied in factor
-    order.  Diagonal entries are accumulated into a dense vector in list
-    order, so each keeps the rounding of the term-by-term sum; off-diagonal
-    entries are concatenated, and the one COO-to-CSR conversion sorts them
-    and sums any that coincide.
+    `sizes` are the factor dimensions (a space's `factor_sizes`, or (k, k)
+    for the row-major vec(rho) of a k x k rho), and `terms` lists
+    (c, {factor_index: (rows, cols, values)}) pairs: the coefficient c of
+    one product and the stored entries of its single-factor matrices;
+    unlisted factors carry identities.  Every nonzero of a product is a
+    tuple of one entry per factor, so its row and column are the factors'
+    rows and columns in mixed radix (factor 0 outermost), and its value is
+    c ((v_0 v_1) v_2 ...), the factors' values multiplied in factor order.
+    Diagonal entries are accumulated into a dense vector in list order, so
+    each keeps the rounding of the term-by-term sum, and exact zeros among
+    them are dropped; off-diagonal entries are concatenated, and the one
+    COO-to-CSR conversion sorts them and sums any that coincide.
     """
-    n = space.total_dim
-    eyes = [(np.arange(d), np.arange(d), np.ones(d, dtype=complex)) for d in space.factor_sizes]
+    n = int(np.prod(sizes))
+    eyes = [(np.arange(d), np.arange(d), np.ones(d, dtype=complex)) for d in sizes]
     parts = []
     for c, factors in terms:
         rows, cols, vals = factors.get(0, eyes[0])
-        for idx, f in enumerate(space.factors[1:], 1):
+        for idx, d in enumerate(sizes[1:], 1):
             r, k, v = factors.get(idx, eyes[idx])
-            rows = (rows[:, None] * f.size + r).ravel()
-            cols = (cols[:, None] * f.size + k).ravel()
+            rows = (rows[:, None] * d + r).ravel()
+            cols = (cols[:, None] * d + k).ravel()
             vals = (vals[:, None] * v).ravel()
         parts.append((rows, cols, vals * c))
     rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
@@ -332,7 +339,7 @@ def _x2_bands(d: int) -> tuple:
 
 def _embed(space: HilbertSpace, factor_index: int, triple: tuple) -> Operator:
     """The single-factor matrix `triple` on the factor at `factor_index`, in the full space."""
-    return Operator(space, _kron_sum([(1.0, {factor_index: triple})], space))
+    return Operator(space, _kron_sum([(1.0, {factor_index: triple})], space.factor_sizes))
 
 
 def annihilation(space: HilbertSpace, factor_index: int) -> Operator:

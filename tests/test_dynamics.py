@@ -581,7 +581,7 @@ class TestEvolveLindblad:
         assert out.meta["method"] == "lindblad-dop853"
         assert peak < times.size * out.meta["sector_dim"] * 16 / 2
 
-    def test_eigen_route_matches_dop853_on_the_open_chain_leg(self, monkeypatch):
+    def test_expm_route_matches_dop853_on_the_open_chain_leg(self, monkeypatch):
         # the benchmark's open leg (160 entries) on both routes; the variances
         # differ by 3.0e-15 relative (DOP853 at rtol 1e-8; the exp(G h) route
         # is 1.1e-14 from an expm_multiply reference in the entries, DOP853 3.6e-8)
@@ -649,6 +649,24 @@ class TestEvolveLindblad:
         np.linalg.eig(np.eye(2))  # the counter sees a call
         assert calls == ["eig"]
 
+    def test_open_chain_leg_calls_no_sparse_kron(self, monkeypatch):
+        # the Liouvillian is one `_kron_sum` pass, not chained scipy.sparse.kron sums
+        calls = []
+        kron = sparse.kron
+
+        def counted(*args, **kwargs):
+            calls.append("kron")
+            return kron(*args, **kwargs)
+
+        monkeypatch.setattr(sparse, "kron", counted)
+        h, ops, psi0, times = open_chain_leg()
+        x = position(h.space, 1)
+        out = evolve_lindblad(h, ops, psi0, times, [x, x @ x], rtol=1e-8)
+        assert out.meta["method"] == "lindblad-expm" and out.meta["sector_dim"] == 160
+        assert calls == []
+        liouvillian_kron_reference(h.csr, [])  # the counter sees a call
+        assert calls == ["kron", "kron"]
+
     def test_non_uniform_grid_steps_dop853(self):
         # a grid with extra times inside its first ten steps is not uniform,
         # so the small sector steps DOP853; on the times it shares with the
@@ -681,7 +699,7 @@ class TestEvolveLindblad:
         assert runs[0].values.tobytes() == runs[1].values.tobytes()
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="longdouble is only double precision here")
-    def test_eigen_route_matches_longdouble_propagation(self):
+    def test_expm_route_matches_longdouble_propagation(self):
         # a 2 x 6 x 3 open chain leg (90 entries): the same Liouvillian block,
         # stepped by a longdouble exp(L dt).  This leg's error is 8.2 eps; the
         # largest over 200 random chain legs was 181 eps (EXPM_VARIANCE_RTOL)
@@ -692,7 +710,7 @@ class TestEvolveLindblad:
         assert (out.meta["method"], out.meta["sector_dim"]) == ("lindblad-expm", 90)
         var = (out.values[:, 1] - out.values[:, 0] ** 2).real
 
-        liouv = dynamics._liouvillian(h.csr, [math.sqrt(rate) * op.csr for op, rate in ops])
+        liouv = liouvillian_kron_reference(h.csr, [math.sqrt(rate) * op.csr for op, rate in ops])
         y0 = pure_projector(psi0)
         sec = dynamics._reachable_sector(liouv, y0)
         d = space.total_dim
@@ -702,7 +720,8 @@ class TestEvolveLindblad:
         u, _ = dynamics._hermitian_basis(sec, d)
         assert np.all((u.conj().T @ block @ u).toarray().imag == 0.0)  # real H and collapse operators
         step = expm_clongdouble(block.toarray() * np.longdouble(times[1] - times[0]))
-        w1, w2 = (dynamics._trace_weights(a.csr, sec, d).astype(np.clongdouble) for a in (x, x @ x))
+        w1, w2 = (dynamics._trace_weights(dynamics._entries(a.csr), sec, d).astype(np.clongdouble)
+                  for a in (x, x @ x))
         y = y0[sec].astype(np.clongdouble)
         ref = np.empty(times.size, dtype=np.longdouble)
         for k in range(times.size):
@@ -816,14 +835,15 @@ class TestLindbladProperties:
     @settings(max_examples=40, deadline=None)
     @given(open_systems())
     def test_hermitian_basis_makes_the_block_real(self, system):
-        # the exp(G h) route exponentiates U^dag B U as a real matrix.  With
-        # complex collapse operators B's conjugate pairs differ by the
-        # round-off of complex products: over 2,000 draws the imaginary part
-        # reached 0.87 eps max|B|, and U^dag U missed I by 1 eps
+        # the exp(G h) route exponentiates U^dag B U as a real matrix, B being
+        # the engine's own sector block.  With complex collapse operators B's
+        # conjugate pairs differ by the round-off of complex products: over
+        # 2,000 draws the imaginary part reached 1.03 eps max|B|, and U^dag U
+        # missed I by 1 eps
         h, psi0, ops = system
-        d = h.space.total_dim
-        liouv = dynamics._liouvillian(h.csr, [math.sqrt(rate) * op.csr for op, rate in ops if rate > 0])
-        sec = dynamics._reachable_sector(liouv, pure_projector(psi0))
+        hs, sec, b, _ = dynamics._liouvillian_sector(
+            h.csr, [math.sqrt(rate) * op.csr for op, rate in ops if rate > 0], psi0.vector)
+        d = hs.size
         i, j = np.divmod(sec, d)
         assert np.array_equal(np.sort(j * d + i), sec)  # closed under (i, j) -> (j, i)
         u, states = dynamics._hermitian_basis(sec, d)
@@ -831,9 +851,26 @@ class TestLindbladProperties:
         assert np.array_equal(states, i[i == j])
         assert np.array_equal(u[:, : states.size].toarray(), np.eye(sec.size)[:, np.flatnonzero(i == j)])
         assert np.max(np.abs((u.conj().T @ u).toarray() - np.eye(sec.size))) <= 4 * np.finfo(float).eps
-        b = liouv[sec][:, sec]
         block = (u.conj().T @ b @ u).toarray()
         assert np.max(np.abs(block.imag)) <= 4 * np.finfo(float).eps * np.max(np.abs(b.data))
+
+
+def liouvillian_kron_reference(h, ls):
+    """Sparse Liouvillian on the row-major vec(rho) as chained `scipy.sparse.kron` sums.
+
+    The assembly the library used before its one `_kron_sum` pass, kept as
+    the bit-level reference: K = -i h - sum_k l_k^dag l_k / 2, then
+    L = K kron I + I kron K*, plus l_k kron l_k* for each collapse operator
+    l_k (rates folded in), each sum a sparse addition.
+    """
+    k = -1j * h
+    for l in ls:
+        k = k - 0.5 * (l.conj().T @ l)
+    eye = sparse.identity(h.shape[0], dtype=complex, format="csr")
+    liouv = sparse.kron(k, eye) + sparse.kron(eye, k.conj())
+    for l in ls:
+        liouv = liouv + sparse.kron(l, l.conj())
+    return sparse.csr_array(liouv)
 
 
 def liouvillian_reference(h, collapse_ops):
@@ -902,18 +939,25 @@ class TestReachableSector:
         assert (up.meta["sector_dim"], down.meta["sector_dim"]) == (2, 1)
         assert np.all(down.values == down.values[0])  # rho stays |0><0|, every entry exactly
 
-    @pytest.mark.parametrize("case", ["open_chain", "decay_immunity", "thermal_damping"])
+    @pytest.mark.parametrize("case", ["open_chain", "decay_immunity", "thermal_damping", "dephasing"])
     def test_hilbert_sector_assembly_matches_full_space(self, case):
         # the Liouvillian assembled on the Hilbert states hs psi0 reaches
-        # equals the d^2 assembly restricted to its sector: the local index
-        # i * k + j of rho[hs[i], hs[j]] maps to the full-space vec(rho) index
-        # hs[i] * d + hs[j], and the CSR structure and entries agree bit for
-        # bit.  hs is exactly the set of states whose diagonal the sector
-        # reaches: 16 of the open chain's 72 states and 168 of
-        # decay_immunity.cfg's 336; with gamma nbar > 0, b and b^dag are
-        # collapse operators and every state is reached
-        if case == "open_chain":
+        # equals the d^2 `scipy.sparse.kron` assembly restricted to its
+        # sector: the local index i * k + j of rho[hs[i], hs[j]] maps to the
+        # full-space vec(rho) index hs[i] * d + hs[j], and the CSR structure
+        # and entries agree bit for bit.  hs is exactly the set of states
+        # whose diagonal the sector reaches: 16 of the open chain's 72 states
+        # and 168 of decay_immunity.cfg's 336; with gamma nbar > 0, b and
+        # b^dag are collapse operators and every state is reached.  The
+        # dephasing case adds |e><e| and a^dag a to the open chain's set:
+        # collapse operators with diagonal entries, which put their
+        # l_ii l_jj* on L's diagonal only, summed in term order as the
+        # sparse sums add them, so that block is bit-identical too
+        if case in ("open_chain", "dephasing"):
             h, ops, psi0, _ = open_chain_leg()
+            if case == "dephasing":
+                a = annihilation(h.space, 0)
+                ops = ops + [(level_projector(h.space, 2, 2, 2), 0.3), (a.dag() @ a, 0.2)]
         else:
             p = parse_config((SCRIPTS / "decay_immunity.cfg").read_text()).params
             dims = (7, 16)
@@ -928,8 +972,8 @@ class TestReachableSector:
             psi0 = QuantumState.pure(space, np.kron(np.eye(dims[0] * dims[1])[0], [e1[0], e1[1], 0.0]))
             h = build_full_hamiltonian(p, space)
         ls = [math.sqrt(rate) * op.csr for op, rate in ops if rate > 0]
-        assert len(ls) == {"open_chain": 3, "decay_immunity": 3, "thermal_damping": 5}[case]
-        liouv = dynamics._liouvillian(h.csr, ls)
+        assert len(ls) == {"open_chain": 3, "decay_immunity": 3, "thermal_damping": 5, "dephasing": 5}[case]
+        liouv = liouvillian_kron_reference(h.csr, ls)
         y0 = pure_projector(psi0)
         sec = dynamics._reachable_sector(liouv, y0)
         block = liouv[sec][:, sec]
@@ -941,8 +985,49 @@ class TestReachableSector:
         assert got.data.tobytes() == block.data.tobytes()
         assert got_y0.tobytes() == y0[sec].tobytes()
         reached = np.unique(sec // h.space.total_dim).size
-        assert reached == {"open_chain": 16, "decay_immunity": 168, "thermal_damping": 72}[case]
+        assert reached == {"open_chain": 16, "decay_immunity": 168, "thermal_damping": 72, "dephasing": 16}[case]
         assert hs.size == reached
+
+    def test_single_reached_state(self):
+        # from the ground state under decay alone hs is the one state |0>
+        # (k = 1): the Liouvillian is 1 x 1, and its one entry is an exact
+        # zero (h[0, 0] = 0 and b|0> = 0), so no entry is stored, as in the
+        # full-space assembly's block
+        d = 4
+        space = oscillator_space(d)
+        h = build_effective_hamiltonian(0.0, 1.0, space)
+        ls = [math.sqrt(0.7) * annihilation(space, 0).csr]
+        psi0 = basis_state(space, [0])
+        hs, sec, block, y0 = dynamics._liouvillian_sector(h.csr, ls, psi0.vector)
+        assert hs.tolist() == [0] and sec.tolist() == [0]
+        ref = liouvillian_kron_reference(h.csr, ls)[[0]][:, [0]]
+        assert block.shape == (1, 1) and block.nnz == ref.nnz == 0
+        assert y0.tolist() == [1.0]
+        out = evolve_lindblad(h, [(annihilation(space, 0), 0.7)], psi0, np.linspace(0.0, 1.0, 5),
+                              [position(space, 0)])
+        assert out.meta["sector_dim"] == 1 and out.meta["final_eigmin"] == 1.0
+        assert np.all(out.values == 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(open_systems())
+    def test_sector_assembly_matches_kron_reference_on_random_systems(self, system):
+        # random complex H and collapse operators with diagonal entries: an
+        # off-diagonal entry of L can then receive three or more terms,
+        # which the COO-to-CSR conversion sums in its own order, so entries
+        # may differ from the term-by-term sparse sums in their last bits.
+        # Over 3,000 draws of this strategy the largest difference was 1.1 eps
+        # of the largest entry of L (1,809 draws agreed exactly); the bound is
+        # 4 eps
+        h, psi0, ops = system
+        ls = [math.sqrt(rate) * op.csr for op, rate in ops if rate > 0]
+        liouv = liouvillian_kron_reference(h.csr, ls)
+        sec = dynamics._reachable_sector(liouv, pure_projector(psi0))
+        block = liouv[sec][:, sec]
+        hs, got_sec, got, _ = dynamics._liouvillian_sector(h.csr, ls, psi0.vector)
+        i, j = np.divmod(got_sec, hs.size)
+        assert np.array_equal(hs[i] * h.space.total_dim + hs[j], sec)
+        scale = max(np.max(np.abs(liouv.data), initial=0.0), np.finfo(float).tiny)
+        assert np.max(np.abs(got.toarray() - block.toarray())) <= 4 * np.finfo(float).eps * scale
 
     def test_hilbert_sector_follows_each_collapse_adjoint(self):
         # l = |0><1| + |0><2| never maps |1> to |2>, but l^dag l does, so
@@ -952,7 +1037,7 @@ class TestReachableSector:
         h = Operator(space, np.diag([0.0, 1.0, 2.5]))
         l = sparse.csr_array(np.array([[0.0, 1.0, 0.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
         psi0 = basis_state(space, [1])
-        liouv = dynamics._liouvillian(h.csr, [l])
+        liouv = liouvillian_kron_reference(h.csr, [l])
         sec = dynamics._reachable_sector(liouv, pure_projector(psi0))
         hs, got_sec, got, _ = dynamics._liouvillian_sector(h.csr, [l], psi0.vector)
         assert 2 * 3 + 1 in sec

@@ -43,7 +43,7 @@ def embed_csr(ops, space):
     for idx, m in ops:
         m = sparse.coo_array(m, dtype=complex)
         factors[idx] = (m.row, m.col, m.data)
-    return _kron_sum([(1.0, factors)], space)
+    return _kron_sum([(1.0, factors)], space.factor_sizes)
 
 
 def embed(ops, space):
@@ -335,7 +335,7 @@ class TestKronSum:
             blocks = [mats.get(i, np.eye(f.size, dtype=complex)) for i, f in enumerate(space.factors)]
             ref = ref + c * functools.reduce(np.kron, blocks)
             triples.append((c, {i: (*np.nonzero(m), m[np.nonzero(m)]) for i, m in mats.items()}))
-        got = _kron_sum(triples, space)
+        got = _kron_sum(triples, space.factor_sizes)
         assert got.has_canonical_format
         # the diagonal is summed in list order, as the reference sums it
         assert np.array_equal(got.diagonal(), np.diag(ref))
@@ -346,6 +346,24 @@ class TestKronSum:
 def _rng_matrix(d, seed):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+
+@st.composite
+def near_hermitian_matrices(draw):
+    """A random 2-8 level matrix H + H^dag, then perturbed or with mirror entries removed.
+
+    The pattern has a drawn density; a drawn set of entries is shifted by
+    up to 1e-11 (near-Hermitian entries around the tested tolerances), and
+    another set is zeroed without its mirror (an asymmetric pattern).
+    """
+    d = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    m = _rng_matrix(d, int(rng.integers(2**31))) * (rng.random((d, d)) < draw(st.floats(0.1, 1.0)))
+    m = m + m.conj().T
+    shift = rng.random((d, d)) < draw(st.floats(0.0, 0.3))
+    m[shift] += 10.0 ** rng.uniform(-16, -11, size=shift.sum()) * np.exp(2j * np.pi * rng.random(shift.sum()))
+    m[rng.random((d, d)) < draw(st.floats(0.0, 0.2))] = 0.0
+    return m
 
 
 class TestStates:
@@ -581,6 +599,14 @@ class TestOperatorStorage:
         assert verdicts == {True, False}
         assert Operator(sp, edge).is_hermitian(at) and not Operator(sp, edge).is_hermitian(np.nextafter(at, 0.0))
         assert not any(Operator(sp, m).is_hermitian(math.inf) for m in matrices[-2:])  # NaN fails
+
+    @settings(max_examples=200, deadline=None)
+    @given(near_hermitian_matrices(), st.sampled_from([0.0, 1e-15, 1e-13, 1e-12, 1e-10, 1.0]))
+    def test_is_hermitian_matches_the_dense_difference(self, m, tol):
+        # the verdict is max |H - H^dag| <= tol of the dense matrices, on
+        # symmetric and asymmetric patterns and on entries near the tolerance
+        want = bool(np.max(np.abs(m - m.conj().T)) <= tol)
+        assert Operator(single_fock(m.shape[0]), m).is_hermitian(tol) is want
 
     def test_arithmetic_matches_dense(self):
         sp = single_fock(4)
