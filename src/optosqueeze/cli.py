@@ -2,12 +2,12 @@
 
 Usage: ``optosqueeze <config-path>``.  The config is plain ``key = value``
 text: one pair per line, ``#`` starts a comment, blank lines are ignored.
-Each command accepts exactly the keys it reads: a key it does not read is
-an error at that key's line, as is an unknown key (no silent typo
-tolerance).  Every run writes one CSV file: ``#``-prefixed metadata lines
-carrying the complete parameter set (so the run is reproducible from the
-file alone), a header row, then comma-separated numeric rows with 12
-significant digits and LF endings.
+Each command accepts exactly the keys it reads, ``lindblad_rtol`` excepted
+(see below): a key it does not read is an error at that key's line, as is
+an unknown key (no silent typo tolerance).  Every run writes one CSV file:
+``#``-prefixed metadata lines carrying the complete parameter set (so the
+run is reproducible from the file alone), a header row, then
+comma-separated numeric rows with 12 significant digits and LF endings.
 Identical configs produce byte-identical files.  The CSV is written by
 column: float array columns as ``%.12g``, every other column (ints,
 true/false, labels, mixed values) as its `_fmt` strings, all through one
@@ -31,7 +31,9 @@ always required; model parameters default to zero, ``omega_m`` to one):
 * ``validate-adiabatic``: horizon, delta, Delta; the other nine model
   parameters, atom_state, n_times, d_cav, d_mech, include_lindblad,
   d_cav_lindblad, d_mech_lindblad, lindblad_rtol (gamma, nbar, kappa,
-  Gamma_e and the three lindblad keys only with include_lindblad = true)
+  Gamma_e and the three lindblad keys only with include_lindblad = true;
+  lindblad_rtol is checked and echoed but changes nothing, since both
+  master-equation routes are exact and have no tolerance)
 * ``eigenmodes``: delta, Delta; Omega, g1, g2, eps
 
 All frequencies and rates are in units of omega_m with hbar = 1.
@@ -47,7 +49,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import position_variance, s_max, spectrum_analytic
-from .dynamics import MIN_RTOL, _atom_vector, effective_variance_series, validate_adiabatic_chain
+from .dynamics import _atom_vector, effective_variance_series, validate_adiabatic_chain
 from .model import ModelParams, atomic_coupling_spectrum
 from .spectrum import default_omega_grid, spectrum_numeric, trend_vs_geff
 
@@ -141,10 +143,10 @@ def parse_config(text: str) -> RunConfig:
     duplicate keys, keys the command does not read, malformed lines, bad
     value types, non-finite numbers, out-of-domain parameter values, grid
     counts, time-grid sizes or Fock dimensions below two, a non-positive
-    `horizon`, a `lindblad_rtol` below `MIN_RTOL` (a tighter one would be
-    silently raised by the integrator), an `atom_state` vector that is zero
-    or has no ground-doublet component, degenerate grids, and keys missing for
-    the chosen command (the command line is cited for those).
+    `horizon` or `lindblad_rtol` (which nothing reads; see the command
+    list), an `atom_state` vector that is zero or has no ground-doublet
+    component, degenerate grids, and keys missing for the chosen command
+    (the command line is cited for those).
     """
     entries: dict = {}
     lines: dict = {}
@@ -166,9 +168,6 @@ def parse_config(text: str) -> RunConfig:
         lines[key] = lineno
         if key in ("horizon", "lindblad_rtol") and not entries[key] > 0:
             raise ConfigError(f"'{key}' must be > 0, got '{value}'", lineno)
-        if key == "lindblad_rtol" and not entries[key] >= MIN_RTOL:
-            raise ConfigError(f"'{key}' must be >= {MIN_RTOL:.3g} (100 machine epsilon), got '{value}'",
-                              lineno)
         # model-parameter domain checks, reported at the offending line
         if key in _PARAM_KEYS:
             try:
@@ -327,7 +326,7 @@ def _parse_atom_state(raw: str):
 def _run_validate_adiabatic(cfg: RunConfig):
     p, o = cfg.params, cfg.options
     atom = _parse_atom_state(o.get("atom_state", "e1"))
-    kwargs = {k: o[k] for k in ("n_times", "d_cav", "d_mech", "lindblad_rtol") if k in o}
+    kwargs = {k: o[k] for k in ("n_times", "d_cav", "d_mech") if k in o}
     rep = validate_adiabatic_chain(p, atom, o["horizon"],
                                    include_lindblad=o.get("include_lindblad", False),
                                    lindblad_dims=(o.get("d_cav_lindblad"), o.get("d_mech_lindblad")),

@@ -30,14 +30,13 @@ sector needs no eigenbasis: it steps one exact propagator exp(G h).
   initial state reaches; it returns the expectations of the observables
   the caller names, not the states.  Both of its routes propagate one
   real vector, rho's coordinates in a basis of Hermitian matrix units,
-  under the Liouvillian's real block G there.  On a uniform grid of step
-  h, a sector of at most `EXPM_SECTOR_MAX` entries forms exp(G h) once
-  (scaling and squaring, exact for a defective G as well) and applies it
-  from row to row; any other grid or sector is stepped by DOP853.  The
-  chain compares an exact closed leg with an open leg: against an
-  rtol-1e-11 run, DOP853 errs by 8.3e-12 relative in decay_immunity.cfg's
-  smax_open_db and 1.0e-10 in its smax_degradation, whose value, 0.0746,
-  lies far above that error.
+  under the Liouvillian's real block G there.  Both are exact up to
+  round-off, so neither has a tolerance to choose: on a uniform grid of
+  step h, a sector of at most `EXPM_SECTOR_MAX` entries forms exp(G h)
+  once (scaling and squaring, exact for a defective G as well) and applies
+  it from row to row; any other grid or sector takes the action
+  exp(G t) r0 by scipy's `expm_multiply`, the truncated Taylor series of
+  Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 488 (2011)).
 
 Both Fock engines propagate only the reachable sector: a breadth-first
 search over the generator's nonzero pattern (H for `evolve_unitary`, the
@@ -52,9 +51,9 @@ the expectations) works on the sector block, every component outside it
 being exactly zero.  A `UnitaryTrajectory` keeps its (n_t, sector size)
 block of amplitudes, which `variance_trajectory` reads;
 `UnitaryTrajectory.vectors` scatters full-size states on access.
-`evolve_lindblad` keeps no states: it reads its populations and the
-requested expectations off the real coordinates of the propagated rows,
-or of each DOP853 step's grid times, and returns those.
+`evolve_lindblad` returns no states: it reads its populations and the
+requested expectations off the real coordinates of the propagated rows
+and returns those.
 
 Operators arrive as CSR arrays (see `operators`) and stay sparse here; the
 dense matrices are the sector block of H that `evolve_unitary` hands to
@@ -74,8 +73,9 @@ the top two Fock levels of each mode, and how far its trace, ||psi||^2 or
 Tr rho, strays from 1 (at most `TRACE_TOL`).  The adaptive wrappers share
 one doubling loop that doubles the offending dimension until the tail
 drops below 1e-6 or a cap is hit.  So is accuracy: each Fock engine's
-meta names its route, sector size and RHS count, and its own relative
-error ("rtol"), which is all a caller reads of it.
+meta names its route, sector size and RHS count (0: no route evaluates a
+right-hand side), and its own relative error ("rtol"), which is all a
+caller reads of it.
 """
 
 from __future__ import annotations
@@ -138,16 +138,17 @@ CHAIN_DIM_CAP = 4096  # largest dimension any elimination-chain leg, Lindblad pa
 # relative error of an exactly propagated variance series: a stationary state
 # moves its X variance by at most 11 eps at 8 x 32 x 3
 EXACT_VARIANCE_RTOL = 256 * np.finfo(float).eps
-# the same for a master-equation series stepped by exp(G h): 181 eps at most
-# against a longdouble exp(L h), over 200 random chain legs of 40-160 entries
-# on grids of 20-400 steps
+# the same for a master-equation series on either route, against a longdouble
+# exp(L h) over 200 random chain legs of 40-160 entries on grids of 20-400
+# steps: 181 eps at most stepped by exp(G h), 75 eps by one expm_multiply call
+# (35 eps over 12 legs on non-uniform grids, one call per interval)
 EXPM_VARIANCE_RTOL = 2**10 * np.finfo(float).eps
-MIN_RTOL = 100 * np.finfo(float).eps  # DOP853 raises any smaller rtol to this, with a warning
 # largest Liouvillian sector that `evolve_lindblad` steps by one exp(G h)
-# instead of DOP853: on open-chain legs at rtol 1e-8 (medians, one BLAS
-# thread) exp(G h) takes 12 ms at 160 entries, 40 ms at 360 and 147 ms at
-# 640, DOP853 81, 81 and 85 ms (4,700-5,100 RHS)
-EXPM_SECTOR_MAX = 256
+# instead of expm_multiply: on open-chain legs over 160 times (medians of 11,
+# one BLAS thread) exp(G h) and its readout take 9 ms at 160 entries, 48 ms
+# at 360, 82 ms at 490, 169 ms at 640 and 266 ms at 810, expm_multiply 89,
+# 131, 146, 160 and 149 ms
+EXPM_SECTOR_MAX = 512
 
 
 class TruncationError(RuntimeError):
@@ -327,7 +328,7 @@ def _checked_populations(probs: np.ndarray, states: np.ndarray, space: HilbertSp
         i = bad[0]
         raise TruncationError(
             f"trace drifted to {float(totals[i])!r} at t={t[i]:g} (tolerance {TRACE_TOL:g}); "
-            f"tails {tails}; enlarge the space or tighten rtol"
+            f"tails {tails}; enlarge the space"
         )
     return {"tail_max": tails, "trace_max_dev": float(dev.max())}
 
@@ -530,14 +531,7 @@ def exact_quadrature_moments(H: Operator, nbar: float, times):
     return np.zeros(t.size), second, tail
 
 
-def evolve_lindblad(
-    H: Operator,
-    collapse_ops,
-    psi0: QuantumState,
-    times,
-    observables,
-    rtol: float = 1e-9,
-) -> Expectations:
+def evolve_lindblad(H: Operator, collapse_ops, psi0: QuantumState, times, observables) -> Expectations:
     """Tr(A rho(t)) over the grid for each observable A, under the master equation.
 
     The master equation is drho/dt = -i[H, rho] + sum_k rate_k D[c_k] rho.
@@ -553,24 +547,24 @@ def evolve_lindblad(
     matrix units (`_hermitian_basis`) rho is the real coherence vector
     r = U^dag vec(rho), under the real generator G = Re(U^dag L U); the
     real part drops the round-off, and H's anti-Hermitian part within the
-    1e-12 check.  Both routes, named in `meta["method"]`, propagate r:
+    1e-12 check.  Both routes, named in `meta["method"]`, are exact up to
+    round-off and return the real rows r(t_i), one per grid time:
 
     * "lindblad-expm": on a uniform grid, every step equal to
       h = (t[-1] - t0) / (n_t - 1) within 4 ulps of the grid's largest
       |t| (as `np.linspace` gives), a sector of at most `EXPM_SECTOR_MAX`
       entries forms the exact propagator E = exp(G h) once, by scaling and
       squaring (`scipy.linalg.expm`, exact for a defective G as well), and
-      records r(t_0) = r0, r(t_i+1) = E r(t_i).  The requested rtol plays
-      no part, so `meta["rtol"]` is this route's own error,
-      `EXPM_VARIANCE_RTOL`, `meta["atol"]` is None and
-      `meta["n_rhs_evals"]` is 0.
-    * "lindblad-dop853": any other grid or sector, stepped by a
-      `scipy.integrate.DOP853` stepper at rtol and atol = rtol / 100, kept
-      in `meta`, its dense output evaluated at the grid times inside each
-      step.  rtol below `MIN_RTOL`, which DOP853 would silently raise to
-      it, is a ValueError (on either route).
+      records r(t_0) = r0, r(t_i+1) = E r(t_i).
+    * "lindblad-expm-multiply": any other grid or sector, by the action
+      exp(G (t - t0)) r0 of `_expm_multiply_rows`: one call over a uniform
+      grid, one per interval on any other.
 
-    No route keeps the states: one reader takes the real rows r(t).
+    `meta["rtol"]` is the route's relative variance error,
+    `EXPM_VARIANCE_RTOL` on both, and `meta["n_rhs_evals"]` is 0: no route
+    evaluates a right-hand side.
+
+    The states are not returned: the readout takes the real rows r(t).
     Column n of the returned `values` is Tr(A rho(t)) = r . (U^T w) for
     the n-th Operator A of the sequence `observables`, w being A's weights
     on the sector (`_trace_weights` of A's entries between the reached
@@ -585,8 +579,6 @@ def evolve_lindblad(
     """
     if not H.is_hermitian(1e-12):
         raise ValueError("evolve_lindblad requires a Hermitian Hamiltonian")
-    if not rtol >= MIN_RTOL:
-        raise ValueError(f"rtol must be >= {MIN_RTOL:.3g} (100 machine epsilon), got {rtol!r}")
     space = H.space
     if space != psi0.space or any(a.space != space for a in observables):
         raise ValueError("Hamiltonian, state and observables live on different spaces")
@@ -603,53 +595,70 @@ def evolve_lindblad(
     hs, sec, block, y0 = _liouvillian_sector(H.csr, ls, psi0.vector)
     k = hs.size
     u, states = _hermitian_basis(sec, k)
-    g = sparse.csr_array((u.conj().T @ block @ u).real)  # CSC as formed; DOP853's matvec is faster on CSR
+    g = sparse.csr_array((u.conj().T @ block @ u).real)  # CSC as formed; expm_multiply's matvec is faster on CSR
     r0 = (u.conj().T @ y0).real
 
-    weights = []
-    for a in observables:
-        w = u.T @ _trace_weights(_entries(a.csr, hs), sec, k)
-        weights.append((w.real.copy(), w.imag.copy()))  # real products: the rows are never cast to complex
-    probs = np.empty((t.size, states.size))
-    values = np.empty((t.size, len(observables)), dtype=complex)
-    r_last = np.empty(sec.size)
-
-    def record(i: int, rows: np.ndarray):
-        """Read the coordinates of grid rows i, i + 1, ...; the last row recorded is the final rho's."""
-        probs[i : i + len(rows)] = rows[:, : states.size]
-        for col, (wr, wi) in enumerate(weights):  # one product each: a column's rounding is its own
-            values.real[i : i + len(rows), col] = rows @ wr
-            values.imag[i : i + len(rows), col] = rows @ wi
-        r_last[:] = rows[-1]
-
-    atol = rtol / 100
     h = (t[-1] - t[0]) / (t.size - 1)
     uniform = np.all(np.abs(np.diff(t) - h) <= 4 * np.spacing(np.abs(t).max()))  # as every linspace is
-    exact = sec.size <= EXPM_SECTOR_MAX and uniform
-    if exact:
+    dense = sec.size <= EXPM_SECTOR_MAX and uniform
+    if dense:
         step = expm(g.toarray() * h)
         rows = np.empty((t.size, sec.size))
         rows[0] = r0
         for i in range(1, t.size):
             np.dot(step, rows[i - 1], out=rows[i])
-        record(0, rows)
-        nfev = 0
     else:
-        nfev = _dop853_steps(g, r0, t, rtol, atol, record)
+        rows = _expm_multiply_rows(g, r0, t, uniform)
+
+    values = np.empty((t.size, len(observables)), dtype=complex)
+    for col, a in enumerate(observables):  # one real product each: a column's rounding is its own
+        w = u.T @ _trace_weights(_entries(a.csr, hs), sec, k)
+        values.real[:, col] = rows @ w.real
+        values.imag[:, col] = rows @ w.imag
     rho_final = np.zeros(k * k, dtype=complex)
-    rho_final[sec] = u @ r_last
+    rho_final[sec] = u @ rows[-1]
 
     meta = {
-        "method": "lindblad-expm" if exact else "lindblad-dop853",
+        "method": "lindblad-expm" if dense else "lindblad-expm-multiply",
         "dims": space.factor_sizes,
-        "rtol": EXPM_VARIANCE_RTOL if exact else rtol,
-        "atol": None if exact else atol,
+        "rtol": EXPM_VARIANCE_RTOL,
         "sector_dim": int(sec.size),
-        "n_rhs_evals": nfev,
-        **_checked_populations(probs, hs[states], space, t),  # before eigvalsh, which a NaN rho fails
+        "n_rhs_evals": 0,
+        # before eigvalsh, which a NaN rho fails
+        **_checked_populations(rows[:, : states.size], hs[states], space, t),
         "final_eigmin": float(np.min(np.linalg.eigvalsh(rho_final.reshape(k, k)))),
     }
     return Expectations(times=t, values=values, meta=meta)
+
+
+def _expm_multiply_rows(g: sparse.csr_array, r0: np.ndarray, t: np.ndarray, uniform: bool) -> np.ndarray:
+    """exp(g (t_i - t_0)) r0 at every time of the grid, as one real (n_t, n) array of rows.
+
+    scipy's `expm_multiply`, the truncated Taylor action of Al-Mohy &
+    Higham (SIAM J. Sci. Comput. 33, 488 (2011)), whose degree and number
+    of sub-steps hold the truncation's backward error to the unit
+    round-off: one call over a uniform grid, whose array is returned as it
+    comes, and one call per interval on any other.  When t ||g||_1
+    fails their condition (3.13), its 1-norm estimator (`onenormest`) draws
+    from the global np.random; the calls run under a seeded state, restored
+    afterwards, so the rows do not depend on the caller's random state and
+    the caller's stream is left where it was.
+    """
+    # imported here, its only user, so that a CLI start skips scipy.sparse.linalg
+    from scipy.sparse.linalg import expm_multiply
+
+    state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        if uniform:
+            return expm_multiply(g, r0, start=0.0, stop=t[-1] - t[0], num=t.size, endpoint=True)
+        rows = np.empty((t.size, r0.size))
+        rows[0] = r0
+        for i in range(1, t.size):
+            rows[i] = expm_multiply(g * (t[i] - t[i - 1]), rows[i - 1])
+        return rows
+    finally:
+        np.random.set_state(state)
 
 
 def _entries(m: sparse.csr_array, hs: np.ndarray | None = None) -> tuple:
@@ -729,29 +738,6 @@ def _liouvillian_sector(h: sparse.csr_array, ls: list, psi: np.ndarray) -> tuple
     y0 = np.outer(psi[hs], psi[hs].conj()).ravel()
     sec = _reachable_sector(liouv, y0)
     return hs, sec, liouv[sec][:, sec], y0[sec]
-
-
-def _dop853_steps(block: sparse.csr_array, y0: np.ndarray, t: np.ndarray, rtol, atol, record):
-    """Integrate dy/dt = block @ y from y0 over the grid with DOP853, as `solve_ivp` does.
-
-    Each step's dense output is evaluated at the grid times it covers, and
-    `record(i, rows)` receives them (rows[j] at t[i + j]); no step's states
-    are kept.  Returns the RHS count.
-    """
-    # imported here, its only user, so that a run without a large master equation skips it
-    from scipy.integrate import DOP853
-
-    solver = DOP853(lambda _, y: block @ y, t[0], y0, t[-1], rtol=rtol, atol=atol)
-    done = 0
-    while solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise TruncationError(f"master-equation integration failed: {message}")
-        upto = int(np.searchsorted(t, solver.t, side="right"))
-        if upto > done:
-            record(done, solver.dense_output()(t[done:upto]).T)
-            done = upto
-    return solver.nfev
 
 
 def variance_trajectory(traj: UnitaryTrajectory, factor: int, quadrature: str = "X") -> TimeSeries:
@@ -955,11 +941,11 @@ def _product_vacuum_with_atom(space: HilbertSpace, atom_vec: np.ndarray) -> Quan
     return QuantumState.pure(space, psi)
 
 
-def _leg_variance(H: Operator, psi0: QuantumState, times: np.ndarray, collapse_ops=(), rtol=None):
+def _leg_variance(H: Operator, psi0: QuantumState, times: np.ndarray, collapse_ops=()):
     """(oscillator X variance, engine record) of one chain leg, the engine picked by its collapse set.
 
     None keeps rho pure: exact `evolve_unitary`.  Any runs `evolve_lindblad`
-    on X and X^2, which picks its own route.
+    on X and X^2, which picks its own exact route.
     Either way the meta is the engine's own record, passed on unchanged:
     its "method", "n_rhs_evals" and "rtol", the relative error of the
     variance series.
@@ -968,7 +954,7 @@ def _leg_variance(H: Operator, psi0: QuantumState, times: np.ndarray, collapse_o
         ts = variance_trajectory(evolve_unitary(H, psi0, times), 1, "X")
         return ts.values, ts.meta
     x = position(H.space, 1)
-    out = evolve_lindblad(H, collapse_ops, psi0, times, (x, x @ x), rtol=rtol)
+    out = evolve_lindblad(H, collapse_ops, psi0, times, (x, x @ x))
     m1, m2 = out.values.real.T  # <X> and <X^2> of the oscillator
     return m2 - m1**2, out.meta
 
@@ -982,7 +968,6 @@ def validate_adiabatic_chain(
     d_mech: int | None = None,
     include_lindblad: bool = False,
     lindblad_dims: tuple = (None, None),
-    lindblad_rtol: float = 1e-12,
 ) -> AdiabaticReport:
     """Run the elimination chain end to end and measure how well it holds.
 
@@ -1006,16 +991,17 @@ def validate_adiabatic_chain(
     squeezing degrades.  A closed leg whose relative X-variance dip does not
     exceed its own error, the "rtol" its engine reports in its meta
     (`EXACT_VARIANCE_RTOL` when it runs unitarily, `EXPM_VARIANCE_RTOL` on
-    the master equation's exp(G h) route, `lindblad_rtol` under DOP853),
-    leaves the degradation undefined and raises ValueError.  A leg without
-    a channel (the closed leg whenever gamma = 0) runs unitarily, with a
-    Hilbert-sector size in `meta["sector_dim"]`; `meta["lindblad_method"]`
-    names each leg's route and `meta["lindblad_n_rhs_evals"]` counts its
-    RHS calls (0 off DOP853).  Against an rtol-1e-11 run, DOP853 errs by
-    8.3e-12 relative in decay_immunity.cfg's smax_open_db and 1.0e-10 in
-    its smax_degradation, far below that degradation.  Both legs share one
-    space, which starts at `lindblad_dims` = (d_cav, d_mech); a None entry
-    takes min(d_cav, 4), respectively d_mech, as reached by the unitary legs.
+    either master-equation route), leaves the degradation undefined and
+    raises ValueError.  A leg without a channel (the closed leg whenever
+    gamma = 0) runs unitarily, with a Hilbert-sector size in
+    `meta["sector_dim"]`; `meta["lindblad_method"]` names each leg's route.
+    Against an adaptive Runge-Kutta reference at rtol 1e-12, the
+    expm_multiply route errs by 9.6e-15 relative in decay_immunity.cfg's
+    smax_open_db and 1.2e-13 in its smax_degradation, within that
+    reference's own error and far below the degradation, 0.0746.  Both
+    legs share one space, which starts at `lindblad_dims` = (d_cav,
+    d_mech); a None entry takes min(d_cav, 4), respectively d_mech, as
+    reached by the unitary legs.
 
     Truncation is adaptive: a Fock leg whose top-level population exceeds
     1e-6 doubles the offending dimension, up to `CHAIN_DIM_CAP` for every
@@ -1113,7 +1099,7 @@ def validate_adiabatic_chain(
             lspace = hybrid_space(*dims, 3)
             lh = build_full_hamiltonian(p, lspace)
             psi0 = _product_vacuum_with_atom(lspace, atom3)
-            legs = [_leg_variance(lh, psi0, times, collapse_set(lspace, open_system), lindblad_rtol)
+            legs = [_leg_variance(lh, psi0, times, collapse_set(lspace, open_system))
                     for open_system in (False, True)]
             tails = {i: max(meta["tail_max"][i] for _, meta in legs) for i in legs[0][1]["tail_max"]}
             return legs, tails
@@ -1134,7 +1120,6 @@ def validate_adiabatic_chain(
         report.smax_degradation = (s_closed - s_open) / s_closed
         report.dims["lindblad"] = ldims
         report.meta["lindblad_method"] = (closed["method"], opened["method"])
-        report.meta["lindblad_n_rhs_evals"] = (closed["n_rhs_evals"], opened["n_rhs_evals"])
         report.meta["sector_dim"]["lindblad_closed"] = closed["sector_dim"]
         report.meta["sector_dim"]["lindblad_open"] = opened["sector_dim"]
     return report
