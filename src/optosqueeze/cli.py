@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import asdict, dataclass, field, fields as dc_fields
 
 import numpy as np
 
@@ -262,15 +262,6 @@ def _write_csv(path: str, meta: dict, extra: list, header: list, columns: list):
         f.write(text)
 
 
-def _base_meta(cfg: RunConfig) -> dict:
-    meta = {"command": cfg.command, "output": cfg.output}
-    for f in dc_fields(ModelParams):
-        meta[f.name] = getattr(cfg.params, f.name)
-    for k, v in cfg.options.items():
-        meta[k] = v
-    return meta
-
-
 def _run_smax_sweep(cfg: RunConfig):
     o = cfg.options
     grid = np.linspace(o["geff_start"], o["geff_stop"], o["geff_count"])
@@ -391,9 +382,8 @@ def run(cfg: RunConfig) -> str:
     ConfigError on the ``output`` line.
     """
     header, columns, run_meta, extra = _COMMANDS[cfg.command][0](cfg)
-    meta = _base_meta(cfg)
-    meta.update(run_meta)
-    meta["rows"] = len(columns[0])
+    meta = {"command": cfg.command, "output": cfg.output, **asdict(cfg.params), **cfg.options, **run_meta,
+            "rows": len(columns[0])}
     try:
         _write_csv(cfg.output, meta, extra, header, columns)
     except OSError as e:

@@ -2,9 +2,11 @@
 
 Four evolution routes are implemented on purpose.  The two closed-system
 routes share one idiom: diagonalise the generator once, then evaluate every
-time of the grid from t0 as exponentials in its eigenbasis
-(`_eigen_expansion` for `evolve_unitary`).  The master equation on a small
-sector needs no eigenbasis: it steps one exact propagator exp(G h).
+time of the grid as exponentials in its eigenbasis, in one product:
+`evolve_unitary` runs its phases from t0, `exact_quadrature_moments`
+(`_phase_sum`) from t = 0, where its thermal state is prepared, whatever
+times[0] is.  The master equation needs no eigenbasis: it propagates
+exactly, by exp(G h) or `expm_multiply`.
 
 * `evolve_unitary`: Schroedinger-picture evaluation for pure states of a
   time-independent Hamiltonian (exact up to round-off, on any strictly
@@ -30,13 +32,15 @@ sector needs no eigenbasis: it steps one exact propagator exp(G h).
   initial state reaches; it returns the expectations of the observables
   the caller names, not the states.  Both of its routes propagate one
   real vector, rho's coordinates in a basis of Hermitian matrix units,
-  under the Liouvillian's real block G there.  Both are exact up to
-  round-off, so neither has a tolerance to choose: on a uniform grid of
-  step h, a sector of at most `EXPM_SECTOR_MAX` entries forms exp(G h)
-  once (scaling and squaring, exact for a defective G as well) and applies
-  it from row to row; any other grid or sector takes the action
-  exp(G t) r0 by scipy's `expm_multiply`, the truncated Taylor series of
-  Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 488 (2011)).
+  under the Liouvillian's real block G there.  It needs a uniform grid
+  of step h, as every `np.linspace` is, and rejects any other.  Both
+  routes are exact up to round-off, so neither has a tolerance to choose,
+  and the sector size alone picks one: a sector of at most
+  `EXPM_SECTOR_MAX` entries forms exp(G h) once (scaling and squaring,
+  exact for a defective G as well) and applies it from row to row; a
+  larger one takes the action exp(G t) r0 over the whole grid in one call
+  of scipy's `expm_multiply`, the truncated Taylor series of Al-Mohy &
+  Higham (SIAM J. Sci. Comput. 33, 488 (2011)).
 
 Both Fock engines propagate only the reachable sector: a breadth-first
 search over the generator's nonzero pattern (H for `evolve_unitary`, the
@@ -69,13 +73,15 @@ Their mutual agreement (and agreement with `analytic`) is what the test
 suite leans on; no route is trusted on its own.
 
 Truncation is self-reported: every Fock run records the joint population of
-the top two Fock levels of each mode, and how far its trace, ||psi||^2 or
-Tr rho, strays from 1 (at most `TRACE_TOL`).  The adaptive wrappers share
-one doubling loop that doubles the offending dimension until the tail
-drops below 1e-6 or a cap is hit.  So is accuracy: each Fock engine's
-meta names its route, sector size and RHS count (0: no route evaluates a
+the top two Fock levels of each mode (`exact_quadrature_moments` as its
+third array), and each Fock engine how far its trace, ||psi||^2 or Tr rho,
+strays from 1 (at most `TRACE_TOL`).  The adaptive wrappers share one
+doubling loop that doubles the offending dimension until the tail drops
+below 1e-6 or a cap is hit.  So is accuracy: each Fock engine's meta
+names its route, sector size and RHS count (0: no route evaluates a
 right-hand side), and its own relative error ("rtol"), which is all a
-caller reads of it.
+caller reads of it; `exact_quadrature_moments` returns a bare tuple with
+no meta.
 """
 
 from __future__ import annotations
@@ -141,7 +147,6 @@ EXACT_VARIANCE_RTOL = 256 * np.finfo(float).eps
 # the same for a master-equation series on either route, against a longdouble
 # exp(L h) over 200 random chain legs of 40-160 entries on grids of 20-400
 # steps: 181 eps at most stepped by exp(G h), 75 eps by one expm_multiply call
-# (35 eps over 12 legs on non-uniform grids, one call per interval)
 EXPM_VARIANCE_RTOL = 2**10 * np.finfo(float).eps
 # largest Liouvillian sector that `evolve_lindblad` steps by one exp(G h)
 # instead of expm_multiply: on open-chain legs over 160 times (medians of 11,
@@ -384,25 +389,15 @@ def _hermitian_basis(sec: np.ndarray, n: int) -> tuple:
     return sparse.csr_array((vals, (rows, cols)), shape=(sec.size, sec.size)), i[diag]
 
 
-def _eigen_expansion(omega: np.ndarray, v: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """exp(-i H (t - t0)) y0 at every time of the grid, for H = V diag(omega) V^dag and c = V^dag y0.
-
-    Row k is (exp(-i omega (t_k - t0)) * c) V^T: every time is evaluated
-    from t0 in one product, so round-off does not accumulate from step to
-    step.  omega is the real spectrum of `evolve_unitary`'s Hamiltonian
-    block and V its unitary eigenvectors.
-    """
-    return (np.exp(-1j * np.outer(t - t[0], omega)) * c) @ v.T
-
-
 def evolve_unitary(H: Operator, psi0: QuantumState, times) -> UnitaryTrajectory:
     """Propagate a pure state under exp(-i H (t - t0)) on any strictly increasing grid.
 
     H's block on the sector that psi0 reaches (`meta["sector_dim"]` states)
     is diagonalised once (`eigh`, valid because H is checked Hermitian),
     and the state at every time is evaluated from t0 in one product,
-    psi(t) = V exp(-i Lambda (t - t0)) V^dag psi0 (`_eigen_expansion`), so
-    round-off does not accumulate from step to step.  The trajectory keeps
+    psi(t) = V exp(-i Lambda (t - t0)) V^dag psi0: row k of the amplitudes
+    is (exp(-i lam (t_k - t0)) * c) V^T with c = V^dag psi0, so round-off
+    does not accumulate from step to step.  The trajectory keeps
     these sector amplitudes only.  Their populations go through
     `_checked_populations`, as the master equation's do: ||psi||^2 off 1
     by more than `TRACE_TOL` at any time aborts with a TruncationError
@@ -422,7 +417,7 @@ def evolve_unitary(H: Operator, psi0: QuantumState, times) -> UnitaryTrajectory:
     sec = _reachable_sector(H.csr, psi0.vector)
     lam, v = np.linalg.eigh(H.csr[sec][:, sec].toarray())
     c = v.conj().T @ psi0.vector[sec]
-    amps = _eigen_expansion(lam, v, c, t)
+    amps = (np.exp(-1j * np.outer(t - t[0], lam)) * c) @ v.T
     meta = {
         "method": "eigh",
         "dims": space.factor_sizes,
@@ -547,18 +542,21 @@ def evolve_lindblad(H: Operator, collapse_ops, psi0: QuantumState, times, observ
     matrix units (`_hermitian_basis`) rho is the real coherence vector
     r = U^dag vec(rho), under the real generator G = Re(U^dag L U); the
     real part drops the round-off, and H's anti-Hermitian part within the
-    1e-12 check.  Both routes, named in `meta["method"]`, are exact up to
-    round-off and return the real rows r(t_i), one per grid time:
+    1e-12 check.
 
-    * "lindblad-expm": on a uniform grid, every step equal to
-      h = (t[-1] - t0) / (n_t - 1) within 4 ulps of the grid's largest
-      |t| (as `np.linspace` gives), a sector of at most `EXPM_SECTOR_MAX`
-      entries forms the exact propagator E = exp(G h) once, by scaling and
-      squaring (`scipy.linalg.expm`, exact for a defective G as well), and
-      records r(t_0) = r0, r(t_i+1) = E r(t_i).
-    * "lindblad-expm-multiply": any other grid or sector, by the action
-      exp(G (t - t0)) r0 of `_expm_multiply_rows`: one call over a uniform
-      grid, one per interval on any other.
+    The grid must be uniform: every step equal to h = (t[-1] - t0) /
+    (n_t - 1) within 4 ulps of the grid's largest |t|, as `np.linspace`
+    gives.  Any other grid raises ValueError before anything is assembled.
+    The sector size alone picks one of two routes, named in
+    `meta["method"]`; both are exact up to round-off and return the real
+    rows r(t_i), one per grid time:
+
+    * "lindblad-expm": a sector of at most `EXPM_SECTOR_MAX` entries forms
+      the exact propagator E = exp(G h) once, by scaling and squaring
+      (`scipy.linalg.expm`, exact for a defective G as well), and records
+      r(t_0) = r0, r(t_i+1) = E r(t_i).
+    * "lindblad-expm-multiply": a larger sector takes the action
+      exp(G (t - t0)) r0 of `_expm_multiply_rows`, one call over the grid.
 
     `meta["rtol"]` is the route's relative variance error,
     `EXPM_VARIANCE_RTOL` on both, and `meta["n_rhs_evals"]` is 0: no route
@@ -583,6 +581,12 @@ def evolve_lindblad(H: Operator, collapse_ops, psi0: QuantumState, times, observ
     if space != psi0.space or any(a.space != space for a in observables):
         raise ValueError("Hamiltonian, state and observables live on different spaces")
     t = _time_grid(times)
+    h = (t[-1] - t[0]) / (t.size - 1)
+    if np.any(np.abs(np.diff(t) - h) > 4 * np.spacing(np.abs(t).max())):
+        raise ValueError(
+            "evolve_lindblad needs a uniform time grid: every step equal to (t[-1] - t[0]) / (n_t - 1) "
+            "within 4 ulps of the grid's largest |t|, as np.linspace gives"
+        )
 
     ls = []
     for op, rate in collapse_ops:
@@ -598,9 +602,7 @@ def evolve_lindblad(H: Operator, collapse_ops, psi0: QuantumState, times, observ
     g = sparse.csr_array((u.conj().T @ block @ u).real)  # CSC as formed; expm_multiply's matvec is faster on CSR
     r0 = (u.conj().T @ y0).real
 
-    h = (t[-1] - t[0]) / (t.size - 1)
-    uniform = np.all(np.abs(np.diff(t) - h) <= 4 * np.spacing(np.abs(t).max()))  # as every linspace is
-    dense = sec.size <= EXPM_SECTOR_MAX and uniform
+    dense = sec.size <= EXPM_SECTOR_MAX
     if dense:
         step = expm(g.toarray() * h)
         rows = np.empty((t.size, sec.size))
@@ -608,7 +610,7 @@ def evolve_lindblad(H: Operator, collapse_ops, psi0: QuantumState, times, observ
         for i in range(1, t.size):
             np.dot(step, rows[i - 1], out=rows[i])
     else:
-        rows = _expm_multiply_rows(g, r0, t, uniform)
+        rows = _expm_multiply_rows(g, r0, t)
 
     values = np.empty((t.size, len(observables)), dtype=complex)
     for col, a in enumerate(observables):  # one real product each: a column's rounding is its own
@@ -631,16 +633,15 @@ def evolve_lindblad(H: Operator, collapse_ops, psi0: QuantumState, times, observ
     return Expectations(times=t, values=values, meta=meta)
 
 
-def _expm_multiply_rows(g: sparse.csr_array, r0: np.ndarray, t: np.ndarray, uniform: bool) -> np.ndarray:
-    """exp(g (t_i - t_0)) r0 at every time of the grid, as one real (n_t, n) array of rows.
+def _expm_multiply_rows(g: sparse.csr_array, r0: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """exp(g (t_i - t_0)) r0 at every time of the uniform grid t, as one real (n_t, n) array of rows.
 
-    scipy's `expm_multiply`, the truncated Taylor action of Al-Mohy &
-    Higham (SIAM J. Sci. Comput. 33, 488 (2011)), whose degree and number
-    of sub-steps hold the truncation's backward error to the unit
-    round-off: one call over a uniform grid, whose array is returned as it
-    comes, and one call per interval on any other.  When t ||g||_1
+    One call of scipy's `expm_multiply`, the truncated Taylor action of
+    Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 488 (2011)), whose degree
+    and number of sub-steps hold the truncation's backward error to the
+    unit round-off; its array is returned as it comes.  When t ||g||_1
     fails their condition (3.13), its 1-norm estimator (`onenormest`) draws
-    from the global np.random; the calls run under a seeded state, restored
+    from the global np.random; the call runs under a seeded state, restored
     afterwards, so the rows do not depend on the caller's random state and
     the caller's stream is left where it was.
     """
@@ -650,13 +651,7 @@ def _expm_multiply_rows(g: sparse.csr_array, r0: np.ndarray, t: np.ndarray, unif
     state = np.random.get_state()
     np.random.seed(0)
     try:
-        if uniform:
-            return expm_multiply(g, r0, start=0.0, stop=t[-1] - t[0], num=t.size, endpoint=True)
-        rows = np.empty((t.size, r0.size))
-        rows[0] = r0
-        for i in range(1, t.size):
-            rows[i] = expm_multiply(g * (t[i] - t[i - 1]), rows[i - 1])
-        return rows
+        return expm_multiply(g, r0, start=0.0, stop=t[-1] - t[0], num=t.size, endpoint=True)
     finally:
         np.random.set_state(state)
 

@@ -53,7 +53,8 @@ class SpectrumSeries:
     """Spectral values on a strictly increasing grid, with located peaks.
 
     `omegas` is the index variable: frequency for spectra, the coupling
-    for `trend_vs_geff` output (meta["index"] says which).
+    for `trend_vs_geff` output (meta["index"] says which).  `peaks` holds
+    a spectrum's `find_peaks`; a coupling trend leaves it empty.
     """
 
     omegas: np.ndarray
@@ -203,6 +204,7 @@ def trend_vs_geff(p: ModelParams, omega_fixed: float, geff_grid) -> SpectrumSeri
     The returned series is indexed by g_eff (meta["index"] = "g_eff") and
     meta["monotone"] reports "decreasing", "increasing", or "none" over the
     grid.  The whole coupling grid goes through one elementwise Langevin inversion.
+    No peaks are searched: `peaks` stays empty.
     """
     g = _finite_grid(geff_grid, "geff_grid")
     if np.any(g < 0):
@@ -221,4 +223,4 @@ def trend_vs_geff(p: ModelParams, omega_fixed: float, geff_grid) -> SpectrumSeri
     else:
         monotone = "none"
     meta = _meta(p, "langevin-inversion", "g_eff", omega_fixed=omega_fixed, monotone=monotone)
-    return _with_peaks(g, vals, meta)
+    return SpectrumSeries(g, vals, meta)

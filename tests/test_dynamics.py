@@ -521,7 +521,7 @@ class TestEvolveLindblad:
             evolve_lindblad(*args, [])
         assert "np." not in str(err.value)  # a plain number, not a numpy scalar's repr
 
-    def test_rejections(self):
+    def test_rejections(self, monkeypatch):
         space = oscillator_space(6)
         h = build_effective_hamiltonian(0.5, 1.0, space)
         rho0 = vacuum_state(space)
@@ -533,6 +533,14 @@ class TestEvolveLindblad:
             evolve_lindblad(h, [(annihilation(oscillator_space(8), 0), 1.0)], rho0, [0.0, 1.0], x)
         with pytest.raises(ValueError, match="space"):
             evolve_lindblad(h, [], rho0, [0.0, 1.0], [position(oscillator_space(8), 0)])
+
+        # a non-uniform grid is refused before the Liouvillian is assembled
+        def unreached(*args):
+            raise AssertionError("the Liouvillian was assembled")
+
+        monkeypatch.setattr(dynamics, "_liouvillian_sector", unreached)
+        with pytest.raises(ValueError, match=r"uniform time grid: every step equal to \(t\[-1\] - t\[0\]\)"):
+            evolve_lindblad(h, [(annihilation(space, 0), 1.0)], rho0, [0.0, 0.3, 1.0], x)
 
     def test_exceptional_point_runs_on_the_propagator(self):
         # a driven, decaying qubit at Omega = Gamma/4: with p = rho_11 and
@@ -665,22 +673,6 @@ class TestEvolveLindblad:
         assert calls == []
         liouvillian_kron_reference(h.csr, [])  # the counter sees a call
         assert calls == ["kron", "kron"]
-
-    def test_non_uniform_grid_steps_expm_multiply(self):
-        # a grid with extra times inside its first ten steps is not uniform,
-        # so the small sector takes one expm_multiply call per interval; on
-        # the times it shares with the uniform grid it agrees with exp(G h)
-        # to 6.7e-16 (<X^2> is 0.25)
-        h, ops, psi0, _ = open_chain_leg(2, 6)
-        x = position(h.space, 1)
-        uniform = np.linspace(0.0, 3.2, 41)
-        grid = np.sort(np.concatenate([uniform, uniform[:10] + 0.3 * (uniform[1] - uniform[0])]))
-        dense, action = (evolve_lindblad(h, ops, psi0, t, [x, x @ x]) for t in (uniform, grid))
-        assert (dense.meta["method"], action.meta["method"]) == ("lindblad-expm", "lindblad-expm-multiply")
-        assert action.meta["n_rhs_evals"] == 0 and action.meta["rtol"] == dynamics.EXPM_VARIANCE_RTOL
-        shared = np.isin(grid, uniform)
-        assert np.count_nonzero(shared) == uniform.size
-        assert np.max(np.abs(action.values[shared] - dense.values)) <= 1e-12
 
     def test_expm_multiply_route_starts_at_the_first_grid_time(self, monkeypatch):
         # rho(times[0]) is psi0's projector whatever times[0] is: the action

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
+from optosqueeze import spectrum
 from optosqueeze.analytic import (
     OverdampedError,
     UnstableRegimeError,
@@ -417,3 +418,14 @@ class TestTrendVsGeff:
     def test_rejects_undamped(self):
         with pytest.raises(ValueError, match="gamma"):
             trend_vs_geff(params(gamma=0.0), 1.0, np.array([0.5, 1.0]))
+
+    def test_searches_no_peaks(self, monkeypatch):
+        # nothing reads a coupling trend's peaks, so none are searched, even
+        # on a grid whose values rise and fall
+        def unreached(series):
+            raise AssertionError("find_peaks was called")
+
+        monkeypatch.setattr(spectrum, "find_peaks", unreached)
+        s = trend_vs_geff(params(), 2.0, np.linspace(0.1, 2.0, 25))
+        assert s.meta["monotone"] == "none"
+        assert s.peaks == []
