@@ -10,8 +10,9 @@ The package is organized bottom-up:
   coupling.
 * `analytic`: every closed form (Bogoliubov coefficients, variance
   dynamics, squeezing in dB, spectra, critical frequencies).
-* `dynamics`: unitary, Lindblad, and Gaussian-covariance evolutions, and
-  the validation harness for the adiabatic elimination chain.
+* `dynamics`: unitary, Lindblad, and Gaussian-covariance evolutions, the
+  H_eff moments from a mean occupation, and the validation harness for the
+  adiabatic elimination chain.
 * `spectrum`: independent frequency-domain solution of the damped model,
   peak finding, parameter trends.
 * `cli`: config-driven experiment runner writing deterministic CSV files.

@@ -117,9 +117,11 @@ def position_variance(g_eff: float, omega_m: float, nbar: float, t: float) -> fl
 
 
 def s_max(g_eff: float, omega_m: float) -> float:
-    """Maximum squeezing over time: 5 log10(4 g_eff / omega_m + 1) dB."""
-    if not (math.isfinite(g_eff) and g_eff >= 0 and math.isfinite(omega_m)):
-        raise ValueError(f"s_max is defined for finite g_eff >= 0 and omega_m, got {g_eff:g}, {omega_m:g}")
+    """Maximum squeezing over time: 5 log10(4 g_eff / omega_m + 1) dB, for omega_m > 0."""
+    if not (math.isfinite(g_eff) and g_eff >= 0 and math.isfinite(omega_m) and omega_m > 0):
+        raise ValueError(
+            f"s_max is defined for finite g_eff >= 0 and finite omega_m > 0, got g_eff={g_eff:g}, omega_m={omega_m:g}"
+        )
     return 5.0 * math.log10(4.0 * g_eff / omega_m + 1.0)
 
 

@@ -28,19 +28,20 @@ exactly, by exp(G h) or `expm_multiply`.
   matrix exponential (Van Loan block trick), valid in the unstable regime
   as well; it returns the means and covariances as stacked arrays.
 * `evolve_lindblad`: the master equation with explicit collapse
-  operators, through a sparse Liouvillian restricted to the sector the
+  operators, through a sparse Liouvillian L on the Hilbert states the
   initial state reaches; it returns the expectations of the observables
   the caller names, not the states.  Both of its routes propagate one
-  real vector, rho's coordinates in a basis of Hermitian matrix units,
-  under the Liouvillian's real block G there.  It needs a uniform grid
-  of step h, as every `np.linspace` is, and rejects any other.  Both
-  routes are exact up to round-off, so neither has a tolerance to choose,
-  and the sector size alone picks one: a sector of at most
-  `EXPM_SECTOR_MAX` entries forms exp(G h) once (scaling and squaring,
-  exact for a defective G as well) and applies it from row to row; a
-  larger one takes the action exp(G t) r0 over the whole grid in one call
-  of scipy's `expm_multiply`, the truncated Taylor series of Al-Mohy &
-  Higham (SIAM J. Sci. Comput. 33, 488 (2011)).
+  real vector, rho's coordinates in a basis U of Hermitian matrix units
+  on the sector the initial state reaches, under the real generator
+  G = Re(U^dag L U).  It needs a uniform grid of step h, as every
+  `np.linspace` is, and rejects any other.  Both routes are exact up to
+  round-off, so neither has a tolerance to choose, and the sector size
+  alone picks one: a sector of at most `EXPM_SECTOR_MAX` entries forms
+  exp(G h) once (scaling and squaring, exact for a defective G as well)
+  and applies it from row to row; a larger one takes the action
+  exp(G t) r0 over the whole grid in one call of scipy's `expm_multiply`,
+  the truncated Taylor series of Al-Mohy & Higham (SIAM J. Sci. Comput.
+  33, 488 (2011)).
 
 Both Fock engines propagate only the reachable sector: a breadth-first
 search over the generator's nonzero pattern (H for `evolve_unitary`, the
@@ -64,10 +65,9 @@ dense matrices are the sector block of H that `evolve_unitary` hands to
 `eigh`, the k x k K = -i H - sum_k l_k^dag l_k / 2 on the k reached
 Hilbert states, from which the Liouvillian is assembled in the one
 Kronecker pass that builds every operator (`operators._kron_sum`), and
-the small Liouvillian sector blocks, real in a basis of Hermitian matrix
-units, that `evolve_lindblad` hands to `expm`.  The Fock readouts take
-only the block of X or P they multiply from `operators`, which writes
-every matrix element of the model.
+the small real generators G = Re(U^dag L U) that `evolve_lindblad` hands
+to `expm`.  The Fock readouts take only the block of X or P they multiply
+from `operators`, which writes every matrix element of the model.
 
 Their mutual agreement (and agreement with `analytic`) is what the test
 suite leans on; no route is trusted on its own.
@@ -363,30 +363,31 @@ def _reachable_sector(g: sparse.csr_array, seed: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_basis(sec: np.ndarray, n: int) -> tuple:
-    """(U, states): unitary U of Hermitian matrix units on a sorted sector of an n x n row-major vec(rho).
+    """(U, states): the n^2 x s isometry of Hermitian matrix units on a sorted sector of an n x n row-major vec(rho).
 
     Column e_ii for each diagonal entry rho[i, i]; for each pair rho[i, j],
     rho[j, i] with i < j, the columns (e_ij + e_ji)/sqrt(2) and
-    i (e_ij - e_ji)/sqrt(2).  The diagonal columns come first, one for each
-    of `states`, the indices i whose rho[i, i] lies in the sector, so the
-    leading coordinates of U^dag vec(rho) are their populations.  A
-    Hermitian rho has real coordinates U^dag vec(rho), so a generator that
-    maps Hermitian matrices to Hermitian matrices, as every Liouvillian
-    does, has a real block U^dag B U: the coherence-vector form (Alicki &
-    Lendi, Quantum Dynamical Semigroups and Applications, LNP 286, 1987).
-    The sector must be closed under (i, j) -> (j, i), as every sector that
-    `_reachable_sector` finds from a Hermitian rho under
-    `_liouvillian_sector`'s L is.
+    i (e_ij - e_ji)/sqrt(2), e_ij being row i * n + j and its mirror e_ji
+    row j * n + i.  U's nonzero rows are exactly `sec`, and U^dag U = I_s.
+    The diagonal columns come first, one for each of `states`, the indices
+    i whose rho[i, i] lies in the sector, so the leading coordinates of
+    U^dag vec(rho) are their populations.  A Hermitian rho has real
+    coordinates U^dag vec(rho), so a generator that maps Hermitian matrices
+    to Hermitian matrices, as every Liouvillian does, has a real block
+    U^dag B U: the coherence-vector form (Alicki & Lendi, Quantum Dynamical
+    Semigroups and Applications, LNP 286, 1987).  The sector must be closed
+    under (i, j) -> (j, i), as every sector that `_reachable_sector` finds
+    from a Hermitian rho under `_liouvillian_sector`'s L is.
     """
     i, j = np.divmod(sec, n)
     diag, up = np.flatnonzero(i == j), np.flatnonzero(i < j)
-    _, low = _sector_positions(sec, j[up] * n + i[up])
+    low = j[up] * n + i[up]
     pair = diag.size + 2 * np.arange(up.size)  # each pair's symmetric column; +1 is the other
     r = math.sqrt(0.5)
-    rows = np.concatenate([diag, up, low, up, low])
+    rows = np.concatenate([sec[diag], sec[up], low, sec[up], low])
     cols = np.concatenate([np.arange(diag.size), pair, pair, pair + 1, pair + 1])
     vals = np.repeat([1.0, r, r, 1j * r, -1j * r], [diag.size] + [up.size] * 4)
-    return sparse.csr_array((vals, (rows, cols)), shape=(sec.size, sec.size)), i[diag]
+    return sparse.csr_array((vals, (rows, cols)), shape=(n * n, sec.size)), i[diag]
 
 
 def evolve_unitary(H: Operator, psi0: QuantumState, times) -> UnitaryTrajectory:
@@ -535,11 +536,13 @@ def evolve_lindblad(H: Operator, collapse_ops, psi0: QuantumState, times, observ
     rate (equivalently, collapse operator sqrt(rate) c).  rho is k x k on
     the k Hilbert states hs that psi0 reaches (`_liouvillian_sector`):
     every other entry stays exactly zero.  The sparse Liouvillian L on the
-    row-major vec(rho) is assembled there once, in one Kronecker pass
-    (`operators._kron_sum`, as every Hamiltonian is), and restricted to the
-    sector that vec(|psi0><psi0|) reaches (`meta["sector_dim"]` entries).
-    L maps Hermitian rho to Hermitian rho, so in the basis U of Hermitian
-    matrix units (`_hermitian_basis`) rho is the real coherence vector
+    k^2 entries of the row-major vec(rho) is assembled there once, in one
+    Kronecker pass (`operators._kron_sum`, as every Hamiltonian is); L,
+    vec(|psi0><psi0|), the observables' weights and the final rho all stay
+    on those k^2 entries.  The sector that vec(|psi0><psi0|) reaches
+    (`meta["sector_dim"]` = s entries) is only the column set of the
+    k^2 x s basis U of Hermitian matrix units (`_hermitian_basis`): L maps
+    Hermitian rho to Hermitian rho, so rho is the real coherence vector
     r = U^dag vec(rho), under the real generator G = Re(U^dag L U); the
     real part drops the round-off, and H's anti-Hermitian part within the
     1e-12 check.
@@ -564,10 +567,10 @@ def evolve_lindblad(H: Operator, collapse_ops, psi0: QuantumState, times, observ
 
     The states are not returned: the readout takes the real rows r(t).
     Column n of the returned `values` is Tr(A rho(t)) = r . (U^T w) for
-    the n-th Operator A of the sequence `observables`, w being A's weights
-    on the sector (`_trace_weights` of A's entries between the reached
-    states, `_entries`), complex (take the real part for a Hermitian A),
-    read by one product per observable.  The populations,
+    the n-th Operator A of the sequence `observables`, w being A's k^2
+    trace weights, w[c * k + r] = A[r, c] between the reached states
+    (`_entries`), complex (take the real part for a Hermitian A), read by
+    one product per observable.  The populations,
     hence the trace and the truncation tails, are r's leading coordinates,
     the diagonal ones, on the states that `_hermitian_basis` names.  They go
     through `_checked_populations`, as `evolve_unitary`'s do, which gives
@@ -596,10 +599,10 @@ def evolve_lindblad(H: Operator, collapse_ops, psi0: QuantumState, times, observ
             raise ValueError(f"collapse rates must be finite and >= 0, got {rate!r}")
         if rate > 0:
             ls.append(math.sqrt(rate) * op.csr)
-    hs, sec, block, y0 = _liouvillian_sector(H.csr, ls, psi0.vector)
+    hs, sec, liouv, y0 = _liouvillian_sector(H.csr, ls, psi0.vector)
     k = hs.size
     u, states = _hermitian_basis(sec, k)
-    g = sparse.csr_array((u.conj().T @ block @ u).real)  # CSC as formed; expm_multiply's matvec is faster on CSR
+    g = sparse.csr_array((u.conj().T @ liouv @ u).real)  # CSC as formed; expm_multiply's matvec is faster on CSR
     r0 = (u.conj().T @ y0).real
 
     dense = sec.size <= EXPM_SECTOR_MAX
@@ -614,11 +617,12 @@ def evolve_lindblad(H: Operator, collapse_ops, psi0: QuantumState, times, observ
 
     values = np.empty((t.size, len(observables)), dtype=complex)
     for col, a in enumerate(observables):  # one real product each: a column's rounding is its own
-        w = u.T @ _trace_weights(_entries(a.csr, hs), sec, k)
+        r, c, vals = _entries(a.csr, hs)
+        w = np.zeros(k * k, dtype=complex)
+        w[c * k + r] = vals  # Tr(A rho) = sum_rc A[r, c] rho[c, r], and rho[c, r] is entry c * k + r
+        w = u.T @ w
         values.real[:, col] = rows @ w.real
         values.imag[:, col] = rows @ w.imag
-    rho_final = np.zeros(k * k, dtype=complex)
-    rho_final[sec] = u @ rows[-1]
 
     meta = {
         "method": "lindblad-expm" if dense else "lindblad-expm-multiply",
@@ -628,7 +632,7 @@ def evolve_lindblad(H: Operator, collapse_ops, psi0: QuantumState, times, observ
         "n_rhs_evals": 0,
         # before eigvalsh, which a NaN rho fails
         **_checked_populations(rows[:, : states.size], hs[states], space, t),
-        "final_eigmin": float(np.min(np.linalg.eigvalsh(rho_final.reshape(k, k)))),
+        "final_eigmin": float(np.min(np.linalg.eigvalsh((u @ rows[-1]).reshape(k, k)))),
     }
     return Expectations(times=t, values=values, meta=meta)
 
@@ -674,7 +678,7 @@ def _entries(m: sparse.csr_array, hs: np.ndarray | None = None) -> tuple:
 
 
 def _liouvillian_sector(h: sparse.csr_array, ls: list, psi: np.ndarray) -> tuple:
-    """(hs, sector, block, y0): the Liouvillian's block on the Hilbert states hs that psi reaches.
+    """(hs, sector, L, y0): the Liouvillian on the Hilbert states hs that psi reaches.
 
     For Hamiltonian h and collapse operators ls, rates folded in,
     drho/dt = K rho + rho K^dag + sum_k l_k rho l_k^dag with
@@ -708,10 +712,10 @@ def _liouvillian_sector(h: sparse.csr_array, ls: list, psi: np.ndarray) -> tuple
     entry several terms; a sum of three or more may then differ in its
     last bits.
 
-    The sector vec(|psi><psi|) reaches there is returned as sorted
-    row-major indices into the k x k rho, with L's block and
-    vec(|psi><psi|) on it, in the full-space assembly's order (hs is
-    sorted).
+    L and vec(|psi><psi|) are returned on all k^2 row-major entries of the
+    k x k rho, with the sector that vec(|psi><psi|) reaches under L as
+    sorted indices into them.  hs is sorted, so L's rows and columns on the
+    sector keep the full-space assembly's order.
     """
     lls = [sparse.csr_array(l.conj().T @ l) for l in ls]  # the product comes out CSC
     rows, cols, vals = (np.concatenate(x) for x in zip(*(_entries(m) for m in (h, *ls, *lls))))
@@ -732,7 +736,7 @@ def _liouvillian_sector(h: sparse.csr_array, ls: list, psi: np.ndarray) -> tuple
     liouv.data += 0.0  # every entry summed from a zero
     y0 = np.outer(psi[hs], psi[hs].conj()).ravel()
     sec = _reachable_sector(liouv, y0)
-    return hs, sec, liouv[sec][:, sec], y0[sec]
+    return hs, sec, liouv, y0
 
 
 def variance_trajectory(traj: UnitaryTrajectory, factor: int, quadrature: str = "X") -> TimeSeries:
@@ -751,19 +755,6 @@ def variance_trajectory(traj: UnitaryTrajectory, factor: int, quadrature: str = 
     m1 = np.einsum("ti,ti->t", traj.amplitudes[:, at].conj(), qv[:, hit]).real
     m2 = np.einsum("ti,ti->t", qv.conj(), qv).real
     return TimeSeries(traj.times, m2 - m1**2, dict(traj.meta, quadrature=quadrature))
-
-
-def _trace_weights(entries: tuple, sector: np.ndarray, n: int) -> np.ndarray:
-    """Weights w on the sector of an n x n row-major vec(rho) such that Tr(a rho) = w . vec(rho)[sector].
-
-    `entries` are a's (rows, cols, values) (`_entries`).
-    Tr(a rho) = sum_rc a[r, c] rho[c, r], and rho[c, r] is entry c * n + r.
-    """
-    rows, cols, vals = entries
-    hit, at = _sector_positions(sector, cols.astype(np.int64) * n + rows)
-    w = np.zeros(sector.size, dtype=complex)
-    w[at] = vals[hit]
-    return w
 
 
 def covariance_evolve(

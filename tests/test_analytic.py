@@ -225,6 +225,12 @@ class TestSMax:
         with pytest.raises(ValueError, match="finite"):
             s_max(*args)
 
+    @pytest.mark.parametrize("args", [(1.0, 0.0), (0.1, -1.0)])
+    def test_non_positive_omega_m_rejected(self, args):
+        # omega_m = 0 divided by zero, and omega_m < 0 returned a finite dB value (-1.109 at (0.1, -1))
+        with pytest.raises(ValueError, match=r"omega_m > 0, got g_eff=.*, omega_m="):
+            s_max(*args)
+
 
 class TestSpectrumAnalytic:
     def test_worked_point(self):

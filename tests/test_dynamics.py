@@ -360,6 +360,11 @@ def pure_projector(psi):
     return np.outer(psi.vector, psi.vector.conj()).ravel()
 
 
+def trace_weights(a):
+    """Weights w on the row-major vec(rho) with Tr(a rho) = w . vec(rho): w[c * n + r] = a[r, c]."""
+    return a.toarray().T.ravel()
+
+
 def matrix_units(space):
     """The observables |j><i| in row-major order of (i, j): Tr(|j><i| rho) = rho[i, j].
 
@@ -606,14 +611,14 @@ class TestEvolveLindblad:
 
     def test_both_routes_propagate_one_real_generator(self, monkeypatch):
         # the open chain leg, 160 entries: the exp(G h) route exponentiates
-        # G h for G = Re(U^dag B U) in the Hermitian basis U, and forced onto
+        # G h for G = Re(U^dag L U) in the Hermitian basis U, and forced onto
         # expm_multiply the same leg acts with that very G on r0 = Re(U^dag y0),
         # all float64
         h, ops, psi0, times = open_chain_leg()
-        hs, sec, block, y0 = dynamics._liouvillian_sector(
+        hs, sec, liouv, y0 = dynamics._liouvillian_sector(
             h.csr, [math.sqrt(rate) * op.csr for op, rate in ops], psi0.vector)
         u, _ = dynamics._hermitian_basis(sec, hs.size)
-        g, r0 = (u.conj().T @ block @ u).toarray(), u.conj().T @ y0
+        g, r0 = (u.conj().T @ liouv @ u).toarray(), u.conj().T @ y0
         assert not np.any(g.imag) and not np.any(r0.imag)  # H, the collapse operators and psi0 are real
         seen = []
         expm, rows = dynamics.expm, dynamics._expm_multiply_rows
@@ -749,11 +754,10 @@ class TestEvolveLindblad:
         i, j = np.divmod(sec, d)
         assert sec.size < d**2 and np.array_equal(np.sort(j * d + i), sec)  # closed under transposition
         block = liouv[sec][:, sec]
-        u, _ = dynamics._hermitian_basis(sec, d)
+        u = dynamics._hermitian_basis(sec, d)[0][sec]  # its rows on the sector
         assert np.all((u.conj().T @ block @ u).toarray().imag == 0.0)  # real H and collapse operators
         step = expm_clongdouble(block.toarray() * np.longdouble(times[1] - times[0]))
-        w1, w2 = (dynamics._trace_weights(dynamics._entries(a.csr), sec, d).astype(np.clongdouble)
-                  for a in (x, x @ x))
+        w1, w2 = (trace_weights(a.csr)[sec].astype(np.clongdouble) for a in (x, x @ x))
         y = y0[sec].astype(np.clongdouble)
         ref = np.empty(times.size, dtype=np.longdouble)
         for k in range(times.size):
@@ -778,6 +782,27 @@ def open_chain_leg(d_cav=3, d_mech=8):
     ops = [(annihilation(space, 0), p.kappa), (level_projector(space, 2, 1, 2), p.Gamma_e),
            (level_projector(space, 2, 0, 2), p.Gamma_e)]
     return build_full_hamiltonian(p, space), ops, psi0, np.linspace(0.0, 3.2, 160)
+
+
+def decay_immunity_leg(thermal=False):
+    """`decay_immunity.cfg`'s open leg: (H, collapse set, psi0) on 7 x 16 x 3 states.
+
+    thermal=True adds mechanical damping at gamma = 0.05, nbar = 0.5 on
+    3 x 8 x 3 states, so that b and b^dag join the collapse set.  Channels
+    at rate 0 are listed too; the engine skips them.
+    """
+    p = parse_config((SCRIPTS / "decay_immunity.cfg").read_text()).params
+    dims = (7, 16)
+    if thermal:
+        p, dims = ModelParams(**{**vars(p), "gamma": 0.05, "nbar": 0.5}), (3, 8)
+    space = hybrid_space(*dims, 3)
+    b = annihilation(space, 1)
+    ops = [(b, p.gamma * (p.nbar + 1.0)), (b.dag(), p.gamma * p.nbar),
+           (annihilation(space, 0), p.kappa), (level_projector(space, 2, 1, 2), p.Gamma_e),
+           (level_projector(space, 2, 0, 2), p.Gamma_e)]
+    e1 = atomic_coupling_spectrum(p).e1
+    psi0 = QuantumState.pure(space, np.kron(np.eye(dims[0] * dims[1])[0], [e1[0], e1[1], 0.0]))
+    return build_full_hamiltonian(p, space), ops, psi0
 
 
 class TestEngineRecord:
@@ -879,10 +904,107 @@ class TestLindbladProperties:
         u, states = dynamics._hermitian_basis(sec, d)
         # its leading columns are the units e_ii, one for each population in the sector
         assert np.array_equal(states, i[i == j])
-        assert np.array_equal(u[:, : states.size].toarray(), np.eye(sec.size)[:, np.flatnonzero(i == j)])
+        assert np.array_equal(u[sec][:, : states.size].toarray(), np.eye(sec.size)[:, np.flatnonzero(i == j)])
         assert np.max(np.abs((u.conj().T @ u).toarray() - np.eye(sec.size))) <= 4 * np.finfo(float).eps
         block = (u.conj().T @ b @ u).toarray()
         assert np.max(np.abs(block.imag)) <= 4 * np.finfo(float).eps * np.max(np.abs(b.data))
+
+
+def sector_hermitian_basis(sec, n):
+    """The s x s Hermitian basis on the sector's own positions: `_hermitian_basis`'s rows on `sec`.
+
+    The form the engine used before its basis mapped all of vec(rho), kept
+    as the bit-level reference: each mirror entry j * n + i is located by a
+    search of the sorted sector.
+    """
+    i, j = np.divmod(sec, n)
+    diag, up = np.flatnonzero(i == j), np.flatnonzero(i < j)
+    low = np.searchsorted(sec, j[up] * n + i[up])
+    pair = diag.size + 2 * np.arange(up.size)
+    r = math.sqrt(0.5)
+    rows = np.concatenate([diag, up, low, up, low])
+    cols = np.concatenate([np.arange(diag.size), pair, pair, pair + 1, pair + 1])
+    vals = np.repeat([1.0, r, r, 1j * r, -1j * r], [diag.size] + [up.size] * 4)
+    return sparse.csr_array((vals, (rows, cols)), shape=(sec.size, sec.size))
+
+
+class TestCoherenceCoordinates:
+    """G, r0 and the readout weights from the k^2 x s basis U equal the sector-sliced form bit for bit.
+
+    The reference is the sector-resident form: the Liouvillian's block
+    L[sec][:, sec], y0[sec], the s x s basis of `sector_hermitian_basis`
+    and trace weights on the sector.  U has no rows outside the sector and
+    L maps no sector column outside it, so the sparse products meet the
+    same terms in the same order.
+    """
+
+    def assert_sector_form(self, monkeypatch, h, ops, psi0, observables, times):
+        hs, sec, liouv, y0 = dynamics._liouvillian_sector(
+            h.csr, [math.sqrt(rate) * op.csr for op, rate in ops if rate > 0], psi0.vector)
+        k = hs.size
+        u, _ = dynamics._hermitian_basis(sec, k)
+        assert u.shape == (k * k, sec.size) and liouv.shape == (k * k, k * k) and y0.shape == (k * k,)
+        assert np.array_equal(np.flatnonzero(np.diff(u.indptr)), sec)  # U's nonzero rows are the sector
+        assert np.max(np.abs((u.conj().T @ u).toarray() - np.eye(sec.size))) <= 4 * np.finfo(float).eps
+
+        ref_u = sector_hermitian_basis(sec, k)
+        g = sparse.csr_array((ref_u.conj().T @ liouv[sec][:, sec] @ ref_u).real)
+        r0 = (ref_u.conj().T @ y0[sec]).real
+        weights = []
+        for a in observables:
+            w = ref_u.T @ trace_weights(a.csr[hs][:, hs])[sec]
+            weights += [w.real, w.imag]
+
+        seen = []
+
+        class ReadRows(np.ndarray):
+            # the propagated rows; each readout product rows @ w records its w
+            def __matmul__(self, other):
+                seen.append(np.copy(other))
+                return np.asarray(self) @ other
+
+        expm, rows = dynamics.expm, dynamics._expm_multiply_rows
+
+        def exponentiate(a):
+            seen.append(a)
+            return expm(a)
+
+        def act(b, y, *rest):
+            seen.append((b, y))
+            return rows(b, y, *rest).view(ReadRows)
+
+        monkeypatch.setattr(dynamics, "expm", exponentiate)
+        monkeypatch.setattr(dynamics, "_expm_multiply_rows", act)
+        monkeypatch.setattr(dynamics, "EXPM_SECTOR_MAX", sec.size)
+        evolve_lindblad(h, ops, psi0, times, [])
+        monkeypatch.setattr(dynamics, "EXPM_SECTOR_MAX", 0)
+        out = evolve_lindblad(h, ops, psi0, times, observables)
+        assert out.meta["method"] == "lindblad-expm-multiply"
+        exponentiated, (acted, start), *read = seen
+        step_h = (times[-1] - times[0]) / (times.size - 1)
+        assert exponentiated.tobytes() == (g.toarray() * step_h).tobytes()
+        assert_same_csr(acted, g)
+        assert acted.data.tobytes() == g.data.tobytes()
+        assert start.tobytes() == r0.tobytes()
+        assert len(read) == len(weights)
+        assert all(got.tobytes() == ref.tobytes() for got, ref in zip(read, weights))
+
+    @pytest.mark.parametrize("thermal", [False, True], ids=["open_chain", "thermal_damping"])
+    def test_chain_legs(self, monkeypatch, thermal):
+        if thermal:
+            (h, ops, psi0), times = decay_immunity_leg(thermal=True), np.linspace(0.0, 3.2, 20)
+        else:
+            h, ops, psi0, times = open_chain_leg()
+        x = position(h.space, 1)
+        self.assert_sector_form(monkeypatch, h, ops, psi0, [x, x @ x, momentum(h.space, 1)], times)
+
+    @settings(max_examples=40, deadline=None)
+    @given(open_systems())
+    def test_random_systems(self, system):
+        h, psi0, ops = system
+        with pytest.MonkeyPatch.context() as monkeypatch:  # hypothesis reruns the body; a fixture would not reset
+            self.assert_sector_form(monkeypatch, h, ops, psi0, [position(h.space, 0), momentum(h.space, 0), h],
+                                    np.linspace(0.0, 2.0, 9))
 
 
 def liouvillian_kron_reference(h, ls):
@@ -989,18 +1111,7 @@ class TestReachableSector:
                 a = annihilation(h.space, 0)
                 ops = ops + [(level_projector(h.space, 2, 2, 2), 0.3), (a.dag() @ a, 0.2)]
         else:
-            p = parse_config((SCRIPTS / "decay_immunity.cfg").read_text()).params
-            dims = (7, 16)
-            if case == "thermal_damping":
-                p, dims = ModelParams(**{**vars(p), "gamma": 0.05, "nbar": 0.5}), (3, 8)
-            space = hybrid_space(*dims, 3)
-            b = annihilation(space, 1)
-            ops = [(b, p.gamma * (p.nbar + 1.0)), (b.dag(), p.gamma * p.nbar),
-                   (annihilation(space, 0), p.kappa), (level_projector(space, 2, 1, 2), p.Gamma_e),
-                   (level_projector(space, 2, 0, 2), p.Gamma_e)]
-            e1 = atomic_coupling_spectrum(p).e1
-            psi0 = QuantumState.pure(space, np.kron(np.eye(dims[0] * dims[1])[0], [e1[0], e1[1], 0.0]))
-            h = build_full_hamiltonian(p, space)
+            h, ops, psi0 = decay_immunity_leg(thermal=case == "thermal_damping")
         ls = [math.sqrt(rate) * op.csr for op, rate in ops if rate > 0]
         assert len(ls) == {"open_chain": 3, "decay_immunity": 3, "thermal_damping": 5, "dephasing": 5}[case]
         liouv = liouvillian_kron_reference(h.csr, ls)
@@ -1008,6 +1119,7 @@ class TestReachableSector:
         sec = dynamics._reachable_sector(liouv, y0)
         block = liouv[sec][:, sec]
         hs, got_sec, got, got_y0 = dynamics._liouvillian_sector(h.csr, ls, psi0.vector)
+        got, got_y0 = got[got_sec][:, got_sec], got_y0[got_sec]  # returned on all k^2 entries
         i, j = np.divmod(got_sec, hs.size)
         assert np.array_equal(hs[i] * h.space.total_dim + hs[j], sec)
         assert np.array_equal(got.indptr, block.indptr)
@@ -1054,6 +1166,7 @@ class TestReachableSector:
         sec = dynamics._reachable_sector(liouv, pure_projector(psi0))
         block = liouv[sec][:, sec]
         hs, got_sec, got, _ = dynamics._liouvillian_sector(h.csr, ls, psi0.vector)
+        got = got[got_sec][:, got_sec]  # returned on all k^2 entries
         i, j = np.divmod(got_sec, hs.size)
         assert np.array_equal(hs[i] * h.space.total_dim + hs[j], sec)
         scale = max(np.max(np.abs(liouv.data), initial=0.0), np.finfo(float).tiny)
@@ -1073,7 +1186,7 @@ class TestReachableSector:
         assert 2 * 3 + 1 in sec
         assert hs.tolist() == [0, 1, 2]
         assert np.array_equal(got_sec, sec)  # every state is reached, so the indices are the full ones
-        assert got.data.tobytes() == liouv[sec][:, sec].data.tobytes()
+        assert got[got_sec][:, got_sec].data.tobytes() == liouv[sec][:, sec].data.tobytes()
 
     def test_final_eigmin_is_taken_on_the_reached_states(self, monkeypatch):
         # the open chain's rho lives on the 16 of 72 Hilbert states psi0
