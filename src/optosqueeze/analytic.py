@@ -68,7 +68,6 @@ class BogoliubovCoeffs:
 class SpectrumPoint:
     """The closed-form spectrum at one frequency, or over a grid: variance = (gamma/4) P/Q."""
 
-    omega: float
     variance: float
     P: float
     Q: float
@@ -162,7 +161,7 @@ def spectrum_analytic(p: ModelParams, g_eff: float, omega) -> SpectrumPoint:
         + p.nbar * (half**2 + (omega - p.omega_m) ** 2)
     )
     qden = (half**2 + _q_squared(g_eff, p.omega_m) - omega**2) ** 2 + (omega * p.gamma) ** 2
-    return SpectrumPoint(omega=omega, variance=0.25 * p.gamma * pnum / qden, P=pnum, Q=qden)
+    return SpectrumPoint(variance=0.25 * p.gamma * pnum / qden, P=pnum, Q=qden)
 
 
 def critical_frequencies(p: ModelParams, g_eff: float) -> tuple:

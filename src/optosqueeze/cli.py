@@ -51,7 +51,7 @@ from . import __version__
 from .analytic import position_variance, s_max, spectrum_analytic
 from .dynamics import _atom_vector, effective_variance_series, validate_adiabatic_chain
 from .model import ModelParams, atomic_coupling_spectrum
-from .spectrum import default_omega_grid, spectrum_numeric, trend_vs_geff
+from .spectrum import default_omega_grid, find_peaks, spectrum_numeric, trend_vs_geff
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
@@ -289,8 +289,9 @@ def _run_spectrum(cfg: RunConfig):
     series = spectrum_numeric(p, o["geff"], omegas)
     closed = spectrum_analytic(p, o["geff"], omegas)
     columns = [omegas, series.variances, closed.variance, closed.P, closed.Q]
-    meta = {"n_peaks": len(series.peaks)}
-    extra = [f"# peak = {_fmt(w)},{_fmt(v)}" for w, v in series.peaks]
+    peaks = find_peaks(series) if omegas.size >= 3 else []  # find_peaks needs three points
+    meta = {"n_peaks": len(peaks)}
+    extra = [f"# peak = {_fmt(w)},{_fmt(v)}" for w, v in peaks]
     return ["omega", "variance_numeric", "variance_closed_form", "P", "Q"], columns, meta, extra
 
 

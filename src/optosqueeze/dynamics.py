@@ -481,8 +481,9 @@ def exact_quadrature_moments(H: Operator, nbar: float, times):
     over the grid.  The phases run from t = 0, not from times[0]: the
     state is thermal at t = 0.  X maps one parity to the other and a
     thermal state has no even-odd coherence, so `mean` is np.zeros(t.size)
-    and is never computed; the slot stays so that the variance reads
-    second - mean**2 and the tail stays [2].
+    and is never computed, and `second` is the variance.  The slot stays
+    only because the benchmark tracer (`perfbench/tracer.py`) reads the
+    tail by position, as [2].
     """
     t = _time_grid(times)
     if not H.is_hermitian(1e-12):
@@ -846,8 +847,8 @@ def effective_variance_series(
     def run(dims):
         space = oscillator_space(dims[0])
         h = build_effective_hamiltonian(g_eff, omega_m, space)
-        mean, second, tail = exact_quadrature_moments(h, nbar, t)
-        return second - mean**2, {0: float(np.max(tail))}
+        _, second, tail = exact_quadrature_moments(h, nbar, t)  # the mean is zero: second is the variance
+        return second, {0: float(np.max(tail))}
 
     d0 = d_start if d_start is not None else mech_dim_start(nbar, g_eff, omega_m)
     var, tails, (d,) = _double_until_converged(run, (d0,), EFFECTIVE_DIM_CAP)

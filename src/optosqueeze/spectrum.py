@@ -20,7 +20,9 @@ spectrum tests.
 Both routes, and `trend_vs_geff` over a coupling grid, run on whole grids
 with no per-point Python loop: the Langevin route inverts every 2x2
 response matrix elementwise from its adjugate, and the regression route
-stacks its 2x2 resolvents and solves or inverts them in one call.
+stacks its 2x2 resolvents and solves or inverts them in one call.  They
+return the grid and its values only; `find_peaks` locates the maxima of
+a series on request, and the CLI's `spectrum` command is its one caller.
 
 The spectrum exists only when the damped drift is actually stable; in the
 hyperbolic regime this requires gamma/2 to beat the growth rate, and both
@@ -50,17 +52,17 @@ __all__ = [
 
 @dataclass
 class SpectrumSeries:
-    """Spectral values on a strictly increasing grid, with located peaks.
+    """Spectral values on a strictly increasing grid.
 
     `omegas` is the index variable: frequency for spectra, the coupling
-    for `trend_vs_geff` output (meta["index"] says which).  `peaks` holds
-    a spectrum's `find_peaks`; a coupling trend leaves it empty.
+    for `trend_vs_geff` output (meta["index"] says which).  No route
+    searches for peaks; a caller that prints them, the CLI's `spectrum`
+    command, applies `find_peaks` to the series.
     """
 
     omegas: np.ndarray
     variances: np.ndarray
     meta: dict = field(default_factory=dict)
-    peaks: list = field(default_factory=list)
 
     def __post_init__(self):
         w = np.asarray(self.omegas, dtype=float)
@@ -90,13 +92,6 @@ def _finite_grid(values, name: str) -> np.ndarray:
 def _meta(p: ModelParams, method: str, index: str, **extra) -> dict:
     return {"method": method, "index": index, **extra,
             "omega_m": p.omega_m, "gamma": p.gamma, "nbar": p.nbar}
-
-
-def _with_peaks(x: np.ndarray, vals: np.ndarray, meta: dict) -> SpectrumSeries:
-    series = SpectrumSeries(x, vals, meta)
-    if x.size >= 3:
-        series.peaks = find_peaks(series)
-    return series
 
 
 def _checked_real(s: np.ndarray, omegas: np.ndarray) -> np.ndarray:
@@ -148,7 +143,7 @@ def spectrum_numeric(p: ModelParams, g_eff: float, omegas) -> SpectrumSeries:
     _require_stationary(p, g_eff)
     w = _finite_grid(omegas, "omegas")
     vals = _langevin_variances(p, g_eff, w)
-    return _with_peaks(w, vals, _meta(p, "langevin-inversion", "omega", g_eff=g_eff))
+    return SpectrumSeries(w, vals, _meta(p, "langevin-inversion", "omega", g_eff=g_eff))
 
 
 def spectrum_regression(p: ModelParams, g_eff: float, omegas) -> SpectrumSeries:
@@ -171,7 +166,7 @@ def spectrum_regression(p: ModelParams, g_eff: float, omegas) -> SpectrumSeries:
     left = np.linalg.solve(-a - iw, np.broadcast_to(m, iw.shape))
     right = m @ np.linalg.inv(-a.T + iw)
     vals = _checked_real(left[:, 0, 0] + right[:, 0, 0], w)
-    return _with_peaks(w, vals, _meta(p, "lyapunov-resolvent", "omega", g_eff=g_eff))
+    return SpectrumSeries(w, vals, _meta(p, "lyapunov-resolvent", "omega", g_eff=g_eff))
 
 
 def find_peaks(series: SpectrumSeries) -> list:
@@ -204,7 +199,6 @@ def trend_vs_geff(p: ModelParams, omega_fixed: float, geff_grid) -> SpectrumSeri
     The returned series is indexed by g_eff (meta["index"] = "g_eff") and
     meta["monotone"] reports "decreasing", "increasing", or "none" over the
     grid.  The whole coupling grid goes through one elementwise Langevin inversion.
-    No peaks are searched: `peaks` stays empty.
     """
     g = _finite_grid(geff_grid, "geff_grid")
     if np.any(g < 0):

@@ -196,19 +196,19 @@ def test_criterion_09_spectrum_doublet_positions(capsys):
     # doublet is located on the closed form's own fine grid, and each
     # refined numeric peak must land within one step of it.
     p = ModelParams(omega_m=1.0, gamma=1.0, nbar=10.0)
-    coarse = spectrum_numeric(p, 1.0, default_omega_grid())
+    coarse = find_peaks(spectrum_numeric(p, 1.0, default_omega_grid()))
     crit = critical_frequencies(p, 1.0)[1]
     refined, closed, step = [], [], 1e-4
-    for w0, _ in coarse.peaks:
+    for w0, _ in coarse:
         fine = np.arange(w0 - 0.05, w0 + 0.05, step)
         refined.append(find_peaks(spectrum_numeric(p, 1.0, fine))[0][0])
         ana = np.array([spectrum_analytic(p, 1.0, w).variance for w in fine])
         closed.append([w for w, _ in find_peaks(SpectrumSeries(fine, ana))])
     offsets = [min((abs(w - c) for c in cs), default=math.inf)
                for w, cs in zip(refined, closed)]
-    ok = len(coarse.peaks) == 2 and all(o <= step for o in offsets)
+    ok = len(coarse) == 2 and all(o <= step for o in offsets)
     verdict(capsys, "09", "spectrum doublet at the closed-form maxima", ok,
-            f"{len(coarse.peaks)} peaks (2 required), numeric maxima "
+            f"{len(coarse)} peaks (2 required), numeric maxima "
             f"{', '.join(f'{w:+.4f}' for w in refined)}; offsets from the "
             f"closed-form maxima {', '.join(f'{o:.1e}' for o in offsets)} "
             f"(bound {step:g}); offsets from +-{crit:.4f} (the Q minimum) "

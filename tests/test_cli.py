@@ -231,9 +231,24 @@ class TestCommands:
 
         series = spectrum_numeric(MP(gamma=1.0, nbar=10.0), 1.0, omegas)
         assert np.allclose(varis, series.variances, rtol=1e-10)
-        for (wg, vg), (wr, vr) in zip(got, series.peaks):
+        for (wg, vg), (wr, vr) in zip(got, find_peaks(series)):
             assert math.isclose(wg, wr, abs_tol=1e-9)
             assert math.isclose(vg, vr, rel_tol=1e-9)
+
+    def test_spectrum_two_point_grid_has_no_peaks(self, tmp_path):
+        # find_peaks needs three points; a two-point grid is a valid config
+        # and reports no peak instead of failing
+        out = tmp_path / "sp2.csv"
+        code = run_cli(
+            tmp_path,
+            f"command = spectrum\ngeff = 1\ngamma = 1\nnbar = 10\n"
+            f"omega_start = -1\nomega_stop = 1\nomega_count = 2\noutput = {out}\n",
+        )
+        assert code == 0
+        meta, header, rows = read_csv(out)
+        assert len(rows) == 2
+        assert meta["n_peaks"] == ["0"]
+        assert "peak" not in meta
 
     @pytest.mark.parametrize(
         "omega, geff_stop, label, steps",

@@ -963,11 +963,14 @@ class TestCoherenceCoordinates:
                 seen.append(np.copy(other))
                 return np.asarray(self) @ other
 
-        expm, rows = dynamics.expm, dynamics._expm_multiply_rows
+        rows = dynamics._expm_multiply_rows
+
+        class Exponentiated(Exception):
+            """Raised once expm's argument is recorded: no assertion reads the propagator."""
 
         def exponentiate(a):
             seen.append(a)
-            return expm(a)
+            raise Exponentiated
 
         def act(b, y, *rest):
             seen.append((b, y))
@@ -976,7 +979,8 @@ class TestCoherenceCoordinates:
         monkeypatch.setattr(dynamics, "expm", exponentiate)
         monkeypatch.setattr(dynamics, "_expm_multiply_rows", act)
         monkeypatch.setattr(dynamics, "EXPM_SECTOR_MAX", sec.size)
-        evolve_lindblad(h, ops, psi0, times, [])
+        with pytest.raises(Exponentiated):
+            evolve_lindblad(h, ops, psi0, times, [])
         monkeypatch.setattr(dynamics, "EXPM_SECTOR_MAX", 0)
         out = evolve_lindblad(h, ops, psi0, times, observables)
         assert out.meta["method"] == "lindblad-expm-multiply"
@@ -1796,6 +1800,40 @@ class TestValidateAdiabaticChain:
         assert weights == ((1.0, 0.0) if name == "e1" else (0.0, 1.0))
         overlaps = [abs(np.vdot(e, ground)) ** 2 for e in (spec.e1, spec.e2)]
         assert np.allclose(overlaps, weights, rtol=0.0, atol=1e-12)
+
+
+class TestEliminationOrder:
+    """How the |e> elimination's error shrinks as the detuning Delta grows.
+
+    scripts/stark_variant.cfg's point (delta = 8, Omega = 2, g1 = 1,
+    g2 = 0.05, eps = 2, atom in e1) over 2 pi with 120 times, at Delta =
+    40, 80, 160 and 320.  With the textbook Stark rates Omega^2/Delta and
+    g1^2/Delta the elimination is second order in 1/Delta: the
+    full-vs-two-level deviation falls from 4.085e-5 to 6.358e-7, with
+    log-log slopes -2.007, -1.996 and -2.002 per doubling.  The as-written
+    cross rate Omega g1/Delta converges too, but its deviation is 40.0,
+    44.2, 46.9 and 52.2 times the textbook one.
+    """
+
+    DELTAS = (40.0, 80.0, 160.0, 320.0)
+
+    @pytest.fixture(scope="class")
+    def deviations(self):
+        out = {"textbook": [], "as_written": []}
+        for big_delta in self.DELTAS:
+            p = ModelParams(delta=8.0, Delta=big_delta, Omega=2.0, g1=1.0, g2=0.05, eps=2.0)
+            rep = validate_adiabatic_chain(p, "e1", horizon=2.0 * math.pi, n_times=120, d_cav=6, d_mech=24)
+            for name in out:
+                out[name].append(rep.deviations[f"full_vs_two_level_{name}"])
+        return {name: np.array(dev) for name, dev in out.items()}
+
+    def test_textbook_rates_are_second_order(self, deviations):
+        slopes = np.diff(np.log(deviations["textbook"])) / np.diff(np.log(self.DELTAS))
+        assert np.all(np.abs(slopes + 2.0) < 0.02)  # measured within 0.0073 of -2
+
+    def test_as_written_rate_errs_40_to_52_times_more(self, deviations):
+        ratio = deviations["as_written"] / deviations["textbook"]
+        assert np.all((39.0 < ratio) & (ratio < 54.0))  # measured 40.03 to 52.23
 
 
 def expm_clongdouble(a):

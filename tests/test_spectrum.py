@@ -123,7 +123,7 @@ class TestSpectrumNumeric:
             w = np.sort(rng.uniform(-6.0, 6.0, 57))
             s = spectrum_numeric(p, g, w)
             assert np.allclose(s.variances, loop_reference_numeric(p, g, w), rtol=1e-13, atol=0.0)
-            assert s.peaks == loop_reference_peaks(w, s.variances)
+            assert find_peaks(s) == loop_reference_peaks(w, s.variances)
 
     def test_complex_spectrum_names_first_bad_frequency(self):
         s = np.array([1.0, 2.0 + 1e-3j, 3.0 + 1.0j])
@@ -158,9 +158,9 @@ class TestSpectrumNumeric:
         # thermal weight puts a resonance on both sides; the vacuum case
         # below has no negative-frequency weight at all
         p = params(gamma=0.2, nbar=1.0)
-        s = spectrum_numeric(p, 0.0, default_omega_grid())
-        assert len(s.peaks) == 2
-        lo, hi = s.peaks[0][0], s.peaks[1][0]
+        peaks = find_peaks(spectrum_numeric(p, 0.0, default_omega_grid()))
+        assert len(peaks) == 2
+        lo, hi = peaks[0][0], peaks[1][0]
         assert abs(lo + 1.0) < 0.02 and abs(hi - 1.0) < 0.02
 
     def test_vacuum_free_oscillator_is_single_sided(self):
@@ -168,10 +168,10 @@ class TestSpectrumNumeric:
         # unsymmetrized density has exactly one peak, at +omega_m, of
         # height (gamma/4) P(omega_m)/Q(omega_m) = 5 for gamma = 0.2
         p = params(gamma=0.2, nbar=0.0)
-        s = spectrum_numeric(p, 0.0, default_omega_grid())
-        assert len(s.peaks) == 1
-        assert s.peaks[0][0] == pytest.approx(1.0, abs=1e-3)
-        assert s.peaks[0][1] == pytest.approx(5.0, rel=1e-3)
+        peaks = find_peaks(spectrum_numeric(p, 0.0, default_omega_grid()))
+        assert len(peaks) == 1
+        assert peaks[0][0] == pytest.approx(1.0, abs=1e-3)
+        assert peaks[0][1] == pytest.approx(5.0, rel=1e-3)
 
     def test_non_negative_over_draws(self):
         rng = np.random.default_rng(5)
@@ -194,12 +194,12 @@ class TestSpectrumNumeric:
         # frequency dependence of the numerator shifts them outward by a
         # visible fraction of a grid step, so "near" is the true statement
         p = params()
-        s = spectrum_numeric(p, 1.0, default_omega_grid())
-        assert len(s.peaks) == 2
+        peaks = find_peaks(spectrum_numeric(p, 1.0, default_omega_grid()))
+        assert len(peaks) == 2
         lo, hi = critical_frequencies(p, 1.0)
-        assert abs(s.peaks[0][0] - lo) < 0.15
-        assert abs(s.peaks[1][0] - hi) < 0.15
-        assert s.peaks[0][1] > 0 and s.peaks[1][1] > 0
+        assert abs(peaks[0][0] - lo) < 0.15
+        assert abs(peaks[1][0] - hi) < 0.15
+        assert peaks[0][1] > 0 and peaks[1][1] > 0
 
     def test_hyperbolic_but_damped_regime_is_fine(self):
         # omega_m(omega_m + 4 g_eff) < 0 still has a stationary state when
@@ -345,9 +345,9 @@ class TestFindPeaks:
         # heavy damping at zero coupling merges the thermal doublet; the
         # surviving peak drifts toward omega = 0 as gamma nbar grows
         p = params(gamma=8.0, nbar=10.0)
-        s = spectrum_numeric(p, 0.0, default_omega_grid())
-        assert len(s.peaks) == 1
-        assert abs(s.peaks[0][0]) < 0.1
+        peaks = find_peaks(spectrum_numeric(p, 0.0, default_omega_grid()))
+        assert len(peaks) == 1
+        assert abs(peaks[0][0]) < 0.1
         with pytest.raises(OverdampedError):
             critical_frequencies(p, 0.0)
 
@@ -420,12 +420,14 @@ class TestTrendVsGeff:
             trend_vs_geff(params(gamma=0.0), 1.0, np.array([0.5, 1.0]))
 
     def test_searches_no_peaks(self, monkeypatch):
-        # nothing reads a coupling trend's peaks, so none are searched, even
-        # on a grid whose values rise and fall
+        # no route searches for peaks, even on a grid whose values rise and
+        # fall: only a caller that prints them applies find_peaks
         def unreached(series):
             raise AssertionError("find_peaks was called")
 
         monkeypatch.setattr(spectrum, "find_peaks", unreached)
         s = trend_vs_geff(params(), 2.0, np.linspace(0.1, 2.0, 25))
         assert s.meta["monotone"] == "none"
-        assert s.peaks == []
+        for route in (spectrum_numeric, spectrum_regression):
+            s = route(params(), 1.0, default_omega_grid())
+            assert s.variances.size == 801
