@@ -4,8 +4,7 @@ set -e
 cd "$(dirname "$0")"
 export PYTHONPATH="../src${PYTHONPATH:+:$PYTHONPATH}"
 mkdir -p out
-for cfg in smax_sweep time_trace spectrum_thermal spectrum_trend \
-           eigenmodes validate_adiabatic stark_variant decay_immunity; do
-    echo "== $cfg"
-    python3 -m optosqueeze.cli "$cfg.cfg"
+for cfg in *.cfg; do
+    echo "== ${cfg%.cfg}"
+    python3 -m optosqueeze.cli "$cfg"
 done

@@ -30,18 +30,18 @@ exactly, by exp(G h) or `expm_multiply`.
 * `evolve_lindblad`: the master equation with explicit collapse
   operators, through a sparse Liouvillian L on the Hilbert states the
   initial state reaches; it returns the expectations of the observables
-  the caller names, not the states.  Both of its routes propagate one
-  real vector, rho's coordinates in a basis U of Hermitian matrix units
-  on the sector the initial state reaches, under the real generator
-  G = Re(U^dag L U).  It needs a uniform grid of step h, as every
-  `np.linspace` is, and rejects any other.  Both routes are exact up to
-  round-off, so neither has a tolerance to choose, and the sector size
-  alone picks one: a sector of at most `EXPM_SECTOR_MAX` entries forms
-  exp(G h) once (scaling and squaring, exact for a defective G as well)
-  and applies it from row to row; a larger one takes the action
-  exp(G t) r0 over the whole grid in one call of scipy's `expm_multiply`,
-  the truncated Taylor series of Al-Mohy & Higham (SIAM J. Sci. Comput.
-  33, 488 (2011)).
+  the caller names as a `TimeSeries`, one column each, not the states.
+  Both of its routes propagate one real vector, rho's coordinates in a
+  basis U of Hermitian matrix units on the sector the initial state
+  reaches, under the real generator G = Re(U^dag L U).  It needs a uniform
+  grid of step h, as every `np.linspace` is, and rejects any other.  Both
+  routes are exact up to round-off, so neither has a tolerance to choose,
+  and the sector size alone picks one: a sector of at most
+  `EXPM_SECTOR_MAX` entries forms exp(G h) once (scaling and squaring,
+  exact for a defective G as well) and applies it from row to row; a
+  larger one takes the action exp(G t) r0 over the whole grid in one call
+  of scipy's `expm_multiply`, the truncated Taylor series of Al-Mohy &
+  Higham (SIAM J. Sci. Comput. 33, 488 (2011)).
 
 Both Fock engines propagate only the reachable sector: a breadth-first
 search over the generator's nonzero pattern (H for `evolve_unitary`, the
@@ -73,10 +73,10 @@ Their mutual agreement (and agreement with `analytic`) is what the test
 suite leans on; no route is trusted on its own.
 
 Truncation is self-reported: every Fock run records the joint population of
-the top two Fock levels of each mode (`exact_quadrature_moments` as its
-third array), and each Fock engine how far its trace, ||psi||^2 or Tr rho,
-strays from 1 (at most `TRACE_TOL`).  The adaptive wrappers share one
-doubling loop that doubles the offending dimension until the tail drops
+the top two Fock levels of each mode (`_tail_levels`; `exact_quadrature_moments`
+as its third array), and each Fock engine how far its trace, ||psi||^2 or
+Tr rho, strays from 1 (at most `TRACE_TOL`).  The adaptive wrappers share
+one doubling loop that doubles the offending dimension until the tail drops
 below 1e-6 or a cap is hit.  So is accuracy: each Fock engine's meta
 names its route, sector size and RHS count (0: no route evaluates a
 right-hand side), and its own relative error ("rtol"), which is all a
@@ -124,7 +124,6 @@ __all__ = [
     "TimeSeries",
     "CovarianceState",
     "UnitaryTrajectory",
-    "Expectations",
     "CovarianceTrajectory",
     "AdiabaticReport",
     "evolve_unitary",
@@ -187,7 +186,12 @@ def _double_until_converged(run, dims: tuple, cap: int):
 
 @dataclass
 class TimeSeries:
-    """Real values on a strictly increasing grid of at least two times, plus run metadata."""
+    """Values on a strictly increasing grid of at least two times, one row per time, plus the run's record.
+
+    `values` is (n_t,) for one series or (n_t, k) for k of them, real or
+    complex; `meta` holds what the run chose or measured (route, dims,
+    tails), not the arguments its caller passed.
+    """
 
     times: np.ndarray
     values: np.ndarray
@@ -195,9 +199,10 @@ class TimeSeries:
 
     def __post_init__(self):
         t = _time_grid(self.times)
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != t.shape:
-            raise ValueError("times and values must be 1d arrays of equal length")
+        v = np.asarray(self.values)
+        v = np.asarray(v, dtype=complex if np.iscomplexobj(v) else float)
+        if v.ndim not in (1, 2) or v.shape[0] != t.size:
+            raise ValueError("times and values must be of equal length: one row of values per time")
         self.times = t
         self.values = v
 
@@ -271,15 +276,6 @@ class UnitaryTrajectory:
 
 
 @dataclass
-class Expectations:
-    """Tr(A rho(t)) of each requested observable A: column k of `values` holds the k-th."""
-
-    times: np.ndarray
-    values: np.ndarray  # complex, (n_t, number of observables)
-    meta: dict
-
-
-@dataclass
 class CovarianceTrajectory:
     """Gaussian moments over the grid: `mean` is (n_t, 2) and `cov` is (n_t, 2, 2)."""
 
@@ -294,11 +290,13 @@ def _tail_levels(size: int) -> tuple:
 
     The top TWO levels: the quadratic coupling moves population in steps of
     two, so the single top level is blind to even-parity states whenever the
-    truncation dimension is even.  For very small spaces (size < 4) the
-    second-highest level is ordinary occupied population, not a truncation
-    diagnostic, so only the top one counts there.
+    truncation dimension is even.  At three levels the second-highest level
+    is the first excited one, ordinary occupied population rather than a
+    truncation diagnostic, so only the top one counts there.  At two levels
+    the top two are the whole mode, so a two-level mode always doubles:
+    (b + b^dag)^2 truncated there is diagonal and never lifts the vacuum.
     """
-    return (size - 2, size - 1) if size >= 4 else (size - 1,)
+    return (2,) if size == 3 else (size - 2, size - 1)
 
 
 def _fock_tails(probs: np.ndarray, states: np.ndarray, space: HilbertSpace) -> dict:
@@ -477,13 +475,13 @@ def exact_quadrature_moments(H: Operator, nbar: float, times):
     skipped: at vacuum, the odd block.
 
     Returns (mean, second, tail): <X>(t), <X^2>(t), and the joint
-    population of the top two Fock levels (the top one below four levels)
-    over the grid.  The phases run from t = 0, not from times[0]: the
-    state is thermal at t = 0.  X maps one parity to the other and a
-    thermal state has no even-odd coherence, so `mean` is np.zeros(t.size)
-    and is never computed, and `second` is the variance.  The slot stays
-    only because the benchmark tracer (`perfbench/tracer.py`) reads the
-    tail by position, as [2].
+    population of the top two Fock levels (the top one at three levels;
+    `_tail_levels`) over the grid.  The phases run from t = 0, not from
+    times[0]: the state is thermal at t = 0.  X maps one parity to the
+    other and a thermal state has no even-odd coherence, so `mean` is
+    np.zeros(t.size) and is never computed, and `second` is the variance.
+    The slot stays only because the benchmark tracer
+    (`perfbench/tracer.py`) reads the tail by position, as [2].
     """
     t = _time_grid(times)
     if not H.is_hermitian(1e-12):
@@ -528,7 +526,7 @@ def exact_quadrature_moments(H: Operator, nbar: float, times):
     return np.zeros(t.size), second, tail
 
 
-def evolve_lindblad(H: Operator, collapse_ops, psi0: QuantumState, times, observables) -> Expectations:
+def evolve_lindblad(H: Operator, collapse_ops, psi0: QuantumState, times, observables) -> TimeSeries:
     """Tr(A rho(t)) over the grid for each observable A, under the master equation.
 
     The master equation is drho/dt = -i[H, rho] + sum_k rate_k D[c_k] rho.
@@ -566,8 +564,9 @@ def evolve_lindblad(H: Operator, collapse_ops, psi0: QuantumState, times, observ
     `EXPM_VARIANCE_RTOL` on both, and `meta["n_rhs_evals"]` is 0: no route
     evaluates a right-hand side.
 
-    The states are not returned: the readout takes the real rows r(t).
-    Column n of the returned `values` is Tr(A rho(t)) = r . (U^T w) for
+    The states are not returned: the readout takes the real rows r(t),
+    and the `TimeSeries` returned holds in column n of its complex
+    (n_t, len(observables)) `values` Tr(A rho(t)) = r . (U^T w) for
     the n-th Operator A of the sequence `observables`, w being A's k^2
     trace weights, w[c * k + r] = A[r, c] between the reached states
     (`_entries`), complex (take the real part for a Hermitian A), read by
@@ -635,7 +634,7 @@ def evolve_lindblad(H: Operator, collapse_ops, psi0: QuantumState, times, observ
         **_checked_populations(rows[:, : states.size], hs[states], space, t),
         "final_eigmin": float(np.min(np.linalg.eigvalsh((u @ rows[-1]).reshape(k, k)))),
     }
-    return Expectations(times=t, values=values, meta=meta)
+    return TimeSeries(t, values, meta)
 
 
 def _expm_multiply_rows(g: sparse.csr_array, r0: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -748,14 +747,15 @@ def variance_trajectory(traj: UnitaryTrajectory, factor: int, quadrature: str = 
     the sector's columns and the rows they reach (`_quadrature_block` of
     `operators`, which rejects any quadrature but "X" and "P"): <q> = Re
     sum conj(v) qv over the rows inside the sector and <q^2> = sum |qv|^2,
-    exact for the Hermitian q of the truncated space (its q @ q).
+    exact for the Hermitian q of the truncated space (its q @ q).  The
+    series' meta is the trajectory's own record.
     """
     rows, q = _quadrature_block(traj.space, factor, quadrature, traj.sector)
     qv = (q @ traj.amplitudes.T).T
     hit, at = _sector_positions(traj.sector, rows)
     m1 = np.einsum("ti,ti->t", traj.amplitudes[:, at].conj(), qv[:, hit]).real
     m2 = np.einsum("ti,ti->t", qv.conj(), qv).real
-    return TimeSeries(traj.times, m2 - m1**2, dict(traj.meta, quadrature=quadrature))
+    return TimeSeries(traj.times, m2 - m1**2, traj.meta)
 
 
 def covariance_evolve(
@@ -797,14 +797,7 @@ def covariance_evolve(
     cov = f @ init.cov @ ft + e[:, :2, 2:] @ ft
     cov = 0.5 * (cov + cov.transpose(0, 2, 1))
     _check_uncertainty(cov)
-    meta = {
-        "method": "covariance-expm",
-        "g_eff": g_eff,
-        "omega_m": omega_m,
-        "gamma": gamma,
-        "nbar": nbar,
-    }
-    return CovarianceTrajectory(times=t, mean=f @ init.mean, cov=cov, meta=meta)
+    return CovarianceTrajectory(times=t, mean=f @ init.mean, cov=cov, meta={"method": "covariance-expm"})
 
 
 def mech_dim_start(nbar: float, g_eff: float, omega_m: float) -> int:
@@ -833,7 +826,8 @@ def effective_variance_series(
     t = 0, whatever times[0] is.  The oscillator dimension starts at
     `d_start` (default `mech_dim_start`) and doubles until the truncation
     tail stays below 1e-6; TruncationError is raised when a doubling would
-    pass `EFFECTIVE_DIM_CAP`.
+    pass `EFFECTIVE_DIM_CAP`.  `meta` holds "method" ("eigh-moments"),
+    "d_mech", the dimension the run accepted, and "tail_max", its tail.
 
     The tail bounds the population of the top two levels, not the
     variance's error, which can be far larger: X^2 weighs level n by about
@@ -852,9 +846,7 @@ def effective_variance_series(
 
     d0 = d_start if d_start is not None else mech_dim_start(nbar, g_eff, omega_m)
     var, tails, (d,) = _double_until_converged(run, (d0,), EFFECTIVE_DIM_CAP)
-    meta = {"method": "eigh-moments", "d_mech": d, "g_eff": g_eff, "omega_m": omega_m,
-            "nbar": nbar, "tail_max": tails}
-    return TimeSeries(t, var, meta)
+    return TimeSeries(t, var, {"method": "eigh-moments", "d_mech": d, "tail_max": tails})
 
 
 @dataclass
@@ -931,8 +923,8 @@ def _product_vacuum_with_atom(space: HilbertSpace, atom_vec: np.ndarray) -> Quan
 def _leg_variance(H: Operator, psi0: QuantumState, times: np.ndarray, collapse_ops=()):
     """(oscillator X variance, engine record) of one chain leg, the engine picked by its collapse set.
 
-    None keeps rho pure: exact `evolve_unitary`.  Any runs `evolve_lindblad`
-    on X and X^2, which picks its own exact route.
+    An empty collapse set keeps rho pure: exact `evolve_unitary`.  Any
+    other runs `evolve_lindblad` on X and X^2, which picks its own exact route.
     Either way the meta is the engine's own record, passed on unchanged:
     its "method", "n_rhs_evals" and "rtol", the relative error of the
     variance series.

@@ -26,7 +26,7 @@ used throughout the package:
 
 Truncation is handled by policy, not by magic: ladder operators are used
 as-is on the truncated space, and simulations record the population of the
-top two Fock levels (the top one only below four levels) so a caller can
+top two Fock levels (the top one at three levels) so a caller can
 tell whether the truncation was adequate (see `dynamics`).
 """
 

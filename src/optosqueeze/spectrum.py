@@ -89,11 +89,6 @@ def _finite_grid(values, name: str) -> np.ndarray:
     return x
 
 
-def _meta(p: ModelParams, method: str, index: str, **extra) -> dict:
-    return {"method": method, "index": index, **extra,
-            "omega_m": p.omega_m, "gamma": p.gamma, "nbar": p.nbar}
-
-
 def _checked_real(s: np.ndarray, omegas: np.ndarray) -> np.ndarray:
     """s.real, after checking that no point has a significant imaginary part."""
     bad = np.abs(s.imag) > 1e-10 * (1.0 + np.abs(s.real))
@@ -143,7 +138,7 @@ def spectrum_numeric(p: ModelParams, g_eff: float, omegas) -> SpectrumSeries:
     _require_stationary(p, g_eff)
     w = _finite_grid(omegas, "omegas")
     vals = _langevin_variances(p, g_eff, w)
-    return SpectrumSeries(w, vals, _meta(p, "langevin-inversion", "omega", g_eff=g_eff))
+    return SpectrumSeries(w, vals, {"method": "langevin-inversion", "index": "omega"})
 
 
 def spectrum_regression(p: ModelParams, g_eff: float, omegas) -> SpectrumSeries:
@@ -166,7 +161,7 @@ def spectrum_regression(p: ModelParams, g_eff: float, omegas) -> SpectrumSeries:
     left = np.linalg.solve(-a - iw, np.broadcast_to(m, iw.shape))
     right = m @ np.linalg.inv(-a.T + iw)
     vals = _checked_real(left[:, 0, 0] + right[:, 0, 0], w)
-    return SpectrumSeries(w, vals, _meta(p, "lyapunov-resolvent", "omega", g_eff=g_eff))
+    return SpectrumSeries(w, vals, {"method": "lyapunov-resolvent", "index": "omega"})
 
 
 def find_peaks(series: SpectrumSeries) -> list:
@@ -216,5 +211,4 @@ def trend_vs_geff(p: ModelParams, omega_fixed: float, geff_grid) -> SpectrumSeri
         monotone = "increasing"
     else:
         monotone = "none"
-    meta = _meta(p, "langevin-inversion", "g_eff", omega_fixed=omega_fixed, monotone=monotone)
-    return SpectrumSeries(g, vals, meta)
+    return SpectrumSeries(g, vals, {"method": "langevin-inversion", "index": "g_eff", "monotone": monotone})

@@ -192,6 +192,21 @@ class TestCommands:
         assert np.allclose(vals[:, 1], vals[:, 2], rtol=0, atol=1e-8)
         assert vals[:, 1].min() < 0.06  # deep squeezing happens inside the window
 
+    def test_time_trace_doubles_from_a_two_level_oscillator(self, tmp_path):
+        # (b + b^dag)^2 truncated to two levels never lifts the vacuum, so a
+        # tail of level 1 alone would pass d_mech = 2 with a flat variance of 1/4
+        out = tmp_path / "tt.csv"
+        code = run_cli(
+            tmp_path,
+            f"command = time-trace\ngeff = 1\ntime_start = 0\ntime_stop = 2.8099258924162903\n"
+            f"time_count = 29\nd_mech = 2\noutput = {out}\n",
+        )
+        assert code == 0
+        meta, _, rows = read_csv(out)
+        assert meta["d_mech_used"] == ["32"]
+        vals = np.array([[float(c) for c in r] for r in rows])
+        assert np.allclose(vals[:, 1], vals[:, 2], rtol=0, atol=5e-5)  # measured 1.7e-5
+
     def test_spectrum_reference_point(self, tmp_path):
         out = tmp_path / "sp.csv"
         code = run_cli(
@@ -322,9 +337,10 @@ class TestCommands:
     def test_master_equation_legs_double_from_too_small_dims(self, tmp_path):
         # at d_mech_lindblad = 3 the master-equation tails exceed 1e-6; the
         # pair doubles d_mech to 12 instead of exiting 1, and reads what a run
-        # started at 12 reads
-        tables = []
-        for d_start in (3, 12):
+        # started at 12 reads.  At 2 the tail is the whole population, so the
+        # pair doubles to 16 instead of exiting 1 with both legs in vacuum
+        tables = {}
+        for d_start in (3, 12, 2, 16):
             out = tmp_path / f"va{d_start}.csv"
             code = run_cli(
                 tmp_path,
@@ -334,11 +350,12 @@ class TestCommands:
                 f"d_mech_lindblad = {d_start}\nlindblad_rtol = 1e-6\noutput = {out}\n",
             )
             assert code == 0
-            tables.append({r[0]: r[1] for r in read_csv(out)[2]})
-        doubled, direct = tables
-        assert (doubled["d_cav_lindblad"], doubled["d_mech_lindblad"]) == ("3", "12")
-        for key in ("smax_closed_db", "smax_open_db", "smax_degradation"):
-            assert doubled[key] == direct[key]
+            tables[d_start] = {r[0]: r[1] for r in read_csv(out)[2]}
+        for d_start, reached in ((3, 12), (2, 16)):
+            doubled, direct = tables[d_start], tables[reached]
+            assert (doubled["d_cav_lindblad"], doubled["d_mech_lindblad"]) == ("3", str(reached))
+            for key in ("smax_closed_db", "smax_open_db", "smax_degradation"):
+                assert doubled[key] == direct[key]
 
 
     def test_lindblad_rtol_changes_nothing_but_its_metadata_line(self, tmp_path):

@@ -344,7 +344,7 @@ def dense_moments_reference(h, nbar, times):
     rho = np.diag(w / w.sum())
     xt = v.conj().T @ position(h.space, 0).matrix @ v
     mask = np.zeros(d)
-    mask[-2 if d >= 4 else -1:] = 1.0  # the top two levels, the top one below four
+    mask[-1 if d == 3 else -2:] = 1.0  # the top two levels, the top one at three
     pt = v.conj().T @ (mask[:, None] * v)
     rho_t = (v.conj().T @ rho @ v).T
     out = np.empty((3, len(times)))
@@ -379,10 +379,11 @@ def matrix_units(space):
 
 
 class TestExactQuadratureMoments:
-    # odd d puts the two tail levels in different parities; below four
-    # levels one parity has no tail level at all
+    # odd d puts the two tail levels in different parities; at three
+    # levels one parity has no tail level at all, and at two the tail is
+    # the whole population
     @pytest.mark.parametrize("nbar", [0.0, 2.0])
-    @pytest.mark.parametrize("d", [3, 5, 64, 65])
+    @pytest.mark.parametrize("d", [2, 3, 5, 64, 65])
     def test_matches_dense_reference_for_thermal_state(self, d, nbar):
         space = oscillator_space(d)
         h = build_effective_hamiltonian(0.8, 1.0, space)
@@ -1470,12 +1471,15 @@ class TestDimensionPolicy:
     def test_adaptive_series_recovers_from_small_start(self):
         q = math.sqrt(5.0)
         times = np.linspace(0.0, math.pi / q, 51)
-        ts = effective_variance_series(1.0, 1.0, 0.0, times, d_start=4)
         ref = np.array([position_variance(1.0, 1.0, 0.0, t) for t in times])
-        # a 1e-6 tail bound translates to ~1e-5 variance accuracy
-        assert np.allclose(ts.values, ref, rtol=0.0, atol=5e-5)
-        assert ts.meta["d_mech"] > 4
-        assert max(ts.meta["tail_max"].values()) <= 1e-6
+        # at d = 2 the tail is the whole population: (b + b^dag)^2 truncated
+        # to two levels is diagonal, so level 1 alone stays empty from vacuum
+        for d_start in (2, 4):
+            ts = effective_variance_series(1.0, 1.0, 0.0, times, d_start=d_start)
+            # a 1e-6 tail bound translates to ~1e-5 variance accuracy
+            assert np.allclose(ts.values, ref, rtol=0.0, atol=5e-5)
+            assert ts.meta["d_mech"] > 4
+            assert max(ts.meta["tail_max"].values()) <= 1e-6
 
     def test_adaptive_series_thermal_route(self):
         times = np.linspace(0.0, 2.0, 21)
@@ -1545,6 +1549,29 @@ class TestTimeSeries:
         with pytest.raises(ValueError, match="equal length"):
             TimeSeries(np.array([0.0, 1.0]), np.zeros(3))
 
+    def test_meta_holds_what_the_run_decided(self):
+        # route, dims and tails; never an argument the caller passed
+        times = np.linspace(0.0, 1.0, 5)
+        assert effective_variance_series(0.5, 1.0, 1.0, times).meta.keys() == {"method", "d_mech", "tail_max"}
+        space = oscillator_space(8)
+        traj = evolve_unitary(build_effective_hamiltonian(0.5, 1.0, space), vacuum_state(space), times)
+        assert variance_trajectory(traj, 0, "P").meta == traj.meta
+        cov = covariance_evolve(0.5, 1.0, 0.1, 1.0, CovarianceState.vacuum(), times)
+        assert cov.meta == {"method": "covariance-expm"}
+
+    def test_one_row_per_time(self):
+        # a complex (n_t, k) block is a record, as evolve_lindblad returns it
+        block = np.arange(6).reshape(3, 2) * (1.0 - 2.0j)
+        ts = TimeSeries(np.array([0.0, 0.5, 1.0]), block)
+        assert ts.values.dtype == complex and np.array_equal(ts.values, block)
+        with pytest.raises(ValueError, match="equal length"):
+            TimeSeries(np.array([0.0, 1.0]), block)
+        space = oscillator_space(4)
+        out = evolve_lindblad(build_effective_hamiltonian(0.2, 1.0, space), [(annihilation(space, 0), 0.1)],
+                              vacuum_state(space), np.linspace(0.0, 1.0, 3), [number(space, 0), position(space, 0)])
+        assert isinstance(out, TimeSeries)
+        assert out.values.shape == (3, 2) and out.values.dtype == complex
+
 
 class TestValidateAdiabaticChain:
     def test_decoupled_atom_all_models_agree(self):
@@ -1563,6 +1590,16 @@ class TestValidateAdiabaticChain:
         assert rep.deviations["full_vs_effective"] < 0.01
         assert rep.deviations["full_vs_two_level_as_written"] < 0.01
         assert rep.stark_winner in ("as-written", "textbook", "tie")
+
+    def test_two_level_oscillator_start_doubles(self):
+        # validate_adiabatic.cfg's point: from d_mech = 2 a tail of level 1
+        # alone stays 0 in vacuum, and every deviation reads below 1e-15.  It
+        # doubles to 4 and measures what a start at 16 does: 1.4598e-4 against 1.4619e-4
+        p = ModelParams(delta=20.0, Delta=100.0, Omega=1.0, g1=1.0, g2=0.02)
+        small, ref = (validate_adiabatic_chain(p, "e1", horizon=6.2832, n_times=40, d_cav=4, d_mech=d)
+                      for d in (2, 16))
+        assert small.dims["d_mech"] == 4
+        assert small.deviations["full_vs_effective"] == pytest.approx(ref.deviations["full_vs_effective"], rel=1e-2)
 
     def test_zero_delta_raises(self):
         # the elimination needs delta != 0: the chain stops at the coupling spectrum
@@ -1834,6 +1871,32 @@ class TestEliminationOrder:
     def test_as_written_rate_errs_40_to_52_times_more(self, deviations):
         ratio = deviations["as_written"] / deviations["textbook"]
         assert np.all((39.0 < ratio) & (ratio < 54.0))  # measured 40.03 to 52.23
+
+
+class TestCavityEliminationPlateau:
+    """How the cavity elimination's error moves as the detuning delta grows at fixed eps/delta.
+
+    scripts/stark_variant.cfg's point at Delta = 320, with eps = delta/4
+    so that (eps/delta)^2 = 0.0625 stays fixed, over 2 pi with 120 times,
+    at delta = 8, 16, 32 and 64.  The two-level (textbook) vs effective
+    deviation reads 1.119e-2, 1.037e-2, 1.031e-2 and 1.036e-2: from a
+    cavity vacuum start the elimination does not converge in delta, since
+    the cavity's switch-on sets an error of order (eps/delta)^2 that no
+    larger delta removes.  A second-order elimination would fall 4x per
+    doubling.  Each chain doubles d_cav from 6 to 12.
+    """
+
+    DELTAS = (8.0, 16.0, 32.0, 64.0)
+
+    def test_deviation_plateaus_at_fixed_eps_over_delta(self):
+        dev = []
+        for delta in self.DELTAS:
+            p = ModelParams(delta=delta, Delta=320.0, Omega=2.0, g1=1.0, g2=0.05, eps=delta / 4.0)
+            rep = validate_adiabatic_chain(p, "e1", horizon=2.0 * math.pi, n_times=120, d_cav=6, d_mech=24)
+            dev.append(rep.deviations["two_level_textbook_vs_effective"])
+        dev = np.array(dev)
+        assert np.all(dev > 1e-2)  # measured 1.031e-2 at least
+        assert np.all(dev[:-1] / dev[1:] < 1.1)  # measured 1.079 at most per doubling of delta
 
 
 def expm_clongdouble(a):

@@ -113,6 +113,13 @@ class TestSpectrumSeries:
         assert w.size == 801
         assert w[0] == -4.0 and w[-1] == 4.0
 
+    def test_meta_names_the_route_not_its_arguments(self):
+        p, w = params(), np.linspace(-2.0, 2.0, 5)
+        assert spectrum_numeric(p, 1.0, w).meta == {"method": "langevin-inversion", "index": "omega"}
+        assert spectrum_regression(p, 1.0, w).meta == {"method": "lyapunov-resolvent", "index": "omega"}
+        assert trend_vs_geff(p, 1.0, [0.1, 0.2]).meta == {
+            "method": "langevin-inversion", "index": "g_eff", "monotone": "decreasing"}
+
 
 class TestSpectrumNumeric:
     def test_matches_per_point_inversion(self):
