@@ -319,10 +319,9 @@ def _run_validate_adiabatic(cfg: RunConfig):
     p, o = cfg.params, cfg.options
     atom = _parse_atom_state(o.get("atom_state", "e1"))
     kwargs = {k: o[k] for k in ("n_times", "d_cav", "d_mech") if k in o}
-    rep = validate_adiabatic_chain(p, atom, o["horizon"],
-                                   include_lindblad=o.get("include_lindblad", False),
-                                   lindblad_dims=(o.get("d_cav_lindblad"), o.get("d_mech_lindblad")),
-                                   **kwargs)
+    if o.get("include_lindblad", False):
+        kwargs["lindblad_dims"] = (o.get("d_cav_lindblad"), o.get("d_mech_lindblad"))
+    rep = validate_adiabatic_chain(p, atom, o["horizon"], **kwargs)
     rows = []
     for k in sorted(rep.ratios):
         rows.append((f"ratio_{k}", rep.ratios[k]))
@@ -333,11 +332,13 @@ def _run_validate_adiabatic(cfg: RunConfig):
     rows.append(("atom_weight_e2", rep.atom_weights[1]))
     rows.append(("d_cav_used", rep.dims["d_cav"]))
     rows.append(("d_mech_used", rep.dims["d_mech"]))
-    if "lindblad" in rep.dims:
-        rows.append(("d_cav_lindblad", rep.dims["lindblad"][0]))
-        rows.append(("d_mech_lindblad", rep.dims["lindblad"][1]))
-    for leg in sorted(rep.tails):
-        rows.append((f"tail_{leg}", max(rep.tails[leg].values())))
+    if "lindblad_closed" in rep.legs:
+        ldims = rep.legs["lindblad_closed"].meta["dims"]
+        rows.append(("d_cav_lindblad", ldims[0]))
+        rows.append(("d_mech_lindblad", ldims[1]))
+    # tail rows for the unitary and effective legs only: the master-equation pair's stay in its records
+    for leg in sorted(k for k in rep.legs if not k.startswith("lindblad_")):
+        rows.append((f"tail_{leg}", max(rep.legs[leg].meta["tail_max"].values())))
     if rep.smax_closed is not None:
         rows.append(("smax_closed_db", rep.smax_closed))
         rows.append(("smax_open_db", rep.smax_open))

@@ -856,23 +856,25 @@ class AdiabaticReport:
     deviations: max pointwise relative X-variance deviation per model pair
     (keys like "full_vs_effective"); ratios: the hierarchy ratios that the
     elimination assumes large; stark_winner: which two-level Stark variant
-    tracked the three-level model better over this run; variances: each
-    leg's oscillator X variance on the run's grid, linspace(0, horizon,
-    n_times), keyed by leg name as `tails` is; the smax fields stay None
-    only for a run without the master-equation pair.
+    tracked the three-level model better over this run; dims: the "d_cav"
+    and "d_mech" that the unitary legs reached; legs: each leg's oscillator
+    X variance on the run's grid, linspace(0, horizon, n_times), as a
+    `TimeSeries` whose meta is the leg's own record (route, dims, tails),
+    keyed "full", "two_level_as_written", "two_level_textbook",
+    "effective" and, with the master-equation pair, "lindblad_closed" and
+    "lindblad_open"; the smax fields stay None only for a run without
+    that pair.
     """
 
     ratios: dict
     deviations: dict
     stark_winner: str
     dims: dict
-    tails: dict
-    variances: dict
+    legs: dict
     atom_weights: tuple
     smax_closed: float | None = None
     smax_open: float | None = None
     smax_degradation: float | None = None
-    meta: dict = field(default_factory=dict)
 
 
 def _rel_dev(a: np.ndarray, b: np.ndarray) -> float:
@@ -920,22 +922,22 @@ def _product_vacuum_with_atom(space: HilbertSpace, atom_vec: np.ndarray) -> Quan
     return QuantumState.pure(space, psi)
 
 
-def _leg_variance(H: Operator, psi0: QuantumState, times: np.ndarray, collapse_ops=()):
-    """(oscillator X variance, engine record) of one chain leg, the engine picked by its collapse set.
+def _leg_variance(H: Operator, psi0: QuantumState, times: np.ndarray, collapse_ops=()) -> TimeSeries:
+    """The oscillator X variance of one chain leg, the engine picked by its collapse set.
 
-    An empty collapse set keeps rho pure: exact `evolve_unitary`.  Any
-    other runs `evolve_lindblad` on X and X^2, which picks its own exact route.
-    Either way the meta is the engine's own record, passed on unchanged:
-    its "method", "n_rhs_evals" and "rtol", the relative error of the
-    variance series.
+    An empty collapse set keeps rho pure: exact `evolve_unitary`, read by
+    `variance_trajectory`.  Any other runs `evolve_lindblad` on X and X^2,
+    which picks its own exact route.  Either way the series' meta is the
+    engine's own record, passed on unchanged: its "method", "dims",
+    "sector_dim", "tail_max", "trace_max_dev", "n_rhs_evals" and "rtol",
+    the relative error of the variance series.
     """
     if not collapse_ops:
-        ts = variance_trajectory(evolve_unitary(H, psi0, times), 1, "X")
-        return ts.values, ts.meta
+        return variance_trajectory(evolve_unitary(H, psi0, times), 1, "X")
     x = position(H.space, 1)
     out = evolve_lindblad(H, collapse_ops, psi0, times, (x, x @ x))
     m1, m2 = out.values.real.T  # <X> and <X^2> of the oscillator
-    return m2 - m1**2, out.meta
+    return TimeSeries(out.times, m2 - m1**2, out.meta)
 
 
 def validate_adiabatic_chain(
@@ -945,53 +947,52 @@ def validate_adiabatic_chain(
     n_times: int = 400,
     d_cav: int = 8,
     d_mech: int | None = None,
-    include_lindblad: bool = False,
-    lindblad_dims: tuple = (None, None),
+    lindblad_dims: tuple | None = None,
 ) -> AdiabaticReport:
     """Run the elimination chain end to end and measure how well it holds.
 
     Evolves (i) the three-level model, (ii) both Stark variants of the
     two-level model, in `STARK_VARIANTS` order (two variants with equal
-    shifts, as at Omega = g1, share one run and its result), and (iii) the
-    effective oscillator model with the atom decomposed over the coupling
-    eigenstates (a non-eigenstate preparation runs as a mixture over e1/e2
-    with the overlap weights; the neglected cross-coherence shows up in the
-    reported deviation rather than being hidden).  All start from cavity
-    and oscillator vacuum.  Returns the pairwise maximum relative
-    X-variance deviations, the hierarchy ratios the chain assumes large
-    (|Delta| and |delta| over the rates they must exceed), and which Stark
-    variant tracked the three-level model better.
+    shifts, as at Omega = g1, share one run: both of their keys in `legs`
+    hold the same series), and (iii) the effective oscillator model with
+    the atom decomposed over the coupling eigenstates (a non-eigenstate
+    preparation runs as a mixture over e1/e2 with the overlap weights; the
+    neglected cross-coherence shows up in the reported deviation rather
+    than being hidden).  All start from cavity and oscillator vacuum.
+    Returns the pairwise maximum relative X-variance deviations, the
+    hierarchy ratios the chain assumes large (|Delta| and |delta| over the
+    rates they must exceed), which Stark variant tracked the three-level
+    model better, and each leg's X-variance series with its own record.
 
-    Every leg runs on linspace(0, horizon, n_times) through `_leg_variance`,
-    which picks its engine from the leg's collapse set.  With
-    `include_lindblad`, two master-equation legs of the three-level model,
-    without and with the kappa / Gamma_e collapse channels (gamma damps
-    the oscillator in both), measure how much the achieved maximum
-    squeezing degrades.  A closed leg whose relative X-variance dip does not
-    exceed its own error, the "rtol" its engine reports in its meta
+    Every leg runs on linspace(0, horizon, n_times), the Fock legs through
+    `_leg_variance`, which picks the engine from the leg's collapse set.
+    A `lindblad_dims` tuple adds two master-equation legs of the
+    three-level model, "lindblad_closed" and "lindblad_open", without and
+    with the kappa / Gamma_e collapse channels (gamma damps the oscillator
+    in both), which measure how much the achieved maximum squeezing
+    degrades; None runs no such pair.  Both legs share one space, which
+    starts at `lindblad_dims` = (d_cav, d_mech); a None entry takes
+    min(d_cav, 4), respectively d_mech, as reached by the unitary legs.  A
+    leg without a channel (the closed leg whenever gamma = 0) runs
+    unitarily.  A closed leg whose relative X-variance dip does not exceed
+    its own error, the "rtol" its engine reports in its meta
     (`EXACT_VARIANCE_RTOL` when it runs unitarily, `EXPM_VARIANCE_RTOL` on
     either master-equation route), leaves the degradation undefined and
-    raises ValueError.  A leg without a channel (the closed leg whenever
-    gamma = 0) runs unitarily, with a Hilbert-sector size in
-    `meta["sector_dim"]`; `meta["lindblad_method"]` names each leg's route.
-    Against an adaptive Runge-Kutta reference at rtol 1e-12, the
-    expm_multiply route errs by 9.6e-15 relative in decay_immunity.cfg's
-    smax_open_db and 1.2e-13 in its smax_degradation, within that
-    reference's own error and far below the degradation, 0.0746.  Both
-    legs share one space, which starts at `lindblad_dims` = (d_cav,
-    d_mech); a None entry takes min(d_cav, 4), respectively d_mech, as
-    reached by the unitary legs.
+    raises ValueError.  Against an adaptive Runge-Kutta reference at rtol
+    1e-12, the expm_multiply route errs by 9.6e-15 relative in
+    decay_immunity.cfg's smax_open_db and 1.2e-13 in its
+    smax_degradation, within that reference's own error and far below the
+    degradation, 0.0746.
 
-    Truncation is adaptive: a Fock leg whose top-level population exceeds
-    1e-6 doubles the offending dimension, up to `CHAIN_DIM_CAP` for every
-    leg, the master-equation pair included.  Each unitary leg passes its
-    dimensions on to the next; the effective leg starts from the d_mech
-    they reached and doubles in `effective_variance_series`, its branches'
-    largest d_mech being `dims["d_mech_effective"]`.  The master-equation
-    pair doubles on the larger tail of its two legs and reports its
-    dimensions as `dims["lindblad"]`.  `meta["sector_dim"]` holds each Fock
-    leg's propagated sector size, and `variances` each unitary and
-    effective leg's X-variance series on the report's grid.
+    Truncation is adaptive: a Fock leg whose `_tail_levels` tail exceeds
+    `TAIL_LIMIT` doubles the offending dimension, up to `CHAIN_DIM_CAP`
+    for every leg, the master-equation pair included.  Each unitary leg
+    passes its dimensions on to the next, and `dims` holds the pair they
+    reach.  The effective leg starts from that d_mech and doubles in
+    `effective_variance_series`; its record holds "method", and the
+    largest "d_mech" and "tail_max" of its branches.  The master-equation
+    pair doubles on the larger tail of its two legs, and each leg's
+    `meta["dims"]` holds the dimensions it ended at.
     """
     spec, atom3, atom2, weights = _resolve_atom_init(p, atom_init)
     alpha = spec.alpha
@@ -1011,13 +1012,13 @@ def validate_adiabatic_chain(
 
         def run(dims):
             space = hybrid_space(*dims, levels)
-            var, meta = _leg_variance(build(space), _product_vacuum_with_atom(space, atom_vec), times)
-            return (var, meta["sector_dim"]), meta["tail_max"]
+            ts = _leg_variance(build(space), _product_vacuum_with_atom(space, atom_vec), times)
+            return ts, ts.meta["tail_max"]
 
-        (var, sector), tails, (dc, dm) = _double_until_converged(run, (dc, dm), CHAIN_DIM_CAP)
-        return var, tails, sector
+        ts, _, (dc, dm) = _double_until_converged(run, (dc, dm), CHAIN_DIM_CAP)
+        return ts
 
-    # legs by report name: (X variance, tails, sector size); one run per Stark shift pair
+    # legs by report name; one run per Stark shift pair
     legs = {"full": run_unitary_leg(lambda s: build_full_hamiltonian(p, s), 3, atom3)}
     runs = {}
     for variant in STARK_VARIANTS:
@@ -1025,24 +1026,23 @@ def validate_adiabatic_chain(
         if shifts not in runs:
             runs[shifts] = run_unitary_leg(lambda s: build_two_level_hamiltonian(p, s, variant), 2, atom2)
         legs["two_level_" + variant.replace("-", "_")] = runs[shifts]
+    two_level = list(legs)[1:]
 
     # effective leg: mixture over the coupling eigenstates.  From vacuum each
     # branch has <X> = 0 exactly, so the mixture's variance is the weighted
     # sum of the branch variances.
-    var_eff, tail_eff, dm_eff = 0.0, 0.0, dm
-    for w, g in zip(weights, (spec.g_eff_1, spec.g_eff_2)):
-        if w < 1e-12:
-            continue
-        ts = effective_variance_series(g, p.omega_m, 0.0, times, d_start=dm)
-        var_eff = var_eff + w * ts.values
-        tail_eff = max(tail_eff, ts.meta["tail_max"][0])
-        dm_eff = max(dm_eff, ts.meta["d_mech"])
+    branches = [(w, effective_variance_series(g, p.omega_m, 0.0, times, d_start=dm))
+                for w, g in zip(weights, (spec.g_eff_1, spec.g_eff_2)) if w >= 1e-12]
+    legs["effective"] = TimeSeries(times, sum(w * ts.values for w, ts in branches), {
+        "method": "eigh-moments",
+        "d_mech": max(ts.meta["d_mech"] for _, ts in branches),
+        "tail_max": {0: max(ts.meta["tail_max"][0] for _, ts in branches)},
+    })
 
-    var_full = legs["full"][0]
-    two_level = list(legs)[1:]
+    var_full, var_eff = legs["full"].values, legs["effective"].values
     deviations = {"full_vs_effective": _rel_dev(var_full, var_eff)}
-    deviations.update({f"full_vs_{k}": _rel_dev(legs[k][0], var_full) for k in two_level})
-    deviations.update({f"{k}_vs_effective": _rel_dev(legs[k][0], var_eff) for k in two_level})
+    deviations.update({f"full_vs_{k}": _rel_dev(legs[k].values, var_full) for k in two_level})
+    deviations.update({f"{k}_vs_effective": _rel_dev(legs[k].values, var_eff) for k in two_level})
     d_aw = deviations["full_vs_two_level_as_written"]
     d_tb = deviations["full_vs_two_level_textbook"]
     if abs(d_aw - d_tb) <= 1e-15:
@@ -1050,55 +1050,44 @@ def validate_adiabatic_chain(
     else:
         winner = "as-written" if d_aw < d_tb else "textbook"
 
-    report = AdiabaticReport(
-        ratios=ratios,
-        deviations=deviations,
-        stark_winner=winner,
-        dims={"d_cav": dc, "d_mech": dm, "d_mech_effective": dm_eff},
-        tails={**{k: tails for k, (_, tails, _) in legs.items()}, "effective": {0: tail_eff}},
-        variances={**{k: var for k, (var, _, _) in legs.items()}, "effective": var_eff},
-        atom_weights=weights,
-        meta={"sector_dim": {k: sector for k, (_, _, sector) in legs.items()}},
-    )
+    report = AdiabaticReport(ratios=ratios, deviations=deviations, stark_winner=winner,
+                             dims={"d_cav": dc, "d_mech": dm}, legs=legs, atom_weights=weights)
+    if lindblad_dims is None:
+        return report
 
-    if include_lindblad:
-        def collapse_set(lspace: HilbertSpace, open_system: bool):
-            # (rate, builder) pairs: an operator is built only when its rate is positive,
-            # and D[b] runs whenever gamma > 0
-            b = annihilation(lspace, 1) if p.gamma > 0 else None
-            ops = [(p.gamma * (p.nbar + 1.0), lambda: b), (p.gamma * p.nbar, lambda: b.dag())]
-            if open_system:
-                ops += [(p.kappa, lambda: annihilation(lspace, 0)),
-                        (p.Gamma_e, lambda: level_projector(lspace, 2, 1, 2)),
-                        (p.Gamma_e, lambda: level_projector(lspace, 2, 0, 2))]
-            return [(build(), rate) for rate, build in ops if rate > 0]
+    def collapse_set(lspace: HilbertSpace, open_system: bool):
+        # (rate, builder) pairs: an operator is built only when its rate is positive,
+        # and D[b] runs whenever gamma > 0
+        b = annihilation(lspace, 1) if p.gamma > 0 else None
+        ops = [(p.gamma * (p.nbar + 1.0), lambda: b), (p.gamma * p.nbar, lambda: b.dag())]
+        if open_system:
+            ops += [(p.kappa, lambda: annihilation(lspace, 0)),
+                    (p.Gamma_e, lambda: level_projector(lspace, 2, 1, 2)),
+                    (p.Gamma_e, lambda: level_projector(lspace, 2, 0, 2))]
+        return [(build(), rate) for rate, build in ops if rate > 0]
 
-        def run_lindblad_legs(dims):
-            # the closed and the open leg share one space, so their smax stay comparable
-            lspace = hybrid_space(*dims, 3)
-            lh = build_full_hamiltonian(p, lspace)
-            psi0 = _product_vacuum_with_atom(lspace, atom3)
-            legs = [_leg_variance(lh, psi0, times, collapse_set(lspace, open_system))
-                    for open_system in (False, True)]
-            tails = {i: max(meta["tail_max"][i] for _, meta in legs) for i in legs[0][1]["tail_max"]}
-            return legs, tails
+    def run_lindblad_legs(dims):
+        # the closed and the open leg share one space, so their smax stay comparable
+        lspace = hybrid_space(*dims, 3)
+        lh = build_full_hamiltonian(p, lspace)
+        psi0 = _product_vacuum_with_atom(lspace, atom3)
+        pair = [_leg_variance(lh, psi0, times, collapse_set(lspace, open_system))
+                for open_system in (False, True)]
+        tails = {i: max(ts.meta["tail_max"][i] for ts in pair) for i in pair[0].meta["tail_max"]}
+        return pair, tails
 
-        ldc, ldm = lindblad_dims
-        ldims = (min(dc, 4) if ldc is None else ldc, dm if ldm is None else ldm)
-        ((v_closed, closed), (v_open, opened)), _, ldims = _double_until_converged(
-            run_lindblad_legs, ldims, CHAIN_DIM_CAP)
-        # a dip within the closed leg's own error is noise, and dividing by it means nothing
-        dip = 1.0 - float(np.min(v_closed)) / float(v_closed[0])
-        if not dip > closed["rtol"]:
-            raise ValueError("the smax degradation is undefined: the closed master-equation leg "
-                             f"does not squeeze beyond its error (relative X-variance dip {dip:.3g} "
-                             f"<= {closed['rtol']:.3g})")
-        s_closed, s_open = (-5.0 * math.log10(float(np.min(v)) / float(v[0])) for v in (v_closed, v_open))
-        report.smax_closed = s_closed
-        report.smax_open = s_open
-        report.smax_degradation = (s_closed - s_open) / s_closed
-        report.dims["lindblad"] = ldims
-        report.meta["lindblad_method"] = (closed["method"], opened["method"])
-        report.meta["sector_dim"]["lindblad_closed"] = closed["sector_dim"]
-        report.meta["sector_dim"]["lindblad_open"] = opened["sector_dim"]
+    ldc, ldm = lindblad_dims
+    ldims = (min(dc, 4) if ldc is None else ldc, dm if ldm is None else ldm)
+    (closed, opened), _, _ = _double_until_converged(run_lindblad_legs, ldims, CHAIN_DIM_CAP)
+    legs["lindblad_closed"], legs["lindblad_open"] = closed, opened
+    # a dip within the closed leg's own error is noise, and dividing by it means nothing
+    dip = 1.0 - float(np.min(closed.values)) / float(closed.values[0])
+    if not dip > closed.meta["rtol"]:
+        raise ValueError("the smax degradation is undefined: the closed master-equation leg "
+                         f"does not squeeze beyond its error (relative X-variance dip {dip:.3g} "
+                         f"<= {closed.meta['rtol']:.3g})")
+    s_closed, s_open = (-5.0 * math.log10(float(np.min(v)) / float(v[0])) for v in (closed.values, opened.values))
+    report.smax_closed = s_closed
+    report.smax_open = s_open
+    report.smax_degradation = (s_closed - s_open) / s_closed
     return report

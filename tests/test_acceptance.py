@@ -246,8 +246,8 @@ def test_criterion_11_beyond_3db_through_the_full_model(capsys):
     # convergence and the elimination of |e>; the gap between the full model
     # and the closed form (the elimination of the cavity) is reported, not
     # bounded.  A horizon of 2 t_dip holds the full model's first dip: at
-    # 1.2 t_dip it is still falling at the last grid point.  The dip is read
-    # off the chain's own full leg, which ends at the reported dims.
+    # 1.2 t_dip it is still falling at the last grid point.  The dip and the
+    # dims are read off the chain's own full leg, and the tail off every leg.
     p = ModelParams(omega_m=1.0, delta=40.0, Delta=200.0, g1=1.0, Omega=1.0, g2=12.8, eps=10.0)
     spec = atomic_coupling_spectrum(p)
     target = s_max(spec.g_eff_1, p.omega_m)
@@ -255,13 +255,14 @@ def test_criterion_11_beyond_3db_through_the_full_model(capsys):
     times = np.linspace(0.0, 2.0 * t_dip, 200)
     rep = validate_adiabatic_chain(p, "e1", times[-1], n_times=times.size)
 
-    dc, dm = rep.dims["d_cav"], rep.dims["d_mech"]
-    var = rep.variances["full"]
+    full = rep.legs["full"]
+    dc, dm, _ = full.meta["dims"]
+    var = full.values
     dips = np.flatnonzero((var[1:-1] < var[:-2]) & (var[1:-1] <= var[2:])) + 1
     i = int(dips[0]) if dips.size else times.size - 1
     achieved = -5.0 * math.log10(var[i] / var[0])
 
-    tail = max(v for leg in rep.tails.values() for v in leg.values())
+    tail = max(v for leg in rep.legs.values() for v in leg.meta["tail_max"].values())
     elim_e = rep.deviations["full_vs_two_level_as_written"]
     elim_cav = rep.deviations["two_level_as_written_vs_effective"]
     inside = 0 < i < times.size - 1

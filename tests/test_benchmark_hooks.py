@@ -54,11 +54,11 @@ def test_open_chain_gate_reference_matches_the_chain(monkeypatch):
     finally:
         sys.modules.pop("workloads", None)
     rep = validate_adiabatic_chain(p, "e1", horizon=3.2, n_times=workloads.OPEN_LINDBLAD_TIMES,
-                                   d_cav=4, d_mech=16, include_lindblad=True,
-                                   lindblad_dims=workloads.OPEN_LINDBLAD_DIMS)
-    assert rep.dims["lindblad"] == workloads.OPEN_LINDBLAD_DIMS
+                                   d_cav=4, d_mech=16, lindblad_dims=workloads.OPEN_LINDBLAD_DIMS)
+    closed, opened = rep.legs["lindblad_closed"].meta, rep.legs["lindblad_open"].meta
+    assert closed["dims"][:2] == opened["dims"][:2] == workloads.OPEN_LINDBLAD_DIMS
     # gamma = 0 leaves the closed leg unitary; the open leg's 160 entries step exp(G h)
-    assert rep.meta["lindblad_method"] == ("eigh", "lindblad-expm")
+    assert (closed["method"], opened["method"]) == ("eigh", "lindblad-expm")
     assert abs(rep.smax_closed - want) <= workloads.SMAX_REL_BOUND * abs(want)
 
 
@@ -71,7 +71,7 @@ def test_tracer_counts_the_engines(monkeypatch):
         with tracer.Tracer().installed() as tr:  # the wrappers sit on the module attributes
             dynamics.effective_variance_series(0.5, 1.0, 0.0, [0.0, 0.5, 1.0])
             dynamics.validate_adiabatic_chain(p, "e1", horizon=0.4, n_times=5, d_cav=3, d_mech=8,
-                                              include_lindblad=True, lindblad_dims=(3, 8))
+                                              lindblad_dims=(3, 8))
     finally:
         for name in ("tracer", "workloads"):
             sys.modules.pop(name, None)

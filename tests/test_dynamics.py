@@ -1256,8 +1256,9 @@ class TestReachableSector:
         # the undriven chain from vacuum at 8 x 32 x 3 (768 states) and 8 x 32 x 2 (512)
         p = ModelParams(delta=20.0, Delta=100.0, Omega=1.0, g1=1.0, g2=0.02)
         rep = validate_adiabatic_chain(p, "e1", horizon=1.0, n_times=20, d_cav=8, d_mech=32)
-        assert rep.dims["d_cav"] == 8 and rep.dims["d_mech"] == 32
-        assert rep.meta["sector_dim"] == {"full": 48, "two_level_as_written": 32, "two_level_textbook": 32}
+        assert rep.dims == {"d_cav": 8, "d_mech": 32}
+        sectors = {k: ts.meta["sector_dim"] for k, ts in rep.legs.items() if k != "effective"}
+        assert sectors == {"full": 48, "two_level_as_written": 32, "two_level_textbook": 32}
 
 
 class TestVarianceTrajectory:
@@ -1643,9 +1644,7 @@ class TestValidateAdiabaticChain:
         dev = rep.deviations
         assert dev["full_vs_two_level_as_written"] == dev["full_vs_two_level_textbook"]
         assert dev["two_level_as_written_vs_effective"] == dev["two_level_textbook_vs_effective"]
-        assert rep.tails["two_level_as_written"] == rep.tails["two_level_textbook"]
-        sectors = rep.meta["sector_dim"]
-        assert sectors["two_level_as_written"] == sectors["two_level_textbook"]
+        assert rep.legs["two_level_as_written"] is rep.legs["two_level_textbook"]
         assert rep.stark_winner == "tie"
 
     def test_lindblad_legs_populate_degradation(self):
@@ -1659,15 +1658,14 @@ class TestValidateAdiabaticChain:
             n_times=40,
             d_cav=3,
             d_mech=8,
-            include_lindblad=True,
             lindblad_dims=(4, 8),
         )
         assert rep.smax_closed is not None and math.isfinite(rep.smax_closed)
         assert rep.smax_open is not None and math.isfinite(rep.smax_open)
         assert rep.smax_degradation is not None
-        assert rep.dims["lindblad"] == (4, 8)
-        sectors = rep.meta["sector_dim"]
-        assert 0 < sectors["lindblad_closed"] <= sectors["lindblad_open"] <= (4 * 8 * 3) ** 2
+        closed, opened = rep.legs["lindblad_closed"].meta, rep.legs["lindblad_open"].meta
+        assert closed["dims"] == opened["dims"] == (4, 8, 3)
+        assert 0 < closed["sector_dim"] <= opened["sector_dim"] <= (4 * 8 * 3) ** 2
 
     @pytest.mark.parametrize(
         "rates, methods",  # the (closed leg, open leg) routes
@@ -1689,14 +1687,29 @@ class TestValidateAdiabaticChain:
         monkeypatch.setattr(dynamics, "evolve_lindblad", counting)
         p = ModelParams(delta=5.0, Delta=20.0, g1=1.0, Omega=1.0, g2=0.1, eps=0.0, **rates)
         rep = validate_adiabatic_chain(p, "e1", horizon=math.pi, n_times=40, d_cav=3, d_mech=8,
-                                       include_lindblad=True, lindblad_dims=(3, 8))
-        assert rep.meta["lindblad_method"] == methods
+                                       lindblad_dims=(3, 8))
+        closed, opened = rep.legs["lindblad_closed"].meta, rep.legs["lindblad_open"].meta
+        assert (closed["method"], opened["method"]) == methods
         assert len(calls) == sum(m != "eigh" for m in methods) and all(calls)
         if methods[0] == "eigh":
             # the unitary leg's sector counts Hilbert-space states, not vec(rho) entries
-            assert rep.meta["sector_dim"]["lindblad_closed"] <= 3 * 8 * 3
+            assert closed["sector_dim"] <= 3 * 8 * 3
         if methods == ("eigh", "eigh"):
             assert rep.smax_degradation == 0
+
+    def test_master_equation_pair_keeps_its_records(self):
+        # open_chain's chain and Lindblad space: each leg of the pair keeps its
+        # series and its engine's record, the closed leg unitary (gamma = 0),
+        # the open leg's 160 entries stepped by exp(G h)
+        p = ModelParams(delta=20.0, Delta=100.0, Omega=1.0, g1=1.0, g2=0.02, kappa=0.5, Gamma_e=0.1)
+        rep = validate_adiabatic_chain(p, "e1", horizon=3.2, n_times=160, d_cav=4, d_mech=16,
+                                       lindblad_dims=(3, 8))
+        pair = [rep.legs["lindblad_closed"], rep.legs["lindblad_open"]]
+        assert [ts.meta["method"] for ts in pair] == ["eigh", "lindblad-expm"]
+        for ts in pair:
+            assert ts.values.shape == (160,) and ts.meta["dims"] == (3, 8, 3)
+            assert max(ts.meta["tail_max"].values()) <= 1e-6  # measured 2.8e-14 at most
+            assert ts.meta["trace_max_dev"] <= dynamics.TRACE_TOL
 
     def test_closed_leg_matches_dense_expm_propagation(self):
         # open_chain's chain and Lindblad space (3 x 8 x 3 = 72 states): the
@@ -1708,8 +1721,8 @@ class TestValidateAdiabaticChain:
         p = ModelParams(delta=20.0, Delta=100.0, Omega=1.0, g1=1.0, g2=0.02, kappa=0.5, Gamma_e=0.1)
         n_times = 160
         rep = validate_adiabatic_chain(p, "e1", horizon=3.2, n_times=n_times, d_cav=4, d_mech=16,
-                                       include_lindblad=True, lindblad_dims=(3, 8))
-        assert rep.dims["lindblad"] == (3, 8)
+                                       lindblad_dims=(3, 8))
+        assert rep.legs["lindblad_closed"].meta["dims"] == (3, 8, 3)
         space = hybrid_space(3, 8, 3)
         e1 = atomic_coupling_spectrum(p).e1
         times = np.linspace(0.0, 3.2, n_times)
@@ -1740,10 +1753,10 @@ class TestValidateAdiabaticChain:
         monkeypatch.setattr(dynamics, "evolve_unitary", recording(evolve_unitary, unitary_grids))
         p = ModelParams(delta=5.0, Delta=20.0, g1=1.0, Omega=1.0, g2=0.1, kappa=0.05, gamma=0.01)
         rep = validate_adiabatic_chain(p, "e1", horizon=math.pi, n_times=40, d_cav=3, d_mech=8,
-                                       include_lindblad=True, lindblad_dims=(3, 8))
+                                       lindblad_dims=(3, 8))
         assert lindblad_grids == [40, 40]
         assert unitary_grids and set(unitary_grids) == {40}
-        assert all(v.size == 40 for v in rep.variances.values())
+        assert len(rep.legs) == 6 and all(ts.values.shape == (40,) for ts in rep.legs.values())
 
     def test_closed_leg_without_squeezing_rejected(self):
         # eps = 0 leaves e2 = |1> stationary, so the closed leg never dips
@@ -1752,7 +1765,7 @@ class TestValidateAdiabaticChain:
         p = ModelParams(delta=20.0, Delta=100.0, Omega=1.0, g1=1.0, g2=0.02, kappa=0.5, gamma=0.1)
         with pytest.raises(ValueError, match="degradation is undefined"):
             validate_adiabatic_chain(p, "e2", horizon=3.2, n_times=40, d_cav=4, d_mech=8,
-                                     include_lindblad=True, lindblad_dims=(3, 8))
+                                     lindblad_dims=(3, 8))
 
     def test_closed_leg_squeezing_at_round_off_rejected(self):
         # with gamma = 0 the closed leg runs exactly; e2 = |1> stays put, so
@@ -1761,7 +1774,7 @@ class TestValidateAdiabaticChain:
         p = ModelParams(delta=20.0, Delta=100.0, Omega=1.0, g1=1.0, g2=0.02, kappa=0.5, Gamma_e=0.1)
         with pytest.raises(ValueError, match="degradation is undefined.*beyond its error"):
             validate_adiabatic_chain(p, "e2", horizon=3.2, n_times=160, d_cav=4, d_mech=16,
-                                     include_lindblad=True, lindblad_dims=(3, 8))
+                                     lindblad_dims=(3, 8))
 
     @pytest.mark.parametrize("reported, dip, rejected", [
         # an exact leg resolves a dip far below 1e-8
@@ -1783,15 +1796,16 @@ class TestValidateAdiabaticChain:
         leg_variance = dynamics._leg_variance
 
         def closed_leg_with_dip(H, psi0, times, collapse_ops=()):
-            var, meta = leg_variance(H, psi0, times, collapse_ops)
+            ts = leg_variance(H, psi0, times, collapse_ops)
             if collapse_ops != []:
-                return var, meta
-            return var[0] * (1.0 - dip * times / times[-1]), dict(meta, rtol=reported)
+                return ts
+            var = ts.values[0] * (1.0 - dip * times / times[-1])
+            return TimeSeries(times, var, dict(ts.meta, rtol=reported))
 
         monkeypatch.setattr(dynamics, "_leg_variance", closed_leg_with_dip)
         p = ModelParams(delta=20.0, Delta=100.0, Omega=1.0, g1=1.0, g2=0.02, kappa=0.5)
         run = lambda: validate_adiabatic_chain(p, "e1", horizon=1.0, n_times=20, d_cav=3, d_mech=8,
-                                               include_lindblad=True, lindblad_dims=(3, 8))
+                                               lindblad_dims=(3, 8))
         if rejected:
             with pytest.raises(ValueError, match="beyond its error"):
                 run()
@@ -1805,8 +1819,9 @@ class TestValidateAdiabaticChain:
         # unitary legs do
         p = ModelParams(delta=2.0, Delta=10.0, g1=1.0, Omega=1.0, g2=0.4)
         rep = validate_adiabatic_chain(p, [1e-4, 1.0], horizon=3.0, n_times=40, d_cav=3, d_mech=4)
-        assert rep.dims == {"d_cav": 3, "d_mech": 4, "d_mech_effective": 8}
-        assert rep.tails["effective"][0] <= 1e-6
+        assert rep.dims == {"d_cav": 3, "d_mech": 4}
+        eff = rep.legs["effective"].meta
+        assert (eff["method"], eff["d_mech"]) == ("eigh-moments", 8) and eff["tail_max"][0] <= 1e-6
         assert rep.deviations["full_vs_effective"] < 1e-6
 
     def test_atom_init_forms(self):
@@ -1897,6 +1912,34 @@ class TestCavityEliminationPlateau:
         dev = np.array(dev)
         assert np.all(dev > 1e-2)  # measured 1.031e-2 at least
         assert np.all(dev[:-1] / dev[1:] < 1.1)  # measured 1.079 at most per doubling of delta
+
+
+class TestCavityEliminationMap:
+    """How the cavity elimination's error moves with (eps/delta)^2 at fixed g_eff.
+
+    scripts/stark_variant.cfg's Omega = 2 and g1 = 1 at Delta = 320, atom
+    in e1, over 2 pi with 120 times.  g_eff = g2 (eps/delta)^2 = 0.05 and
+    g2/delta = 0.005 stay fixed (g2 = 0.05/r, delta = 200 g2, eps = delta
+    sqrt(r)) while r = (eps/delta)^2 halves from 0.25 to 0.0625.  The
+    two-level (textbook) vs effective deviation reads 9.6547e-2, 7.0374e-2
+    and 5.0403e-2, falling 1.372x and 1.396x per halving of r, close to
+    the sqrt(2) by which eps/delta falls: the error tracks eps/delta.  Each
+    chain doubles d_cav from 6 to 12; r = 0.03125 would also double d_mech
+    to 48 and take about nine times as long, so the map stops at 0.0625.
+    """
+
+    RATIOS = (0.25, 0.125, 0.0625)
+
+    def test_deviation_falls_with_eps_over_delta(self):
+        dev = []
+        for r in self.RATIOS:
+            g2 = 0.05 / r
+            delta = 200.0 * g2
+            p = ModelParams(delta=delta, Delta=320.0, Omega=2.0, g1=1.0, g2=g2, eps=delta * math.sqrt(r))
+            rep = validate_adiabatic_chain(p, "e1", horizon=2.0 * math.pi, n_times=120, d_cav=6, d_mech=24)
+            dev.append(rep.deviations["two_level_textbook_vs_effective"])
+        fall = np.array(dev[:-1]) / np.array(dev[1:])
+        assert np.all((1.3 < fall) & (fall < 1.45))  # measured 1.372 and 1.396 per halving of r
 
 
 def expm_clongdouble(a):
