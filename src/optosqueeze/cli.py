@@ -275,7 +275,7 @@ def _run_time_trace(cfg: RunConfig):
     closed = np.array([position_variance(o["geff"], p.omega_m, p.nbar, t) for t in times])
     ts = effective_variance_series(o["geff"], p.omega_m, p.nbar, times,
                                    d_start=o.get("d_mech"))
-    meta = {"d_mech_used": ts.meta["d_mech"],
+    meta = {"d_mech_used": ts.meta["dims"][0],
             "tail_max": max(ts.meta["tail_max"].values())}
     return ["t", "variance_numeric", "variance_closed_form"], [times, ts.values, closed], meta, []
 

@@ -53,9 +53,9 @@ on; a drive, mechanical damping or any other term that joins sectors
 enlarges the search result by itself.  Every reader (the trace and
 truncation tails of `_checked_populations`, shared by both engines, and
 the expectations) works on the sector block, every component outside it
-being exactly zero.  A `UnitaryTrajectory` keeps its (n_t, sector size)
-block of amplitudes, which `variance_trajectory` reads;
-`UnitaryTrajectory.vectors` scatters full-size states on access.
+being exactly zero.  A `UnitaryTrajectory` is the `TimeSeries` of the
+state's sector amplitudes, its `values` (n_t, sector size), which `variance_trajectory`
+reads; `UnitaryTrajectory.vectors` scatters full-size states on access.
 `evolve_lindblad` returns no states: it reads its populations and the
 requested expectations off the real coordinates of the propagated rows
 and returns those.
@@ -76,9 +76,10 @@ Truncation is self-reported: every Fock run records the joint population of
 the top two Fock levels of each mode (`_tail_levels`; `exact_quadrature_moments`
 as its third array), and each Fock engine how far its trace, ||psi||^2 or
 Tr rho, strays from 1 (at most `TRACE_TOL`).  The adaptive wrappers share
-one doubling loop that doubles the offending dimension until the tail drops
-below 1e-6 or a cap is hit.  So is accuracy: each Fock engine's meta
-names its route, sector size and RHS count (0: no route evaluates a
+one doubling loop, which reads each run's tails off its `TimeSeries`
+records and doubles the offending dimension until the tail drops below
+1e-6 or a cap is hit; every adaptive record names the truncation it
+reached as "dims".  So is accuracy: each Fock engine's meta names its route, sector size and RHS count (0: no route evaluates a
 right-hand side), and its own relative error ("rtol"), which is all a
 caller reads of it; `exact_quadrature_moments` returns a bare tuple with
 no meta.
@@ -139,7 +140,7 @@ __all__ = [
 TAIL_LIMIT = 1e-6
 TRACE_TOL = 1e-9  # largest |trace - 1| of any Fock run: ||psi||^2 - 1 or Tr rho - 1
 EFFECTIVE_DIM_CAP = 8192  # largest oscillator dimension of an H_eff series
-CHAIN_DIM_CAP = 4096  # largest dimension any elimination-chain leg, Lindblad pair included, may reach
+CHAIN_DIM_CAP = 4096  # largest dimension a unitary chain leg or the Lindblad pair may reach
 # relative error of an exactly propagated variance series: a stationary state
 # moves its X variance by at most 11 eps at 8 x 32 x 3
 EXACT_VARIANCE_RTOL = 256 * np.finfo(float).eps
@@ -159,22 +160,24 @@ class TruncationError(RuntimeError):
     """A run failed its self-checks: truncation tail, trace drift, or dimension cap."""
 
 
-def _double_until_converged(run, dims: tuple, cap: int):
+def _double_until_converged(run, dims: tuple, cap: int) -> tuple:
     """Call `run(dims)`, doubling every dim whose tail exceeds TAIL_LIMIT, until none does.
 
-    `run` returns (result, tails), with tails a dict from dim index to that
-    dimension's truncation tail.  Returns (result, tails, dims) of the first
-    run within the limit; raises TruncationError naming the dims and the
-    cap before the first run when a starting dim passes `cap`, and naming
-    the tails too when a doubled dim would.
+    `run` returns a tuple of `TimeSeries` records that share `dims`; dim i's
+    tail is the largest `meta["tail_max"][i]` among them, NaN if any is.
+    Returns the records of the first run within the limit; raises
+    TruncationError naming the dims and the cap before the first run when a
+    starting dim passes `cap`, and naming the tails too when a doubled dim
+    would.
     """
     if any(d > cap for d in dims):
         raise TruncationError(f"starting dims {dims} pass the cap {cap}")
     while True:
-        result, tails = run(dims)
+        records = run(dims)
+        tails = {i: float(np.max([ts.meta["tail_max"][i] for ts in records])) for i in range(len(dims))}
         over = {i for i, tail in tails.items() if not tail <= TAIL_LIMIT}  # NaN counts as over
         if not over:
-            return result, tails, dims
+            return records
         doubled = tuple(2 * d if i in over else d for i, d in enumerate(dims))
         if any(doubled[i] > cap for i in over):
             raise TruncationError(
@@ -253,25 +256,22 @@ class CovarianceState:
 
 
 @dataclass
-class UnitaryTrajectory:
-    """Pure-state trajectory on the reachable sector of its space.
+class UnitaryTrajectory(TimeSeries):
+    """Pure-state trajectory on the reachable sector of its space: a `TimeSeries` of sector amplitudes.
 
     `sector` holds the sorted composite indices that the state can reach;
-    row i of `amplitudes` is the state at times[i] on those indices, and
-    every other component is exactly zero.
+    row i of `values` is the state at times[i] on those indices, and every
+    other component of `space` is exactly zero.
     """
 
-    space: HilbertSpace
-    times: np.ndarray
-    sector: np.ndarray
-    amplitudes: np.ndarray
-    meta: dict
+    space: HilbertSpace = field(kw_only=True)
+    sector: np.ndarray = field(kw_only=True)
 
     @property
     def vectors(self) -> np.ndarray:
-        """The full-length state vectors, scattered from `amplitudes` on every access."""
+        """The full-length state vectors, scattered from `values` on every access."""
         out = np.zeros((self.times.size, self.space.total_dim), dtype=complex)
-        out[:, self.sector] = self.amplitudes
+        out[:, self.sector] = self.values
         return out
 
 
@@ -396,11 +396,12 @@ def evolve_unitary(H: Operator, psi0: QuantumState, times) -> UnitaryTrajectory:
     and the state at every time is evaluated from t0 in one product,
     psi(t) = V exp(-i Lambda (t - t0)) V^dag psi0: row k of the amplitudes
     is (exp(-i lam (t_k - t0)) * c) V^T with c = V^dag psi0, so round-off
-    does not accumulate from step to step.  The trajectory keeps
-    these sector amplitudes only.  Their populations go through
-    `_checked_populations`, as the master equation's do: ||psi||^2 off 1
-    by more than `TRACE_TOL` at any time aborts with a TruncationError
-    naming the first such time.
+    does not accumulate from step to step.  The `UnitaryTrajectory`
+    returned is the `TimeSeries` of these sector amplitudes, its `values`
+    (n_t, `meta["sector_dim"]`), and keeps nothing else of the state.
+    Their populations go through `_checked_populations`, as the master
+    equation's do: ||psi||^2 off 1 by more than `TRACE_TOL` at any time
+    aborts with a TruncationError naming the first such time.
 
     `meta` holds the record every Fock engine returns: "method" ("eigh"),
     "dims", "sector_dim", "n_rhs_evals" (0: nothing is stepped), "rtol"
@@ -425,7 +426,7 @@ def evolve_unitary(H: Operator, psi0: QuantumState, times) -> UnitaryTrajectory:
         "rtol": EXACT_VARIANCE_RTOL,
         **_checked_populations(np.abs(amps) ** 2, sec, space, t),
     }
-    return UnitaryTrajectory(space=space, times=t, sector=sec, amplitudes=amps, meta=meta)
+    return UnitaryTrajectory(t, amps, meta, space=space, sector=sec)
 
 
 _BANDED_H = (
@@ -699,18 +700,15 @@ def _liouvillian_sector(h: sparse.csr_array, ls: list, psi: np.ndarray) -> tuple
     leaves one out.
 
     K is a dense k x k array (k = hs.size), -i h minus each
-    (l_k^dag l_k) / 2 in turn, rounded as the sparse sums round it; L is
-    one `operators._kron_sum` on the two k x k factors of vec(rho), of the
-    terms K kron I, I kron K*, then each l_k kron l_k*.  Each entry is
-    summed from a zero, as term-by-term sparse sums add it (a -0.0 part
-    reads +0.0): the diagonal in term order, an off-diagonal entry by the
-    COO-to-CSR conversion in its own order.  With the library's collapse
-    sets (a, b, b^dag, |1><e|, |0><e|) every off-diagonal entry has one
-    term, and a diagonal collapse operator adds to L's diagonal alone, so
-    the block equals those sums bit for bit.  A collapse operator with both
-    diagonal and off-diagonal entries, or two sharing an entry, can give an
-    entry several terms; a sum of three or more may then differ in its
-    last bits.
+    (l_k^dag l_k) / 2 in turn; L is one `operators._kron_sum` on the two
+    k x k factors of vec(rho), of the terms K kron I, I kron K*, then each
+    l_k kron l_k*.  The diagonal is summed from +0.0, in term order.  With
+    the library's collapse sets (a, b, b^dag, |1><e|, |0><e|) every
+    off-diagonal entry gets one term, to which +0.0 is added (a -0.0 entry
+    reads +0.0).  A collapse operator with both diagonal and off-diagonal
+    entries, or two sharing an entry, can give an off-diagonal entry
+    several terms, which the COO-to-CSR conversion adds in its own order;
+    an entry with three or more terms may then differ in its last bits.
 
     L and vec(|psi><psi|) are returned on all k^2 row-major entries of the
     k x k rho, with the sector that vec(|psi><psi|) reaches under L as
@@ -742,18 +740,18 @@ def _liouvillian_sector(h: sparse.csr_array, ls: list, psi: np.ndarray) -> tuple
 def variance_trajectory(traj: UnitaryTrajectory, factor: int, quadrature: str = "X") -> TimeSeries:
     """Variance of X or P of the Fock factor `factor` along a pure-state trajectory.
 
-    The trajectory is read on its sector, never scattered.  Both moments
-    come from one sparse product qv = q v, with q the quadrature's block on
-    the sector's columns and the rows they reach (`_quadrature_block` of
-    `operators`, which rejects any quadrature but "X" and "P"): <q> = Re
-    sum conj(v) qv over the rows inside the sector and <q^2> = sum |qv|^2,
-    exact for the Hermitian q of the truncated space (its q @ q).  The
-    series' meta is the trajectory's own record.
+    The trajectory is read on its sector, its `values` v, never
+    scattered.  Both moments come from one sparse product qv = q v, with q
+    the quadrature's block on the sector's columns and the rows they reach
+    (`_quadrature_block` of `operators`, which rejects any quadrature but
+    "X" and "P"): <q> = Re sum conj(v) qv over the rows inside the sector
+    and <q^2> = sum |qv|^2, exact for the Hermitian q of the truncated
+    space (its q @ q).  The series' meta is the trajectory's own record.
     """
     rows, q = _quadrature_block(traj.space, factor, quadrature, traj.sector)
-    qv = (q @ traj.amplitudes.T).T
+    qv = (q @ traj.values.T).T
     hit, at = _sector_positions(traj.sector, rows)
-    m1 = np.einsum("ti,ti->t", traj.amplitudes[:, at].conj(), qv[:, hit]).real
+    m1 = np.einsum("ti,ti->t", traj.values[:, at].conj(), qv[:, hit]).real
     m2 = np.einsum("ti,ti->t", qv.conj(), qv).real
     return TimeSeries(traj.times, m2 - m1**2, traj.meta)
 
@@ -826,8 +824,9 @@ def effective_variance_series(
     t = 0, whatever times[0] is.  The oscillator dimension starts at
     `d_start` (default `mech_dim_start`) and doubles until the truncation
     tail stays below 1e-6; TruncationError is raised when a doubling would
-    pass `EFFECTIVE_DIM_CAP`.  `meta` holds "method" ("eigh-moments"),
-    "d_mech", the dimension the run accepted, and "tail_max", its tail.
+    pass `EFFECTIVE_DIM_CAP`.  The series is the record of the run that
+    the doubling loop accepted: `meta` holds "method" ("eigh-moments"),
+    "dims", its dimension (d,), and "tail_max", its tail {0: tail}.
 
     The tail bounds the population of the top two levels, not the
     variance's error, which can be far larger: X^2 weighs level n by about
@@ -842,11 +841,12 @@ def effective_variance_series(
         space = oscillator_space(dims[0])
         h = build_effective_hamiltonian(g_eff, omega_m, space)
         _, second, tail = exact_quadrature_moments(h, nbar, t)  # the mean is zero: second is the variance
-        return second, {0: float(np.max(tail))}
+        meta = {"method": "eigh-moments", "dims": dims, "tail_max": {0: float(np.max(tail))}}
+        return (TimeSeries(t, second, meta),)
 
     d0 = d_start if d_start is not None else mech_dim_start(nbar, g_eff, omega_m)
-    var, tails, (d,) = _double_until_converged(run, (d0,), EFFECTIVE_DIM_CAP)
-    return TimeSeries(t, var, {"method": "eigh-moments", "d_mech": d, "tail_max": tails})
+    (ts,) = _double_until_converged(run, (d0,), EFFECTIVE_DIM_CAP)
+    return ts
 
 
 @dataclass
@@ -985,14 +985,15 @@ def validate_adiabatic_chain(
     degradation, 0.0746.
 
     Truncation is adaptive: a Fock leg whose `_tail_levels` tail exceeds
-    `TAIL_LIMIT` doubles the offending dimension, up to `CHAIN_DIM_CAP`
-    for every leg, the master-equation pair included.  Each unitary leg
-    passes its dimensions on to the next, and `dims` holds the pair they
-    reach.  The effective leg starts from that d_mech and doubles in
-    `effective_variance_series`; its record holds "method", and the
-    largest "d_mech" and "tail_max" of its branches.  The master-equation
-    pair doubles on the larger tail of its two legs, and each leg's
-    `meta["dims"]` holds the dimensions it ended at.
+    `TAIL_LIMIT` doubles the offending dimension.  The unitary legs and the
+    master-equation pair double up to `CHAIN_DIM_CAP`.  Each unitary leg
+    passes the dimensions its record reached on to the next, and `dims`
+    holds the pair they reach.  The effective leg starts from that d_mech
+    and doubles in `effective_variance_series`, up to `EFFECTIVE_DIM_CAP`;
+    its record holds "method", the largest "dims" (a 1-tuple) and
+    "tail_max" of its branches.  The master-equation pair doubles on the
+    larger tail of its two legs, and each leg's `meta["dims"]` holds the
+    dimensions it ended at.
     """
     spec, atom3, atom2, weights = _resolve_atom_init(p, atom_init)
     alpha = spec.alpha
@@ -1012,10 +1013,10 @@ def validate_adiabatic_chain(
 
         def run(dims):
             space = hybrid_space(*dims, levels)
-            ts = _leg_variance(build(space), _product_vacuum_with_atom(space, atom_vec), times)
-            return ts, ts.meta["tail_max"]
+            return (_leg_variance(build(space), _product_vacuum_with_atom(space, atom_vec), times),)
 
-        ts, _, (dc, dm) = _double_until_converged(run, (dc, dm), CHAIN_DIM_CAP)
+        (ts,) = _double_until_converged(run, (dc, dm), CHAIN_DIM_CAP)
+        dc, dm = ts.meta["dims"][:2]
         return ts
 
     # legs by report name; one run per Stark shift pair
@@ -1035,7 +1036,7 @@ def validate_adiabatic_chain(
                 for w, g in zip(weights, (spec.g_eff_1, spec.g_eff_2)) if w >= 1e-12]
     legs["effective"] = TimeSeries(times, sum(w * ts.values for w, ts in branches), {
         "method": "eigh-moments",
-        "d_mech": max(ts.meta["d_mech"] for _, ts in branches),
+        "dims": (max(ts.meta["dims"][0] for _, ts in branches),),
         "tail_max": {0: max(ts.meta["tail_max"][0] for _, ts in branches)},
     })
 
@@ -1071,14 +1072,12 @@ def validate_adiabatic_chain(
         lspace = hybrid_space(*dims, 3)
         lh = build_full_hamiltonian(p, lspace)
         psi0 = _product_vacuum_with_atom(lspace, atom3)
-        pair = [_leg_variance(lh, psi0, times, collapse_set(lspace, open_system))
-                for open_system in (False, True)]
-        tails = {i: max(ts.meta["tail_max"][i] for ts in pair) for i in pair[0].meta["tail_max"]}
-        return pair, tails
+        return tuple(_leg_variance(lh, psi0, times, collapse_set(lspace, open_system))
+                     for open_system in (False, True))
 
     ldc, ldm = lindblad_dims
     ldims = (min(dc, 4) if ldc is None else ldc, dm if ldm is None else ldm)
-    (closed, opened), _, _ = _double_until_converged(run_lindblad_legs, ldims, CHAIN_DIM_CAP)
+    closed, opened = _double_until_converged(run_lindblad_legs, ldims, CHAIN_DIM_CAP)
     legs["lindblad_closed"], legs["lindblad_open"] = closed, opened
     # a dip within the closed leg's own error is noise, and dividing by it means nothing
     dip = 1.0 - float(np.min(closed.values)) / float(closed.values[0])

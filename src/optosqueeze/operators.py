@@ -108,9 +108,14 @@ class HilbertSpace:
     def total_dim(self) -> int:
         return int(np.prod(self.factor_sizes))
 
-    def check_factor(self, index: int):
+    def factor(self, index: int, kind: type):
+        """The factor at `index`, or IndexError when there is none and TypeError when it is not a `kind`."""
         if not 0 <= index < len(self.factors):
             raise IndexError(f"factor index {index} out of range for {len(self.factors)} factors")
+        f = self.factors[index]
+        if not isinstance(f, kind):
+            raise TypeError(f"factor {index} is not a {kind.__name__} factor")
+        return f
 
 
 def _require_same_space(a, b):
@@ -297,21 +302,13 @@ def _banded(d: int, bands) -> tuple:
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
-def _fock_size(space: HilbertSpace, factor_index: int) -> int:
-    space.check_factor(factor_index)
-    f = space.factors[factor_index]
-    if not isinstance(f, Fock):
-        raise TypeError(f"factor {factor_index} is not a Fock factor")
-    return f.size
-
-
 def _ladder(space: HilbertSpace, factor_index: int) -> tuple:
     """(rows, cols, values) of b on the Fock factor at `factor_index`.
 
     b|n> = sqrt(n)|n-1>: entries (n-1, n) = sqrt(n).  The matrix is real, so
     (cols, rows, values) is b^dag.
     """
-    d = _fock_size(space, factor_index)
+    d = space.factor(factor_index, Fock).size
     return _banded(d, [(1, np.sqrt(np.arange(1, d, dtype=float)))])
 
 
@@ -372,7 +369,7 @@ def _quadrature_block(space: HilbertSpace, factor_index: int, quadrature: str, s
     """
     if quadrature not in ("X", "P"):
         raise ValueError("quadrature must be 'X' or 'P'")
-    d = _fock_size(space, factor_index)
+    d = space.factor(factor_index, Fock).size
     step = int(np.prod(space.factor_sizes[factor_index + 1:]))
     level = states // step % d
     reached = np.zeros(space.total_dim, dtype=bool)
@@ -408,10 +405,7 @@ def _ket_bra(i: int, j: int) -> tuple:
 
 def level_projector(space: HilbertSpace, factor_index: int, i: int, j: int) -> Operator:
     """|i><j| on the Level factor at `factor_index`, embedded in the full space."""
-    space.check_factor(factor_index)
-    f = space.factors[factor_index]
-    if not isinstance(f, Level):
-        raise TypeError(f"factor {factor_index} is not a Level factor")
+    f = space.factor(factor_index, Level)
     if not (0 <= i < f.size and 0 <= j < f.size):
         raise IndexError(f"level indices ({i}, {j}) out of range for {f.size} levels")
     return _embed(space, factor_index, _ket_bra(i, j))

@@ -1333,7 +1333,7 @@ class TestSectorContractions:
         e1 = atomic_coupling_spectrum(p).e1
         psi0 = QuantumState.pure(space, np.kron(np.eye(8 * 32)[0], [e1[0], e1[1], 0.0]))
         traj = evolve_unitary(build_full_hamiltonian(p, space), psi0, np.linspace(0.0, 6.0, 61))
-        assert traj.amplitudes.shape == (61, 48)
+        assert traj.values.shape == (61, 48)
         q = (position if quadrature == "X" else momentum)(space, 1).csr
         got = variance_trajectory(traj, 1, quadrature).values
         assert np.array_equal(got, self.full_space_unitary_moments(traj, q))
@@ -1463,6 +1463,11 @@ class TestQuadratureBlocks:
         assert len(built) == 1
 
 
+def tail_record(*tails):
+    """A stand-in run's record: a flat series whose meta holds one tail per dim."""
+    return TimeSeries(np.array([0.0, 1.0]), np.zeros(2), {"tail_max": dict(enumerate(tails))})
+
+
 class TestDimensionPolicy:
     def test_starting_dimensions(self):
         assert mech_dim_start(0.0, 1.0, 1.0) == 40
@@ -1479,7 +1484,7 @@ class TestDimensionPolicy:
             ts = effective_variance_series(1.0, 1.0, 0.0, times, d_start=d_start)
             # a 1e-6 tail bound translates to ~1e-5 variance accuracy
             assert np.allclose(ts.values, ref, rtol=0.0, atol=5e-5)
-            assert ts.meta["d_mech"] > 4
+            assert ts.meta["dims"][0] > 4
             assert max(ts.meta["tail_max"].values()) <= 1e-6
 
     def test_adaptive_series_thermal_route(self):
@@ -1504,7 +1509,7 @@ class TestDimensionPolicy:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert ts.meta["d_mech"] == 1512
+        assert ts.meta["dims"] == (1512,)
         assert peak < 16 * 2**20
 
     def test_thermal_series_agrees_with_doubled_dimension(self):
@@ -1514,13 +1519,13 @@ class TestDimensionPolicy:
         times = np.linspace(0.0, 2.0 * math.pi / math.sqrt(3.0), 201)
         assert mech_dim_start(10.0, 0.5, 1.0) == 504
         a, b = (effective_variance_series(0.5, 1.0, 10.0, times, d_start=d) for d in (504, 1008))
-        assert (a.meta["d_mech"], b.meta["d_mech"]) == (504, 1008)
+        assert (a.meta["dims"], b.meta["dims"]) == ((504,), (1008,))
         assert np.max(np.abs(a.values - b.values) / b.values) <= 1e-5
 
     def test_nan_tail_counts_as_over(self):
         # nan > 1e-6 is False, so a plain "> limit" test took a NaN tail as converged
         with pytest.raises(TruncationError, match="tails nan exceed"):
-            dynamics._double_until_converged(lambda dims: (None, {0: math.nan}), (4,), 8)
+            dynamics._double_until_converged(lambda dims: (tail_record(math.nan),), (4,), 8)
 
     def test_starting_dim_above_the_cap_never_runs(self, monkeypatch):
         # only doubled dims used to meet the cap: geff = 1, nbar = 1000 starts
@@ -1535,7 +1540,21 @@ class TestDimensionPolicy:
         monkeypatch.setattr(dynamics, "exact_quadrature_moments", never)
         with pytest.raises(TruncationError, match=r"starting dims \(80040,\) pass the cap 8192"):
             effective_variance_series(1.0, 1.0, 1000.0, np.linspace(0.0, 1.0, 5))
-        dynamics._double_until_converged(lambda dims: (None, {0: 0.0}), (32,), 32)  # the cap itself runs
+        dynamics._double_until_converged(lambda dims: (tail_record(0.0),), (32,), 32)  # the cap itself runs
+
+    def test_loop_reads_the_largest_tail_of_the_records(self):
+        # dim i doubles on the largest tail i of the records a run returns,
+        # and a NaN in any of them counts as over; the records are returned
+        tried = []
+
+        def run(dims):
+            tried.append(dims)
+            over = 1.0 if dims[1] < 8 else 0.0
+            return tail_record(0.0, 0.0), tail_record(0.0, over), tail_record(math.nan if dims[0] < 4 else 0.0, 0.0)
+
+        records = dynamics._double_until_converged(run, (2, 2), 8)
+        assert tried == [(2, 2), (4, 4), (4, 8)]
+        assert len(records) == 3 and all(isinstance(ts, TimeSeries) for ts in records)
 
     def test_cap_raises(self, monkeypatch):
         monkeypatch.setattr(dynamics, "EFFECTIVE_DIM_CAP", 8)
@@ -1550,10 +1569,29 @@ class TestTimeSeries:
         with pytest.raises(ValueError, match="equal length"):
             TimeSeries(np.array([0.0, 1.0]), np.zeros(3))
 
+    def test_every_fock_record_is_a_time_series_naming_its_dims(self):
+        # the unitary trajectory is the series of its sector amplitudes, and
+        # every adaptive record names the truncation it reached as "dims"
+        times = np.linspace(0.0, 1.0, 5)
+        space = hybrid_space(3, 4, 3)
+        p = ModelParams(delta=2.0, Delta=10.0, g1=1.0, Omega=1.0, g2=0.4)
+        psi0 = QuantumState.pure(space, np.eye(space.total_dim)[1])
+        traj = evolve_unitary(build_full_hamiltonian(p, space), psi0, times)
+        assert isinstance(traj, TimeSeries)
+        assert traj.values.shape == (times.size, traj.meta["sector_dim"]) and traj.values.shape[1] < space.total_dim
+        full = np.zeros((times.size, space.total_dim), dtype=complex)
+        full[:, traj.sector] = traj.values
+        assert np.array_equal(traj.vectors, full)
+        eff = effective_variance_series(0.5, 1.0, 0.0, times, d_start=32)
+        assert eff.meta.keys() == {"method", "dims", "tail_max"} and eff.meta["dims"] == (32,)
+        rep = validate_adiabatic_chain(p, "e1", horizon=1.0, n_times=5, d_cav=3, d_mech=8)
+        dims = rep.legs["effective"].meta["dims"]
+        assert isinstance(dims, tuple) and len(dims) == 1
+
     def test_meta_holds_what_the_run_decided(self):
         # route, dims and tails; never an argument the caller passed
         times = np.linspace(0.0, 1.0, 5)
-        assert effective_variance_series(0.5, 1.0, 1.0, times).meta.keys() == {"method", "d_mech", "tail_max"}
+        assert effective_variance_series(0.5, 1.0, 1.0, times).meta.keys() == {"method", "dims", "tail_max"}
         space = oscillator_space(8)
         traj = evolve_unitary(build_effective_hamiltonian(0.5, 1.0, space), vacuum_state(space), times)
         assert variance_trajectory(traj, 0, "P").meta == traj.meta
@@ -1812,16 +1850,17 @@ class TestValidateAdiabaticChain:
         else:
             assert run().smax_closed == pytest.approx(-5.0 * math.log10(1.0 - dip), rel=1e-6)
 
-    def test_effective_leg_doubles_its_dimension(self):
+    def test_effective_leg_doubles_its_dimension(self, monkeypatch):
         # at d_mech = 4 the unitary legs stay within the tail limit, but the
         # effective leg's e1 branch (weight 1e-8, g_eff_1 = 1e-3; its tail is
         # checked unweighted) does not; it doubles instead of raising, as the
-        # unitary legs do
+        # unitary legs do, up to EFFECTIVE_DIM_CAP, not CHAIN_DIM_CAP
+        monkeypatch.setattr(dynamics, "CHAIN_DIM_CAP", 4)
         p = ModelParams(delta=2.0, Delta=10.0, g1=1.0, Omega=1.0, g2=0.4)
         rep = validate_adiabatic_chain(p, [1e-4, 1.0], horizon=3.0, n_times=40, d_cav=3, d_mech=4)
         assert rep.dims == {"d_cav": 3, "d_mech": 4}
         eff = rep.legs["effective"].meta
-        assert (eff["method"], eff["d_mech"]) == ("eigh-moments", 8) and eff["tail_max"][0] <= 1e-6
+        assert (eff["method"], eff["dims"]) == ("eigh-moments", (8,)) and eff["tail_max"][0] <= 1e-6
         assert rep.deviations["full_vs_effective"] < 1e-6
 
     def test_atom_init_forms(self):
