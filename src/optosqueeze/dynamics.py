@@ -79,10 +79,10 @@ Tr rho, strays from 1 (at most `TRACE_TOL`).  The adaptive wrappers share
 one doubling loop, which reads each run's tails off its `TimeSeries`
 records and doubles the offending dimension until the tail drops below
 1e-6 or a cap is hit; every adaptive record names the truncation it
-reached as "dims".  So is accuracy: each Fock engine's meta names its route, sector size and RHS count (0: no route evaluates a
-right-hand side), and its own relative error ("rtol"), which is all a
-caller reads of it; `exact_quadrature_moments` returns a bare tuple with
-no meta.
+reached as "dims".  So is accuracy: each Fock engine's meta names its
+route, sector size and RHS count (0: no route evaluates a right-hand
+side), and its own relative error ("rtol"), which is all a caller reads of
+it; `exact_quadrature_moments` returns a bare tuple with no meta.
 """
 
 from __future__ import annotations
@@ -299,31 +299,20 @@ def _tail_levels(size: int) -> tuple:
     return (2,) if size == 3 else (size - 2, size - 1)
 
 
-def _fock_tails(probs: np.ndarray, states: np.ndarray, space: HilbertSpace) -> dict:
-    """Largest truncation tail of each Fock factor over the time axis of `probs`.
-
-    `probs` (n_t, n) holds the populations of the composite basis states
-    `states`; every other basis state is empty.
-    """
-    levels = np.unravel_index(states, space.factor_sizes)
-    out = {}
-    for idx, f in enumerate(space.factors):
-        if isinstance(f, Fock):
-            on_tail = np.isin(levels[idx], _tail_levels(f.size))
-            out[idx] = float(probs[:, on_tail].sum(axis=1).max())
-    return out
-
-
 def _checked_populations(probs: np.ndarray, states: np.ndarray, space: HilbertSpace, t: np.ndarray) -> dict:
     """The population record of a Fock run, {"tail_max", "trace_max_dev"}, or TruncationError.
 
     `probs` (n_t, n) holds the populations of the composite basis states
-    `states` at the times `t`, as in `_fock_tails`.  Each row sums to the
-    run's trace, ||psi||^2 or Tr rho; the first time at which it is off 1
-    by more than `TRACE_TOL`, or is not a number, raises TruncationError
-    naming that time, the tolerance and the tails.
+    `states` at the times `t`; every other basis state is empty.
+    "tail_max" maps each Fock factor's index to its largest truncation tail
+    over the times.  Each row sums to the run's trace, ||psi||^2 or Tr rho;
+    the first time at which it is off 1 by more than `TRACE_TOL`, or is not
+    a number, raises TruncationError naming that time, the tolerance and the
+    tails.
     """
-    tails = _fock_tails(probs, states, space)
+    levels = np.unravel_index(states, space.factor_sizes)
+    tails = {i: float(probs[:, np.isin(levels[i], _tail_levels(f.size))].sum(axis=1).max())
+             for i, f in enumerate(space.factors) if isinstance(f, Fock)}
     totals = probs.sum(axis=1)
     dev = np.abs(totals - 1.0)
     bad = np.flatnonzero(~(dev <= TRACE_TOL))  # NaN counts as drift
@@ -857,13 +846,13 @@ class AdiabaticReport:
     (keys like "full_vs_effective"); ratios: the hierarchy ratios that the
     elimination assumes large; stark_winner: which two-level Stark variant
     tracked the three-level model better over this run; dims: the "d_cav"
-    and "d_mech" that the unitary legs reached; legs: each leg's oscillator
-    X variance on the run's grid, linspace(0, horizon, n_times), as a
-    `TimeSeries` whose meta is the leg's own record (route, dims, tails),
-    keyed "full", "two_level_as_written", "two_level_textbook",
+    and "d_mech" of the last unitary leg's record; legs: each leg's
+    oscillator X variance on the run's grid, linspace(0, horizon, n_times),
+    as a `TimeSeries` whose meta is the leg's own record (route, dims,
+    tails), keyed "full", "two_level_as_written", "two_level_textbook",
     "effective" and, with the master-equation pair, "lindblad_closed" and
-    "lindblad_open"; the smax fields stay None only for a run without
-    that pair.
+    "lindblad_open"; the smax fields stay None only for a run without that
+    pair.
     """
 
     ratios: dict
@@ -914,14 +903,6 @@ def _resolve_atom_init(p: ModelParams, atom_init):
     return spec, full, ground, weights
 
 
-def _product_vacuum_with_atom(space: HilbertSpace, atom_vec: np.ndarray) -> QuantumState:
-    # cavity and oscillator vacuum are level 0 of the two outer factors, so
-    # |0, 0, atom> holds the atom amplitudes in its first entries
-    psi = np.zeros(space.total_dim, dtype=complex)
-    psi[: atom_vec.size] = atom_vec
-    return QuantumState.pure(space, psi)
-
-
 def _leg_variance(H: Operator, psi0: QuantumState, times: np.ndarray, collapse_ops=()) -> TimeSeries:
     """The oscillator X variance of one chain leg, the engine picked by its collapse set.
 
@@ -964,36 +945,38 @@ def validate_adiabatic_chain(
     rates they must exceed), which Stark variant tracked the three-level
     model better, and each leg's X-variance series with its own record.
 
-    Every leg runs on linspace(0, horizon, n_times), the Fock legs through
-    `_leg_variance`, which picks the engine from the leg's collapse set.
-    A `lindblad_dims` tuple adds two master-equation legs of the
-    three-level model, "lindblad_closed" and "lindblad_open", without and
-    with the kappa / Gamma_e collapse channels (gamma damps the oscillator
-    in both), which measure how much the achieved maximum squeezing
-    degrades; None runs no such pair.  Both legs share one space, which
-    starts at `lindblad_dims` = (d_cav, d_mech); a None entry takes
-    min(d_cav, 4), respectively d_mech, as reached by the unitary legs.  A
-    leg without a channel (the closed leg whenever gamma = 0) runs
-    unitarily.  A closed leg whose relative X-variance dip does not exceed
-    its own error, the "rtol" its engine reports in its meta
-    (`EXACT_VARIANCE_RTOL` when it runs unitarily, `EXPM_VARIANCE_RTOL` on
-    either master-equation route), leaves the degradation undefined and
-    raises ValueError.  Against an adaptive Runge-Kutta reference at rtol
-    1e-12, the expm_multiply route errs by 9.6e-15 relative in
-    decay_immunity.cfg's smax_open_db and 1.2e-13 in its
+    Every leg runs on linspace(0, horizon, n_times).  The Fock legs share
+    one runner, which builds the space, H and the vacuum-times-atom start
+    once per run and gives one `_leg_variance` record per collapse set (the
+    unitary legs pass one empty set).  A `lindblad_dims` tuple adds two
+    master-equation legs of the three-level model, "lindblad_closed" and
+    "lindblad_open", without and with the kappa / Gamma_e collapse channels
+    (gamma damps the oscillator in both), which measure how much the
+    achieved maximum squeezing degrades; None runs no such pair.  Both legs
+    share one space, which starts at `lindblad_dims` = (d_cav, d_mech); a
+    None entry takes min(d_cav, 4), respectively d_mech, as the last unitary
+    leg's record holds them.  A leg with an empty collapse set (the closed
+    leg whenever gamma = 0) runs unitarily.  A closed leg whose relative
+    X-variance dip does not exceed its own error, the "rtol" its engine
+    reports in its meta (`EXACT_VARIANCE_RTOL` when it runs unitarily,
+    `EXPM_VARIANCE_RTOL` on either master-equation route), leaves the
+    degradation undefined and raises ValueError.  Against an adaptive
+    Runge-Kutta reference at rtol 1e-12, the expm_multiply route errs by
+    9.6e-15 relative in decay_immunity.cfg's smax_open_db and 1.2e-13 in its
     smax_degradation, within that reference's own error and far below the
     degradation, 0.0746.
 
     Truncation is adaptive: a Fock leg whose `_tail_levels` tail exceeds
     `TAIL_LIMIT` doubles the offending dimension.  The unitary legs and the
-    master-equation pair double up to `CHAIN_DIM_CAP`.  Each unitary leg
-    passes the dimensions its record reached on to the next, and `dims`
-    holds the pair they reach.  The effective leg starts from that d_mech
-    and doubles in `effective_variance_series`, up to `EFFECTIVE_DIM_CAP`;
-    its record holds "method", the largest "dims" (a 1-tuple) and
-    "tail_max" of its branches.  The master-equation pair doubles on the
-    larger tail of its two legs, and each leg's `meta["dims"]` holds the
-    dimensions it ended at.
+    master-equation pair double up to `CHAIN_DIM_CAP`.  The three-level leg
+    starts at (d_cav, d_mech), and each later unitary leg at the
+    meta["dims"][:2] of the leg run before it; `dims` holds those of the
+    last one's record.  The effective leg starts from that d_mech and
+    doubles in `effective_variance_series`, up to `EFFECTIVE_DIM_CAP`; its
+    record holds "method", the largest "dims" (a 1-tuple) and "tail_max" of
+    its branches.  The master-equation pair doubles on the larger tail of
+    its two legs, and each leg's `meta["dims"]` holds the dimensions it
+    ended at.
     """
     spec, atom3, atom2, weights = _resolve_atom_init(p, atom_init)
     alpha = spec.alpha
@@ -1006,28 +989,30 @@ def validate_adiabatic_chain(
     times = np.linspace(0.0, horizon, n_times)
     gmax = max(abs(spec.g_eff_1), abs(spec.g_eff_2))
     dm = d_mech if d_mech is not None else mech_dim_start(0.0, gmax, p.omega_m)
-    dc = d_cav
 
-    def run_unitary_leg(build, levels, atom_vec):
-        nonlocal dc, dm
-
+    def run_legs(dims, build, atom_vec, collapse_sets=lambda space: ((),)):
+        # one space, H and |0, 0, atom> per run; one leg record per set of collapse_sets(space)
         def run(dims):
-            space = hybrid_space(*dims, levels)
-            return (_leg_variance(build(space), _product_vacuum_with_atom(space, atom_vec), times),)
+            space = hybrid_space(*dims, atom_vec.size)
+            psi = np.zeros(space.total_dim, dtype=complex)
+            psi[: atom_vec.size] = atom_vec  # cavity and oscillator vacuum are level 0 of the outer factors
+            H, psi0 = build(space), QuantumState(space, psi)
+            return tuple(_leg_variance(H, psi0, times, ops) for ops in collapse_sets(space))
 
-        (ts,) = _double_until_converged(run, (dc, dm), CHAIN_DIM_CAP)
-        dc, dm = ts.meta["dims"][:2]
-        return ts
+        return _double_until_converged(run, dims, CHAIN_DIM_CAP)
 
-    # legs by report name; one run per Stark shift pair
-    legs = {"full": run_unitary_leg(lambda s: build_full_hamiltonian(p, s), 3, atom3)}
+    # legs by report name; one run per Stark shift pair, each starting from
+    # the dims that the leg run before it reached
+    legs = {"full": run_legs((d_cav, dm), lambda s: build_full_hamiltonian(p, s), atom3)[0]}
     runs = {}
     for variant in STARK_VARIANTS:
         shifts = _stark_shifts(p, variant)
         if shifts not in runs:
-            runs[shifts] = run_unitary_leg(lambda s: build_two_level_hamiltonian(p, s, variant), 2, atom2)
+            reached = list(legs.values())[-1].meta["dims"][:2]
+            runs[shifts] = run_legs(reached, lambda s: build_two_level_hamiltonian(p, s, variant), atom2)[0]
         legs["two_level_" + variant.replace("-", "_")] = runs[shifts]
     two_level = list(legs)[1:]
+    dc, dm = legs[two_level[-1]].meta["dims"][:2]  # the last unitary leg's record
 
     # effective leg: mixture over the coupling eigenstates.  From vacuum each
     # branch has <X> = 0 exactly, so the mixture's variance is the weighted
@@ -1056,28 +1041,26 @@ def validate_adiabatic_chain(
     if lindblad_dims is None:
         return report
 
-    def collapse_set(lspace: HilbertSpace, open_system: bool):
-        # (rate, builder) pairs: an operator is built only when its rate is positive,
-        # and D[b] runs whenever gamma > 0
-        b = annihilation(lspace, 1) if p.gamma > 0 else None
-        ops = [(p.gamma * (p.nbar + 1.0), lambda: b), (p.gamma * p.nbar, lambda: b.dag())]
-        if open_system:
-            ops += [(p.kappa, lambda: annihilation(lspace, 0)),
-                    (p.Gamma_e, lambda: level_projector(lspace, 2, 1, 2)),
-                    (p.Gamma_e, lambda: level_projector(lspace, 2, 0, 2))]
-        return [(build(), rate) for rate, build in ops if rate > 0]
+    def collapse_sets(space):
+        # the closed and the open leg: gamma damps the oscillator in both, and
+        # each operator is built only at positive rate
+        closed = []
+        if p.gamma > 0:
+            b = annihilation(space, 1)
+            closed.append((b, p.gamma * (p.nbar + 1.0)))
+            if p.gamma * p.nbar > 0:
+                closed.append((b.dag(), p.gamma * p.nbar))
+        opened = list(closed)
+        if p.kappa > 0:
+            opened.append((annihilation(space, 0), p.kappa))
+        if p.Gamma_e > 0:
+            opened += [(level_projector(space, 2, 1, 2), p.Gamma_e), (level_projector(space, 2, 0, 2), p.Gamma_e)]
+        return closed, opened
 
-    def run_lindblad_legs(dims):
-        # the closed and the open leg share one space, so their smax stay comparable
-        lspace = hybrid_space(*dims, 3)
-        lh = build_full_hamiltonian(p, lspace)
-        psi0 = _product_vacuum_with_atom(lspace, atom3)
-        return tuple(_leg_variance(lh, psi0, times, collapse_set(lspace, open_system))
-                     for open_system in (False, True))
-
+    # both legs share one space, so their smax stay comparable
     ldc, ldm = lindblad_dims
     ldims = (min(dc, 4) if ldc is None else ldc, dm if ldm is None else ldm)
-    closed, opened = _double_until_converged(run_lindblad_legs, ldims, CHAIN_DIM_CAP)
+    closed, opened = run_legs(ldims, lambda s: build_full_hamiltonian(p, s), atom3, collapse_sets)
     legs["lindblad_closed"], legs["lindblad_open"] = closed, opened
     # a dip within the closed leg's own error is noise, and dividing by it means nothing
     dip = 1.0 - float(np.min(closed.values)) / float(closed.values[0])

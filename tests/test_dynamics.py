@@ -1630,13 +1630,23 @@ class TestValidateAdiabaticChain:
         assert rep.deviations["full_vs_two_level_as_written"] < 0.01
         assert rep.stark_winner in ("as-written", "textbook", "tie")
 
-    def test_two_level_oscillator_start_doubles(self):
+    def test_two_level_oscillator_start_doubles(self, monkeypatch):
         # validate_adiabatic.cfg's point: from d_mech = 2 a tail of level 1
         # alone stays 0 in vacuum, and every deviation reads below 1e-15.  It
-        # doubles to 4 and measures what a start at 16 does: 1.4598e-4 against 1.4619e-4
+        # doubles to 4 and measures what a start at 16 does: 1.4598e-4 against 1.4619e-4.
+        # The two-level leg starts at the (4, 4) the full leg reached, not at the configured (4, 2)
         p = ModelParams(delta=20.0, Delta=100.0, Omega=1.0, g1=1.0, g2=0.02)
-        small, ref = (validate_adiabatic_chain(p, "e1", horizon=6.2832, n_times=40, d_cav=4, d_mech=d)
-                      for d in (2, 16))
+        ref = validate_adiabatic_chain(p, "e1", horizon=6.2832, n_times=40, d_cav=4, d_mech=16)
+        calls = []
+
+        def recording(*dims):
+            calls.append(dims)
+            return hybrid_space(*dims)
+
+        monkeypatch.setattr(dynamics, "hybrid_space", recording)
+        small = validate_adiabatic_chain(p, "e1", horizon=6.2832, n_times=40, d_cav=4, d_mech=2)
+        assert calls == [(4, 2, 3), (4, 4, 3), (4, 4, 2)]
+        assert small.dims == dict(zip(("d_cav", "d_mech"), small.legs["two_level_textbook"].meta["dims"][:2]))
         assert small.dims["d_mech"] == 4
         assert small.deviations["full_vs_effective"] == pytest.approx(ref.deviations["full_vs_effective"], rel=1e-2)
 
