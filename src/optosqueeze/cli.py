@@ -330,8 +330,8 @@ def _run_validate_adiabatic(cfg: RunConfig):
     rows.append(("stark_winner", rep.stark_winner))
     rows.append(("atom_weight_e1", rep.atom_weights[0]))
     rows.append(("atom_weight_e2", rep.atom_weights[1]))
-    rows.append(("d_cav_used", rep.dims["d_cav"]))
-    rows.append(("d_mech_used", rep.dims["d_mech"]))
+    dc, dm = rep.legs["two_level_textbook"].meta["dims"][:2]  # the last unitary run's record
+    rows += [("d_cav_used", dc), ("d_mech_used", dm)]
     if "lindblad_closed" in rep.legs:
         ldims = rep.legs["lindblad_closed"].meta["dims"]
         rows.append(("d_cav_lindblad", ldims[0]))
@@ -339,9 +339,9 @@ def _run_validate_adiabatic(cfg: RunConfig):
     # tail rows for the unitary and effective legs only: the master-equation pair's stay in its records
     for leg in sorted(k for k in rep.legs if not k.startswith("lindblad_")):
         rows.append((f"tail_{leg}", max(rep.legs[leg].meta["tail_max"].values())))
-    if rep.smax_closed is not None:
-        rows.append(("smax_closed_db", rep.smax_closed))
-        rows.append(("smax_open_db", rep.smax_open))
+    if "lindblad_closed" in rep.legs:
+        rows.append(("smax_closed_db", rep.squeezing_db["lindblad_closed"]))
+        rows.append(("smax_open_db", rep.squeezing_db["lindblad_open"]))
         rows.append(("smax_degradation", rep.smax_degradation))
     return ["quantity", "value"], list(zip(*rows)), {}, []
 

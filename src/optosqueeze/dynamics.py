@@ -838,36 +838,63 @@ def effective_variance_series(
     return ts
 
 
+def _rel_dev(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-300)))
+
+
 @dataclass
 class AdiabaticReport:
-    """Outcome of one elimination-chain validation run.
+    """One elimination-chain run: its facts, and every verdict derived from them.
 
-    deviations: max pointwise relative X-variance deviation per model pair
-    (keys like "full_vs_effective"); ratios: the hierarchy ratios that the
-    elimination assumes large; stark_winner: which two-level Stark variant
-    tracked the three-level model better over this run; dims: the "d_cav"
-    and "d_mech" of the last unitary leg's record; legs: each leg's
-    oscillator X variance on the run's grid, linspace(0, horizon, n_times),
-    as a `TimeSeries` whose meta is the leg's own record (route, dims,
-    tails), keyed "full", "two_level_as_written", "two_level_textbook",
-    "effective" and, with the master-equation pair, "lindblad_closed" and
-    "lindblad_open"; the smax fields stay None only for a run without that
-    pair.
+    The facts: ratios, the hierarchy ratios that the elimination assumes
+    large; atom_weights, the e1/e2 weights of the effective leg's mixture;
+    legs, each leg's oscillator X variance on the run's grid, as a
+    `TimeSeries` whose meta is the leg's own record (route, dims, tails),
+    keyed "full", "two_level_as_written", "two_level_textbook", "effective"
+    and, with the master-equation pair, "lindblad_closed" and "lindblad_open".
+
+    The verdicts are derived from `legs` at construction, here only:
+    squeezing_db, each leg's -5 log10(min V / V(0)) at the grid's global
+    minimum; deviations, the maximum pointwise relative X-variance deviation
+    per pair, relative to the effective leg ("full_vs_effective",
+    "two_level_*_vs_effective") or to the full leg ("full_vs_two_level_*");
+    stark_winner, the two-level variant closer to the full leg ("tie"
+    within 1e-15); smax_degradation, (S_closed - S_open) / S_closed of the
+    pair's squeezing, None without the pair.  A closed leg whose relative
+    dip does not exceed its own error, its meta["rtol"], leaves the
+    degradation undefined and raises ValueError.
     """
 
     ratios: dict
-    deviations: dict
-    stark_winner: str
-    dims: dict
-    legs: dict
     atom_weights: tuple
-    smax_closed: float | None = None
-    smax_open: float | None = None
-    smax_degradation: float | None = None
+    legs: dict
+    squeezing_db: dict = field(init=False)
+    deviations: dict = field(init=False)
+    stark_winner: str = field(init=False)
+    smax_degradation: float | None = field(init=False)
 
-
-def _rel_dev(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-300)))
+    def __post_init__(self):
+        legs = self.legs
+        full, eff = legs["full"].values, legs["effective"].values
+        self.squeezing_db = {k: -5.0 * math.log10(float(np.min(ts.values)) / float(ts.values[0]))
+                             for k, ts in legs.items()}
+        dev = self.deviations = {"full_vs_effective": _rel_dev(full, eff)}
+        for k in [k for k in legs if k.startswith("two_level_")]:
+            dev[f"full_vs_{k}"] = _rel_dev(legs[k].values, full)
+            dev[f"{k}_vs_effective"] = _rel_dev(legs[k].values, eff)
+        d_aw, d_tb = dev["full_vs_two_level_as_written"], dev["full_vs_two_level_textbook"]
+        self.stark_winner = "tie" if abs(d_aw - d_tb) <= 1e-15 else "as-written" if d_aw < d_tb else "textbook"
+        self.smax_degradation = None
+        if "lindblad_closed" in legs:
+            closed, rtol = legs["lindblad_closed"].values, legs["lindblad_closed"].meta["rtol"]
+            # a dip within the closed leg's own error is noise, and dividing by it means nothing
+            dip = 1.0 - float(np.min(closed)) / float(closed[0])
+            if not dip > rtol:
+                raise ValueError("the smax degradation is undefined: the closed master-equation leg "
+                                 f"does not squeeze beyond its error (relative X-variance dip {dip:.3g} "
+                                 f"<= {rtol:.3g})")
+            s_closed, s_open = self.squeezing_db["lindblad_closed"], self.squeezing_db["lindblad_open"]
+            self.smax_degradation = (s_closed - s_open) / s_closed
 
 
 def _atom_vector(atom_init) -> np.ndarray:
@@ -930,20 +957,20 @@ def validate_adiabatic_chain(
     d_mech: int | None = None,
     lindblad_dims: tuple | None = None,
 ) -> AdiabaticReport:
-    """Run the elimination chain end to end and measure how well it holds.
+    """Run the elimination chain end to end; the returned `AdiabaticReport` judges it.
 
     Evolves (i) the three-level model, (ii) both Stark variants of the
     two-level model, in `STARK_VARIANTS` order (two variants with equal
     shifts, as at Omega = g1, share one run: both of their keys in `legs`
     hold the same series), and (iii) the effective oscillator model with
     the atom decomposed over the coupling eigenstates (a non-eigenstate
-    preparation runs as a mixture over e1/e2 with the overlap weights; the
-    neglected cross-coherence shows up in the reported deviation rather
-    than being hidden).  All start from cavity and oscillator vacuum.
-    Returns the pairwise maximum relative X-variance deviations, the
-    hierarchy ratios the chain assumes large (|Delta| and |delta| over the
-    rates they must exceed), which Stark variant tracked the three-level
-    model better, and each leg's X-variance series with its own record.
+    preparation runs as a mixture over e1/e2 with the overlap weights,
+    which H_eff never couples; what the full model makes of their relative
+    phase shows up in the deviations).  All start from cavity and
+    oscillator vacuum.  This function only runs legs: the report is built
+    from the hierarchy ratios the chain assumes large (|Delta| and |delta|
+    over the rates they must exceed), the atom weights and the legs, and
+    derives every deviation, squeezing and verdict from them.
 
     Every leg runs on linspace(0, horizon, n_times).  The Fock legs share
     one runner, which builds the space, H and the vacuum-times-atom start
@@ -951,16 +978,13 @@ def validate_adiabatic_chain(
     unitary legs pass one empty set).  A `lindblad_dims` tuple adds two
     master-equation legs of the three-level model, "lindblad_closed" and
     "lindblad_open", without and with the kappa / Gamma_e collapse channels
-    (gamma damps the oscillator in both), which measure how much the
-    achieved maximum squeezing degrades; None runs no such pair.  Both legs
-    share one space, which starts at `lindblad_dims` = (d_cav, d_mech); a
-    None entry takes min(d_cav, 4), respectively d_mech, as the last unitary
-    leg's record holds them.  A leg with an empty collapse set (the closed
-    leg whenever gamma = 0) runs unitarily.  A closed leg whose relative
-    X-variance dip does not exceed its own error, the "rtol" its engine
-    reports in its meta (`EXACT_VARIANCE_RTOL` when it runs unitarily,
-    `EXPM_VARIANCE_RTOL` on either master-equation route), leaves the
-    degradation undefined and raises ValueError.  Against an adaptive
+    (gamma damps the oscillator in both), whose squeezing gives the
+    degradation; None runs no such pair.  Both legs share one space, which
+    starts at `lindblad_dims` = (d_cav, d_mech); a None entry takes
+    min(d_cav, 4), respectively d_mech, of the textbook leg's record.  A
+    leg with an empty collapse set (the closed leg whenever gamma = 0) runs
+    unitarily, and its "rtol" is `EXACT_VARIANCE_RTOL`; either
+    master-equation route reports `EXPM_VARIANCE_RTOL`.  Against an adaptive
     Runge-Kutta reference at rtol 1e-12, the expm_multiply route errs by
     9.6e-15 relative in decay_immunity.cfg's smax_open_db and 1.2e-13 in its
     smax_degradation, within that reference's own error and far below the
@@ -970,8 +994,8 @@ def validate_adiabatic_chain(
     `TAIL_LIMIT` doubles the offending dimension.  The unitary legs and the
     master-equation pair double up to `CHAIN_DIM_CAP`.  The three-level leg
     starts at (d_cav, d_mech), and each later unitary leg at the
-    meta["dims"][:2] of the leg run before it; `dims` holds those of the
-    last one's record.  The effective leg starts from that d_mech and
+    meta["dims"][:2] of the leg run before it; the textbook leg runs (or
+    shares) the last.  The effective leg starts from its d_mech and
     doubles in `effective_variance_series`, up to `EFFECTIVE_DIM_CAP`; its
     record holds "method", the largest "dims" (a 1-tuple) and "tail_max" of
     its branches.  The master-equation pair doubles on the larger tail of
@@ -1011,8 +1035,7 @@ def validate_adiabatic_chain(
             reached = list(legs.values())[-1].meta["dims"][:2]
             runs[shifts] = run_legs(reached, lambda s: build_two_level_hamiltonian(p, s, variant), atom2)[0]
         legs["two_level_" + variant.replace("-", "_")] = runs[shifts]
-    two_level = list(legs)[1:]
-    dc, dm = legs[two_level[-1]].meta["dims"][:2]  # the last unitary leg's record
+    dc, dm = legs["two_level_textbook"].meta["dims"][:2]  # the last unitary run's record
 
     # effective leg: mixture over the coupling eigenstates.  From vacuum each
     # branch has <X> = 0 exactly, so the mixture's variance is the weighted
@@ -1024,22 +1047,6 @@ def validate_adiabatic_chain(
         "dims": (max(ts.meta["dims"][0] for _, ts in branches),),
         "tail_max": {0: max(ts.meta["tail_max"][0] for _, ts in branches)},
     })
-
-    var_full, var_eff = legs["full"].values, legs["effective"].values
-    deviations = {"full_vs_effective": _rel_dev(var_full, var_eff)}
-    deviations.update({f"full_vs_{k}": _rel_dev(legs[k].values, var_full) for k in two_level})
-    deviations.update({f"{k}_vs_effective": _rel_dev(legs[k].values, var_eff) for k in two_level})
-    d_aw = deviations["full_vs_two_level_as_written"]
-    d_tb = deviations["full_vs_two_level_textbook"]
-    if abs(d_aw - d_tb) <= 1e-15:
-        winner = "tie"
-    else:
-        winner = "as-written" if d_aw < d_tb else "textbook"
-
-    report = AdiabaticReport(ratios=ratios, deviations=deviations, stark_winner=winner,
-                             dims={"d_cav": dc, "d_mech": dm}, legs=legs, atom_weights=weights)
-    if lindblad_dims is None:
-        return report
 
     def collapse_sets(space):
         # the closed and the open leg: gamma damps the oscillator in both, and
@@ -1057,19 +1064,10 @@ def validate_adiabatic_chain(
             opened += [(level_projector(space, 2, 1, 2), p.Gamma_e), (level_projector(space, 2, 0, 2), p.Gamma_e)]
         return closed, opened
 
-    # both legs share one space, so their smax stay comparable
-    ldc, ldm = lindblad_dims
-    ldims = (min(dc, 4) if ldc is None else ldc, dm if ldm is None else ldm)
-    closed, opened = run_legs(ldims, lambda s: build_full_hamiltonian(p, s), atom3, collapse_sets)
-    legs["lindblad_closed"], legs["lindblad_open"] = closed, opened
-    # a dip within the closed leg's own error is noise, and dividing by it means nothing
-    dip = 1.0 - float(np.min(closed.values)) / float(closed.values[0])
-    if not dip > closed.meta["rtol"]:
-        raise ValueError("the smax degradation is undefined: the closed master-equation leg "
-                         f"does not squeeze beyond its error (relative X-variance dip {dip:.3g} "
-                         f"<= {closed.meta['rtol']:.3g})")
-    s_closed, s_open = (-5.0 * math.log10(float(np.min(v)) / float(v[0])) for v in (closed.values, opened.values))
-    report.smax_closed = s_closed
-    report.smax_open = s_open
-    report.smax_degradation = (s_closed - s_open) / s_closed
-    return report
+    if lindblad_dims is not None:
+        # both legs share one space, so their squeezing stays comparable
+        ldc, ldm = lindblad_dims
+        ldims = (min(dc, 4) if ldc is None else ldc, dm if ldm is None else ldm)
+        legs["lindblad_closed"], legs["lindblad_open"] = run_legs(
+            ldims, lambda s: build_full_hamiltonian(p, s), atom3, collapse_sets)
+    return AdiabaticReport(ratios=ratios, atom_weights=weights, legs=legs)

@@ -7,9 +7,11 @@ criterion's bound.  Where a criterion reads a quantity that the model
 defines in more than one place, the test says which one it reads: 07 runs
 the driven chain that actually squeezes, 09 compares the doublet with the
 closed form's maxima (not with the minima of its denominator), 10b
-reads the damping trend at omega = omega_m, and 11 bounds the elimination
+reads the damping trend at omega = omega_m, 11 bounds the elimination
 of |e> in the paper's > 3 dB regime but only reports how far the full
-model's squeezing falls short of the closed form there.
+model's squeezing falls short of the closed form there, and 12 judges both
+eliminations by the squeezing each leg predicts, bounding only the
+elimination of |e>.
 """
 
 import math
@@ -273,3 +275,30 @@ def test_criterion_11_beyond_3db_through_the_full_model(capsys):
             f"dip {achieved:.2f} dB at t = {times[i]:.3f} (inside the grid: {inside}) "
             f"vs closed form {target:.2f} dB at t = {t_dip:.3f}; "
             f"two_level_as_written_vs_effective {elim_cav:.2f} (finding, not bounded)")
+
+
+def test_criterion_12_eliminations_on_the_squeezing_scale(capsys):
+    # the unitary legs of scripts/stark_variant.cfg and decay_immunity.cfg,
+    # judged by each leg's squeezing (the report's squeezing_db), not by the
+    # variance deviation: V stays near 1/4 and the dip is about 1 % of it.
+    # The |e> elimination (full vs two-level textbook) is bounded; measured
+    # 3.8e-4 and 7.8e-4.  The as-written gap and what the cavity elimination
+    # keeps of the squeezing (S_effective / S_full) are findings: at both
+    # points deviation_full_vs_effective reads 1.37e-2
+    gaps, found = [], []
+    for name in ("stark_variant", "decay_immunity"):
+        cfg = parse_config((SCRIPTS / f"{name}.cfg").read_text())
+        o = cfg.options
+        rep = validate_adiabatic_chain(cfg.params, o["atom_state"], o["horizon"],
+                                       n_times=o["n_times"], d_cav=o["d_cav"], d_mech=o["d_mech"])
+        s = rep.squeezing_db
+        gaps.append(abs(s["full"] - s["two_level_textbook"]) / s["full"])
+        legs = ", ".join(f"{k} {v:.4g}" for k, v in s.items())
+        found.append(f"{name}: {legs} dB; as-written gap "
+                     f"{abs(s['full'] - s['two_level_as_written']) / s['full']:.2e}; "
+                     f"S_effective / S_full {s['effective'] / s['full']:.3f} "
+                     f"at deviation_full_vs_effective {rep.deviations['full_vs_effective']:.2e}")
+    ok = max(gaps) <= 2e-3
+    verdict(capsys, "12", "the |e> elimination keeps the squeezing, the cavity elimination loses it", ok,
+            f"|S_full - S_two_level_textbook| / S_full {gaps[0]:.1e} and {gaps[1]:.1e} (bound 2e-3); "
+            f"findings, not bounded: {'; '.join(found)}")

@@ -59,7 +59,7 @@ def test_open_chain_gate_reference_matches_the_chain(monkeypatch):
     assert closed["dims"][:2] == opened["dims"][:2] == workloads.OPEN_LINDBLAD_DIMS
     # gamma = 0 leaves the closed leg unitary; the open leg's 160 entries step exp(G h)
     assert (closed["method"], opened["method"]) == ("eigh", "lindblad-expm")
-    assert abs(rep.smax_closed - want) <= workloads.SMAX_REL_BOUND * abs(want)
+    assert abs(rep.squeezing_db["lindblad_closed"] - want) <= workloads.SMAX_REL_BOUND * abs(want)
 
 
 def test_tracer_counts_the_engines(monkeypatch):

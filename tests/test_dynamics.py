@@ -1256,7 +1256,7 @@ class TestReachableSector:
         # the undriven chain from vacuum at 8 x 32 x 3 (768 states) and 8 x 32 x 2 (512)
         p = ModelParams(delta=20.0, Delta=100.0, Omega=1.0, g1=1.0, g2=0.02)
         rep = validate_adiabatic_chain(p, "e1", horizon=1.0, n_times=20, d_cav=8, d_mech=32)
-        assert rep.dims == {"d_cav": 8, "d_mech": 32}
+        assert rep.legs["two_level_textbook"].meta["dims"][:2] == (8, 32)
         sectors = {k: ts.meta["sector_dim"] for k, ts in rep.legs.items() if k != "effective"}
         assert sectors == {"full": 48, "two_level_as_written": 32, "two_level_textbook": 32}
 
@@ -1646,8 +1646,9 @@ class TestValidateAdiabaticChain:
         monkeypatch.setattr(dynamics, "hybrid_space", recording)
         small = validate_adiabatic_chain(p, "e1", horizon=6.2832, n_times=40, d_cav=4, d_mech=2)
         assert calls == [(4, 2, 3), (4, 4, 3), (4, 4, 2)]
-        assert small.dims == dict(zip(("d_cav", "d_mech"), small.legs["two_level_textbook"].meta["dims"][:2]))
-        assert small.dims["d_mech"] == 4
+        reached = small.legs["two_level_textbook"].meta["dims"][:2]
+        assert reached == small.legs["full"].meta["dims"][:2]
+        assert reached == (4, 4)
         assert small.deviations["full_vs_effective"] == pytest.approx(ref.deviations["full_vs_effective"], rel=1e-2)
 
     def test_zero_delta_raises(self):
@@ -1708,8 +1709,9 @@ class TestValidateAdiabaticChain:
             d_mech=8,
             lindblad_dims=(4, 8),
         )
-        assert rep.smax_closed is not None and math.isfinite(rep.smax_closed)
-        assert rep.smax_open is not None and math.isfinite(rep.smax_open)
+        s_closed, s_open = rep.squeezing_db["lindblad_closed"], rep.squeezing_db["lindblad_open"]
+        assert s_closed is not None and math.isfinite(s_closed)
+        assert s_open is not None and math.isfinite(s_open)
         assert rep.smax_degradation is not None
         closed, opened = rep.legs["lindblad_closed"].meta, rep.legs["lindblad_open"].meta
         assert closed["dims"] == opened["dims"] == (4, 8, 3)
@@ -1783,7 +1785,7 @@ class TestValidateAdiabaticChain:
         m1 = np.einsum("ti,ti->t", psi.conj(), xpsi).real
         var = np.einsum("ti,ti->t", xpsi.conj(), xpsi).real - m1**2
         ref = -5.0 * math.log10(var.min() / var[0])
-        assert abs(rep.smax_closed - ref) <= 1e-9 * ref
+        assert abs(rep.squeezing_db["lindblad_closed"] - ref) <= 1e-9 * ref
 
     def test_master_equation_legs_use_the_chain_grid(self, monkeypatch):
         # gamma > 0 sends both legs through the master equation; each
@@ -1808,7 +1810,7 @@ class TestValidateAdiabaticChain:
 
     def test_closed_leg_without_squeezing_rejected(self):
         # eps = 0 leaves e2 = |1> stationary, so the closed leg never dips
-        # below its initial variance (smax_closed = -0.0); this used to return
+        # below its initial variance (squeezing -0.0 dB); this used to return
         # smax_degradation None, on which the CLI crashed
         p = ModelParams(delta=20.0, Delta=100.0, Omega=1.0, g1=1.0, g2=0.02, kappa=0.5, gamma=0.1)
         with pytest.raises(ValueError, match="degradation is undefined"):
@@ -1858,7 +1860,7 @@ class TestValidateAdiabaticChain:
             with pytest.raises(ValueError, match="beyond its error"):
                 run()
         else:
-            assert run().smax_closed == pytest.approx(-5.0 * math.log10(1.0 - dip), rel=1e-6)
+            assert run().squeezing_db["lindblad_closed"] == pytest.approx(-5.0 * math.log10(1.0 - dip), rel=1e-6)
 
     def test_effective_leg_doubles_its_dimension(self, monkeypatch):
         # at d_mech = 4 the unitary legs stay within the tail limit, but the
@@ -1868,7 +1870,7 @@ class TestValidateAdiabaticChain:
         monkeypatch.setattr(dynamics, "CHAIN_DIM_CAP", 4)
         p = ModelParams(delta=2.0, Delta=10.0, g1=1.0, Omega=1.0, g2=0.4)
         rep = validate_adiabatic_chain(p, [1e-4, 1.0], horizon=3.0, n_times=40, d_cav=3, d_mech=4)
-        assert rep.dims == {"d_cav": 3, "d_mech": 4}
+        assert rep.legs["two_level_textbook"].meta["dims"][:2] == (3, 4)
         eff = rep.legs["effective"].meta
         assert (eff["method"], eff["dims"]) == ("eigh-moments", (8,)) and eff["tail_max"][0] <= 1e-6
         assert rep.deviations["full_vs_effective"] < 1e-6
@@ -1901,6 +1903,83 @@ class TestValidateAdiabaticChain:
         assert weights == ((1.0, 0.0) if name == "e1" else (0.0, 1.0))
         overlaps = [abs(np.vdot(e, ground)) ** 2 for e in (spec.e1, spec.e2)]
         assert np.allclose(overlaps, weights, rtol=0.0, atol=1e-12)
+
+
+def hand_legs(pair=None, rtol=1e-12, **values):
+    # hand-made chain legs on a three-point grid; `pair` adds the master-equation
+    # legs (closed, open), the closed one reporting `rtol` as its engine's error
+    vals = dict(full=[1.0, 0.5, 0.8], two_level_as_written=[1.0, 0.4, 0.8],
+                two_level_textbook=[1.0, 0.5, 0.6], effective=[1.0, 0.25, 1.0])
+    vals.update(values)
+    times = np.arange(len(vals["full"]), dtype=float)
+    legs = {k: TimeSeries(times, v) for k, v in vals.items()}
+    if pair is not None:
+        legs["lindblad_closed"] = TimeSeries(times, pair[0], {"rtol": rtol})
+        legs["lindblad_open"] = TimeSeries(times, pair[1], {"rtol": rtol})
+    return legs
+
+
+def hand_report(**kwargs):
+    return AdiabaticReport(ratios={"Delta_over_drive": 100.0}, atom_weights=(1.0, 0.0), legs=hand_legs(**kwargs))
+
+
+class TestAdiabaticReport:
+    """The report derives every verdict from hand-built legs; no engine runs."""
+
+    def test_takes_only_the_run_facts(self):
+        rep = hand_report()
+        assert rep.ratios == {"Delta_over_drive": 100.0} and rep.atom_weights == (1.0, 0.0)
+        with pytest.raises(TypeError):
+            AdiabaticReport(ratios={}, atom_weights=(1.0, 0.0), legs=hand_legs(), deviations={})
+
+    def test_deviations_against_their_reference_legs(self):
+        # in assertion order, a swapped reference would read 0.5, 0.25, 0.333, 0.375 and 0.667
+        dev = hand_report().deviations
+        assert set(dev) == {"full_vs_effective", "full_vs_two_level_as_written", "full_vs_two_level_textbook",
+                            "two_level_as_written_vs_effective", "two_level_textbook_vs_effective"}
+        assert dev["full_vs_effective"] == pytest.approx(1.0, rel=1e-15)  # |0.5 - 0.25| / 0.25
+        assert dev["full_vs_two_level_as_written"] == pytest.approx(0.2, rel=1e-15)  # |0.4 - 0.5| / 0.5
+        assert dev["full_vs_two_level_textbook"] == pytest.approx(0.25, rel=1e-15)  # |0.6 - 0.8| / 0.8
+        assert dev["two_level_as_written_vs_effective"] == pytest.approx(0.6, rel=1e-15)  # |0.4 - 0.25| / 0.25
+        assert dev["two_level_textbook_vs_effective"] == pytest.approx(1.0, rel=1e-15)  # |0.5 - 0.25| / 0.25
+
+    def test_squeezing_reads_the_global_minimum(self):
+        # the full leg's first interior minimum (0.9) is not its lowest point (0.5)
+        rep = hand_report(full=[1.0, 0.9, 0.95, 0.5, 1.0], two_level_as_written=[1.0, 0.9, 0.95, 0.4, 1.0],
+                          two_level_textbook=[2.0, 1.0, 1.5, 1.5, 2.0], effective=[1.0, 1.0, 1.0, 1.0, 1.0])
+        s = rep.squeezing_db
+        assert s["full"] == -5.0 * math.log10(0.5)
+        assert s["two_level_as_written"] == -5.0 * math.log10(0.4)
+        assert s["two_level_textbook"] == -5.0 * math.log10(0.5)  # relative to V(0) = 2
+        assert s["effective"] == 0.0  # no dip at all
+
+    @pytest.mark.parametrize("ulps, winner", [(0, "tie"), (4, "tie"), (8, "as-written"), (-8, "textbook")])
+    def test_stark_winner_ties_within_1e_15(self, ulps, winner):
+        # deviations 0.5 and 0.5 + ulps * 2^-52 from the full leg: 4 ulps (8.9e-16) tie, 8 (1.8e-15) do not
+        rep = hand_report(full=[1.0, 1.0], two_level_as_written=[1.0, 1.5],
+                          two_level_textbook=[1.0, 1.5 + ulps * 2.0**-52], effective=[1.0, 1.0])
+        assert rep.stark_winner == winner
+
+    def test_degradation_from_the_pair_squeezing(self):
+        rep = hand_report(pair=([1.0, 0.5, 0.6], [1.0, 0.8, 0.9]))
+        s_closed, s_open = rep.squeezing_db["lindblad_closed"], rep.squeezing_db["lindblad_open"]
+        assert (s_closed, s_open) == (-5.0 * math.log10(0.5), -5.0 * math.log10(0.8))
+        assert rep.smax_degradation == (s_closed - s_open) / s_closed
+        assert rep.smax_degradation == pytest.approx(1.0 - math.log10(0.8) / math.log10(0.5), rel=1e-15)
+
+    @pytest.mark.parametrize("closed, rtol", [
+        ([1.0, 1.0 - 1e-13, 1.0], 1e-12),  # a dip below the leg's error
+        ([1.0, 0.5, 1.0], 0.5),  # a dip exactly at it
+        ([1.0, 1.0, 1.0], 1e-12),  # no dip at all
+    ])
+    def test_closed_leg_dip_within_its_error_raises(self, closed, rtol):
+        with pytest.raises(ValueError, match=r"degradation is undefined.*beyond its error"):
+            hand_report(pair=(closed, [1.0, 0.8, 0.9]), rtol=rtol)
+
+    def test_no_pair_no_degradation(self):
+        rep = hand_report()
+        assert rep.smax_degradation is None
+        assert set(rep.squeezing_db) == {"full", "two_level_as_written", "two_level_textbook", "effective"}
 
 
 class TestEliminationOrder:
