@@ -51,8 +51,8 @@ started from the support of the initial pure state, finds the index set
 that exp(t G) can populate.  The restriction is exact, so it is always
 on; a drive, mechanical damping or any other term that joins sectors
 enlarges the search result by itself.  Every reader (the trace and
-truncation tails of `_checked_populations`, shared by both engines, and
-the expectations) works on the sector block, every component outside it
+truncation tails of `_fock_record`, shared by both engines, and the
+expectations) works on the sector block, every component outside it
 being exactly zero.  A `UnitaryTrajectory` is the `TimeSeries` of the
 state's sector amplitudes, its `values` (n_t, sector size), which `variance_trajectory`
 reads; `UnitaryTrajectory.vectors` scatters full-size states on access.
@@ -72,17 +72,15 @@ from `operators`, which writes every matrix element of the model.
 Their mutual agreement (and agreement with `analytic`) is what the test
 suite leans on; no route is trusted on its own.
 
-Truncation is self-reported: every Fock run records the joint population of
-the top two Fock levels of each mode (`_tail_levels`; `exact_quadrature_moments`
-as its third array), and each Fock engine how far its trace, ||psi||^2 or
-Tr rho, strays from 1 (at most `TRACE_TOL`).  The adaptive wrappers share
-one doubling loop, which reads each run's tails off its `TimeSeries`
-records and doubles the offending dimension until the tail drops below
-1e-6 or a cap is hit; every adaptive record names the truncation it
-reached as "dims".  So is accuracy: each Fock engine's meta names its
-route, sector size and RHS count (0: no route evaluates a right-hand
-side), and its own relative error ("rtol"), which is all a caller reads of
-it; `exact_quadrature_moments` returns a bare tuple with no meta.
+The three Fock engines check their input in one place, `_engine_input`.
+Truncation and accuracy are self-reported: `evolve_unitary` and
+`evolve_lindblad` return the one record of `_fock_record`, whose
+docstring names each key; `exact_quadrature_moments` returns a bare
+tuple with no meta, the tail as its third array.  The adaptive wrappers
+share one doubling loop, which reads each run's tails off its
+`TimeSeries` records and doubles the offending dimension until the tail
+drops below 1e-6 or a cap is hit; every adaptive record names the
+truncation it reached as "dims".
 """
 
 from __future__ import annotations
@@ -299,15 +297,40 @@ def _tail_levels(size: int) -> tuple:
     return (2,) if size == 3 else (size - 2, size - 1)
 
 
-def _checked_populations(probs: np.ndarray, states: np.ndarray, space: HilbertSpace, t: np.ndarray) -> dict:
-    """The population record of a Fock run, {"tail_max", "trace_max_dev"}, or TruncationError.
+def _engine_input(name: str, H: Operator, times, *operands) -> tuple:
+    """(t, space): a Fock engine's checked time grid and H's space, or ValueError naming the engine.
+
+    H must be Hermitian (within 1e-12), every operand (the initial state,
+    the observables, the collapse operators) must live on H's space, and
+    `times` must be a finite, strictly increasing grid of at least two
+    points (`_time_grid`), checked in this order.
+    """
+    if not H.is_hermitian(1e-12):
+        raise ValueError(f"{name} requires a Hermitian Hamiltonian")
+    if any(a.space != H.space for a in operands):
+        raise ValueError(f"{name}: the Hamiltonian and its operands live on different spaces")
+    return _time_grid(times), H.space
+
+
+def _fock_record(method: str, rtol: float, sector_dim: int, probs: np.ndarray, states: np.ndarray,
+                 space: HilbertSpace, t: np.ndarray) -> dict:
+    """The record of a Fock run, its `meta`, or TruncationError.
 
     `probs` (n_t, n) holds the populations of the composite basis states
-    `states` at the times `t`; every other basis state is empty.
-    "tail_max" maps each Fock factor's index to its largest truncation tail
-    over the times.  Each row sums to the run's trace, ||psi||^2 or Tr rho;
-    the first time at which it is off 1 by more than `TRACE_TOL`, or is not
-    a number, raises TruncationError naming that time, the tolerance and the
+    `states` at the times `t`; every other basis state is empty.  The keys:
+
+    * "method": the route that ran;
+    * "dims": `space.factor_sizes`, the truncation the run used;
+    * "sector_dim": the size of the reachable sector it propagated;
+    * "n_rhs_evals": 0, as no route evaluates a right-hand side;
+    * "rtol": the route's relative error of a variance series;
+    * "tail_max": each Fock factor's index mapped to its largest
+      truncation tail (`_tail_levels`) over the times;
+    * "trace_max_dev": the largest |trace - 1| over the times.
+
+    Each row of `probs` sums to the run's trace, ||psi||^2 or Tr rho; the
+    first time at which it is off 1 by more than `TRACE_TOL`, or is not a
+    number, raises TruncationError naming that time, the tolerance and the
     tails.
     """
     levels = np.unravel_index(states, space.factor_sizes)
@@ -322,7 +345,8 @@ def _checked_populations(probs: np.ndarray, states: np.ndarray, space: HilbertSp
             f"trace drifted to {float(totals[i])!r} at t={t[i]:g} (tolerance {TRACE_TOL:g}); "
             f"tails {tails}; enlarge the space"
         )
-    return {"tail_max": tails, "trace_max_dev": float(dev.max())}
+    return {"method": method, "dims": space.factor_sizes, "sector_dim": sector_dim, "n_rhs_evals": 0,
+            "rtol": rtol, "tail_max": tails, "trace_max_dev": float(dev.max())}
 
 
 def _time_grid(times) -> np.ndarray:
@@ -388,33 +412,17 @@ def evolve_unitary(H: Operator, psi0: QuantumState, times) -> UnitaryTrajectory:
     does not accumulate from step to step.  The `UnitaryTrajectory`
     returned is the `TimeSeries` of these sector amplitudes, its `values`
     (n_t, `meta["sector_dim"]`), and keeps nothing else of the state.
-    Their populations go through `_checked_populations`, as the master
-    equation's do: ||psi||^2 off 1 by more than `TRACE_TOL` at any time
-    aborts with a TruncationError naming the first such time.
 
-    `meta` holds the record every Fock engine returns: "method" ("eigh"),
-    "dims", "sector_dim", "n_rhs_evals" (0: nothing is stepped), "rtol"
-    (`EXACT_VARIANCE_RTOL`, this route's relative variance error), and
-    "tail_max" and "trace_max_dev" from `_checked_populations`.
+    `meta` is the Fock record of `_fock_record`, with "method" "eigh" and
+    "rtol" `EXACT_VARIANCE_RTOL`: ||psi||^2 off 1 by more than `TRACE_TOL`
+    at any time aborts with a TruncationError naming the first such time.
     """
-    if not H.is_hermitian(1e-12):
-        raise ValueError("evolve_unitary requires a Hermitian Hamiltonian")
-    if H.space != psi0.space:
-        raise ValueError("Hamiltonian and state live on different spaces")
-    t = _time_grid(times)
-    space = H.space
+    t, space = _engine_input("evolve_unitary", H, times, psi0)
     sec = _reachable_sector(H.csr, psi0.vector)
     lam, v = np.linalg.eigh(H.csr[sec][:, sec].toarray())
     c = v.conj().T @ psi0.vector[sec]
     amps = (np.exp(-1j * np.outer(t - t[0], lam)) * c) @ v.T
-    meta = {
-        "method": "eigh",
-        "dims": space.factor_sizes,
-        "sector_dim": int(sec.size),
-        "n_rhs_evals": 0,
-        "rtol": EXACT_VARIANCE_RTOL,
-        **_checked_populations(np.abs(amps) ** 2, sec, space, t),
-    }
+    meta = _fock_record("eigh", EXACT_VARIANCE_RTOL, sec.size, np.abs(amps) ** 2, sec, space, t)
     return UnitaryTrajectory(t, amps, meta, space=space, sector=sec)
 
 
@@ -473,10 +481,7 @@ def exact_quadrature_moments(H: Operator, nbar: float, times):
     The slot stays only because the benchmark tracer
     (`perfbench/tracer.py`) reads the tail by position, as [2].
     """
-    t = _time_grid(times)
-    if not H.is_hermitian(1e-12):
-        raise ValueError("exact_quadrature_moments requires a Hermitian Hamiltonian")
-    space = H.space
+    t, space = _engine_input("exact_quadrature_moments", H, times)
     if len(space.factors) != 1 or not isinstance(space.factors[0], Fock):
         raise ValueError(_BANDED_H)
     h = H.csr
@@ -550,10 +555,6 @@ def evolve_lindblad(H: Operator, collapse_ops, psi0: QuantumState, times, observ
     * "lindblad-expm-multiply": a larger sector takes the action
       exp(G (t - t0)) r0 of `_expm_multiply_rows`, one call over the grid.
 
-    `meta["rtol"]` is the route's relative variance error,
-    `EXPM_VARIANCE_RTOL` on both, and `meta["n_rhs_evals"]` is 0: no route
-    evaluates a right-hand side.
-
     The states are not returned: the readout takes the real rows r(t),
     and the `TimeSeries` returned holds in column n of its complex
     (n_t, len(observables)) `values` Tr(A rho(t)) = r . (U^T w) for
@@ -562,18 +563,13 @@ def evolve_lindblad(H: Operator, collapse_ops, psi0: QuantumState, times, observ
     (`_entries`), complex (take the real part for a Hermitian A), read by
     one product per observable.  The populations,
     hence the trace and the truncation tails, are r's leading coordinates,
-    the diagonal ones, on the states that `_hermitian_basis` names.  They go
-    through `_checked_populations`, as `evolve_unitary`'s do, which gives
-    `meta` "tail_max" and "trace_max_dev" and aborts on a trace off 1 by
-    more than `TRACE_TOL`.  `meta["final_eigmin"]` is the smallest
-    eigenvalue of the last rho, U r, on the reached states (k x k).
+    the diagonal ones, on the states that `_hermitian_basis` names.  `meta`
+    is their Fock record (`_fock_record`, "rtol" `EXPM_VARIANCE_RTOL` on
+    both routes), which aborts on a trace off 1 by more than `TRACE_TOL`,
+    plus "final_eigmin", the smallest eigenvalue of the last rho, U r, on
+    the reached states (k x k).
     """
-    if not H.is_hermitian(1e-12):
-        raise ValueError("evolve_lindblad requires a Hermitian Hamiltonian")
-    space = H.space
-    if space != psi0.space or any(a.space != space for a in observables):
-        raise ValueError("Hamiltonian, state and observables live on different spaces")
-    t = _time_grid(times)
+    t, space = _engine_input("evolve_lindblad", H, times, psi0, *observables, *(op for op, _ in collapse_ops))
     h = (t[-1] - t[0]) / (t.size - 1)
     if np.any(np.abs(np.diff(t) - h) > 4 * np.spacing(np.abs(t).max())):
         raise ValueError(
@@ -583,8 +579,6 @@ def evolve_lindblad(H: Operator, collapse_ops, psi0: QuantumState, times, observ
 
     ls = []
     for op, rate in collapse_ops:
-        if op.space != space:
-            raise ValueError("collapse operator on a different space")
         if not 0 <= rate < math.inf:  # a NaN rate would otherwise be skipped below as if it were 0
             raise ValueError(f"collapse rates must be finite and >= 0, got {rate!r}")
         if rate > 0:
@@ -614,16 +608,10 @@ def evolve_lindblad(H: Operator, collapse_ops, psi0: QuantumState, times, observ
         values.real[:, col] = rows @ w.real
         values.imag[:, col] = rows @ w.imag
 
-    meta = {
-        "method": "lindblad-expm" if dense else "lindblad-expm-multiply",
-        "dims": space.factor_sizes,
-        "rtol": EXPM_VARIANCE_RTOL,
-        "sector_dim": int(sec.size),
-        "n_rhs_evals": 0,
-        # before eigvalsh, which a NaN rho fails
-        **_checked_populations(rows[:, : states.size], hs[states], space, t),
-        "final_eigmin": float(np.min(np.linalg.eigvalsh((u @ rows[-1]).reshape(k, k)))),
-    }
+    method = "lindblad-expm" if dense else "lindblad-expm-multiply"
+    # the trace check runs before eigvalsh, which a NaN rho fails
+    meta = _fock_record(method, EXPM_VARIANCE_RTOL, sec.size, rows[:, : states.size], hs[states], space, t)
+    meta["final_eigmin"] = float(np.min(np.linalg.eigvalsh((u @ rows[-1]).reshape(k, k))))
     return TimeSeries(t, values, meta)
 
 
@@ -936,9 +924,7 @@ def _leg_variance(H: Operator, psi0: QuantumState, times: np.ndarray, collapse_o
     An empty collapse set keeps rho pure: exact `evolve_unitary`, read by
     `variance_trajectory`.  Any other runs `evolve_lindblad` on X and X^2,
     which picks its own exact route.  Either way the series' meta is the
-    engine's own record, passed on unchanged: its "method", "dims",
-    "sector_dim", "tail_max", "trace_max_dev", "n_rhs_evals" and "rtol",
-    the relative error of the variance series.
+    engine's own record (`_fock_record`), passed on unchanged.
     """
     if not collapse_ops:
         return variance_trajectory(evolve_unitary(H, psi0, times), 1, "X")

@@ -112,14 +112,7 @@ def oscillator_space(d_mech: int) -> HilbertSpace:
 
 
 def _require_structure(space: HilbertSpace, levels: int, what: str):
-    ok = (
-        len(space.factors) == 3
-        and isinstance(space.factors[0], Fock)
-        and isinstance(space.factors[1], Fock)
-        and isinstance(space.factors[2], Level)
-        and space.factors[2].size == levels
-    )
-    if not ok:
+    if [type(f) for f in space.factors] != [Fock, Fock, Level] or space.factors[2].size != levels:
         raise ValueError(f"{what} needs Fock x Fock x Level({levels}), got {space.factors!r}")
 
 

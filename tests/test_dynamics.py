@@ -807,9 +807,23 @@ def decay_immunity_leg(thermal=False):
 
 
 class TestEngineRecord:
-    """Every Fock engine reports its route, size, work and accuracy in one record."""
+    """Every Fock engine checks its input alike and reports its route, size, work and accuracy in one record."""
 
-    RECORD = {"method", "dims", "sector_dim", "n_rhs_evals", "rtol", "tail_max"}
+    RECORD = {"method", "dims", "sector_dim", "n_rhs_evals", "rtol", "tail_max", "trace_max_dev"}
+
+    @pytest.mark.parametrize("engine", ["evolve_unitary", "exact_quadrature_moments", "evolve_lindblad"])
+    def test_engine_refuses_a_non_hermitian_hamiltonian(self, engine):
+        # real and on the +2 band alone, so exact_quadrature_moments' band check would pass it
+        space = oscillator_space(6)
+        bad = Operator(space, np.diag(np.ones(4), 2))
+        times = np.linspace(0.0, 1.0, 5)
+        run = {
+            "evolve_unitary": lambda: evolve_unitary(bad, vacuum_state(space), times),
+            "exact_quadrature_moments": lambda: exact_quadrature_moments(bad, 0.0, times),
+            "evolve_lindblad": lambda: evolve_lindblad(bad, [], vacuum_state(space), times, []),
+        }[engine]
+        with pytest.raises(ValueError, match=f"^{engine} requires a Hermitian Hamiltonian$"):
+            run()
 
     @pytest.mark.parametrize("route", ["eigh", "lindblad-expm", "lindblad-expm-multiply"])
     def test_engine_reports_its_own_accuracy(self, monkeypatch, route):
@@ -822,7 +836,7 @@ class TestEngineRecord:
             if route == "lindblad-expm-multiply":  # as the two routes' agreement test forces it
                 monkeypatch.setattr(dynamics, "EXPM_SECTOR_MAX", 0)
             meta = evolve_lindblad(h, [(annihilation(space, 0), 0.1)], vacuum_state(space), times, []).meta
-        assert self.RECORD <= meta.keys()
+        assert meta.keys() == (self.RECORD if route == "eigh" else self.RECORD | {"final_eigmin"})
         assert meta["method"] == route
         assert meta["dims"] == (6,)
         assert 0 < meta["sector_dim"] <= 6 ** 2
