@@ -33,7 +33,9 @@ always required; model parameters default to zero, ``omega_m`` to one):
   d_cav_lindblad, d_mech_lindblad, lindblad_rtol (gamma, nbar, kappa,
   Gamma_e and the three lindblad keys only with include_lindblad = true;
   lindblad_rtol is checked and echoed but changes nothing, since both
-  master-equation routes are exact and have no tolerance)
+  master-equation routes are exact and have no tolerance; it stays
+  because the benchmark passes it, and ROADMAP item 1 lists every library
+  name and key the benchmark reads)
 * ``eigenmodes``: delta, Delta; Omega, g1, g2, eps
 
 All frequencies and rates are in units of omega_m with hbar = 1.
@@ -289,7 +291,7 @@ def _run_spectrum(cfg: RunConfig):
     series = spectrum_numeric(p, o["geff"], omegas)
     closed = spectrum_analytic(p, o["geff"], omegas)
     columns = [omegas, series.variances, closed.variance, closed.P, closed.Q]
-    peaks = find_peaks(series) if omegas.size >= 3 else []  # find_peaks needs three points
+    peaks = find_peaks(series)
     meta = {"n_peaks": len(peaks)}
     extra = [f"# peak = {_fmt(w)},{_fmt(v)}" for w, v in peaks]
     return ["omega", "variance_numeric", "variance_closed_form", "P", "Q"], columns, meta, extra

@@ -322,7 +322,6 @@ def _fock_record(method: str, rtol: float, sector_dim: int, probs: np.ndarray, s
     * "method": the route that ran;
     * "dims": `space.factor_sizes`, the truncation the run used;
     * "sector_dim": the size of the reachable sector it propagated;
-    * "n_rhs_evals": 0, as no route evaluates a right-hand side;
     * "rtol": the route's relative error of a variance series;
     * "tail_max": each Fock factor's index mapped to its largest
       truncation tail (`_tail_levels`) over the times;
@@ -345,8 +344,8 @@ def _fock_record(method: str, rtol: float, sector_dim: int, probs: np.ndarray, s
             f"trace drifted to {float(totals[i])!r} at t={t[i]:g} (tolerance {TRACE_TOL:g}); "
             f"tails {tails}; enlarge the space"
         )
-    return {"method": method, "dims": space.factor_sizes, "sector_dim": sector_dim, "n_rhs_evals": 0,
-            "rtol": rtol, "tail_max": tails, "trace_max_dev": float(dev.max())}
+    return {"method": method, "dims": space.factor_sizes, "sector_dim": sector_dim, "rtol": rtol,
+            "tail_max": tails, "trace_max_dev": float(dev.max())}
 
 
 def _time_grid(times) -> np.ndarray:
@@ -479,7 +478,8 @@ def exact_quadrature_moments(H: Operator, nbar: float, times):
     other and a thermal state has no even-odd coherence, so `mean` is
     np.zeros(t.size) and is never computed, and `second` is the variance.
     The slot stays only because the benchmark tracer
-    (`perfbench/tracer.py`) reads the tail by position, as [2].
+    (`perfbench/tracer.py`) reads the tail by position, as [2]; ROADMAP
+    item 1 lists every library name the benchmark reads.
     """
     t, space = _engine_input("exact_quadrature_moments", H, times)
     if len(space.factors) != 1 or not isinstance(space.factors[0], Fock):
@@ -567,7 +567,8 @@ def evolve_lindblad(H: Operator, collapse_ops, psi0: QuantumState, times, observ
     is their Fock record (`_fock_record`, "rtol" `EXPM_VARIANCE_RTOL` on
     both routes), which aborts on a trace off 1 by more than `TRACE_TOL`,
     plus "final_eigmin", the smallest eigenvalue of the last rho, U r, on
-    the reached states (k x k).
+    the reached states (k x k), and "n_rhs_evals", 0 (no route evaluates a
+    right-hand side; the benchmark reads it, ROADMAP item 1).
     """
     t, space = _engine_input("evolve_lindblad", H, times, psi0, *observables, *(op for op, _ in collapse_ops))
     h = (t[-1] - t[0]) / (t.size - 1)
@@ -612,6 +613,7 @@ def evolve_lindblad(H: Operator, collapse_ops, psi0: QuantumState, times, observ
     # the trace check runs before eigvalsh, which a NaN rho fails
     meta = _fock_record(method, EXPM_VARIANCE_RTOL, sec.size, rows[:, : states.size], hs[states], space, t)
     meta["final_eigmin"] = float(np.min(np.linalg.eigvalsh((u @ rows[-1]).reshape(k, k))))
+    meta["n_rhs_evals"] = 0
     return TimeSeries(t, values, meta)
 
 
@@ -714,7 +716,7 @@ def _liouvillian_sector(h: sparse.csr_array, ls: list, psi: np.ndarray) -> tuple
     return hs, sec, liouv, y0
 
 
-def variance_trajectory(traj: UnitaryTrajectory, factor: int, quadrature: str = "X") -> TimeSeries:
+def variance_trajectory(traj: UnitaryTrajectory, factor: int, quadrature: str) -> TimeSeries:
     """Variance of X or P of the Fock factor `factor` along a pure-state trajectory.
 
     The trajectory is read on its sector, its `values` v, never
@@ -918,7 +920,7 @@ def _resolve_atom_init(p: ModelParams, atom_init):
     return spec, full, ground, weights
 
 
-def _leg_variance(H: Operator, psi0: QuantumState, times: np.ndarray, collapse_ops=()) -> TimeSeries:
+def _leg_variance(H: Operator, psi0: QuantumState, times: np.ndarray, collapse_ops) -> TimeSeries:
     """The oscillator X variance of one chain leg, the engine picked by its collapse set.
 
     An empty collapse set keeps rho pure: exact `evolve_unitary`, read by

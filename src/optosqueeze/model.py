@@ -94,11 +94,9 @@ class ModelParams:
             v = getattr(self, name)
             if not np.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v!r}")
-        if self.omega_m <= 0:
-            raise ValueError(f"omega_m must be > 0, got {self.omega_m!r}")
-        for name in _NONNEGATIVE:
-            v = getattr(self, name)
-            if v < 0:
+            if name == "omega_m" and v <= 0:
+                raise ValueError(f"omega_m must be > 0, got {v!r}")
+            if name in _NONNEGATIVE and v < 0:
                 raise ValueError(f"{name} must be >= 0, got {v!r}")
 
 

@@ -51,31 +51,24 @@ __all__ = [
 ]
 
 
-def _check_size(factor, what: str):
-    """Require `factor.size` to be an integer >= 2, and store it as a Python int."""
-    if not isinstance(factor.size, (int, np.integer)) or factor.size < 2:
-        raise ValueError(f"{what} must be an integer >= 2, got {factor.size!r}")
-    object.__setattr__(factor, "size", int(factor.size))
-
-
 @dataclass(frozen=True)
-class Fock:
+class _Factor:
+    """A tensor factor of `size` >= 2 basis states (a Python int); a Fock and a Level never compare equal."""
+
+    size: int
+
+    def __post_init__(self):
+        if not isinstance(self.size, (int, np.integer)) or self.size < 2:
+            raise ValueError(f"{type(self).__name__} size must be an integer >= 2, got {self.size!r}")
+        object.__setattr__(self, "size", int(self.size))
+
+
+class Fock(_Factor):
     """A bosonic mode truncated to the Fock states |0>, ..., |size-1>."""
 
-    size: int
 
-    def __post_init__(self):
-        _check_size(self, "Fock dimension")
-
-
-@dataclass(frozen=True)
-class Level:
+class Level(_Factor):
     """A discrete internal degree of freedom with `size` levels."""
-
-    size: int
-
-    def __post_init__(self):
-        _check_size(self, "Level count")
 
 
 @dataclass(frozen=True)

@@ -167,12 +167,11 @@ def spectrum_regression(p: ModelParams, g_eff: float, omegas) -> SpectrumSeries:
 def find_peaks(series: SpectrumSeries) -> list:
     """Strict interior local maxima, refined by quadratic interpolation.
 
-    Returns (omega, value) pairs in grid order; a monotone series yields
-    an empty list.  Needs at least three points.
+    Returns (omega, value) pairs in grid order; a monotone series, or
+    one of fewer than three points (no interior point), yields an empty
+    list.
     """
     w, v = series.omegas, series.variances
-    if w.size < 3:
-        raise ValueError("peak finding needs at least three grid points")
     i = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
     x0, x1, x2 = w[i - 1], w[i], w[i + 1]
     y0, y1, y2 = v[i - 1], v[i], v[i + 1]

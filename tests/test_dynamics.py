@@ -809,7 +809,7 @@ def decay_immunity_leg(thermal=False):
 class TestEngineRecord:
     """Every Fock engine checks its input alike and reports its route, size, work and accuracy in one record."""
 
-    RECORD = {"method", "dims", "sector_dim", "n_rhs_evals", "rtol", "tail_max", "trace_max_dev"}
+    RECORD = {"method", "dims", "sector_dim", "rtol", "tail_max", "trace_max_dev"}
 
     @pytest.mark.parametrize("engine", ["evolve_unitary", "exact_quadrature_moments", "evolve_lindblad"])
     def test_engine_refuses_a_non_hermitian_hamiltonian(self, engine):
@@ -836,12 +836,12 @@ class TestEngineRecord:
             if route == "lindblad-expm-multiply":  # as the two routes' agreement test forces it
                 monkeypatch.setattr(dynamics, "EXPM_SECTOR_MAX", 0)
             meta = evolve_lindblad(h, [(annihilation(space, 0), 0.1)], vacuum_state(space), times, []).meta
-        assert meta.keys() == (self.RECORD if route == "eigh" else self.RECORD | {"final_eigmin"})
+        assert meta.keys() == (self.RECORD if route == "eigh" else self.RECORD | {"final_eigmin", "n_rhs_evals"})
         assert meta["method"] == route
         assert meta["dims"] == (6,)
         assert 0 < meta["sector_dim"] <= 6 ** 2
         assert set(meta["tail_max"]) == {0}
-        assert meta["n_rhs_evals"] == 0  # no route evaluates a right-hand side
+        assert meta.get("n_rhs_evals", 0) == 0  # no route evaluates a right-hand side
         want = dynamics.EXACT_VARIANCE_RTOL if route == "eigh" else dynamics.EXPM_VARIANCE_RTOL
         assert meta["rtol"] == want
 
@@ -1690,6 +1690,22 @@ class TestValidateAdiabaticChain:
         d_tb = rep.deviations["full_vs_two_level_textbook"]
         assert d_aw != d_tb
         assert rep.stark_winner == "textbook"
+
+    @pytest.mark.parametrize("name, atom", [("stark_variant", (0.6, 0.8)), ("decay_immunity", "e2")])
+    def test_effective_leg_is_the_closed_form_mixture(self, name, atom):
+        # each config's unitary chain: (0.6, 0.8) weighs e1 / e2 at 0.018 / 0.982,
+        # so both branches run; measured 4.5e-16 and 1.5e-15 relative
+        cfg = parse_config((SCRIPTS / f"{name}.cfg").read_text())
+        p, o = cfg.params, cfg.options
+        rep = validate_adiabatic_chain(p, atom, o["horizon"], n_times=o["n_times"], d_cav=o["d_cav"],
+                                       d_mech=o["d_mech"])
+        spec = atomic_coupling_spectrum(p)
+        eff = rep.legs["effective"]
+        want = sum(w * np.array([position_variance(g, p.omega_m, 0.0, t) for t in eff.times])
+                   for w, g in zip(rep.atom_weights, (spec.g_eff_1, spec.g_eff_2)))
+        if name == "stark_variant":
+            assert min(rep.atom_weights) > 0.01
+        assert np.max(np.abs(eff.values - want) / want) <= 1e-12
 
     def test_equal_stark_shifts_share_one_run(self, monkeypatch):
         # at Omega = g1 both variants have one Hamiltonian, so the chain

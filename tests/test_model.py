@@ -5,6 +5,8 @@ definitions (single nonzero entries, diagonal patterns); eigenvalue
 expectations come from the closed 2x2 form evaluated independently here.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,6 +51,16 @@ class TestModelParams:
     def test_finite(self):
         with pytest.raises(ValueError):
             ModelParams(eps=np.inf)
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ModelParams)])
+    def test_one_bad_field_is_named_alone(self, name):
+        # one pass checks each field once: its message depends on that field alone
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got nan$"):
+            ModelParams(**{name: np.nan})
+        if name not in ("delta", "Delta"):
+            bound = "> 0" if name == "omega_m" else ">= 0"
+            with pytest.raises(ValueError, match=f"^{name} must be {bound}, got -1.0$"):
+                ModelParams(**{name: -1.0})
 
     def test_frozen(self):
         p = ModelParams()

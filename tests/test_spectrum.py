@@ -339,9 +339,11 @@ class TestFindPeaks:
         w = np.linspace(0.0, 1.0, 30)
         assert find_peaks(SpectrumSeries(w, np.exp(w))) == []
 
-    def test_needs_three_points(self):
-        with pytest.raises(ValueError, match="three"):
-            find_peaks(SpectrumSeries(np.array([0.0, 1.0]), np.array([1.0, 2.0])))
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fewer_than_three_points_have_no_peak(self, n):
+        # no interior point: no peak, and no error
+        w = np.arange(float(n))
+        assert find_peaks(SpectrumSeries(w, 1.0 + w)) == []
 
     def test_plateau_is_not_a_strict_maximum(self):
         w = np.linspace(0.0, 4.0, 5)

@@ -19,6 +19,13 @@ Q is |det K(omega)|^2, and the critical frequencies are the nonzero roots of
 dQ/domega.  This cannot come from the covariance drift: the symmetrised
 spectrum is the mean of the spectrum at +-omega, not its value at omega.
 
+The atom-conditioned coupling g_hat comes from the two-level model (the
+Lambda atom with |e> eliminated).  Its cavity Heisenberg equation,
+-i [a, H] entry by entry over the atom's ground doublet, is linear in a:
+-i (M a + C), with M diagonal and C = eps - alpha |1><0|, alpha =
+Omega g1 / Delta.  Setting da/dt = 0 and keeping the lowest order in 1/delta
+gives a = -(eps - alpha |1><0|) / delta, and g_hat = g2 a^dag a.
+
 Each expression is evaluated to 30 digits at exact rational points, with no
 `simplify`, and compared with the library's floats within 1e-13 relative.
 """
@@ -27,9 +34,12 @@ import math
 
 import pytest
 import sympy as sp
+from sympy.physics.quantum import Dagger
+from sympy.physics.quantum.boson import BosonOp
+from sympy.physics.quantum.operatorordering import normal_ordered_form
 
 from optosqueeze.analytic import bogoliubov, critical_frequencies, position_variance, s_max, spectrum_analytic
-from optosqueeze.model import ModelParams
+from optosqueeze.model import ModelParams, atomic_coupling_spectrum
 
 R = sp.Rational
 RTOL = 1e-13
@@ -125,3 +135,52 @@ def test_critical_frequencies_are_the_roots_of_dQ(g, omega_m, gamma):
     got = critical_frequencies(ModelParams(omega_m=float(omega_m), gamma=float(gamma)), float(g))
     assert len(nonzero) == 2
     assert all(rel_gap(a, b) <= RTOL for a, b in zip(got, nonzero))
+
+
+def cavity_field_at_lowest_order():
+    """(a, symbols): the two-level model's adiabatic cavity field as a 2 x 2 matrix over {|0>, |1>}.
+
+    The Hamiltonian's atom blocks are cavity operators (`build_two_level_hamiltonian`
+    with Stark shifts S0, S1; the oscillator enters as x^2, which commutes with a).
+    """
+    delta, Delta, Omega, g1, g2, eps, s0, s1, x2 = sp.symbols("delta Delta Omega g1 g2 eps S0 S1 x2", real=True)
+    a = BosonOp("a")
+    alpha = Omega * g1 / Delta
+    n = Dagger(a) * a
+    common = delta * n + g2 * n * x2 + eps * (a + Dagger(a))
+    h = sp.Matrix([[common - s0, -alpha * a], [-alpha * Dagger(a), common - s1 * n - delta]])
+    heis = h.applyfunc(lambda e: sp.expand(normal_ordered_form(sp.expand(a * e - e * a))))  # [a, H]
+    c = heis.subs(a, 0)
+    m = (heis - c).subs(a, 1)  # [a, H] = M a + C, linear in a
+    assert m.is_diagonal()
+    slow = -m.inv() * c  # da/dt = 0
+    lowest = slow.applyfunc(lambda e: sp.limit(delta * e, delta, sp.oo)) / delta
+    return lowest, (delta, Delta, Omega, g1, g2, eps)
+
+
+# (delta, Delta, Omega, g1, g2, eps): stark_variant.cfg's and decay_immunity.cfg's
+# points, and a negative cavity detuning
+COUPLING_POINTS = [
+    (8, 40, 2, 1, R(1, 20), 2),
+    (10, 40, 1, 1, R(2, 5), R(3, 2)),
+    (-20, 100, 3, 2, R(1, 50), R(1, 2)),
+]
+
+
+@pytest.mark.parametrize("point", COUPLING_POINTS)
+def test_coupling_operator_from_the_cavity_heisenberg_equation(point):
+    a, names = cavity_field_at_lowest_order()
+    delta, Delta, Omega, g1, g2, eps = names
+    alpha = Omega * g1 / Delta
+    assert (a - (alpha * sp.Matrix([[0, 0], [1, 0]]) - eps * sp.eye(2)) / delta).applyfunc(sp.cancel).is_zero_matrix
+    # g2 a^dag a, in this order: a^dag a = (eps - alpha |0><1|)(eps - alpha |1><0|) / delta^2
+    # puts alpha^2 on |0><0|; a a^dag would put it on |1><1|
+    g_hat = g2 * a.H * a
+    want = g2 / delta**2 * sp.Matrix([[alpha**2 + eps**2, -eps * alpha], [-eps * alpha, eps**2]])
+    assert (g_hat - want).applyfunc(sp.cancel).is_zero_matrix
+    values = dict(zip(names, point))
+    exact = sorted((digits(v).real for v in g_hat.subs(values).eigenvals()), reverse=True)
+    p = ModelParams(**{str(k): float(v) for k, v in values.items()})
+    spec = atomic_coupling_spectrum(p)
+    assert rel_gap(spec.g_eff_1, exact[0]) <= RTOL
+    assert rel_gap(spec.g_eff_2, exact[1]) <= RTOL
